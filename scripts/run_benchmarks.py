@@ -5,11 +5,6 @@ Runs the same scaling sweep as
 ``benchmarks/bench_runtime.py::test_runtime_scaling_with_core_count``
 under a :class:`repro.perf.PerfRecorder`, plus three ablations:
 
-* **kernel comparison** — the same sweep once per routing kernel
-  (``scalar`` vs ``vector``), with per-kernel counters and
-  ``allocation.<kernel>`` phase timers; the design points must be
-  byte-identical on every spec (exit code) and the vector total has
-  its own regression gate against the previous snapshot;
 * **cache ablation** — one representative size synthesized with
   ``enable_caches`` on and off, asserting the chosen design points are
   identical (the fast path must not change results) and recording the
@@ -254,93 +249,6 @@ def run_warm_cache(sizes: List[int]) -> Dict[str, object]:
         }
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def run_kernel_comparison(sizes: List[int]) -> Dict[str, object]:
-    """Scalar vs vector routing kernel over the scaling specs.
-
-    Times the same sweep once per kernel under its own recorder, so the
-    section carries per-kernel counters (shortcuts, vector frontier
-    pops, scalar Dijkstra pops, edge evaluations) and the per-kernel
-    ``allocation.<kernel>`` phase timers next to the wall-clock rows.
-    Design points must be byte-identical between the kernels on *every*
-    spec — ``identical_points`` participates in the harness exit code.
-    """
-    per_kernel: Dict[str, Dict[str, object]] = {}
-    signatures: Dict[str, Dict[int, List[Dict[str, object]]]] = {}
-    for kern in ("scalar", "vector"):
-        cfg = dataclasses.replace(FAST, kernel=kern)
-        rec = PerfRecorder()
-        rows = []
-        sigs: Dict[int, List[Dict[str, object]]] = {}
-        with recording(rec):
-            for n_cores in sizes:
-                part = _scaling_spec(n_cores)
-                t0 = time.perf_counter()
-                space = synthesize(part, config=cfg)
-                dt = time.perf_counter() - t0
-                sigs[n_cores] = point_signature(space)
-                rows.append(
-                    {
-                        "cores": n_cores,
-                        "design_points": len(space),
-                        "seconds": round(dt, 4),
-                    }
-                )
-        total = sum(r["seconds"] for r in rows)
-        wanted = (
-            "direct_open_shortcuts",
-            "vector_pops",
-            "vector_edges",
-            "dijkstra_pops",
-            "edge_evals",
-            "cost_cache_hits",
-            "cost_cache_misses",
-        )
-        per_kernel[kern] = {
-            "rows": rows,
-            "total_seconds": round(total, 4),
-            "counters": {k: rec.counters.get(k, 0) for k in wanted},
-            "phase_seconds": {
-                k: round(v, 4)
-                for k, v in sorted(rec.phase_seconds.items())
-                if k.startswith("allocation")
-            },
-        }
-        signatures[kern] = sigs
-        print(
-            "  %-6s total %.3fs (shortcuts=%d, dijkstra_pops=%d, "
-            "vector_pops=%d, edge_evals=%d)"
-            % (
-                kern,
-                total,
-                rec.counters.get("direct_open_shortcuts", 0),
-                rec.counters.get("dijkstra_pops", 0),
-                rec.counters.get("vector_pops", 0),
-                rec.counters.get("edge_evals", 0),
-            )
-        )
-    per_size_identical = {
-        str(n): signatures["scalar"][n] == signatures["vector"][n] for n in sizes
-    }
-    identical = all(per_size_identical.values())
-    if not identical:
-        print(
-            "  WARNING: scalar and vector kernels disagree on design points!",
-            file=sys.stderr,
-        )
-    scalar_total = per_kernel["scalar"]["total_seconds"]
-    vector_total = per_kernel["vector"]["total_seconds"]
-    speedup = round(scalar_total / max(vector_total, 1e-9), 3)
-    print("  vector vs scalar: %.2fx, identical_points=%s" % (speedup, identical))
-    return {
-        "sizes": sizes,
-        "scalar": per_kernel["scalar"],
-        "vector": per_kernel["vector"],
-        "speedup": speedup,
-        "identical_points": identical,
-        "per_size_identical": per_size_identical,
-    }
 
 
 def run_worker_scaling(n_cores: int, workers: int) -> List[Dict[str, object]]:
@@ -1173,37 +1081,7 @@ def check_regression(
         "regression gate: %s — scaling total %.2fs vs %.2fs in %s (limit %.2fs)"
         % (verdict, cur_total, ref_total, os.path.basename(ref_path), limit)
     )
-    ok = verdict == "PASS"
-
-    # The kernel section gates too, once a snapshot carries one: the
-    # vector kernel's own total must not regress, independently of the
-    # aggregate sweep (which would hide a vector slip behind an
-    # unrelated speedup elsewhere).
-    try:
-        with open(ref_path) as f:
-            ref = json.load(f)
-        ref_kernel = ref["kernel"]
-        ref_vec = float(ref_kernel["vector"]["total_seconds"])
-        ref_sizes = list(ref_kernel["sizes"])
-        cur_kernel = result["kernel"]
-        cur_vec = float(cur_kernel["vector"]["total_seconds"])
-        cur_ksizes = list(cur_kernel["sizes"])
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError):
-        print("regression gate: no comparable kernel section, skipping that check")
-        return ok
-    if ref_sizes != cur_ksizes:
-        print(
-            "regression gate: kernel section sizes differ (%s vs %s), skipping"
-            % (ref_sizes, cur_ksizes)
-        )
-        return ok
-    klimit = ref_vec * tolerance
-    kverdict = "PASS" if cur_vec <= klimit else "FAIL"
-    print(
-        "regression gate: %s — vector kernel total %.2fs vs %.2fs (limit %.2fs)"
-        % (kverdict, cur_vec, ref_vec, klimit)
-    )
-    return ok and kverdict == "PASS"
+    return verdict == "PASS"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1302,8 +1180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "  vs previous snapshot %s: %.2fx"
             % (previous["path"], scaling["speedup_vs_previous"])
         )
-    print("kernel comparison (scalar vs vector):")
-    kernel = run_kernel_comparison(sizes)
     print("cache ablation:")
     ablation = run_cache_ablation(max(sizes))
     print("warm cache (content-addressed store, cold vs warm sweep):")
@@ -1335,7 +1211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "runtime_scaling": scaling,
         "counters": recorder.counters,
         "phase_seconds": {k: round(v, 4) for k, v in recorder.phase_seconds.items()},
-        "kernel": kernel,
         "cache_ablation": ablation,
         "cache": warm_cache,
         "worker_scaling": worker_rows,
@@ -1375,7 +1250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if (
         ablation["identical_points"]
         and warm_cache["identical_points"]
-        and kernel["identical_points"]
         and gate_ok
         and resilience["deterministic"]
         and control_plane["deterministic"]

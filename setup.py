@@ -3,11 +3,6 @@
 The base install is dependency-free on purpose — every algorithm has a
 pure-Python implementation, so the package works in offline containers
 without build isolation (``pip install -e . --no-use-pep517``).
-
-``numpy`` is an *optional* accelerator: ``pip install repro-noc[fast]``
-enables the vector routing kernel's batched frontier
-(:mod:`repro.core.kernel` degrades gracefully to flat-array Python
-walks when it is absent, with byte-identical results).
 """
 
 from setuptools import find_packages, setup
@@ -22,9 +17,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.9",
     install_requires=[],
-    extras_require={
-        # Optional batched numerics for the vector routing kernel.
-        "fast": ["numpy>=1.22"],
-    },
     entry_points={"console_scripts": ["repro-noc=repro.cli:main"]},
 )

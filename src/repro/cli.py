@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import List, Optional
 
@@ -79,14 +80,13 @@ from .control import (
     recovery_rows,
 )
 from .core.explore import ExplorationEngine
-from .core.kernel import KERNEL_CHOICES, KERNEL_ENV_VAR
 from .core.objective import (
     DEFAULT_WAKE_BUDGET_MS,
     OBJECTIVE_NAMES,
     make_objective,
 )
 from .core.synthesis import SynthesisConfig, synthesize
-from .exceptions import ReproError
+from .exceptions import CacheError, ReproError
 from .io.dot import save_dot
 from .io.floorplan_art import floorplan_to_ascii, save_floorplan_svg
 from .io.json_io import design_point_summary, save_topology
@@ -295,7 +295,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         allow_intermediate=not args.no_intermediate,
         seed=args.seed,
         objective=objective,
-        kernel=args.kernel,
     )
     scope, store = _cache_scope(args)
     with scope:
@@ -333,7 +332,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     objective = _objective_for(args, base)
     engine = ExplorationEngine(
         workers=args.workers,
-        config=SynthesisConfig(seed=args.seed, kernel=args.kernel),
+        config=SynthesisConfig(seed=args.seed),
         objective=objective,
     )
     scope, store = _cache_scope(args)
@@ -795,6 +794,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     directory = args.cache_dir or str(default_cache_dir())
+    if not os.path.isdir(directory):
+        raise CacheError("no cache directory at %s" % directory)
     store = CacheStore.open(directory)
     disk = store.disk
     assert disk is not None
@@ -882,12 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_synth)
     p_synth.add_argument("--alpha", type=float, default=0.6, help="VCG weight alpha")
     p_synth.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="routing kernel (auto resolves via $%s, default vector)" % KERNEL_ENV_VAR,
-    )
-    p_synth.add_argument(
         "--no-intermediate", action="store_true", help="forbid the intermediate NoC island"
     )
     p_synth.add_argument("--dot", help="write best topology as Graphviz DOT")
@@ -907,12 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", help="also write rows as CSV")
     p_sweep.add_argument(
         "--workers", type=int, default=1, help="parallel synthesis workers"
-    )
-    p_sweep.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="routing kernel (auto resolves via $%s, default vector)" % KERNEL_ENV_VAR,
     )
     p_sweep.add_argument(
         "--live",

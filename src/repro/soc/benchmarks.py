@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..core.spec import CoreSpec, SoCSpec, TrafficFlow, build_spec
+from ..exceptions import SpecError
 from .generator import GeneratorConfig, generate_soc
 
 
@@ -265,8 +266,9 @@ def load_benchmark(name: str) -> SoCSpec:
     'd26_media'
     """
     try:
-        return BENCHMARKS[name]()
+        factory = BENCHMARKS[name]
     except KeyError:
-        raise KeyError(
+        raise SpecError(
             "unknown benchmark %r (available: %s)" % (name, ", ".join(sorted(BENCHMARKS)))
-        )
+        ) from None
+    return factory()

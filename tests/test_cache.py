@@ -84,16 +84,13 @@ class TestCanonicalization:
 
 
 class TestConfigKeys:
-    def test_kernel_and_enable_caches_excluded(self):
+    def test_enable_caches_excluded(self):
         spec = make_tiny_spec()
         base = SynthesisConfig()
-        for variant in (
-            dataclasses.replace(base, kernel="scalar"),
-            dataclasses.replace(base, enable_caches=False),
-        ):
-            assert design_space_key(spec, DEFAULT_LIBRARY, variant) == design_space_key(
-                spec, DEFAULT_LIBRARY, base
-            )
+        variant = dataclasses.replace(base, enable_caches=False)
+        assert design_space_key(spec, DEFAULT_LIBRARY, variant) == design_space_key(
+            spec, DEFAULT_LIBRARY, base
+        )
 
     def test_seed_alpha_objective_included(self):
         spec = make_tiny_spec()

@@ -1,7 +1,12 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -64,8 +69,9 @@ class TestCommands:
                 assert f.read()
 
     def test_synth_unknown_benchmark_fails_cleanly(self, capsys):
-        with pytest.raises(KeyError):
-            main(["synth", "d999"])
+        assert main(["synth", "d999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown benchmark 'd999'")
 
     def test_sweep(self, capsys, tmp_path):
         csv = str(tmp_path / "sweep.csv")
@@ -194,3 +200,61 @@ class TestCommands:
             build_parser().parse_args(
                 ["runtime", "--benchmark", "d12_auto", "--policy", "vibes"]
             )
+
+
+class TestErrorPaths:
+    """Bad input: one ``error:`` line on stderr and exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "nope"],
+            ["sweep", "nope"],
+            ["shutdown", "nope"],
+            ["resilience", "nope"],
+            ["control", "nope"],
+            ["obs", "nope"],
+            ["runtime", "--benchmark", "nope"],
+            ["cache", "stats", "--cache-dir", "/nonexistent/x"],
+            ["cache", "verify", "--cache-dir", "/nonexistent/x"],
+            ["cache", "clear", "--cache-dir", "/nonexistent/x"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
+    )
+    def test_one_line_and_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+
+
+class TestImportFootprint:
+    def test_synth_loads_only_stdlib_and_repro(self):
+        """A fresh CLI process imports nothing outside the standard library.
+
+        Modules already loaded at interpreter start-up (site ``.pth``
+        hooks) and multiprocessing's ``__mp_main__`` alias don't count.
+        """
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "repro.cli.main(['synth', 'd12_auto', '--islands', '2'])\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before\n"
+            "          if not m.startswith('__')}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'repro'}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"

@@ -1,10 +1,13 @@
-"""Fast-path plumbing: instrumentation, cost caches, determinism.
+"""Fast-path plumbing: instrumentation, cost memos, determinism.
 
 The synthesis fast path (scaffold cloning, partition memoization,
-edge-cost caching) is only acceptable if it is invisible in the
-results: ``enable_caches`` on and off must yield byte-identical design
-spaces.  These tests pin that contract, plus the cache-invalidation
-semantics and the PerfRecorder used to observe the hot path.
+edge-cost memos, the routing shortcuts and the intermediate-dominance
+skip) is only acceptable if it is invisible in the results:
+``enable_caches`` on and off must yield bit-identical design spaces —
+exact floats, no rounding, so any drift in accumulation order or
+tie-breaking fails here before it can silently move a benchmark
+number.  These tests pin that contract, plus the PerfRecorder used to
+observe the hot path.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro import SynthesisConfig, synthesize
-from repro.arch.topology import Topology
-from repro.core.paths import EdgeCostCache, PathAllocator, PathCostConfig
+from repro.core.objective import StaticLatencyObjective
+from repro.core.paths import PathAllocator
 from repro.perf import PerfRecorder, active_recorder, recording
 from repro.power.library import DEFAULT_LIBRARY
 
@@ -21,11 +24,33 @@ from _helpers import make_tiny_spec
 
 
 def space_signature(space):
-    """Order-sensitive identity of every point in a design space."""
-    return [
-        (p.label(), p.power_mw, p.avg_latency_cycles, p.total_switches)
-        for p in space.points
-    ]
+    """Every observable output of a design space, exact floats."""
+    points = []
+    for p in space.points:
+        routes = tuple(
+            (key, r.components, r.links)
+            for key, r in sorted(p.topology.routes.items())
+        )
+        points.append(
+            (
+                p.index,
+                p.label(),
+                tuple(sorted(p.switch_counts.items())),
+                p.num_intermediate_requested,
+                p.num_intermediate_used,
+                routes,
+                p.noc_power.dynamic_mw,
+                p.noc_power.fig2_dynamic_mw,
+                p.noc_power.leakage_mw,
+                tuple(sorted(p.noc_power.dynamic_by_island.items())),
+                p.soc_power.total_mw,
+                p.avg_latency_cycles,
+                None
+                if p.objective_result is None
+                else (p.objective_result.cost, p.objective_result.feasible),
+            )
+        )
+    return (space.spec_name, tuple(points), tuple(space.failures))
 
 
 class TestPerfRecorder:
@@ -83,61 +108,6 @@ class TestPerfRecorder:
         assert rec.counters.get("partition_cache_hits", 0) == 0
         assert rec.counters.get("scaffold_clones", 0) == 0
         assert rec.counters["scaffold_builds"] > 0
-
-
-class TestEdgeCostCache:
-    @pytest.fixture()
-    def topo(self, tiny_spec):
-        t = Topology(tiny_spec, DEFAULT_LIBRARY, {0: 400.0, 1: 400.0})
-        t.add_switch(0, 0)
-        t.add_switch(0, 1)
-        t.add_switch(1, 0)
-        return t
-
-    def test_hit_after_miss(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, _ = topo.switches.values()
-        first = cache.static_open_cost(u, v)
-        assert cache.misses == 1
-        again = cache.static_open_cost(u, v)
-        assert again == first
-        assert cache.hits == 1
-        assert cache.is_current(u.id, v.id)
-        assert len(cache) == 1
-
-    def test_link_open_invalidates_both_endpoints(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, w = topo.switches.values()
-        stale_static = cache.static_open_cost(u, v)
-        stale_ebit = cache.traffic_ebit(w, v)
-
-        topo.open_link(u.id, v.id)
-        topo.open_link(w.id, v.id)
-        for sw in (u, v, w):
-            cache.invalidate_switch(sw.id)
-
-        assert not cache.is_current(u.id, v.id)
-        assert not cache.is_current(w.id, v.id)
-        # Opening the links consumed both endpoints' first-use
-        # degeneracy, so the recomputed static cost drops the
-        # clock-tree/leakage floor and must differ from the stale one.
-        fresh_static = cache.static_open_cost(u, v)
-        assert cache.misses >= 3
-        assert fresh_static < stale_static
-        # v now has two input ports, so edges into v pay a bigger
-        # crossbar than the stale single-port figure.
-        fresh_ebit = cache.traffic_ebit(w, v)
-        assert fresh_ebit > stale_ebit
-
-    def test_untouched_pairs_survive_invalidation(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, w = topo.switches.values()
-        value = cache.traffic_ebit(u, w)
-        cache.invalidate_switch(v.id)  # unrelated switch
-        assert cache.is_current(u.id, w.id)
-        cache.traffic_ebit(u, w)
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.traffic_ebit(u, w) == value
 
 
 class TestAllocatorCaching:
@@ -208,26 +178,43 @@ class TestIntermediateDominanceSkip:
 
 
 class TestSynthesisDeterminism:
-    CFG = dict(max_intermediate=1)
+    """Cached fast path vs the ``enable_caches=False`` reference."""
 
-    def assert_identical_spaces(self, spec):
-        cached = synthesize(
-            spec, config=SynthesisConfig(enable_caches=True, **self.CFG)
+    def assert_identical_spaces(self, spec, **cfg):
+        cached = synthesize(spec, config=SynthesisConfig(**cfg))
+        reference = synthesize(
+            spec, config=SynthesisConfig(enable_caches=False, **cfg)
         )
-        uncached = synthesize(
-            spec, config=SynthesisConfig(enable_caches=False, **self.CFG)
-        )
-        assert space_signature(cached) == space_signature(uncached)
-        assert cached.failures == uncached.failures
+        assert space_signature(cached) == space_signature(reference)
 
     def test_tiny_spec_identical(self):
-        self.assert_identical_spaces(make_tiny_spec(2))
+        self.assert_identical_spaces(make_tiny_spec(2), max_intermediate=1)
+
+    def test_tiny_default_config_identical(self, tiny_spec):
+        self.assert_identical_spaces(tiny_spec)
+
+    def test_tiny_single_island_identical(self, tiny_spec_1isl):
+        self.assert_identical_spaces(tiny_spec_1isl)
+
+    def test_tiny_intermediate_sweep_identical(self, tiny_spec):
+        self.assert_identical_spaces(tiny_spec, max_intermediate=2)
 
     def test_tiny_spec_3_islands_identical(self):
-        self.assert_identical_spaces(make_tiny_spec(3))
+        self.assert_identical_spaces(make_tiny_spec(3), max_intermediate=1)
 
     def test_mobile_soc_identical(self, d26_log6):
-        self.assert_identical_spaces(d26_log6)
+        self.assert_identical_spaces(d26_log6, max_intermediate=1)
 
     def test_mobile_soc_communication_identical(self, d26_com4):
-        self.assert_identical_spaces(d26_com4)
+        self.assert_identical_spaces(d26_com4, max_intermediate=1)
+
+    def test_objective_costs_identical(self, tiny_spec):
+        self.assert_identical_spaces(tiny_spec, objective=StaticLatencyObjective())
+
+    @pytest.mark.slow
+    def test_d38_identical(self):
+        from repro.soc.benchmarks import load_benchmark
+        from repro.soc.partitioning import communication_partitioning
+
+        spec = communication_partitioning(load_benchmark("d38_media"), 4)
+        self.assert_identical_spaces(spec, max_intermediate=1)

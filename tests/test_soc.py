@@ -59,7 +59,7 @@ class TestSuite:
             assert load_benchmark(name).name == name
 
     def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SpecError, match="unknown benchmark 'd999_ghost'"):
             load_benchmark("d999_ghost")
 
     def test_deterministic_construction(self):
