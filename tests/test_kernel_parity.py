@@ -1,191 +1,162 @@
-"""Scalar-vs-vector kernel parity: byte-identical design spaces.
+"""Routing-kernel parity: the direct-open shortcut against the search.
 
-The vector kernel's contract (see ``repro.core.kernel``) is that every
-observable synthesis output — design points, routes, power and latency
-figures, objective costs, even the failure list — is *bit-identical*
-to the scalar reference.  These tests compare exact floats, no
-rounding: any drift in accumulation order or tie-breaking fails here
-before it can silently move a benchmark number.
+Every flow is routed by one kernel: the direct-reuse shortcut, then the
+direct-open dominance shortcut (fast path only), then the Dijkstra
+:meth:`PathAllocator._search`.  The dominance proof promises that
+whenever :meth:`PathAllocator._direct_open_shortcut` answers, the search
+would return exactly the same answer.  Three checks hold it to that:
 
-The numpy frontier only engages above
-:data:`repro.core.paths.VECTOR_MIN_SWITCHES`; the forced-threshold
-tests monkeypatch it to 0 so the batched path is exercised even on the
-small fixtures.
+* flow by flow, on generated SoCs, every shortcut answer is re-derived
+  by the reference search (no memos) on the same allocator state and
+  must be the identical hop list and zero-load latency;
+* run by run, on the shared fixtures, synthesis with the shortcut
+  switched off — every flow it would answer goes to the search, all
+  other fast-path memos stay on — yields a bit-identical design space;
+* reference mode (``enable_caches=False``) never takes the shortcut,
+  so the cached-vs-reference tests in ``test_perf.py`` check it too.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import SynthesisConfig, synthesize
-from repro.core import paths as paths_mod
-from repro.core.kernel import HAVE_NUMPY
 from repro.core.objective import StaticLatencyObjective
+from repro.core.paths import PathAllocator
+from repro.perf import recording
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
-pytestmark = pytest.mark.kernel
-
-
-def _scalar(**kw) -> SynthesisConfig:
-    return SynthesisConfig(kernel="scalar", **kw)
-
-
-def _vector(**kw) -> SynthesisConfig:
-    return SynthesisConfig(kernel="vector", **kw)
+from _helpers import space_signature
 
 
-def space_signature(space):
-    """Every observable output of a design space, exact floats."""
-    points = []
-    for p in space.points:
-        routes = tuple(
-            (key, r.components, r.links)
-            for key, r in sorted(p.topology.routes.items())
+def _checked_shortcut(checked):
+    """A ``_direct_open_shortcut`` that re-derives every answer."""
+    original = PathAllocator._direct_open_shortcut
+
+    def wrapper(
+        self, topo, sw_list, n, pair_links, out_keys, flow, src_i, dst_i,
+        lat_cost_intra, lat_cost_cross, port_reserve, *rest,
+    ):
+        found = original(
+            self, topo, sw_list, n, pair_links, out_keys, flow, src_i, dst_i,
+            lat_cost_intra, lat_cost_cross, port_reserve, *rest,
         )
-        points.append(
-            (
-                p.index,
-                p.label(),
-                tuple(sorted(p.switch_counts.items())),
-                p.num_intermediate_requested,
-                p.num_intermediate_used,
-                routes,
-                p.noc_power.dynamic_mw,
-                p.noc_power.fig2_dynamic_mw,
-                p.noc_power.leakage_mw,
-                tuple(sorted(p.noc_power.dynamic_by_island.items())),
-                p.soc_power.total_mw,
-                p.avg_latency_cycles,
-                None
-                if p.objective_result is None
-                else (p.objective_result.cost, p.objective_result.feasible),
-            )
+        if found is None:
+            return None
+        saved = (self._blocked, self._pops, self._edge_evals)
+        expected = self._search(
+            topo, sw_list, n, {}, self._ranks(sw_list), False, pair_links,
+            flow, src_i, dst_i, lat_cost_intra, lat_cost_cross, port_reserve,
         )
-    return (space.spec_name, tuple(points), tuple(space.failures))
+        self._blocked, self._pops, self._edge_evals = saved
+        assert found == expected, flow.key
+        checked.append(flow.key)
+        return found
+
+    return wrapper
 
 
-def assert_kernels_agree(spec, scalar_cfg, vector_cfg):
-    s = synthesize(spec, config=scalar_cfg)
-    v = synthesize(spec, config=vector_cfg)
-    assert space_signature(s) == space_signature(v)
+@st.composite
+def generated_cases(draw):
+    n_cores = draw(st.integers(min_value=8, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=999))
+    spec = generate_soc(
+        GeneratorConfig(
+            name="diff%d_%d" % (n_cores, seed),
+            num_cores=n_cores,
+            num_groups=max(1, min(4, n_cores // 3)),
+            seed=seed,
+        )
+    )
+    n_islands = draw(st.integers(min_value=1, max_value=5))
+    partition = draw(st.sampled_from([logical_partitioning, communication_partitioning]))
+    return partition(spec, n_islands), draw(st.integers(min_value=0, max_value=2))
+
+
+def test_shortcut_answers_equal_full_search():
+    checked = []
+
+    @given(generated_cases())
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    # A known-firing case, so the "at least one" assertion below never
+    # depends on what the random draws happen to cover.
+    @example(
+        (
+            logical_partitioning(
+                generate_soc(GeneratorConfig(name="diff24_0", num_cores=24, seed=0)),
+                3,
+            ),
+            1,
+        )
+    )
+    def run(case):
+        spec, max_intermediate = case
+        synthesize(spec, config=SynthesisConfig(max_intermediate=max_intermediate))
+
+    with mock.patch.object(
+        PathAllocator, "_direct_open_shortcut", _checked_shortcut(checked)
+    ):
+        run()
+    assert checked, "the direct-open shortcut never fired"
+
+
+def assert_shortcut_invisible(spec, **cfg):
+    """The same cached synthesis with and without the shortcut."""
+    config = SynthesisConfig(**cfg)
+    with recording() as rec:
+        shortcut = synthesize(spec, config=config)
+    assert rec.counters["direct_open_shortcuts"] > 0
+    with mock.patch.object(
+        PathAllocator, "_direct_open_shortcut", lambda self, *args: None
+    ):
+        searched = synthesize(spec, config=config)
+    assert space_signature(shortcut) == space_signature(searched)
 
 
 class TestParity:
     def test_tiny(self, tiny_spec):
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
+        assert_shortcut_invisible(tiny_spec)
 
     def test_tiny_single_island(self, tiny_spec_1isl):
-        assert_kernels_agree(tiny_spec_1isl, _scalar(), _vector())
+        assert_shortcut_invisible(tiny_spec_1isl)
 
     def test_tiny_with_intermediate_sweep(self, tiny_spec):
-        assert_kernels_agree(
-            tiny_spec,
-            _scalar(max_intermediate=2),
-            _vector(max_intermediate=2),
-        )
+        assert_shortcut_invisible(tiny_spec, max_intermediate=2)
 
     def test_d26_logical(self, d26_log6):
-        assert_kernels_agree(
-            d26_log6,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
+        assert_shortcut_invisible(d26_log6, max_intermediate=1)
 
     def test_d26_communication(self, d26_com4):
-        assert_kernels_agree(
-            d26_com4,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
+        assert_shortcut_invisible(d26_com4, max_intermediate=1)
 
     def test_objective_costs_match(self, tiny_spec):
-        obj = StaticLatencyObjective()
-        assert_kernels_agree(
-            tiny_spec, _scalar(objective=obj), _vector(objective=obj)
-        )
+        assert_shortcut_invisible(tiny_spec, objective=StaticLatencyObjective())
 
     @pytest.mark.slow
     def test_d38(self):
         from repro.soc.benchmarks import load_benchmark
-        from repro.soc.partitioning import communication_partitioning
 
         spec = communication_partitioning(load_benchmark("d38_media"), 4)
-        assert_kernels_agree(
-            spec,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
-
-
-class TestForcedNumpyFrontier:
-    """Drive the batched frontier below its size threshold."""
-
-    @pytest.fixture(autouse=True)
-    def _force_vector_path(self, monkeypatch):
-        monkeypatch.setattr(paths_mod, "VECTOR_MIN_SWITCHES", 0)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_tiny_forced(self, tiny_spec):
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_d26_forced(self, d26_log6):
-        assert_kernels_agree(
-            d26_log6,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
-
-    def test_without_numpy_falls_back(self, tiny_spec, monkeypatch):
-        """The vector kernel stays correct when numpy is absent."""
-        monkeypatch.setattr(paths_mod, "numpy_or_none", lambda: None)
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
+        assert_shortcut_invisible(spec, max_intermediate=1)
 
 
 class TestReferenceMode:
     def test_uncached_pins_scalar(self, tiny_spec):
-        """``enable_caches=False`` is the scalar reference even when the
-        config asks for the vector kernel — every cached-vs-uncached
-        determinism test therefore doubles as a kernel parity check."""
-        cached = synthesize(tiny_spec, config=_vector())
-        reference = synthesize(
-            tiny_spec, config=_vector(enable_caches=False)
-        )
-        assert space_signature(cached) == space_signature(reference)
-
-    def test_auto_env_override(self, tiny_spec, monkeypatch):
-        from repro.core.kernel import KERNEL_ENV_VAR, resolve_kernel
-
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        assert resolve_kernel("auto") == "scalar"
-        assert resolve_kernel("vector") == "vector"  # pin beats env
-        a = synthesize(tiny_spec, config=SynthesisConfig(kernel="auto"))
-        b = synthesize(tiny_spec, config=_scalar())
-        assert space_signature(a) == space_signature(b)
-
-
-class TestEdgeCostCacheUnderVector:
-    def test_open_invalidates_under_vector_routing(self, tiny_spec):
-        """Routing with the vector kernel keeps the object-level cache
-        honest: entries for switches whose port counts changed during
-        allocation recompute to the same values a fresh cache yields."""
-        from repro.core.paths import EdgeCostCache, PathCostConfig
-
-        space = synthesize(tiny_spec, config=_vector())
-        topo = space.best_by_power().topology
-        cfg = PathCostConfig()
-        cache = EdgeCostCache(topo, cfg)
-        sw = list(topo.switches.values())
-        if len(sw) < 2:
-            pytest.skip("need two switches")
-        u, v = sw[0], sw[1]
-        first = cache.static_open_cost(u, v)
-        ebit_first = cache.traffic_ebit(u, v)
-        assert cache.is_current(u.id, v.id)
-        cache.invalidate_switch(u.id)
-        assert not cache.is_current(u.id, v.id)
-        # Recomputation after invalidation reproduces the exact terms.
-        assert cache.static_open_cost(u, v) == first
-        assert cache.traffic_ebit(u, v) == ebit_first
-        assert cache.is_current(u.id, v.id)
+        """``enable_caches=False`` answers every flow the shortcut would
+        take with the plain search, so every cached-vs-uncached
+        determinism test doubles as a shortcut parity check."""
+        with recording() as fast:
+            synthesize(tiny_spec)
+        with recording() as reference:
+            synthesize(tiny_spec, config=SynthesisConfig(enable_caches=False))
+        assert fast.counters["direct_open_shortcuts"] > 0
+        assert reference.counters.get("direct_open_shortcuts", 0) == 0
+        assert reference.counters["dijkstra_pops"] > fast.counters["dijkstra_pops"]

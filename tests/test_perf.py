@@ -20,37 +20,7 @@ from repro.core.paths import PathAllocator
 from repro.perf import PerfRecorder, active_recorder, recording
 from repro.power.library import DEFAULT_LIBRARY
 
-from _helpers import make_tiny_spec
-
-
-def space_signature(space):
-    """Every observable output of a design space, exact floats."""
-    points = []
-    for p in space.points:
-        routes = tuple(
-            (key, r.components, r.links)
-            for key, r in sorted(p.topology.routes.items())
-        )
-        points.append(
-            (
-                p.index,
-                p.label(),
-                tuple(sorted(p.switch_counts.items())),
-                p.num_intermediate_requested,
-                p.num_intermediate_used,
-                routes,
-                p.noc_power.dynamic_mw,
-                p.noc_power.fig2_dynamic_mw,
-                p.noc_power.leakage_mw,
-                tuple(sorted(p.noc_power.dynamic_by_island.items())),
-                p.soc_power.total_mw,
-                p.avg_latency_cycles,
-                None
-                if p.objective_result is None
-                else (p.objective_result.cost, p.objective_result.feasible),
-            )
-        )
-    return (space.spec_name, tuple(points), tuple(space.failures))
+from _helpers import make_tiny_spec, space_signature
 
 
 class TestPerfRecorder:
