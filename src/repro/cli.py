@@ -117,6 +117,20 @@ from .soc.partitioning import communication_partitioning, logical_partitioning
 from .soc.usecases import use_cases_for
 
 
+def _int_list(text: str, flag: str) -> List[int]:
+    """Parse a comma-separated integer flag, skipping blank items."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ReproError("%s: expected a comma-separated list of integers" % flag)
+    values = []
+    for item in items:
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ReproError("%s: %r is not an integer" % (flag, item)) from None
+    return values
+
+
 def _partitioned(name: str, islands: int, strategy: str):
     spec = load_benchmark(name)
     if strategy == "logical":
@@ -144,8 +158,8 @@ def _objective_for(args: argparse.Namespace, spec):
         )
     elif name == "multi_trace":
         seeds_arg = getattr(args, "trace_seeds", None)
-        if seeds_arg:
-            seeds = [int(s) for s in seeds_arg.split(",") if s.strip()]
+        if seeds_arg is not None:
+            seeds = _int_list(seeds_arg, "--trace-seeds")
         else:
             seeds = [args.seed, args.seed + 1, args.seed + 2]
         traces = [
@@ -327,7 +341,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    counts = [int(c) for c in args.counts.split(",")]
+    counts = _int_list(args.counts, "--counts")
     base = load_benchmark(args.benchmark)
     objective = _objective_for(args, base)
     engine = ExplorationEngine(

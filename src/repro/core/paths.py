@@ -29,17 +29,24 @@ Fast path
 The synthesis sweep calls the allocator hundreds of times, so the hot
 loop is engineered around five observations:
 
-1. the candidate switch set and the shutdown-safety transition rule
-   depend only on the ``(src_island, dst_island)`` pair of a flow —
-   :class:`PathAllocator` keeps one lazily-built, integer-indexed
-   successor structure per pair (shared across routing attempts)
-   instead of re-testing every switch pair on every Dijkstra pop;
+1. the successors of a popped switch depend only on the flow's
+   ``(src_island, dst_island)`` pair and on the switch's own island and
+   frequency — :class:`PathAllocator` keeps one lazily-built row per
+   such key (shared across routing attempts), stored as **segments**,
+   one per target island.  Everything an edge's feasibility and static
+   cost needs besides the two endpoints' port counts is a property of
+   the segment (crossing, port reserve, size bound, capacity, static
+   open weights), so the search resolves it once per segment per pop;
+   the rest is **destination state** — a target's open-edge traffic
+   power, new in-port count and freshness are fixed while one search
+   runs (no link opens mid-search), so each is computed on the
+   target's first evaluation and reused on later pops;
 2. the power terms of an edge cost are pure functions of a handful of
    switch attributes — the static open cost of ``(u.island, v.island,
-   u fresh?, v fresh?)`` and the traffic energy-per-bit of
-   ``(crossing?, v.n_in, v.n_out)`` — so the inner loop resolves each
-   with one int-keyed dict probe, with no invalidation (the keys carry
-   every dynamic input);
+   u fresh?, v fresh?)`` (precomputed into the segments) and the
+   traffic energy-per-bit of ``(crossing?, v.n_in, v.n_out)`` (one
+   int-keyed memo probe per destination state), with no invalidation
+   (the keys carry every dynamic input);
 3. every intermediate-count and port-reserve retry routes the same
    switch/NI scaffold — the scaffold is built once and cheaply cloned
    per attempt (:meth:`repro.arch.topology.Topology.clone_scaffold`);
@@ -53,7 +60,9 @@ loop is engineered around five observations:
 
 Cached and uncached (``use_cache=False``) runs share one cost
 implementation, so they produce byte-identical allocations; the cache
-only changes how often the arithmetic re-runs.
+only changes how often the arithmetic re-runs.  Reference mode
+rebuilds the successor rows for every search, keeps no destination
+state and prices every edge evaluation from scratch.
 
 Dominance shortcut
 ------------------
@@ -218,31 +227,52 @@ def _allowed_transition(
     return False
 
 
-def _edge_static_open_cost(
-    topo: Topology, u: Switch, v: Switch, cfg: PathCostConfig
+def _static_open_cost(
+    lib: NocLibrary,
+    cfg: PathCostConfig,
+    u_island: int,
+    u_freq: float,
+    u_fresh: bool,
+    v_island: int,
+    v_freq: float,
+    v_fresh: bool,
 ) -> float:
     """Static power cost (mW) of opening a new link u->v.
 
     Counts the incremental idle power of the two new switch ports, the
     converter if the link crosses islands, and the leakage of the new
-    wire at its nominal pre-floorplan length.
+    wire at its nominal pre-floorplan length.  A *fresh* endpoint (no
+    ports yet) also brings its fixed clock-tree and leakage floor online.
     """
-    lib = topo.library
-    crossing = u.island != v.island
+    crossing = u_island != v_island
     length = cfg.nominal_cross_link_mm if crossing else cfg.nominal_intra_link_mm
     # One new output port on u and one new input port on v.
-    static = lib.switch_idle_mw_per_mhz_per_port * (u.freq_mhz + v.freq_mhz)
+    static = lib.switch_idle_mw_per_mhz_per_port * (u_freq + v_freq)
     static += 2.0 * lib.switch_leak_mw_per_port
-    # A previously unconnected switch (fresh intermediate) also brings
-    # its fixed clock-tree and leakage floor online.
-    if u.n_in == 0 and u.n_out == 0:
-        static += lib.switch_idle_mw_per_mhz_base * u.freq_mhz + lib.switch_leak_mw_base
-    if v.n_in == 0 and v.n_out == 0:
-        static += lib.switch_idle_mw_per_mhz_base * v.freq_mhz + lib.switch_leak_mw_base
+    if u_fresh:
+        static += lib.switch_idle_mw_per_mhz_base * u_freq + lib.switch_leak_mw_base
+    if v_fresh:
+        static += lib.switch_idle_mw_per_mhz_base * v_freq + lib.switch_leak_mw_base
     static += lib.link_leakage_mw(length)
     if crossing:
-        static += lib.fifo_idle_power_mw(u.freq_mhz, v.freq_mhz) + lib.fifo_leakage_mw()
+        static += lib.fifo_idle_power_mw(u_freq, v_freq) + lib.fifo_leakage_mw()
     return static
+
+
+def _edge_static_open_cost(
+    topo: Topology, u: Switch, v: Switch, cfg: PathCostConfig
+) -> float:
+    """Static power cost (mW) of opening a new link between two switches."""
+    return _static_open_cost(
+        topo.library,
+        cfg,
+        u.island,
+        u.freq_mhz,
+        u.n_in == 0 and u.n_out == 0,
+        v.island,
+        v.freq_mhz,
+        v.n_in == 0 and v.n_out == 0,
+    )
 
 
 def _edge_traffic_ebit(
@@ -314,16 +344,16 @@ class PathAllocator:
         self._max_sizes[INTERMEDIATE_ISLAND] = library.max_switch_size_for_freq(
             self._mid_freq
         )
-        self._init_search_state(plans)
+        self._init_search_state()
 
-    def _init_search_state(self, islands: Iterable[int]) -> None:
+    def _init_search_state(self) -> None:
         """State shared by both constructors (memos, stores, counters).
 
-        Everything here depends only on the spec and the island id set
-        — ``__init__`` and :meth:`for_topology` derive their frequency
-        and size-bound tables differently but share all of this.
-        Keeping it in one place means a new field cannot silently go
-        missing from one construction path.
+        Everything here depends only on the spec — ``__init__`` and
+        :meth:`for_topology` derive their frequency and size-bound
+        tables differently but share all of this.  Keeping it in one
+        place means a new field cannot silently go missing from one
+        construction path.
         """
         spec = self.spec
         # Flows in decreasing bandwidth order (deterministic tiebreak).
@@ -336,30 +366,24 @@ class PathAllocator:
         # clone or an AllocationResult describing why building failed.
         self._scaffold: Optional[Topology] = None
         self._scaffold_failure: Optional[AllocationResult] = None
-        # Int-keyed pure-function cost memos shared across attempts.
-        # Every switch is clocked at its island's planned frequency, so
-        # the static open cost is fully determined by (u.island,
-        # v.island, u fresh?, v fresh?) and the traffic energy per bit
-        # by (crossing?, v.n_in, v.n_out); the island pair encodes into
-        # each edge at adjacency build time, leaving one add/or plus a
-        # dict probe per lookup.
-        self._island_ix: Dict[int, int] = {
-            isl: i
-            for i, isl in enumerate(
-                sorted(set(islands) | {INTERMEDIATE_ISLAND})
-            )
-        }
-        self._static_by_key: Dict[int, float] = {}
+        # Pure-function cost memos shared across attempts.  The traffic
+        # energy per bit is determined by (crossing?, v.n_in, v.n_out),
+        # packed into one int key.  The static open cost is determined
+        # by the two endpoints' islands, frequencies and freshness; its
+        # open-weighted values per endpoint pair, indexed
+        # [u fresh][v fresh], feed the successor segments.
         self._ebit_by_key: Dict[int, float] = {}
+        self._open_w: Dict[Tuple[int, float, int, float], tuple] = {}
         # Pure-function memo: island-pair min frequency -> link capacity.
         self._cap_by_freq: Dict[float, float] = {}
-        # Candidate adjacency hoisted across attempts (fast path only):
-        # (n_switches, src_island, dst_island) -> per-switch successor
-        # tuples.  Edges hold indices and attempt-invariant data only
-        # (islands, frequencies and size bounds never change between
-        # attempts), so one build serves every clone with the same
-        # intermediate count.
-        self._adj_store: Dict[Tuple[int, int, int], List[Optional[tuple]]] = {}
+        # Successor rows hoisted across attempts (fast path only):
+        # (n_switches, src_island, dst_island) -> (target groups, rows
+        # keyed by the popped switch's (island, freq)); see _adjacency.
+        # Rows hold indices and attempt-invariant data only (islands,
+        # frequencies and size bounds never change between attempts),
+        # so one build serves every clone with the same intermediate
+        # count.
+        self._adj_store: Dict[Tuple[int, int, int], tuple] = {}
         # Direct-open dominance bound, computed lazily once per
         # allocator: (enabled, e_bit floor, static floor, intra/cross
         # e_bit floors).  See _direct_open_bound.
@@ -437,7 +461,7 @@ class PathAllocator:
             isl: topology.library.max_switch_size_for_freq(f)
             for isl, f in topology.island_freqs.items()
         }
-        self._init_search_state(topology.island_freqs)
+        self._init_search_state()
         return self
 
     # -- public API ----------------------------------------------------
@@ -825,19 +849,13 @@ class PathAllocator:
             # The full search would return exactly this path; skip it.
             if open_weight_ok and lat_cost_intra >= 0.0 and lat_cost_cross >= 0.0:
                 direct = pair_links.get(src_i * n + dst_i)
-                if direct:
-                    bw = flow.bandwidth_mbps
-                    for link in direct:
-                        if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                            crossing = (
-                                sw_list[src_i].island != sw_list[dst_i].island
-                            )
-                            found = (
-                                [(src_i, dst_i, _REUSE, link)],
-                                sw_cycles
-                                + (lat_cross_cycles if crossing else lat_intra_cycles),
-                            )
-                            break
+                link = _first_fitting(direct, flow.bandwidth_mbps) if direct else None
+                if link is not None:
+                    crossing = sw_list[src_i].island != sw_list[dst_i].island
+                    found = (
+                        [(src_i, dst_i, _REUSE, link)],
+                        sw_cycles + (lat_cross_cycles if crossing else lat_intra_cycles),
+                    )
                 # Direct-open dominance shortcut: when opening the
                 # direct src->dst link is provably at most the cost of
                 # any two cheapest-possible edges, no multi-hop
@@ -946,7 +964,7 @@ class PathAllocator:
         any *open* edge can pay — the minimum over every ordered island
         pair (intermediate included, so the floor is valid in every
         attempt of the intermediate-count sweep) of the non-fresh
-        :func:`_edge_static_open_cost` value.  Freshness only *adds*
+        :func:`_static_open_cost` value.  Freshness only *adds*
         non-negative terms mid-accumulation, and float addition of a
         non-negative value is monotone, so the non-fresh float value
         lower-bounds every real edge's static cost.
@@ -982,25 +1000,12 @@ class PathAllocator:
                 cross_floor += lib.switch_ebit_pj(1, 1)
                 cross_floor += lib.fifo_ebit_pj
                 any_floor = intra_floor if intra_floor < cross_floor else cross_floor
-                # Mirrors _edge_static_open_cost for non-fresh endpoints,
-                # accumulated in the same order so each float value
-                # equals what the real cost function would produce.
                 freqs = dict(self._base_freqs)
                 freqs[INTERMEDIATE_ISLAND] = self._mid_freq
                 static_floor = None
                 for ia, fa in freqs.items():
                     for ib, fb in freqs.items():
-                        crossing = ia != ib
-                        length = (
-                            cfg.nominal_cross_link_mm
-                            if crossing
-                            else cfg.nominal_intra_link_mm
-                        )
-                        s = lib.switch_idle_mw_per_mhz_per_port * (fa + fb)
-                        s += 2.0 * lib.switch_leak_mw_per_port
-                        s += lib.link_leakage_mw(length)
-                        if crossing:
-                            s += lib.fifo_idle_power_mw(fa, fb) + lib.fifo_leakage_mw()
+                        s = _static_open_cost(lib, cfg, ia, fa, False, ib, fb, False)
                         if static_floor is None or s < static_floor:
                             static_floor = s
                 if static_floor is None or static_floor < 0.0:
@@ -1087,7 +1092,7 @@ class PathAllocator:
         bw = flow.bandwidth_mbps
         if capacity + 1e-9 < bw:
             return None
-        # Exact same memo keys and cost floats as the search inner loop.
+        # Exact same memos and cost floats as the search inner loop.
         ekey = ((1 << 23) if crossing else 0) | (v.n_in << 11) | v.n_out
         ebit = self._ebit_by_key.get(ekey)
         if ebit is None:
@@ -1096,19 +1101,8 @@ class PathAllocator:
             self._ebit_by_key[ekey] = ebit
         else:
             self._cache_hits += 1
-        island_ix = self._island_ix
-        skey = (island_ix[u.island] * len(island_ix) + island_ix[v.island]) * 4
-        if u.n_in == 0 and u.n_out == 0:
-            skey += 2
-        if v.n_in == 0 and v.n_out == 0:
-            skey += 1
-        static = self._static_by_key.get(skey)
-        if static is None:
-            self._cache_misses += 1
-            static = _edge_static_open_cost(topo, u, v, cfg)
-            self._static_by_key[skey] = static
-        else:
-            self._cache_hits += 1
+        open_w = self._open_weights(u.island, u.freq_mhz, v.island, v.freq_mhz)
+        static_w = open_w[u.n_in == 0 and u.n_out == 0][v.n_in == 0 and v.n_out == 0]
         bits_per_s = bw * units.MEGA * units.BITS_PER_BYTE
         to_mw = units.PJ_PER_BIT_TIMES_BITS_PER_S_TO_MW
         if crossing:
@@ -1117,7 +1111,7 @@ class PathAllocator:
         else:
             lat_cost = lat_cost_intra
             lat_cycles = lat_intra_cycles
-        cost = bits_per_s * ebit * to_mw + cfg.open_cost_weight * static + lat_cost
+        cost = bits_per_s * ebit * to_mw + static_w + lat_cost
         _, ebit_floor, static_floor, intra_floor, cross_floor = bound
         lat_floor = lat_cost_intra if lat_cost_intra < lat_cost_cross else lat_cost_cross
         # One-edge floors: the globally cheapest edge, and the cheapest
@@ -1133,25 +1127,18 @@ class PathAllocator:
         # the island (two intra edges) or leaves and returns (two
         # crossing edges) — either way at least twice the cheaper kind.
         base2 = (lc + m) if crossing else (m + m)
-        # Which switches could an alternative's first edge reach by
-        # *reusing* a link out of src (same residual criterion as the
-        # search's reuse branch)?  And could any of them reuse a second
-        # link straight into dst?  Both probes are O(out-degree of src).
-        reuse_mids: List[int] = []
-        for key in out_keys.get(src_i, ()):
-            for link in pair_links[key]:
-                if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                    reuse_mids.append(key - src_i * n)
-                    break
+        # Could an alternative's first edge reach some w by *reusing* a
+        # link out of src (same residual criterion as the search's
+        # reuse branch), and then reuse a second link straight into
+        # dst?  The probe is O(out-degree of src).
         two_reuse = False
-        for w in reuse_mids:
+        for key in out_keys.get(src_i, ()):
+            if _first_fitting(pair_links[key], bw) is None:
+                continue
+            w = key - src_i * n
             lst = pair_links.get(w * n + dst_i)
-            if lst:
-                for link in lst:
-                    if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                        two_reuse = True
-                        break
-            if two_reuse:
+            if lst and _first_fitting(lst, bw) is not None:
+                two_reuse = True
                 break
         if two_reuse:
             # A two-edge all-reuse path may exist; all we know is that
@@ -1222,85 +1209,112 @@ class PathAllocator:
         isl_a: int,
         isl_b: int,
     ) -> tuple:
-        """Lazy allowed-successor structure for ``isl_a`` -> ``isl_b`` flows.
+        """Lazy successor structure for ``isl_a`` -> ``isl_b`` flows.
 
-        Returns ``(candidates, rows)``: the candidate switch indices in
-        insertion order and a per-switch row list.  ``rows[u_idx]`` is
-        the tuple of successors the shutdown-safety rule permits —
-        ``(v_idx, crossing, reserve_applies, v's size bound, new-link
-        capacity)`` — or ``None`` while unbuilt; :meth:`_successor_row`
-        materializes a row the first time the search pops its switch
-        (most candidates are never popped, so eager all-pairs
-        construction wasted the bulk of the adjacency work).  Everything
-        stored is attempt-invariant, so on the fast path one structure
-        serves every clone with the same switch count.
+        Returns ``(groups, rows)``.  ``groups`` holds the candidate
+        switches (those in ``isl_a``, ``isl_b`` or the intermediate
+        island) as ``(island, freq, indices)`` triples, one per island
+        and frequency, indices in insertion order.  ``rows`` maps a
+        popped switch's ``(island, freq_mhz)`` to its successor row;
+        :meth:`_successor_row` builds a row the first time the search
+        pops a switch of that island, so every switch of an island
+        shares one row.  Everything stored is attempt-invariant, so on
+        the fast path one structure serves every clone with the same
+        switch count; reference mode passes a fresh store per search.
         """
         key = (n, isl_a, isl_b)
         entry = adj_store.get(key)
         if entry is None:
             allowed = {isl_a, isl_b, INTERMEDIATE_ISLAND}
-            candidates = tuple(
-                i for i, s in enumerate(sw_list) if s.island in allowed
+            by_group: Dict[Tuple[int, float], List[int]] = {}
+            for i, s in enumerate(sw_list):
+                if s.island in allowed:
+                    by_group.setdefault((s.island, s.freq_mhz), []).append(i)
+            groups = tuple(
+                (isl, freq, tuple(ixs)) for (isl, freq), ixs in by_group.items()
             )
-            entry = (candidates, [None] * n)
+            entry = (groups, {})
             adj_store[key] = entry
         return entry
 
     def _successor_row(
         self,
-        sw_list: List[Switch],
-        candidates: Tuple[int, ...],
-        uidx: int,
+        groups: tuple,
+        u_island: int,
+        u_freq: float,
         isl_a: int,
         isl_b: int,
     ) -> tuple:
-        """Build the successor tuple of one candidate switch."""
+        """The successor row of a switch in ``u_island`` at ``u_freq``.
+
+        One **segment** per target group the shutdown-safety rule
+        permits: ``(targets, crossing, reserve_applies, size bound,
+        new-link capacity, static open weights, ebit key base)``.  A
+        segment's fields depend only on the two islands and their
+        frequencies, so the search resolves them once per segment per
+        pop.  ``targets`` includes the popped switch itself when it
+        lies in the target island; the search skips it as visited.
+        """
         mid = INTERMEDIATE_ISLAND
-        max_sizes = self._max_sizes
         cap_by_freq = self._cap_by_freq
-        island_ix = self._island_ix
-        n_islands = len(island_ix)
-        lib = self.library
-        u = sw_list[uidx]
-        u_isl = u.island
-        u_freq = u.freq_mhz
-        u_ix = island_ix[u_isl]
-        edges = []
-        for cj in candidates:
-            if cj == uidx:
+        row = []
+        for v_island, v_freq, targets in groups:
+            if not _allowed_transition(u_island, v_island, isl_a, isl_b):
                 continue
-            v = sw_list[cj]
-            v_isl = v.island
-            if not _allowed_transition(u_isl, v_isl, isl_a, isl_b):
-                continue
-            crossing = u_isl != v_isl
-            freq = u_freq if u_freq < v.freq_mhz else v.freq_mhz
+            crossing = u_island != v_island
+            freq = u_freq if u_freq < v_freq else v_freq
             capacity = cap_by_freq.get(freq)
             if capacity is None:
-                capacity = lib.link_capacity_mbps(freq)
+                capacity = self.library.link_capacity_mbps(freq)
                 cap_by_freq[freq] = capacity
-            edges.append(
+            row.append(
                 (
-                    cj,
+                    targets,
                     crossing,
-                    crossing and u_isl != mid and v_isl != mid,
-                    max_sizes[v_isl],
+                    crossing and u_island != mid and v_island != mid,
+                    self._max_sizes[v_island],
                     capacity,
-                    # Memo key bases (see __init__): static cost key is
-                    # island-pair * 4 + freshness bits, ebit key is
-                    # crossing bit | v's port counts.
-                    (u_ix * n_islands + island_ix[v_isl]) * 4,
+                    self._open_weights(u_island, u_freq, v_island, v_freq),
+                    # Traffic energy-per-bit memo key base: the crossing
+                    # bit; the target's port counts fill the low bits.
                     (1 << 23) if crossing else 0,
                 )
             )
-        return tuple(edges)
+        return tuple(row)
+
+    def _open_weights(
+        self, u_island: int, u_freq: float, v_island: int, v_freq: float
+    ) -> tuple:
+        """Open-weighted static cost of a new link, ``[u fresh][v fresh]``.
+
+        ``open_cost_weight * _static_open_cost(...)`` for the four
+        endpoint-freshness combinations, memoized per endpoint pair.
+        """
+        key = (u_island, u_freq, v_island, v_freq)
+        weights = self._open_w.get(key)
+        if weights is None:
+            lib = self.library
+            cfg = self.cfg
+            ow = cfg.open_cost_weight
+            weights = tuple(
+                tuple(
+                    ow
+                    * _static_open_cost(
+                        lib, cfg, u_island, u_freq, u_fresh, v_island, v_freq, v_fresh
+                    )
+                    for v_fresh in (False, True)
+                )
+                for u_fresh in (False, True)
+            )
+            self._open_w[key] = weights
+        return weights
 
     def _search(
         self,
         topo: Topology,
         sw_list: List[Switch],
         n: int,
-        adj_store: Dict[Tuple[int, int, int], List[Optional[tuple]]],
+        adj_store: Dict[Tuple[int, int, int], tuple],
         ranks: Tuple[List[int], List[int]],
         use_memo: bool,
         pair_links: Dict[int, List[Link]],
@@ -1331,15 +1345,21 @@ class PathAllocator:
         passes ``None`` and skips every associated check.
         ``forbidden_links`` bans reusing specific physical links (the
         disjointness constraint), ``blocked_switches`` bans traversing
-        specific switch indices (node-disjoint mode), ``reserved``
-        charges spare-capacity reservations against link headroom, and
+        specific switch indices (node-disjoint mode; they start out
+        visited, except the source), ``reserved`` charges
+        spare-capacity reservations against link headroom, and
         ``allow_open=False`` restricts backups to existing hardware.
+
+        With ``use_memo`` the search keeps per-destination state (see
+        the module docstring); without it every edge evaluation prices
+        its edge from the cost functions directly.  Both evaluate every
+        cost float in the same order.
         """
         cfg = self.cfg
         lib = self.library
         isl_a = sw_list[src_i].island
         isl_b = sw_list[dst_i].island
-        candidates, adj = self._adjacency(sw_list, n, adj_store, isl_a, isl_b)
+        groups, rows = self._adjacency(sw_list, n, adj_store, isl_a, isl_b)
         bw = flow.bandwidth_mbps
         allow_parallel = cfg.allow_parallel_links
         open_weight = cfg.open_cost_weight
@@ -1352,16 +1372,9 @@ class PathAllocator:
         lat_intra = lib.link_traversal_cycles + lib.switch_traversal_cycles
         lat_cross = lib.fifo_crossing_cycles + lib.switch_traversal_cycles
 
-        # Int-keyed pure-function memos (see __init__): the fast path
-        # resolves both cost terms with one integer dict probe each —
-        # no invalidation needed because the keys capture every dynamic
-        # input (port counts, first-use freshness).  Hit/miss tallies
-        # are folded into the cache stats at the end.
-        static_by_key = self._static_by_key
         ebit_by_key = self._ebit_by_key
         hits = 0
         misses = 0
-        has_reserve = port_reserve != 0
         blocked = False  # any capacity/port rejection voids the mid skip
 
         max_sizes = self._max_sizes
@@ -1371,6 +1384,15 @@ class PathAllocator:
         dist[src_i] = 0.0
         prev: List[Optional[Tuple[int, str, Optional[Link]]]] = [None] * n
         visited = bytearray(n)
+        if blocked_switches:
+            for b in blocked_switches:
+                if b != src_i:
+                    visited[b] = 1
+        # Destination state (fast path): per crossing class, a target's
+        # (open-edge traffic power, new in-port count, fresh?) — fixed
+        # for the whole search because no link opens mid-search.
+        intra_state: List[Optional[tuple]] = [None] * n if use_memo else []
+        cross_state: List[Optional[tuple]] = [None] * n if use_memo else []
         heap: List[Tuple[float, int]] = [(0.0, rank_of[src_i])]
         pops = 0
         evals = 0
@@ -1385,135 +1407,131 @@ class PathAllocator:
             pops += 1
             if uidx == dst_i:
                 break
-            edges = adj[uidx]
-            if edges is None:
-                edges = adj[uidx] = self._successor_row(
-                    sw_list, candidates, uidx, isl_a, isl_b
-                )
-            if not edges:
-                continue
             u = sw_list[uidx]
+            row_key = (u.island, u.freq_mhz)
+            row = rows.get(row_key)
+            if row is None:
+                row = rows[row_key] = self._successor_row(
+                    groups, u.island, u.freq_mhz, isl_a, isl_b
+                )
             u_n_in = u.n_in
             u_new_out = u.n_out + 1
             if u_n_in > u_new_out:
                 u_new_out = u_n_in
-            u_fresh_bit = 2 if u_n_in == 0 and u.n_out == 0 else 0
+            u_fresh = u_n_in == 0 and u.n_out == 0
             lim_u_base = max_sizes[u.island]
             ukey = uidx * n
             for (
-                vidx, crossing, reserve_applies, lim_v_base, capacity,
-                skey_base, ekey_base,
-            ) in edges:
-                if visited[vidx]:
-                    continue
-                if blocked_switches is not None and vidx in blocked_switches:
-                    continue
-                evals += 1
+                targets, crossing, reserve_applies, lim_v_base, capacity,
+                open_w, ekey_base,
+            ) in row:
+                # Once per segment: latency class, port limits with the
+                # reserve, and the source side of open feasibility.
                 if crossing:
                     lat_cycles = lat_cross
                     lat_cost = lat_cost_cross
                 else:
                     lat_cycles = lat_intra
                     lat_cost = lat_cost_intra
-                best_cost = inf
-                best_action = _REUSE
-                best_link: Optional[Link] = None
-                ebit = -1.0  # computed lazily, at most once per edge
-                v = sw_list[vidx]
-                v_n_in = v.n_in
-                v_n_out = v.n_out
-                # Reuse: scan every (possibly parallel) existing link
-                # and take the first that fits, by link id — parallel
-                # links can differ in residual capacity.
-                existing = pair_links.get(ukey + vidx)
-                if existing:
-                    for link in existing:
-                        if forbidden_links is not None and link.id in forbidden_links:
-                            continue
-                        avail = link.capacity_mbps - link._used_mbps
-                        if reserved is not None:
-                            avail -= reserved.get(link.id, 0.0)
-                        if avail + 1e-9 < bw:
-                            continue
-                        if latency_only:
-                            best_cost = float(lat_cycles)
-                        else:
-                            if use_memo:
-                                ekey = ekey_base | (v_n_in << 11) | v_n_out
-                                ebit = ebit_by_key.get(ekey)
-                                if ebit is None:
-                                    misses += 1
-                                    ebit = _edge_traffic_ebit(topo, u, v, cfg)
-                                    ebit_by_key[ekey] = ebit
-                                else:
-                                    hits += 1
-                            else:
+                if port_reserve and reserve_applies:
+                    lim_u = lim_u_base - port_reserve
+                    lim_v = lim_v_base - port_reserve
+                else:
+                    lim_u = lim_u_base
+                    lim_v = lim_v_base
+                open_ok = allow_open and u_new_out <= lim_u and capacity + 1e-9 >= bw
+                if use_memo:
+                    w_stale, w_fresh = open_w[u_fresh]
+                    state = cross_state if crossing else intra_state
+                for vidx in targets:
+                    if visited[vidx]:
+                        continue
+                    evals += 1
+                    existing = pair_links.get(ukey + vidx)
+                    if not existing and not open_ok:
+                        # Dead edge: neither reuse nor open could serve
+                        # this pair.  Only here could an indirect-switch
+                        # bypass ever win, so only this voids the
+                        # dominance skip (see __init__) — an eval that
+                        # produced any option strictly dominates the
+                        # corresponding mid segment.
+                        blocked = True
+                        continue
+                    # The edge's traffic power, its open-weighted static
+                    # cost and the target's new in-port count: from the
+                    # destination state on the fast path, from the cost
+                    # functions in reference mode.
+                    if use_memo:
+                        st = state[vidx]
+                        if st is None:
+                            v = sw_list[vidx]
+                            v_n_in = v.n_in
+                            v_n_out = v.n_out
+                            ekey = ekey_base | (v_n_in << 11) | v_n_out
+                            ebit = ebit_by_key.get(ekey)
+                            if ebit is None:
+                                misses += 1
                                 ebit = _edge_traffic_ebit(topo, u, v, cfg)
-                            best_cost = bits_per_s * ebit * to_mw + lat_cost
-                        best_link = link
-                        break
-                # Open a new link (subject to size bounds and the
-                # parallel-link policy).
-                if allow_open and (allow_parallel or not existing):
-                    new_v = v_n_in + 1
-                    if v_n_out > new_v:
-                        new_v = v_n_out
-                    if has_reserve and reserve_applies:
-                        lim_u = lim_u_base - port_reserve
-                        lim_v = lim_v_base - port_reserve
-                    else:
-                        lim_u = lim_u_base
-                        lim_v = lim_v_base
-                    if u_new_out <= lim_u and new_v <= lim_v and capacity + 1e-9 >= bw:
-                        if latency_only:
-                            cost = float(lat_cycles) + 1e-6  # prefer reuse on ties
-                        else:
-                            if use_memo:
-                                if ebit < 0.0:
-                                    ekey = ekey_base | (v_n_in << 11) | v_n_out
-                                    ebit = ebit_by_key.get(ekey)
-                                    if ebit is None:
-                                        misses += 1
-                                        ebit = _edge_traffic_ebit(topo, u, v, cfg)
-                                        ebit_by_key[ekey] = ebit
-                                    else:
-                                        hits += 1
-                                skey = skey_base + u_fresh_bit + (
-                                    1 if v_n_in == 0 and v_n_out == 0 else 0
-                                )
-                                static = static_by_key.get(skey)
-                                if static is None:
-                                    misses += 1
-                                    static = _edge_static_open_cost(topo, u, v, cfg)
-                                    static_by_key[skey] = static
-                                else:
-                                    hits += 1
+                                ebit_by_key[ekey] = ebit
                             else:
-                                if ebit < 0.0:
-                                    ebit = _edge_traffic_ebit(topo, u, v, cfg)
-                                static = _edge_static_open_cost(topo, u, v, cfg)
-                            cost = (
-                                bits_per_s * ebit * to_mw
-                                + open_weight * static
-                                + lat_cost
+                                hits += 1
+                            new_v = v_n_in + 1
+                            if v_n_out > new_v:
+                                new_v = v_n_out
+                            st = state[vidx] = (
+                                bits_per_s * ebit * to_mw,
+                                new_v,
+                                v_n_in == 0 and v_n_out == 0,
                             )
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_action = _OPEN
-                            best_link = None
-                if best_cost is inf:
-                    # Dead edge: neither reuse nor open could serve this
-                    # pair.  Only here could an indirect-switch bypass
-                    # ever win, so only this voids the dominance skip
-                    # (see __init__) — an eval that produced any option
-                    # strictly dominates the corresponding mid segment.
-                    blocked = True
-                    continue
-                nd = d + best_cost
-                if nd < dist[vidx] - 1e-12:
-                    dist[vidx] = nd
-                    prev[vidx] = (uidx, best_action, best_link)
-                    heappush(heap, (nd, rank_of[vidx]))
+                        traffic, new_v, v_fresh = st
+                        static_w = w_fresh if v_fresh else w_stale
+                    else:
+                        v = sw_list[vidx]
+                        traffic = bits_per_s * _edge_traffic_ebit(topo, u, v, cfg) * to_mw
+                        static_w = open_weight * _edge_static_open_cost(topo, u, v, cfg)
+                        new_v = v.n_in + 1
+                        if v.n_out > new_v:
+                            new_v = v.n_out
+                    if not existing:
+                        if new_v > lim_v:
+                            blocked = True
+                            continue
+                        best_action = _OPEN
+                        best_link: Optional[Link] = None
+                        if latency_only:
+                            best_cost = float(lat_cycles) + 1e-6
+                        else:
+                            best_cost = traffic + static_w + lat_cost
+                    else:
+                        # Reuse: the first (possibly parallel) existing
+                        # link that fits, by link id — parallel links
+                        # can differ in residual capacity.  A parallel
+                        # open must strictly win.
+                        best_cost = inf
+                        best_action = _REUSE
+                        best_link = _first_fitting(existing, bw, forbidden_links, reserved)
+                        if best_link is not None:
+                            if latency_only:
+                                best_cost = float(lat_cycles)
+                            else:
+                                best_cost = traffic + lat_cost
+                        if open_ok and allow_parallel and new_v <= lim_v:
+                            if latency_only:
+                                cost = float(lat_cycles) + 1e-6  # prefer reuse on ties
+                            else:
+                                cost = traffic + static_w + lat_cost
+                            if cost < best_cost:
+                                best_cost = cost
+                                best_action = _OPEN
+                                best_link = None
+                        if best_cost is inf:
+                            blocked = True
+                            continue
+                    nd = d + best_cost
+                    if nd < dist[vidx] - 1e-12:
+                        dist[vidx] = nd
+                        prev[vidx] = (uidx, best_action, best_link)
+                        heappush(heap, (nd, rank_of[vidx]))
         self._pops += pops
         self._edge_evals += evals
         if blocked:
@@ -1546,6 +1564,29 @@ class PathAllocator:
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
+
+
+def _first_fitting(
+    links: List[Link],
+    bw: float,
+    forbidden_links: Optional[Set[int]] = None,
+    reserved: Optional[Mapping[int, float]] = None,
+) -> Optional[Link]:
+    """The first link, by link id, with headroom for ``bw`` more Mb/s.
+
+    ``forbidden_links`` are skipped and ``reserved`` spare bandwidth is
+    charged against a link's headroom (backup routing).
+    """
+    for link in links:
+        if forbidden_links is not None and link.id in forbidden_links:
+            continue
+        avail = link.capacity_mbps - link._used_mbps
+        if reserved is not None:
+            avail -= reserved.get(link.id, 0.0)
+        if avail + 1e-9 < bw:
+            continue
+        return link
+    return None
 
 
 def _ni_link(topo: Topology, src: str, dst: str) -> Link:

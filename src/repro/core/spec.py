@@ -209,10 +209,31 @@ class SoCSpec:
 
     def core(self, name: str) -> CoreSpec:
         """Look up a core by name; raises :class:`SpecError` if absent."""
-        for c in self.cores:
-            if c.name == name:
-                return c
-        raise SpecError("spec %r: no core named %r" % (self.name, name))
+        try:
+            return self._index()[0][name]
+        except KeyError:
+            raise SpecError("spec %r: no core named %r" % (self.name, name)) from None
+
+    def _index(
+        self,
+    ) -> Tuple[Dict[str, CoreSpec], Dict[Tuple[str, str], TrafficFlow]]:
+        """Name -> core and ``(src, dst)`` -> flow maps, built on first use.
+
+        Stored beside the dataclass fields, so equality, ``repr`` and
+        cache keys never see it, and dropped by :meth:`__getstate__`,
+        so a pickled spec (and every cached blob holding one) carries
+        its fields only.
+        """
+        index = self.__dict__.get("_lookup")
+        if index is None:
+            index = ({c.name: c for c in self.cores}, {f.key: f for f in self.flows})
+            object.__setattr__(self, "_lookup", index)
+        return index
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_lookup", None)
+        return state
 
     @property
     def num_islands(self) -> int:
@@ -241,10 +262,10 @@ class SoCSpec:
 
     def flow(self, src: str, dst: str) -> TrafficFlow:
         """Look up the flow from ``src`` to ``dst``."""
-        for f in self.flows:
-            if f.src == src and f.dst == dst:
-                return f
-        raise SpecError("spec %r: no flow %s->%s" % (self.name, src, dst))
+        try:
+            return self._index()[1][(src, dst)]
+        except KeyError:
+            raise SpecError("spec %r: no flow %s->%s" % (self.name, src, dst)) from None
 
     def flows_within_island(self, island: int) -> List[TrafficFlow]:
         """Flows whose both endpoints live in ``island``."""

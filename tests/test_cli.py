@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _int_list, build_parser, main
 
 
 class TestParser:
@@ -218,6 +218,19 @@ class TestErrorPaths:
             ["cache", "stats", "--cache-dir", "/nonexistent/x"],
             ["cache", "verify", "--cache-dir", "/nonexistent/x"],
             ["cache", "clear", "--cache-dir", "/nonexistent/x"],
+            pytest.param(
+                ["sweep", "d26_media", "--counts", "1,x"], id="sweep-counts-not-int"
+            ),
+            pytest.param(["sweep", "d26_media", "--counts", ""], id="sweep-counts-empty"),
+            pytest.param(["sweep", "d26_media", "--counts", " , "], id="sweep-counts-blank"),
+            pytest.param(
+                ["synth", "d26_media", "--objective", "multi_trace", "--trace-seeds", "1,x"],
+                id="synth-trace-seeds-not-int",
+            ),
+            pytest.param(
+                ["sweep", "d26_media", "--objective", "multi_trace", "--trace-seeds", ","],
+                id="sweep-trace-seeds-blank",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )
@@ -227,6 +240,10 @@ class TestErrorPaths:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert captured.out == ""
+
+    def test_int_list_skips_blank_items(self):
+        assert _int_list("2,,4", "--counts") == [2, 4]
+        assert _int_list(" 1, 3 ,", "--trace-seeds") == [1, 3]
 
 
 class TestImportFootprint:

@@ -14,6 +14,11 @@ would return exactly the same answer.  Three checks hold it to that:
   other fast-path memos stay on — yields a bit-identical design space;
 * reference mode (``enable_caches=False``) never takes the shortcut,
   so the cached-vs-reference tests in ``test_perf.py`` check it too.
+
+Backup routing (spare paths and online reroutes) runs the same search
+with forbidden links, blocked switches and reservations;
+``TestBackupParity`` compares its fast path with reference mode, and
+``TestPinnedWork`` pins the routing work of one generated 80-core spec.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from repro import SynthesisConfig, synthesize
 from repro.core.objective import StaticLatencyObjective
 from repro.core.paths import PathAllocator
 from repro.perf import recording
-from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.resilience.spare_paths import SparePathConfig, allocate_spare_paths
+from repro.soc.generator import GeneratorConfig, generate_soc, hub_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
 from _helpers import space_signature
@@ -160,3 +166,174 @@ class TestReferenceMode:
         assert fast.counters["direct_open_shortcuts"] > 0
         assert reference.counters.get("direct_open_shortcuts", 0) == 0
         assert reference.counters["dijkstra_pops"] > fast.counters["dijkstra_pops"]
+
+
+# ----------------------------------------------------------------------
+# Backup routing: spare paths and online reroutes
+# ----------------------------------------------------------------------
+
+
+def _multi_hop_flows(topo):
+    """Routed flows whose primary crosses at least one transit switch."""
+    return [
+        key
+        for key, route in sorted(topo.routes.items())
+        if sum(1 for comp in route.components if comp in topo.switches) >= 3
+    ]
+
+
+def _backup_points():
+    """Design points of fresh generated SoCs (at most 40 cores).
+
+    Generated specs route almost every flow in one hop, so each
+    contributes its point with the most multi-hop primaries (node-
+    disjoint mode then blocks transit switches); the hub SoC routes
+    through intermediate switches.
+    """
+    specs = [
+        communication_partitioning(
+            generate_soc(
+                GeneratorConfig(name="bk%d_%d" % (n, seed), num_cores=n, num_groups=n // 10, seed=seed)
+            ),
+            islands,
+        )
+        for n, seed, islands in ((24, 1, 3), (40, 9, 4))
+    ]
+    specs.append(hub_soc())
+    points = []
+    for spec in specs:
+        space = synthesize(spec, config=SynthesisConfig(max_intermediate=2))
+        points.append(
+            max(space.points, key=lambda p: len(_multi_hop_flows(p.topology)))
+        )
+    return points
+
+
+@pytest.fixture(scope="module")
+def backup_points():
+    points = _backup_points()
+    assert any(p.topology.intermediate_switches for p in points)
+    assert all(_multi_hop_flows(p.topology) for p in points)
+    return points
+
+
+def _spare_run(point, config, use_cache):
+    topo = point.topology.clone_scaffold()
+    allocator = PathAllocator.for_topology(topo, use_cache=use_cache)
+    with recording() as rec:
+        plan = allocate_spare_paths(topo, config=config, allocator=allocator)
+    links = sorted((l.id, l.src, l.dst) for l in topo.links.values())
+    work = (rec.counters["dijkstra_pops"], rec.counters["edge_evals"])
+    return plan, links, work
+
+
+class TestBackupParity:
+    """Backup searches: the fast path against reference mode.
+
+    Backup routing never takes a shortcut, so besides the plans and the
+    opened hardware the two modes must do exactly the same search work.
+    """
+
+    @pytest.mark.parametrize("reserve_bandwidth", [False, True])
+    @pytest.mark.parametrize("allow_new_links", [False, True])
+    @pytest.mark.parametrize("node_disjoint", [False, True])
+    def test_spare_paths_match_reference(
+        self, backup_points, node_disjoint, allow_new_links, reserve_bandwidth
+    ):
+        config = SparePathConfig(
+            node_disjoint=node_disjoint,
+            allow_new_links=allow_new_links,
+            reserve_bandwidth=reserve_bandwidth,
+        )
+        backups = 0
+        for point in backup_points:
+            fast = _spare_run(point, config, use_cache=True)
+            reference = _spare_run(point, config, use_cache=False)
+            assert fast == reference, point.label()
+            backups += len(fast[0].backups)
+        assert backups
+
+    def test_route_around_failed_switches(self, backup_points):
+        """Online reroutes on the protected hardware (primaries plus
+        node-disjoint spare links), the control plane's setting."""
+        rerouted = 0
+        for point in backup_points:
+            topo = point.topology.clone_scaffold()
+            allocate_spare_paths(topo, config=SparePathConfig(node_disjoint=True))
+            fast = PathAllocator.for_topology(topo)
+            reference = PathAllocator.for_topology(topo, use_cache=False)
+            for key in _multi_hop_flows(topo):
+                route = topo.routes[key]
+                transit = [c for c in route.components[2:-2] if c in topo.switches]
+                sw_links = route.links[1:-1]
+                # Fail each transit switch alone, then all of them with
+                # the primary's inter-switch links.
+                for failed, links in [([sw], ()) for sw in transit] + [(transit, sw_links)]:
+                    with recording() as rf:
+                        got = fast.route_around(topo, key, links, blocked_switches=failed)
+                    with recording() as rr:
+                        want = reference.route_around(topo, key, links, blocked_switches=failed)
+                    assert got == want, (key, failed)
+                    assert rf.counters["edge_evals"] == rr.counters["edge_evals"]
+                    if got is not None:
+                        rerouted += 1
+                        assert not set(failed) & set(got[0].components)
+        assert rerouted
+
+    def test_blocked_source_and_destination(self, backup_points):
+        """Blocking the source changes nothing; blocking the
+        destination makes it unreachable."""
+        point = backup_points[-1]
+        topo = point.topology
+        key = _multi_hop_flows(topo)[0]
+        src, dst = (topo.switch_of_core(core).id for core in key)
+        alloc = PathAllocator.for_topology(topo)
+        free = alloc.route_around(topo, key, ())
+        assert free is not None
+        assert alloc.route_around(topo, key, (), blocked_switches=[src]) == free
+        sw_list = list(topo.switches.values())
+        idx = {sw.id: i for i, sw in enumerate(sw_list)}
+        pair_links = {}
+        for link in sorted(topo.links.values(), key=lambda l: l.id):
+            if link.kind == "sw2sw":
+                pair_links.setdefault(idx[link.src] * len(sw_list) + idx[link.dst], []).append(link)
+        flow = topo.spec.flow(*key)
+        args = (topo, sw_list, pair_links, flow, idx[src], idx[dst], set())
+        assert alloc.route_backup(*args, blocked_switches={idx[src]}) == alloc.route_backup(*args)
+        assert alloc.route_backup(*args, blocked_switches={idx[dst]}) is None
+
+
+#: (dijkstra_pops, edge_evals, direct_open_shortcuts) of synthesizing
+#: the generated 80-core spec below, and (dijkstra_pops, edge_evals)
+#: of node-disjoint spare paths on its last design point.
+PINNED_80 = (7228, 116400, 724)
+PINNED_80_SPARE = (1584, 26925)
+
+
+class TestPinnedWork:
+    """The routing work of one generated 80-core spec, pinned exactly.
+
+    Speeding up the kernel must not change what it does: same pops,
+    same edge evaluations, same shortcut answers.
+    """
+
+    def test_generated_80_core_counters(self):
+        spec = communication_partitioning(
+            generate_soc(GeneratorConfig(name="gen80", num_cores=80, num_groups=4, seed=0)),
+            4,
+        )
+        with recording() as rec:
+            space = synthesize(spec)
+        counters = rec.counters
+        got = (
+            counters["dijkstra_pops"],
+            counters["edge_evals"],
+            counters["direct_open_shortcuts"],
+        )
+        assert got == PINNED_80, got
+        with recording() as rec:
+            allocate_spare_paths(
+                space.points[-1].topology.clone_scaffold(),
+                config=SparePathConfig(node_disjoint=True),
+            )
+        assert (rec.counters["dijkstra_pops"], rec.counters["edge_evals"]) == PINNED_80_SPARE

@@ -1,5 +1,8 @@
 """SoC specification model: validation, accessors, derivation."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro import CoreSpec, SoCSpec, SpecError, TrafficFlow, build_spec
@@ -116,6 +119,25 @@ class TestAccessors:
         assert tiny_spec.flow("cpu", "mem").bandwidth_mbps == 400.0
         with pytest.raises(SpecError):
             tiny_spec.flow("mem", "acc")
+
+    def test_lookup_errors_name_the_spec(self, tiny_spec):
+        with pytest.raises(SpecError, match=r"^spec 'tiny2': no core named 'ghost'$"):
+            tiny_spec.core("ghost")
+        with pytest.raises(SpecError, match=r"^spec 'tiny2': no flow mem->acc$"):
+            tiny_spec.flow("mem", "acc")
+
+    def test_lookup_index_is_not_state(self):
+        """The lookup index changes no pickle, copy, equality or repr."""
+        spec = make_tiny_spec(2)
+        blob = pickle.dumps(spec)
+        text = repr(spec)
+        assert spec.core("acc").kind == "accelerator"
+        assert spec.flow("io0", "io1").bandwidth_mbps == 40.0
+        assert pickle.dumps(spec) == blob
+        assert repr(spec) == text
+        for other in (pickle.loads(blob), copy.deepcopy(spec)):
+            assert other == spec
+            assert other.flow("cpu", "mem") == spec.flow("cpu", "mem")
 
     def test_flows_within_and_across(self, tiny_spec):
         within0 = {f.key for f in tiny_spec.flows_within_island(0)}
