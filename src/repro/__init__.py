@@ -15,200 +15,138 @@ Quick start::
     best = space.best_by_power()
     print(best.label(), best.power_mw, "mW", best.avg_latency_cycles, "cycles")
 
+Public names load on first use: ``import repro`` imports no subpackage,
+and ``from repro import synthesize`` loads only what synthesis needs
+(see "Start-up cost" in docs/performance.md).
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.
 """
 
-from .core.design_point import DesignPoint, DesignSpace
-from .core.explore import (
-    ObjectiveSelector,
-    RuntimeEnergySelector,
-    SweepRecord,
-    alpha_exploration,
-    data_width_exploration,
-    grid_exploration,
-    island_count_exploration,
-)
-from .core.objective import (
-    OBJECTIVE_NAMES,
-    CompositeObjective,
-    MultiTraceObjective,
-    Objective,
-    ObjectiveResult,
-    StaticAreaObjective,
-    StaticLatencyObjective,
-    StaticPowerObjective,
-    TraceEnergyObjective,
-    WakeLatencyQoSObjective,
-    WireLengthObjective,
-    make_objective,
-)
-from .core.frequency import IslandPlan, plan_all_islands
-from .core.partition import partition_graph
-from .core.paths import AllocationResult, PathCostConfig, allocate_paths
-from .core.spec import CoreSpec, SoCSpec, TrafficFlow, build_spec
-from .core.synthesis import SynthesisConfig, synthesize
-from .core.vcg import VCG, build_all_vcgs, build_global_vcg, build_vcg
-from .arch.topology import INTERMEDIATE_ISLAND, Topology
-from .arch.validate import audit_shutdown_safety, validate_topology
-from .exceptions import (
-    FloorplanError,
-    InfeasibleError,
-    PartitionError,
-    ReproError,
-    SpecError,
-    SynthesisError,
-    ValidationError,
-)
-from .floorplan.placer import Floorplan, FloorplanConfig, place
-from .power.gating import GatingModel, break_even_time_ms, island_gating_cost
-from .power.leakage import ShutdownReport, analyze_shutdown
-from .power.library import DEFAULT_LIBRARY, NocLibrary
-from .power.voltage import VoltageTable, voltage_aware_noc_power
-from .power.noc_power import NocPower, compute_noc_power, noc_area_mm2
-from .power.soc_power import SocPower, compute_soc_power
-from .runtime import (
-    RoutabilityViolation,
-    RuntimeReport,
-    UseCaseTrace,
-    compare_policies,
-    day_in_the_life_trace,
-    make_policy,
-    markov_trace,
-    scripted_trace,
-    simulate_trace,
-)
-from .control import (
-    ControlLatencyModel,
-    ReconfigurationController,
-    RecoveryObjective,
-    controlled_simulation_check,
-)
-from .resilience import (
-    FAULT_MODEL_NAMES,
-    CoverageReport,
-    FaultEvent,
-    FaultScenario,
-    FitRates,
-    ProtectionResult,
-    ResilienceObjective,
-    SparePathConfig,
-    SparePlan,
-    allocate_spare_paths,
-    analyze_coverage,
-    analyze_model,
-    degraded_routes,
-    enumerate_scenarios,
-    protect_design_point,
-)
-from .sim.scenarios import UseCase, make_use_case, validate_scenario_set
-from .sim.zero_load import LatencyReport, evaluate_latency
-from .soc.benchmarks import benchmark_suite, mobile_soc_26
-from .soc.partitioning import communication_partitioning, logical_partitioning
+import importlib
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllocationResult",
-    "CoreSpec",
-    "CoverageReport",
-    "DEFAULT_LIBRARY",
-    "ControlLatencyModel",
-    "FAULT_MODEL_NAMES",
-    "FaultEvent",
-    "FaultScenario",
-    "FitRates",
-    "MultiTraceObjective",
-    "ReconfigurationController",
-    "RecoveryObjective",
-    "controlled_simulation_check",
-    "ProtectionResult",
-    "ResilienceObjective",
-    "SparePathConfig",
-    "SparePlan",
-    "StaticAreaObjective",
-    "WireLengthObjective",
-    "allocate_spare_paths",
-    "analyze_coverage",
-    "analyze_model",
-    "degraded_routes",
-    "enumerate_scenarios",
-    "protect_design_point",
-    "DesignPoint",
-    "DesignSpace",
-    "Floorplan",
-    "FloorplanConfig",
-    "FloorplanError",
-    "GatingModel",
-    "OBJECTIVE_NAMES",
-    "CompositeObjective",
-    "Objective",
-    "ObjectiveResult",
-    "ObjectiveSelector",
-    "RuntimeEnergySelector",
-    "StaticLatencyObjective",
-    "StaticPowerObjective",
-    "SweepRecord",
-    "TraceEnergyObjective",
-    "VoltageTable",
-    "WakeLatencyQoSObjective",
-    "alpha_exploration",
-    "break_even_time_ms",
-    "data_width_exploration",
-    "grid_exploration",
-    "island_count_exploration",
-    "island_gating_cost",
-    "make_objective",
-    "voltage_aware_noc_power",
-    "INTERMEDIATE_ISLAND",
-    "InfeasibleError",
-    "IslandPlan",
-    "LatencyReport",
-    "NocLibrary",
-    "NocPower",
-    "PartitionError",
-    "PathCostConfig",
-    "ReproError",
-    "RoutabilityViolation",
-    "RuntimeReport",
-    "ShutdownReport",
-    "SoCSpec",
-    "SocPower",
-    "SpecError",
-    "SynthesisConfig",
-    "SynthesisError",
-    "Topology",
-    "TrafficFlow",
-    "UseCase",
-    "UseCaseTrace",
-    "VCG",
-    "ValidationError",
-    "allocate_paths",
-    "analyze_shutdown",
-    "audit_shutdown_safety",
-    "benchmark_suite",
-    "build_all_vcgs",
-    "build_global_vcg",
-    "build_spec",
-    "build_vcg",
-    "communication_partitioning",
-    "compare_policies",
-    "compute_noc_power",
-    "compute_soc_power",
-    "day_in_the_life_trace",
-    "evaluate_latency",
-    "logical_partitioning",
-    "make_policy",
-    "make_use_case",
-    "markov_trace",
-    "mobile_soc_26",
-    "scripted_trace",
-    "simulate_trace",
-    "validate_scenario_set",
-    "noc_area_mm2",
-    "partition_graph",
-    "place",
-    "plan_all_islands",
-    "synthesize",
-    "validate_topology",
-]
+
+def _lazy_exports(
+    namespace: Dict[str, Any], exports: Mapping[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 exports for a package: each public name loads on first use.
+
+    ``namespace`` is the package's ``globals()``; ``exports`` maps each
+    relative submodule to the public names it defines.  Returns the
+    package's ``(__all__, __getattr__, __dir__)``.  The first access to
+    a name imports its submodule and caches the value in ``namespace``,
+    so later lookups, ``from package import name`` and star-imports
+    never reach ``__getattr__`` again.
+    """
+    package = namespace["__name__"]
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError("module %r has no attribute %r" % (package, name))
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(where))
+
+    return list(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".arch.topology": ("INTERMEDIATE_ISLAND", "Topology"),
+        ".arch.validate": ("audit_shutdown_safety", "validate_topology"),
+        ".control.controller": (
+            "ReconfigurationController",
+            "controlled_simulation_check",
+        ),
+        ".control.latency": ("ControlLatencyModel",),
+        ".control.objective": ("RecoveryObjective",),
+        ".core.design_point": ("DesignPoint", "DesignSpace"),
+        ".core.explore": (
+            "ObjectiveSelector",
+            "RuntimeEnergySelector",
+            "SweepRecord",
+            "alpha_exploration",
+            "data_width_exploration",
+            "grid_exploration",
+            "island_count_exploration",
+        ),
+        ".core.frequency": ("IslandPlan", "plan_all_islands"),
+        ".core.objective": (
+            "CompositeObjective",
+            "MultiTraceObjective",
+            "Objective",
+            "ObjectiveResult",
+            "StaticAreaObjective",
+            "StaticLatencyObjective",
+            "StaticPowerObjective",
+            "TraceEnergyObjective",
+            "WakeLatencyQoSObjective",
+            "WireLengthObjective",
+            "make_objective",
+        ),
+        ".core.partition": ("partition_graph",),
+        ".core.paths": ("AllocationResult", "PathCostConfig", "allocate_paths"),
+        ".core.spec": ("CoreSpec", "SoCSpec", "TrafficFlow", "build_spec"),
+        ".core.synthesis": ("SynthesisConfig", "synthesize"),
+        ".core.vcg": ("VCG", "build_all_vcgs", "build_global_vcg", "build_vcg"),
+        ".exceptions": (
+            "FloorplanError",
+            "InfeasibleError",
+            "PartitionError",
+            "ReproError",
+            "SpecError",
+            "SynthesisError",
+            "ValidationError",
+        ),
+        ".floorplan.placer": ("Floorplan", "FloorplanConfig", "place"),
+        ".names": ("FAULT_MODEL_NAMES", "OBJECTIVE_NAMES"),
+        ".power.gating": ("GatingModel", "break_even_time_ms", "island_gating_cost"),
+        ".power.leakage": ("ShutdownReport", "analyze_shutdown"),
+        ".power.library": ("DEFAULT_LIBRARY", "NocLibrary"),
+        ".power.noc_power": ("NocPower", "compute_noc_power", "noc_area_mm2"),
+        ".power.soc_power": ("SocPower", "compute_soc_power"),
+        ".power.voltage": ("VoltageTable", "voltage_aware_noc_power"),
+        ".resilience.coverage": (
+            "CoverageReport",
+            "ResilienceObjective",
+            "analyze_coverage",
+            "analyze_model",
+            "degraded_routes",
+        ),
+        ".resilience.faults": (
+            "FaultEvent",
+            "FaultScenario",
+            "FitRates",
+            "enumerate_scenarios",
+        ),
+        ".resilience.spare_paths": (
+            "ProtectionResult",
+            "SparePathConfig",
+            "SparePlan",
+            "allocate_spare_paths",
+            "protect_design_point",
+        ),
+        ".runtime.policies": ("make_policy",),
+        ".runtime.report": ("RoutabilityViolation", "RuntimeReport"),
+        ".runtime.simulate": ("compare_policies", "simulate_trace"),
+        ".runtime.trace": (
+            "UseCaseTrace",
+            "day_in_the_life_trace",
+            "markov_trace",
+            "scripted_trace",
+        ),
+        ".sim.scenarios": ("UseCase", "make_use_case", "validate_scenario_set"),
+        ".sim.zero_load": ("LatencyReport", "evaluate_latency"),
+        ".soc.benchmarks": ("benchmark_suite", "mobile_soc_26"),
+        ".soc.partitioning": ("communication_partitioning", "logical_partitioning"),
+    },
+)

@@ -7,44 +7,34 @@ at three granularities: full design spaces, island partitions and
 per-candidate path allocations.  See ``docs/caching.md``.
 """
 
-from .context import active_store, caching, set_store
-from .keys import (
-    SCHEMA_VERSION,
-    allocation_base_key,
-    allocation_context_key,
-    allocation_key,
-    canonical,
-    design_space_key,
-    fingerprint,
-    partition_key,
-    vcg_key,
-)
-from .signatures import (
-    allocation_signature,
-    design_space_signature,
-    partition_signature,
-)
-from .store import CacheStats, CacheStore, DiskTier, MemoryTier, default_cache_dir
+from .. import _lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "CacheStats",
-    "CacheStore",
-    "DiskTier",
-    "MemoryTier",
-    "active_store",
-    "allocation_base_key",
-    "allocation_context_key",
-    "allocation_key",
-    "allocation_signature",
-    "caching",
-    "canonical",
-    "default_cache_dir",
-    "design_space_key",
-    "design_space_signature",
-    "fingerprint",
-    "partition_key",
-    "partition_signature",
-    "set_store",
-    "vcg_key",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".context": ("active_store", "caching", "set_store"),
+        ".keys": (
+            "SCHEMA_VERSION",
+            "allocation_base_key",
+            "allocation_context_key",
+            "allocation_key",
+            "canonical",
+            "design_space_key",
+            "fingerprint",
+            "partition_key",
+            "vcg_key",
+        ),
+        ".signatures": (
+            "allocation_signature",
+            "design_space_signature",
+            "partition_signature",
+        ),
+        ".store": (
+            "CacheStats",
+            "CacheStore",
+            "DiskTier",
+            "MemoryTier",
+            "default_cache_dir",
+        ),
+    },
+)

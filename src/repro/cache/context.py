@@ -10,9 +10,10 @@ opt in explicitly.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .store import CacheStore
+if TYPE_CHECKING:  # pragma: no cover - probing for a store must not load one
+    from .store import CacheStore
 
 _ACTIVE: Optional[CacheStore] = None
 

@@ -4,9 +4,10 @@ Raw payload bytes are not a sound cross-process identity check: pickled
 ``set`` fields serialize in iteration order, which varies with the
 interpreter hash seed.  Signatures instead digest a *canonical JSON
 summary* of the decoded value — the same summaries the benchmark
-identity gates compare — so a cold result stored by one process and a
-verifying recompute in another agree exactly when the results are
-byte-identical in every observable field.
+identity gates compare — so a decoded hit (stored by any process) and
+a verifying recompute agree exactly when the results are identical in
+every observable field.  They are computed only when a hit is sampled
+for verification, never on a put.
 """
 
 from __future__ import annotations

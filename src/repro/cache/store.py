@@ -16,15 +16,15 @@ Two tiers behind one :class:`CacheStore` facade:
 Blob layout (one file per entry, ``objects/<kk>/<key>.blob``)::
 
     {"magic": "repro-noc", "schema": 1, "key": ..., "kind": ...,
-     "codec": "pickle", "sha256": ..., "size": ..., "sig": ...}\\n
+     "codec": "pickle", "sha256": ..., "size": ...}\\n
     <payload bytes>
 
-The single JSON header line carries the payload checksum plus a
-*semantic signature* (``sig``) of the decoded value, which is what the
-``verify_on_hit`` sampling mode compares against a fresh recompute —
-signatures are canonical JSON digests, so they are stable across
-processes even where raw pickle bytes are not (set iteration order
-varies with the interpreter hash seed).
+The single JSON header line carries the payload checksum.  The
+``verify_on_hit`` sampling mode needs no stored state: the caller
+compares semantic signatures (:mod:`repro.cache.signatures`) of the
+decoded hit and of a fresh recompute, so it checks exactly the value
+it hands on.  Headers written with an older ``sig`` field still read;
+the field is ignored.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from ..exceptions import CacheError
+from ..exceptions import CacheCorruptionError, CacheError
 from ..perf.instrument import active_recorder
 from .keys import SCHEMA_VERSION
 
@@ -352,10 +352,11 @@ class DiskTier:
 class CacheStore:
     """Facade over the memory + disk tiers with hit/miss accounting.
 
-    ``verify_every=N`` arms the sampling verifier: every Nth hit (a
-    deterministic counter, not randomness — reruns sample the same
-    hits) reports ``verify=True`` to the caller, which recomputes and
-    compares semantic signatures via :meth:`check_signature`.
+    ``verify_every=N`` arms the sampling verifier: after every Nth hit
+    (a deterministic counter, not randomness — reruns sample the same
+    hits) :meth:`should_verify` is true, and the caller recomputes and
+    compares the semantic signatures of the hit and the recompute via
+    :meth:`check_signature`.
 
     Pickling a store (pool ``initargs`` on spawn platforms) drops the
     memory-tier contents — workers either share the parent's warm tier
@@ -370,6 +371,8 @@ class CacheStore:
         max_memory_entries: int = 1024,
         verify_every: int = 0,
     ) -> None:
+        if verify_every < 0:
+            raise CacheError("verify_every must be >= 0, got %d" % verify_every)
         self.directory = Path(directory) if directory is not None else None
         self.memory = MemoryTier(max_memory_bytes, max_memory_entries)
         self.disk = DiskTier(self.directory) if self.directory is not None else None
@@ -412,9 +415,7 @@ class CacheStore:
             rec.count("cache_misses")
         return None
 
-    def put_entry(
-        self, key: str, payload: bytes, kind: str, codec: str, sig: str
-    ) -> Dict[str, Any]:
+    def put_entry(self, key: str, payload: bytes, kind: str, codec: str) -> Dict[str, Any]:
         import hashlib
 
         header = {
@@ -425,7 +426,6 @@ class CacheStore:
             "codec": codec,
             "sha256": hashlib.sha256(payload).hexdigest(),
             "size": len(payload),
-            "sig": sig,
         }
         evicted = self.memory.put(key, payload, header)
         if evicted:
@@ -445,7 +445,7 @@ class CacheStore:
 
     # -- object interface ---------------------------------------------------
 
-    def get_object(self, key: str, kind: str) -> Optional[Tuple[Any, Dict[str, Any]]]:
+    def get_object(self, key: str, kind: str) -> Optional[Any]:
         """Decode a fresh copy of the cached value, or ``None`` on miss."""
         entry = self.get_entry(key, kind)
         if entry is None:
@@ -464,16 +464,14 @@ class CacheStore:
             self.drop(key)
             self.stats.incr("misses.%s" % kind)
             return None
-        return value, header
+        return value
 
-    def put_object(
-        self, key: str, value: Any, kind: str, sig: str, codec: str = "pickle"
-    ) -> bytes:
+    def put_object(self, key: str, value: Any, kind: str, codec: str = "pickle") -> bytes:
         if codec == "json":
             payload = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
         else:
             payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        self.put_entry(key, payload, kind, codec, sig)
+        self.put_entry(key, payload, kind, codec)
         return payload
 
     def drop(self, key: str) -> None:
@@ -491,16 +489,14 @@ class CacheStore:
         """Deterministic every-Nth-hit sampling for ``verify_on_hit``."""
         return self.verify_every > 0 and self._hit_seq % self.verify_every == 0
 
-    def check_signature(self, header: Dict[str, Any], fresh_sig: str, what: str) -> None:
-        """Compare a stored entry's signature against a recompute."""
-        from ..exceptions import CacheCorruptionError
-
+    def check_signature(self, cached_sig: str, fresh_sig: str, what: str) -> None:
+        """Compare the signature of a decoded hit against a recompute's."""
         self.stats.incr("verify_runs")
-        if header.get("sig") != fresh_sig:
+        if cached_sig != fresh_sig:
             self.stats.incr("verify_mismatches")
             raise CacheCorruptionError(
                 "verify_on_hit mismatch for %s: cached sig %s != recomputed %s"
-                % (what, header.get("sig"), fresh_sig)
+                % (what, cached_sig, fresh_sig)
             )
 
     def record_key_error(self) -> None:

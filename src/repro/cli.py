@@ -68,53 +68,20 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .cache import CacheStore, caching, default_cache_dir
-
-from .baseline.checker import compare_shutdown_capability
-from .baseline.flat import synthesize_vi_oblivious
-from .control import (
-    ControlLatencyModel,
-    ReconfigurationController,
-    recovery_rows,
-)
-from .core.explore import ExplorationEngine
-from .core.objective import (
-    DEFAULT_WAKE_BUDGET_MS,
-    OBJECTIVE_NAMES,
-    make_objective,
-)
-from .core.synthesis import SynthesisConfig, synthesize
+# Building the parser needs only these; every subcommand imports what
+# it runs inside its handler, so a command loads no other subsystem.
 from .exceptions import CacheError, ReproError
-from .io.dot import save_dot
-from .io.floorplan_art import floorplan_to_ascii, save_floorplan_svg
-from .io.json_io import design_point_summary, save_topology
-from .io.report import format_table, percent, save_csv
-from .power.leakage import statically_pinned_islands, weighted_savings_fraction
-from .resilience import (
+from .names import (
+    DEFAULT_WAKE_BUDGET_MS,
     FAULT_MODEL_NAMES,
-    FaultEvent,
-    FitRates,
-    SparePathConfig,
-    analyze_model,
-    enumerate_scenarios,
-    protect_design_point,
-    route_affected,
-)
-from .runtime import (
+    OBJECTIVE_NAMES,
     POLICY_NAMES,
-    certified_policy_comparison,
-    compare_policies,
-    day_in_the_life_trace,
-    make_policy,
-    markov_trace,
-    policy_comparison_rows,
-    simulate_trace,
 )
-from .soc.benchmarks import BENCHMARKS, load_benchmark
-from .soc.partitioning import communication_partitioning, logical_partitioning
-from .soc.usecases import use_cases_for
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .cache import CacheStore
 
 
 def _int_list(text: str, flag: str) -> List[int]:
@@ -131,7 +98,17 @@ def _int_list(text: str, flag: str) -> List[int]:
     return values
 
 
+def _non_negative(value: int, flag: str) -> int:
+    """Reject a negative count flag with a one-line error."""
+    if value < 0:
+        raise ReproError("%s: must be >= 0, got %d" % (flag, value))
+    return value
+
+
 def _partitioned(name: str, islands: int, strategy: str):
+    from .soc.benchmarks import load_benchmark
+    from .soc.partitioning import communication_partitioning, logical_partitioning
+
     spec = load_benchmark(name)
     if strategy == "logical":
         out = logical_partitioning(spec, islands)
@@ -143,34 +120,36 @@ def _partitioned(name: str, islands: int, strategy: str):
     return out.with_vi_assignment(out.vi_assignment, name=spec.name)
 
 
+def _objective_trace(args: argparse.Namespace, spec, seed: int):
+    """A seeded Markov trace over the benchmark's curated use-case set."""
+    from .runtime import markov_trace
+    from .soc.usecases import use_cases_for
+
+    return markov_trace(
+        use_cases_for(spec),
+        n_segments=args.trace_segments,
+        seed=seed,
+        mean_dwell_ms=args.trace_dwell_ms,
+    )
+
+
 def _objective_for(args: argparse.Namespace, spec):
     """Build the requested objective; trace-driven ones get seeded
     Markov traces over the benchmark's curated use-case set."""
+    from .core.objective import make_objective
+
     name = getattr(args, "objective", "static_power")
     trace = None
     traces = None
     if name in ("trace_energy", "wake_qos"):
-        trace = markov_trace(
-            use_cases_for(spec),
-            n_segments=args.trace_segments,
-            seed=args.seed,
-            mean_dwell_ms=args.trace_dwell_ms,
-        )
+        trace = _objective_trace(args, spec, args.seed)
     elif name == "multi_trace":
         seeds_arg = getattr(args, "trace_seeds", None)
         if seeds_arg is not None:
             seeds = _int_list(seeds_arg, "--trace-seeds")
         else:
             seeds = [args.seed, args.seed + 1, args.seed + 2]
-        traces = [
-            markov_trace(
-                use_cases_for(spec),
-                n_segments=args.trace_segments,
-                seed=s,
-                mean_dwell_ms=args.trace_dwell_ms,
-            )
-            for s in seeds
-        ]
+        traces = [_objective_trace(args, spec, s) for s in seeds]
     return make_objective(
         name,
         trace=trace,
@@ -261,6 +240,9 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .io.report import format_table
+    from .soc.benchmarks import BENCHMARKS, load_benchmark
+
     rows = []
     for name in sorted(BENCHMARKS):
         spec = load_benchmark(name)
@@ -284,10 +266,13 @@ def _cache_scope(args: argparse.Namespace):
     Returns ``(context_manager, store_or_None)``; commands print a
     one-line hit/miss summary from the store after their run.
     """
+    verify_every = _non_negative(getattr(args, "verify_on_hit", 0), "--verify-on-hit")
     cache_dir = getattr(args, "cache_dir", None)
     if not cache_dir:
         return contextlib.nullcontext(), None
-    store = CacheStore.open(cache_dir, verify_every=getattr(args, "verify_on_hit", 0))
+    from .cache import CacheStore, caching
+
+    store = CacheStore.open(cache_dir, verify_every=verify_every)
     return caching(store), store
 
 
@@ -302,6 +287,10 @@ def _print_cache_stats(store: Optional[CacheStore]) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .core.synthesis import SynthesisConfig, synthesize
+    from .io.json_io import design_point_summary
+    from .io.report import format_table
+
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     objective = _objective_for(args, spec)
     config = SynthesisConfig(
@@ -327,20 +316,33 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for key, val in sorted(design_point_summary(best).items()):
         print("  %-24s %s" % (key, val))
     if args.dot:
+        from .io.dot import save_dot
+
         save_dot(best.topology, args.dot)
         print("wrote %s" % args.dot)
     if args.svg:
+        from .io.floorplan_art import save_floorplan_svg
+
         save_floorplan_svg(best.floorplan, args.svg, best.topology)
         print("wrote %s" % args.svg)
     if args.json:
+        from .io.json_io import save_topology
+
         save_topology(best.topology, args.json)
         print("wrote %s" % args.json)
     if args.ascii_floorplan:
+        from .io.floorplan_art import floorplan_to_ascii
+
         print(floorplan_to_ascii(best.floorplan, best.topology))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .core.explore import ExplorationEngine
+    from .core.synthesis import SynthesisConfig
+    from .io.report import format_table, save_csv
+    from .soc.benchmarks import load_benchmark
+
     counts = _int_list(args.counts, "--counts")
     base = load_benchmark(args.benchmark)
     objective = _objective_for(args, base)
@@ -399,6 +401,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_shutdown(args: argparse.Namespace) -> int:
+    from .baseline.checker import compare_shutdown_capability
+    from .baseline.flat import synthesize_vi_oblivious
+    from .core.synthesis import SynthesisConfig, synthesize
+    from .io.report import format_table, percent
+    from .power.leakage import weighted_savings_fraction
+    from .soc.usecases import use_cases_for
+
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     cases = use_cases_for(spec)
     aware = synthesize(spec, config=SynthesisConfig(seed=args.seed)).best_by_power()
@@ -431,6 +440,17 @@ def _cmd_shutdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
+    from .core.synthesis import SynthesisConfig, synthesize
+    from .io.report import format_table, percent, save_csv
+    from .runtime import (
+        certified_policy_comparison,
+        compare_policies,
+        day_in_the_life_trace,
+        markov_trace,
+        policy_comparison_rows,
+    )
+    from .soc.usecases import use_cases_for
+
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     cases = use_cases_for(spec)
     if args.trace == "markov":
@@ -478,6 +498,9 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         save_csv(rows, args.csv)
         print("wrote %s" % args.csv)
     if args.baseline:
+        from .baseline.flat import synthesize_vi_oblivious
+        from .power.leakage import statically_pinned_islands
+
         oblivious = synthesize_vi_oblivious(spec, config=SynthesisConfig(seed=args.seed))
         pinned = sorted(statically_pinned_islands(oblivious.topology))
         orep = certified_policy_comparison(oblivious.topology, trace)
@@ -500,6 +523,10 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
+    from .core.synthesis import SynthesisConfig, synthesize
+    from .io.report import format_table, percent, save_csv
+    from .resilience import FitRates, SparePathConfig, analyze_model, protect_design_point
+
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     space = synthesize(spec, config=SynthesisConfig(seed=args.seed))
     best = space.best_by_power()
@@ -584,6 +611,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 def _pick_scenario(scenarios, requested, topology):
     """Resolve a fault scenario by name, index, or the live default."""
+    from .resilience import route_affected
+
     if requested is not None:
         by_name = {sc.name: sc for sc in scenarios}
         if requested in by_name:
@@ -617,6 +646,12 @@ def _controlled_replay(args: argparse.Namespace):
     ``(trace, scenario, event, report)`` for the benchmark's best
     design point with a single injected fault scenario.
     """
+    from .control import ControlLatencyModel, ReconfigurationController
+    from .core.synthesis import SynthesisConfig, synthesize
+    from .resilience import FaultEvent, enumerate_scenarios, protect_design_point
+    from .runtime import make_policy, markov_trace, simulate_trace
+    from .soc.usecases import use_cases_for
+
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     best = synthesize(spec, config=SynthesisConfig(seed=args.seed)).best_by_power()
     prot = protect_design_point(best, k=args.spare_k)
@@ -657,6 +692,9 @@ def _controlled_replay(args: argparse.Namespace):
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
+    from .control import recovery_rows
+    from .io.report import format_table
+
     if args.stream:
         # Live mode: every controller observation prints the moment it
         # is emitted (per-fault emission order), before the post-hoc
@@ -723,6 +761,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    _non_negative(args.top, "--top")
     if args.follow:
         # Follow mode tails a JSONL event feed another process writes
         # (e.g. `repro-noc sweep --events F --live` elsewhere); no
@@ -807,6 +846,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .cache import CacheStore, default_cache_dir
+
     directory = args.cache_dir or str(default_cache_dir())
     if not os.path.isdir(directory):
         raise CacheError("no cache directory at %s" % directory)

@@ -30,46 +30,32 @@ every routing it installs.
 See ``docs/control_plane.md``.
 """
 
-from .controller import (
-    ControlDecision,
-    ControlOutcome,
-    FlowDecision,
-    ReconfigurationController,
-    controlled_simulation_check,
-)
-from .latency import ControlLatencyModel
-from .objective import RecoveryObjective
-from .telemetry import (
-    ACTION_LOST,
-    ACTION_REROUTE,
-    ACTION_SPARE,
-    TELEMETRY_KINDS,
-    FaultRecovery,
-    FlowRecovery,
-    TelemetryEvent,
-    recovery_rows,
-    recovery_summary,
-    sort_telemetry,
-    telemetry_summary,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ACTION_LOST",
-    "ACTION_REROUTE",
-    "ACTION_SPARE",
-    "ControlDecision",
-    "ControlLatencyModel",
-    "ControlOutcome",
-    "FaultRecovery",
-    "FlowDecision",
-    "FlowRecovery",
-    "ReconfigurationController",
-    "RecoveryObjective",
-    "TELEMETRY_KINDS",
-    "TelemetryEvent",
-    "controlled_simulation_check",
-    "recovery_rows",
-    "recovery_summary",
-    "sort_telemetry",
-    "telemetry_summary",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".controller": (
+            "ControlDecision",
+            "ControlOutcome",
+            "FlowDecision",
+            "ReconfigurationController",
+            "controlled_simulation_check",
+        ),
+        ".latency": ("ControlLatencyModel",),
+        ".objective": ("RecoveryObjective",),
+        ".telemetry": (
+            "ACTION_LOST",
+            "ACTION_REROUTE",
+            "ACTION_SPARE",
+            "TELEMETRY_KINDS",
+            "FaultRecovery",
+            "FlowRecovery",
+            "TelemetryEvent",
+            "recovery_rows",
+            "recovery_summary",
+            "sort_telemetry",
+            "telemetry_summary",
+        ),
+    },
+)

@@ -29,20 +29,22 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
 from ..obs.spans import SpanRecorder, active_tracer, span, tracing
 from ..obs.stream import EventBus, active_bus, streaming
 from ..perf.instrument import PerfRecorder, active_recorder, recording
-from ..power.gating import GatingModel
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
-from ..runtime.trace import UseCaseTrace
 from ..soc.partitioning import communication_partitioning, logical_partitioning
 from .design_point import DesignPoint, DesignSpace
 from .objective import Objective, TraceEnergyObjective
 from .spec import SoCSpec
 from .synthesis import SynthesisConfig, synthesize
+
+if TYPE_CHECKING:  # pragma: no cover - a sweep without a trace loads no runtime
+    from ..power.gating import GatingModel
+    from ..runtime.trace import UseCaseTrace
 
 #: Placeholder emitted for metric columns of infeasible sweep rows so
 #: feasible and infeasible rows keep identical key sets (column

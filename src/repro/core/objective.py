@@ -78,33 +78,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
-from ..power.gating import GatingModel
-from ..runtime.policies import make_policy
-from ..runtime.simulate import simulate_trace
-from ..runtime.trace import UseCaseTrace
+from ..names import DEFAULT_WAKE_BUDGET_MS, OBJECTIVE_NAMES
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+# Typing only: the runtime package loads when a trace objective first
+# replays (the imports inside the replay methods), not with this module.
+if TYPE_CHECKING:  # pragma: no cover
+    from ..power.gating import GatingModel
+    from ..runtime.trace import UseCaseTrace
     from .design_point import DesignPoint, DesignSpace
-
-#: Canonical objective names, in presentation order (CLI choices).
-OBJECTIVE_NAMES: Tuple[str, ...] = (
-    "static_power",
-    "static_latency",
-    "static_area",
-    "wire_length",
-    "trace_energy",
-    "multi_trace",
-    "wake_qos",
-    "resilience",
-    "recovery",
-)
-
-#: Default per-flow wake-latency budget (ms) when none is specified.
-#: Island wake ramps in the default :class:`GatingModel` are tens of
-#: microseconds, so 50 µs passes well-behaved break-even gating on the
-#: built-in benches while still catching pathological policies; real
-#: QoS work should pass explicit per-flow budgets.
-DEFAULT_WAKE_BUDGET_MS = 0.05
 
 
 @dataclass(frozen=True)
@@ -333,6 +314,9 @@ class TraceEnergyObjective(Objective):
             raise SpecError("trace_energy objective needs a trace")
 
     def evaluate(self, point: "DesignPoint") -> ObjectiveResult:
+        from ..runtime.policies import make_policy
+        from ..runtime.simulate import simulate_trace
+
         report = simulate_trace(
             point.topology,
             self.trace,
@@ -394,6 +378,9 @@ class MultiTraceObjective(Objective):
 
     def energies(self, point: "DesignPoint") -> Dict[str, float]:
         """Per-trace simulated energy (mJ), keyed by trace name."""
+        from ..runtime.policies import make_policy
+        from ..runtime.simulate import simulate_trace
+
         policy = make_policy(self.policy)
         return {
             trace.name: simulate_trace(
@@ -506,6 +493,9 @@ class WakeLatencyQoSObjective(Objective):
 
     def _simulate(self, topology):
         """One trace replay with the routability/stall audit on."""
+        from ..runtime.policies import make_policy
+        from ..runtime.simulate import simulate_trace
+
         return simulate_trace(
             topology,
             self.trace,

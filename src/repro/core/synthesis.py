@@ -26,7 +26,7 @@ paper's power/performance trade-off curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..arch.validate import validate_topology
@@ -44,9 +44,7 @@ from ..cache.signatures import (
     design_space_signature,
     partition_signature,
 )
-from ..cache.store import CacheStore
 from ..exceptions import CacheKeyError, InfeasibleError, PartitionError, SynthesisError
-from ..floorplan.annealer import AnnealConfig, anneal_placement
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
 from ..obs.spans import span
@@ -62,6 +60,9 @@ from .partition import partition_graph
 from .paths import AllocationResult, PathAllocator, PathCostConfig
 from .spec import SoCSpec
 from .vcg import build_all_vcgs
+
+if TYPE_CHECKING:  # pragma: no cover - the store loads with the first cache in use
+    from ..cache.store import CacheStore
 
 
 @dataclass(frozen=True)
@@ -181,15 +182,19 @@ def _cached_synthesize(
         # has no stable content address; run cold, don't fail the run.
         store.record_key_error()
         return _synthesize_sweep(spec, library, cfg)
-    hit = store.get_object(key, "space")
-    if hit is not None:
-        space, header = hit
+    space = store.get_object(key, "space")
+    if space is not None:
+        # Keys leave the spec name out, so the hit may have been stored
+        # under another name: hand back the caller's own spec objects.
+        space.spec_name = spec.name
+        for point in space.points:
+            _rebind(point.topology, spec, library)
         if root_span is not None:
             root_span.set(cache="hit")
         if store.should_verify():
             fresh = _synthesize_sweep(spec, library, cfg)
             store.check_signature(
-                header,
+                design_space_signature(space),
                 design_space_signature(fresh),
                 "design space for %s" % spec.name,
             )
@@ -197,8 +202,15 @@ def _cached_synthesize(
     if root_span is not None:
         root_span.set(cache="miss")
     space = _synthesize_sweep(spec, library, cfg)
-    store.put_object(key, space, "space", sig=design_space_signature(space))
+    store.put_object(key, space, "space")
     return space
+
+
+def _rebind(topology: Optional[Topology], spec: SoCSpec, library: NocLibrary) -> None:
+    """Point a decoded cached topology at the caller's spec and library."""
+    if topology is not None:
+        topology.spec = spec
+        topology.library = library
 
 
 def _synthesize_sweep(
@@ -298,10 +310,10 @@ def _synthesize_sweep(
             result = None
             if alloc_base is not None:
                 akey = allocation_key(alloc_base, k_mid)
-                cached_alloc = store.get_object(akey, "allocation")
-                if cached_alloc is not None:
-                    alloc_entry, alloc_header = cached_alloc
+                alloc_entry = store.get_object(akey, "allocation")
+                if alloc_entry is not None:
                     result = alloc_entry["result"]
+                    _rebind(result.topology, spec, library)
                     if k_mid == 0:
                         # allocate(k>0) is not history-free (the k=0
                         # dominance shortcut); re-arm the state so any
@@ -310,7 +322,7 @@ def _synthesize_sweep(
                     if store.should_verify():
                         fresh_alloc = allocator.allocate(num_intermediate=k_mid)
                         store.check_signature(
-                            alloc_header,
+                            allocation_signature(result),
                             allocation_signature(fresh_alloc),
                             "allocation %s k_mid=%d" % (counts_key, k_mid),
                         )
@@ -328,7 +340,6 @@ def _synthesize_sweep(
                         akey,
                         {"result": result, "k0_unblocked": allocator.k0_dominance},
                         "allocation",
-                        sig=allocation_signature(result),
                     )
                 space.failures.append((counts_key, k_mid, result.reason or "unknown"))
                 continue
@@ -352,7 +363,6 @@ def _synthesize_sweep(
                     akey,
                     {"result": result, "k0_unblocked": allocator.k0_dominance},
                     "allocation",
-                    sig=allocation_signature(result),
                 )
             with maybe_phase("evaluation"), span("evaluate", k_mid=k_mid):
                 point = _evaluate_point(
@@ -464,9 +474,8 @@ def _partition_islands(
                 store.record_key_error()
         parts: Optional[List[Set[str]]] = None
         if skey is not None:
-            hit = store.get_object(skey, "partition")
-            if hit is not None:
-                part_lists, header = hit
+            part_lists = store.get_object(skey, "partition")
+            if part_lists is not None:
                 parts = [set(p) for p in part_lists]
                 if store.should_verify():
                     fresh = partition_graph(
@@ -478,7 +487,7 @@ def _partition_islands(
                         method=cfg.partition_method,
                     )
                     store.check_signature(
-                        header,
+                        partition_signature(parts),
                         partition_signature(fresh),
                         "partition island=%d k=%d" % (isl, k),
                     )
@@ -498,11 +507,7 @@ def _partition_islands(
                 # and sorted inner lists keep the blob canonical (sets
                 # pickle in hash-seed-dependent iteration order).
                 store.put_object(
-                    skey,
-                    [sorted(p) for p in parts],
-                    "partition",
-                    sig=partition_signature(parts),
-                    codec="json",
+                    skey, [sorted(p) for p in parts], "partition", codec="json"
                 )
         if cache is not None:
             cache[key] = parts
@@ -523,6 +528,8 @@ def _evaluate_point(
     """Final step: floorplan, wires, power, latency for one topology."""
     topo = result.require_topology()
     if cfg.anneal_placement:
+        from ..floorplan.annealer import AnnealConfig, anneal_placement
+
         floorplan = anneal_placement(topo, cfg.floorplan, AnnealConfig(seed=cfg.seed))
     else:
         floorplan = place(topo, cfg.floorplan, skeleton_cache=place_cache)

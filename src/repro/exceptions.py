@@ -59,9 +59,9 @@ class CacheKeyError(CacheError):
 class CacheCorruptionError(CacheError):
     """A cached entry failed verification against a fresh recompute.
 
-    Raised by the ``verify_on_hit`` sampling mode when the stored
-    result's signature differs from the recomputed one — either the
-    blob was corrupted past the checksum, or determinism was broken.
+    Raised by the ``verify_on_hit`` sampling mode when the decoded
+    hit's signature differs from the recomputed one — either the blob
+    holds a wrong value past its checksum, or determinism was broken.
     """
 
 

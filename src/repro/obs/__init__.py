@@ -14,118 +14,67 @@ can be dropped at export (``timing=False``) — so byte-identical runs
 export byte-identical event sequences, which the bench harness gates.
 """
 
-from .dashboard import (
-    cache_lines,
-    counter_lines,
-    island_gantt_lines,
-    phase_breakdown_lines,
-    recovery_timeline_lines,
-    render_dashboard,
-    render_html,
-)
-from .live import (
-    LiveRenderer,
-    LiveStatus,
-    follow_render,
-    status_lines,
-)
-from .export import (
-    chrome_trace_events,
-    chrome_trace_json,
-    prometheus_text,
-    span_log_lines,
-    telemetry_log_lines,
-    write_lines,
-)
-from .metrics import (
-    DEFAULT_MS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    publish_metrics,
-    record_cache_hit_rates,
-    record_cache_metrics,
-    record_control_metrics,
-    record_runtime_metrics,
-)
-from .spans import (
-    SpanRecord,
-    SpanRecorder,
-    active_tracer,
-    set_tracer,
-    span,
-    stable_span_id,
-    tracing,
-)
-from .stream import (
-    EVENT_KINDS,
-    CallbackSink,
-    EventBus,
-    JsonlSink,
-    MemorySink,
-    ObsEvent,
-    active_bus,
-    canonical_events,
-    emit,
-    event_from_record,
-    event_lines,
-    event_record,
-    follow_events,
-    read_events,
-    set_bus,
-    streaming,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_MS_BUCKETS",
-    "EVENT_KINDS",
-    "CallbackSink",
-    "Counter",
-    "EventBus",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LiveRenderer",
-    "LiveStatus",
-    "MemorySink",
-    "MetricsRegistry",
-    "ObsEvent",
-    "SpanRecord",
-    "SpanRecorder",
-    "active_bus",
-    "active_tracer",
-    "cache_lines",
-    "canonical_events",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "counter_lines",
-    "emit",
-    "event_from_record",
-    "event_lines",
-    "event_record",
-    "follow_events",
-    "follow_render",
-    "island_gantt_lines",
-    "phase_breakdown_lines",
-    "prometheus_text",
-    "publish_metrics",
-    "read_events",
-    "record_cache_hit_rates",
-    "record_cache_metrics",
-    "record_control_metrics",
-    "record_runtime_metrics",
-    "recovery_timeline_lines",
-    "render_dashboard",
-    "render_html",
-    "set_bus",
-    "set_tracer",
-    "span",
-    "span_log_lines",
-    "stable_span_id",
-    "status_lines",
-    "streaming",
-    "telemetry_log_lines",
-    "tracing",
-    "write_lines",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".dashboard": (
+            "cache_lines",
+            "counter_lines",
+            "island_gantt_lines",
+            "phase_breakdown_lines",
+            "recovery_timeline_lines",
+            "render_dashboard",
+            "render_html",
+        ),
+        ".live": ("LiveRenderer", "LiveStatus", "follow_render", "status_lines"),
+        ".export": (
+            "chrome_trace_events",
+            "chrome_trace_json",
+            "prometheus_text",
+            "span_log_lines",
+            "telemetry_log_lines",
+            "write_lines",
+        ),
+        ".metrics": (
+            "DEFAULT_MS_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "publish_metrics",
+            "record_cache_hit_rates",
+            "record_cache_metrics",
+            "record_control_metrics",
+            "record_runtime_metrics",
+        ),
+        ".spans": (
+            "SpanRecord",
+            "SpanRecorder",
+            "active_tracer",
+            "set_tracer",
+            "span",
+            "stable_span_id",
+            "tracing",
+        ),
+        ".stream": (
+            "EVENT_KINDS",
+            "CallbackSink",
+            "EventBus",
+            "JsonlSink",
+            "MemorySink",
+            "ObsEvent",
+            "active_bus",
+            "canonical_events",
+            "emit",
+            "event_from_record",
+            "event_lines",
+            "event_record",
+            "follow_events",
+            "read_events",
+            "set_bus",
+            "streaming",
+        ),
+    },
+)

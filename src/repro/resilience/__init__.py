@@ -24,68 +24,44 @@ coverage-vs-overhead numbers pinned in
 ``benchmarks/bench_resilience.py``.
 """
 
-from .coverage import (
-    ENDPOINT_LOST,
-    LOST,
-    REROUTED,
-    UNAFFECTED,
-    CoverageReport,
-    FlowImpact,
-    ResilienceObjective,
-    ScenarioCoverage,
-    analyze_coverage,
-    analyze_model,
-    degraded_routes,
-)
-from .faults import (
-    FAULT_MODEL_NAMES,
-    FaultEvent,
-    FaultScenario,
-    FitRates,
-    double_link_failures,
-    endpoint_failed,
-    enumerate_scenarios,
-    island_failures,
-    route_affected,
-    route_survives,
-    single_link_failures,
-    switch_failures,
-)
-from .spare_paths import (
-    ProtectionResult,
-    SparePathConfig,
-    SparePlan,
-    allocate_spare_paths,
-    protect_design_point,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CoverageReport",
-    "ENDPOINT_LOST",
-    "FAULT_MODEL_NAMES",
-    "FaultEvent",
-    "FaultScenario",
-    "FitRates",
-    "FlowImpact",
-    "LOST",
-    "ProtectionResult",
-    "REROUTED",
-    "ResilienceObjective",
-    "ScenarioCoverage",
-    "SparePathConfig",
-    "SparePlan",
-    "UNAFFECTED",
-    "allocate_spare_paths",
-    "analyze_coverage",
-    "analyze_model",
-    "degraded_routes",
-    "double_link_failures",
-    "endpoint_failed",
-    "enumerate_scenarios",
-    "island_failures",
-    "protect_design_point",
-    "route_affected",
-    "route_survives",
-    "single_link_failures",
-    "switch_failures",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".coverage": (
+            "ENDPOINT_LOST",
+            "LOST",
+            "REROUTED",
+            "UNAFFECTED",
+            "CoverageReport",
+            "FlowImpact",
+            "ResilienceObjective",
+            "ScenarioCoverage",
+            "analyze_coverage",
+            "analyze_model",
+            "degraded_routes",
+        ),
+        ".faults": (
+            "FAULT_MODEL_NAMES",
+            "FaultEvent",
+            "FaultScenario",
+            "FitRates",
+            "double_link_failures",
+            "endpoint_failed",
+            "enumerate_scenarios",
+            "island_failures",
+            "route_affected",
+            "route_survives",
+            "single_link_failures",
+            "switch_failures",
+        ),
+        ".spare_paths": (
+            "ProtectionResult",
+            "SparePathConfig",
+            "SparePlan",
+            "allocate_spare_paths",
+            "protect_design_point",
+        ),
+    },
+)

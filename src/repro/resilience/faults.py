@@ -36,14 +36,7 @@ from typing import List, Optional, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, FlowKey, Route, Topology
 from ..exceptions import SpecError
-
-#: Canonical fault-model names, in presentation order (CLI choices).
-FAULT_MODEL_NAMES: Tuple[str, ...] = (
-    "single_link",
-    "double_link",
-    "switch",
-    "island",
-)
+from ..names import FAULT_MODEL_NAMES
 
 
 @dataclass(frozen=True)

@@ -26,70 +26,45 @@ Modules
     helpers.
 """
 
-from .policies import (
-    AlwaysOff,
-    BreakEvenOracle,
-    EwmaIdlePredictor,
-    GatingPolicy,
-    IdleTimeout,
-    IslandEconomics,
-    NeverGate,
-    POLICY_NAMES,
-    default_policies,
-    make_policy,
-)
-from .report import (
-    FaultImpact,
-    IslandRuntime,
-    RoutabilityViolation,
-    RuntimeReport,
-    policy_comparison_rows,
-)
-from .simulate import (
-    always_on_static_mw,
-    canonical_fault_events,
-    certified_policy_comparison,
-    compare_policies,
-    island_economics,
-    simulate_trace,
-)
-from .states import IslandState, IslandStateMachine, StateInterval
-from .trace import (
-    TraceSegment,
-    UseCaseTrace,
-    day_in_the_life_trace,
-    markov_trace,
-    scripted_trace,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AlwaysOff",
-    "FaultImpact",
-    "BreakEvenOracle",
-    "EwmaIdlePredictor",
-    "GatingPolicy",
-    "IdleTimeout",
-    "IslandEconomics",
-    "IslandRuntime",
-    "IslandState",
-    "IslandStateMachine",
-    "NeverGate",
-    "POLICY_NAMES",
-    "RoutabilityViolation",
-    "RuntimeReport",
-    "StateInterval",
-    "TraceSegment",
-    "UseCaseTrace",
-    "always_on_static_mw",
-    "canonical_fault_events",
-    "certified_policy_comparison",
-    "compare_policies",
-    "day_in_the_life_trace",
-    "default_policies",
-    "island_economics",
-    "make_policy",
-    "markov_trace",
-    "policy_comparison_rows",
-    "scripted_trace",
-    "simulate_trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".policies": (
+            "AlwaysOff",
+            "BreakEvenOracle",
+            "EwmaIdlePredictor",
+            "GatingPolicy",
+            "IdleTimeout",
+            "IslandEconomics",
+            "NeverGate",
+            "POLICY_NAMES",
+            "default_policies",
+            "make_policy",
+        ),
+        ".report": (
+            "FaultImpact",
+            "IslandRuntime",
+            "RoutabilityViolation",
+            "RuntimeReport",
+            "policy_comparison_rows",
+        ),
+        ".simulate": (
+            "always_on_static_mw",
+            "canonical_fault_events",
+            "certified_policy_comparison",
+            "compare_policies",
+            "island_economics",
+            "simulate_trace",
+        ),
+        ".states": ("IslandState", "IslandStateMachine", "StateInterval"),
+        ".trace": (
+            "TraceSegment",
+            "UseCaseTrace",
+            "day_in_the_life_trace",
+            "markov_trace",
+            "scripted_trace",
+        ),
+    },
+)

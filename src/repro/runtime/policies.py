@@ -32,15 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..exceptions import SpecError
-
-#: Canonical policy names, in presentation order.
-POLICY_NAMES: Tuple[str, ...] = (
-    "never",
-    "always_off",
-    "idle_timeout",
-    "ewma_predictor",
-    "break_even",
-)
+from ..names import POLICY_NAMES
 
 
 @dataclass(frozen=True)

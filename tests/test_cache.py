@@ -16,14 +16,17 @@ from repro.cache import (
     caching,
     canonical,
     design_space_key,
+    design_space_signature,
     fingerprint,
 )
 from repro.cli import main
 from repro.core.explore import alpha_exploration
 from repro.core.objective import StaticLatencyObjective
 from repro.core.synthesis import SynthesisConfig, synthesize
-from repro.exceptions import CacheCorruptionError, CacheKeyError
-from repro.io.json_io import design_point_summary
+from repro.exceptions import CacheCorruptionError, CacheError, CacheKeyError
+from repro.io.json_io import design_point_summary, topology_to_dict
+from repro.soc.benchmarks import load_benchmark
+from repro.soc.partitioning import logical_partitioning
 from repro.obs import MetricsRegistry, counter_lines, record_cache_metrics
 
 
@@ -130,12 +133,28 @@ class TestMemoryTier:
 class TestDiskTier:
     def test_round_trip(self, tmp_path):
         store = CacheStore.open(tmp_path)
-        store.put_object("a" * 64, {"x": [1, 2]}, kind="space", sig="s1")
+        store.put_object("a" * 64, {"x": [1, 2]}, kind="space")
         fresh = CacheStore.open(tmp_path)
-        value, header = fresh.get_object("a" * 64, kind="space")
-        assert value == {"x": [1, 2]}
-        assert header["sig"] == "s1"
+        assert fresh.get_object("a" * 64, kind="space") == {"x": [1, 2]}
         assert fresh.stats.counters["hits.disk.space"] == 1
+        [(key, header)] = list(fresh.disk.scan_headers())
+        assert key == "a" * 64
+        assert (header["kind"], header["codec"]) == ("space", "pickle")
+        # Verification recomputes from the decoded hit: no stored signature.
+        assert "sig" not in header
+
+    def test_legacy_sig_field_ignored(self, tmp_path):
+        """Blobs whose header still carries a ``sig`` read as before."""
+        store = CacheStore.open(tmp_path)
+        key = "a" * 64
+        store.put_object(key, [1, 2], kind="space")
+        path = store.disk.path_for(key)
+        raw = path.read_bytes()
+        newline = raw.find(b"\n")
+        header = json.loads(raw[:newline])
+        header["sig"] = "stale-signature"
+        path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        assert CacheStore.open(tmp_path).get_object(key, kind="space") == [1, 2]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -149,7 +168,7 @@ class TestDiskTier:
     def test_corruption_is_a_miss_and_removed(self, tmp_path, mutate):
         store = CacheStore.open(tmp_path)
         key = "b" * 64
-        store.put_object(key, [1, 2, 3], kind="space", sig="s")
+        store.put_object(key, [1, 2, 3], kind="space")
         path = store.disk.path_for(key)
         path.write_bytes(mutate(path.read_bytes()))
         fresh = CacheStore.open(tmp_path)
@@ -161,7 +180,7 @@ class TestDiskTier:
     def test_undecodable_payload_dropped(self, tmp_path):
         store = CacheStore.open(tmp_path)
         key = "c" * 64
-        store.put_entry(key, b"\x80not-a-pickle", kind="space", codec="pickle", sig="s")
+        store.put_entry(key, b"\x80not-a-pickle", kind="space", codec="pickle")
         fresh = CacheStore.open(tmp_path)
         assert fresh.get_object(key, kind="space") is None
         assert fresh.stats.counters["corrupt.decode"] == 1
@@ -169,9 +188,9 @@ class TestDiskTier:
 
     def test_verify_classifies_corrupt_and_stale(self, tmp_path):
         store = CacheStore.open(tmp_path)
-        store.put_object("d" * 64, 1, kind="space", sig="s")
-        store.put_object("e" * 64, 2, kind="partition", sig="s")
-        store.put_object("f" * 64, 3, kind="allocation", sig="s")
+        store.put_object("d" * 64, 1, kind="space")
+        store.put_object("e" * 64, 2, kind="partition")
+        store.put_object("f" * 64, 3, kind="allocation")
         # Corrupt one blob's payload, make another stale (wrong schema
         # in a well-formed header, checksum still valid).
         corrupt_path = store.disk.path_for("e" * 64)
@@ -196,8 +215,8 @@ class TestDiskTier:
 
     def test_clear(self, tmp_path):
         store = CacheStore.open(tmp_path)
-        store.put_object("a" * 64, 1, kind="space", sig="s")
-        store.put_object("b" * 64, 2, kind="space", sig="s")
+        store.put_object("a" * 64, 1, kind="space")
+        store.put_object("b" * 64, 2, kind="space")
         assert store.disk.clear() == 2
         assert store.disk.entry_count() == 0
 
@@ -206,7 +225,7 @@ class TestVerifyOnHit:
     def test_sampling_is_deterministic(self):
         store = CacheStore.in_memory(verify_every=3)
         seen = []
-        store.put_object("a" * 64, 1, kind="space", sig="s")
+        store.put_object("a" * 64, 1, kind="space")
         for _ in range(6):
             store.get_object("a" * 64, kind="space")
             seen.append(store.should_verify())
@@ -214,16 +233,37 @@ class TestVerifyOnHit:
 
     def test_signature_mismatch_raises(self):
         store = CacheStore.in_memory()
-        header = {"sig": "cached"}
-        with pytest.raises(CacheCorruptionError):
-            store.check_signature(header, "recomputed", "space x")
+        with pytest.raises(CacheCorruptionError, match="space x"):
+            store.check_signature("cached", "recomputed", "space x")
         assert store.stats.counters["verify_mismatches"] == 1
 
     def test_signature_match_passes(self):
         store = CacheStore.in_memory()
-        store.check_signature({"sig": "same"}, "same", "space x")
+        store.check_signature("same", "same", "space x")
         assert store.stats.counters["verify_runs"] == 1
         assert "verify_mismatches" not in store.stats.counters
+
+    def test_negative_sampling_rejected(self):
+        with pytest.raises(CacheError, match="verify_every"):
+            CacheStore.in_memory(verify_every=-1)
+
+    def test_poisoned_payload_raises(self, tmp_path):
+        """A wrong value re-put under a valid key passes the checksum;
+        sampled verification must still catch it."""
+        spec = make_tiny_spec()
+        cfg = SynthesisConfig(max_intermediate=1)
+        with caching(CacheStore.open(tmp_path)):
+            cold = synthesize(spec, config=cfg)
+        poison = synthesize(make_tiny_spec(3), config=cfg)
+        assert design_space_signature(poison) != design_space_signature(cold)
+        key = design_space_key(spec, DEFAULT_LIBRARY, cfg)
+        CacheStore.open(tmp_path).put_object(key, poison, "space")
+
+        warm_store = CacheStore.open(tmp_path, verify_every=1)
+        with caching(warm_store), pytest.raises(CacheCorruptionError):
+            synthesize(spec, config=cfg)
+        assert warm_store.stats.counters["hits.disk.space"] == 1
+        assert warm_store.stats.counters["verify_mismatches"] == 1
 
 
 class TestStatsMerge:
@@ -305,6 +345,39 @@ class TestWarmSynthesis:
         assert store.stats.counters["hits.memory.space"] == 1
         assert _space_summaries(first) == _space_summaries(again)
 
+    def test_renamed_spec_hit_is_the_callers(self, tmp_path):
+        """Keys leave the spec name out: content stored as ``alpha`` serves
+        ``beta``, and every hit must come back as ``beta``'s."""
+        base = logical_partitioning(load_benchmark("d12_auto"), 2)
+        alpha = base.with_vi_assignment(base.vi_assignment, name="alpha")
+        beta = base.with_vi_assignment(base.vi_assignment, name="beta")
+        rerun = dataclasses.replace(self.CFG, objective=StaticLatencyObjective())
+        with caching(CacheStore.open(tmp_path)):
+            synthesize(alpha, config=self.CFG)
+
+        store = CacheStore.open(tmp_path, verify_every=1)
+        with caching(store):
+            space_hit = synthesize(beta, config=self.CFG)
+            # A new objective misses the space tier; allocations still hit.
+            alloc_hits = synthesize(beta, config=rerun)
+        counters = store.stats.counters
+        assert counters["hits.disk.space"] == 1
+        assert counters["hits.disk.allocation"] > 0
+        assert counters["verify_runs"] > 0
+        assert "verify_mismatches" not in counters
+        for space in (space_hit, alloc_hits):
+            assert space.spec_name == "beta"
+            for point in space.points:
+                assert point.topology.spec is beta
+                assert point.topology.library is DEFAULT_LIBRARY
+                assert topology_to_dict(point.topology)["spec"]["name"] == "beta"
+        assert _space_summaries(space_hit) == _space_summaries(
+            synthesize(beta, config=self.CFG)
+        )
+        assert _space_summaries(alloc_hits) == _space_summaries(
+            synthesize(beta, config=rerun)
+        )
+
 
 class TestWarmPool:
     def test_worker_hits_merge_into_parent(self, tmp_path):
@@ -329,7 +402,7 @@ class TestWarmPool:
 class TestObsIntegration:
     def test_record_cache_metrics_and_dashboard(self):
         store = CacheStore.in_memory()
-        store.put_object("a" * 64, 1, kind="space", sig="s")
+        store.put_object("a" * 64, 1, kind="space")
         store.get_object("a" * 64, kind="space")
         store.get_object("0" * 64, kind="partition")
         registry = MetricsRegistry()
@@ -380,7 +453,7 @@ class TestCacheCli:
     def test_verify_reports_corrupt_entry(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         store = CacheStore.open(cache_dir)
-        store.put_object("a" * 64, 1, kind="space", sig="s")
+        store.put_object("a" * 64, 1, kind="space")
         path = store.disk.path_for("a" * 64)
         path.write_bytes(path.read_bytes()[:-2])
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1

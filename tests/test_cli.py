@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -231,10 +233,19 @@ class TestErrorPaths:
                 ["sweep", "d26_media", "--objective", "multi_trace", "--trace-seeds", ","],
                 id="sweep-trace-seeds-blank",
             ),
+            pytest.param(
+                ["obs", "d26_media", "--islands", "6", "--top", "-1"],
+                id="obs-top-negative",
+            ),
+            pytest.param(
+                ["synth", "d26_media", "--verify-on-hit", "-1", "--cache-dir", "{tmp}"],
+                id="synth-verify-on-hit-negative",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )
-    def test_one_line_and_exit_2(self, capsys, argv):
+    def test_one_line_and_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path / "cache")) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -246,32 +257,122 @@ class TestErrorPaths:
         assert _int_list(" 1, 3 ,", "--trace-seeds") == [1, 3]
 
 
+def _loaded_modules(code):
+    """Modules a fresh interpreter loads while it runs ``code``.
+
+    Modules already loaded at interpreter start-up (site ``.pth`` hooks)
+    don't count.
+    """
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "%s\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n" % code
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _cli_modules(argv):
+    return _loaded_modules("import repro.cli\nrepro.cli.main(%r)" % (argv,))
+
+
+def _under(modules, packages):
+    """The members of ``modules`` that are ``packages`` or inside them."""
+    return sorted(
+        m for m in modules for p in packages if m == p or m.startswith(p + ".")
+    )
+
+
+#: Packages whose public names load on first access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.cache",
+    "repro.control",
+    "repro.obs",
+    "repro.resilience",
+    "repro.runtime",
+)
+
+
 class TestImportFootprint:
+    """Each subcommand loads only what it runs (module sets, no timing)."""
+
     def test_synth_loads_only_stdlib_and_repro(self):
         """A fresh CLI process imports nothing outside the standard library.
 
-        Modules already loaded at interpreter start-up (site ``.pth``
-        hooks) and multiprocessing's ``__mp_main__`` alias don't count.
+        Multiprocessing's ``__mp_main__`` alias doesn't count.
         """
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import repro.cli\n"
-            "repro.cli.main(['synth', 'd12_auto', '--islands', '2'])\n"
-            "loaded = {m.split('.')[0] for m in set(sys.modules) - before\n"
-            "          if not m.startswith('__')}\n"
-            "print(sorted(loaded - set(sys.stdlib_module_names) - {'repro'}))\n"
-        )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.splitlines()[-1] == "[]"
+        loaded = {
+            m.split(".")[0]
+            for m in _cli_modules(["synth", "d12_auto", "--islands", "2"])
+            if not m.startswith("__")
+        }
+        assert sorted(loaded - set(sys.stdlib_module_names) - {"repro"}) == []
+
+    def test_import_repro_loads_no_subpackage(self):
+        assert _under(_loaded_modules("import repro"), ["repro"]) == ["repro"]
+
+    def test_import_cli_loads_only_the_parser(self):
+        assert _under(_loaded_modules("import repro.cli"), ["repro"]) == [
+            "repro",
+            "repro.cli",
+            "repro.exceptions",
+            "repro.names",
+        ]
+
+    def test_list_loads_no_synthesis(self):
+        loaded = _cli_modules(["list"])
+        assert "repro.soc.benchmarks" in loaded
+        assert _under(
+            loaded,
+            [
+                "repro.core.synthesis",
+                "repro.runtime",
+                "repro.control",
+                "repro.resilience",
+                "repro.obs",
+                "concurrent.futures",
+            ],
+        ) == []
+
+    def test_synth_loads_no_other_subsystem(self):
+        loaded = _cli_modules(["synth", "d12_auto", "--islands", "2"])
+        assert "repro.core.synthesis" in loaded
+        assert _under(
+            loaded,
+            [
+                "repro.control",
+                "repro.resilience",
+                "repro.baseline",
+                "repro.obs.dashboard",
+                "repro.runtime.simulate",
+                "multiprocessing",
+            ],
+        ) == []
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_export_resolves(self, package):
+        module = importlib.import_module(package)
+        listing = dir(module)
+        for name in module.__all__:
+            assert name in listing
+            value = getattr(module, name)
+            assert not isinstance(value, type(module)), name
+        assert len(set(module.__all__)) == len(module.__all__)
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_export")
+
+    def test_star_import_matches_all(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)

@@ -222,12 +222,13 @@ class TestTieBreaking:
         sorted (static power, index) key — never dict/arrival order."""
         import types
 
-        from repro.core import objective as objective_mod
         from repro.core.design_point import DesignSpace
         from repro.core.explore import RuntimeEnergySelector
+        from repro.runtime import simulate as simulate_mod
 
+        # The trace objectives look the simulator up at call time.
         monkeypatch.setattr(
-            objective_mod,
+            simulate_mod,
             "simulate_trace",
             lambda *a, **k: types.SimpleNamespace(
                 total_mj=42.0, average_power_mw=1.0

@@ -351,7 +351,8 @@ class TestCoSynthesis:
     def test_select_reuses_cosynthesis_scores(self, tiny_spec, idle_trace, monkeypatch):
         """Selection on a co-synthesized space must not re-simulate:
         the scores attached during synthesis are reused verbatim."""
-        from repro.core import objective as objective_mod
+        # The trace objectives look the simulator up at call time.
+        from repro.runtime import simulate as simulate_mod
 
         obj = TraceEnergyObjective(trace=idle_trace)
         space = synthesize(tiny_spec, config=SynthesisConfig(objective=obj))
@@ -359,7 +360,7 @@ class TestCoSynthesis:
         def boom(*args, **kwargs):
             raise AssertionError("select() re-ran the trace simulator")
 
-        monkeypatch.setattr(objective_mod, "simulate_trace", boom)
+        monkeypatch.setattr(simulate_mod, "simulate_trace", boom)
         chosen = space.best()
         assert chosen.objective_result is not None
 
