@@ -40,8 +40,8 @@ def test_partitioner_cut_quality(benchmark):
             for seed in range(5):
                 nodes, weights = _random_clustered_graph(n, k, seed)
                 adj = build_adjacency(nodes, weights)
-                fm = partition_graph(nodes, weights, k, seed=seed, method="fm")
-                gr = partition_graph(nodes, weights, k, seed=seed, method="greedy")
+                fm = partition_graph(nodes, weights, k, method="fm")
+                gr = partition_graph(nodes, weights, k, method="greedy")
                 fm_cuts.append(cut_weight(adj, fm))
                 greedy_cuts.append(cut_weight(adj, gr))
             rows.append(

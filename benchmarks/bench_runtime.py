@@ -71,5 +71,5 @@ def test_partitioner_microbench(benchmark):
     nodes = list(vcg.nodes)
     weights = vcg.symmetric_weights()
 
-    result = benchmark(lambda: partition_graph(nodes, weights, 6, seed=0))
+    result = benchmark(lambda: partition_graph(nodes, weights, 6))
     assert len(result) == 6

@@ -3,8 +3,8 @@
 Canonical hashing of the synthesis inputs (:mod:`repro.cache.keys`), a
 two-tier memo store (:mod:`repro.cache.store`) and the active-store
 context (:mod:`repro.cache.context`) that ``core/synthesis.py`` probes
-at three granularities: full design spaces, island partitions and
-per-candidate path allocations.  See ``docs/caching.md``.
+at two granularities: full design spaces and per-candidate path
+allocations.  See ``docs/caching.md``.
 """
 
 from .. import _lazy_exports
@@ -21,14 +21,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "canonical",
             "design_space_key",
             "fingerprint",
-            "partition_key",
-            "vcg_key",
         ),
-        ".signatures": (
-            "allocation_signature",
-            "design_space_signature",
-            "partition_signature",
-        ),
+        ".signatures": ("allocation_signature", "design_space_signature"),
         ".store": (
             "CacheStats",
             "CacheStore",

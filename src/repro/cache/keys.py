@@ -23,16 +23,12 @@ interpreter versions, so keys are partitioned by it).  Bump
 :data:`SCHEMA_VERSION` whenever canonicalization or any cached value's
 serialized layout changes — old entries then simply miss.
 
-Three key builders cover the cache granularities used by
+Two key builders cover the cache granularities used by
 ``core/synthesis.py``:
 
 ``design_space_key``
     The full result of one synthesis run: spec + library + config
     (objective included).
-``partition_key``
-    One ``partition_graph`` call: nodes, symmetrized weights, part
-    count, size bound, seed, method.  Objective-independent — objective
-    re-runs hit this tier.
 ``allocation_key``
     One ``PathAllocator.allocate`` attempt for one candidate design
     point: spec + library + path-cost config + island plans +
@@ -49,7 +45,7 @@ import dataclasses
 import hashlib
 import json
 import sys
-from typing import Any, Iterable, Mapping, Sequence, Set
+from typing import Any, Mapping, Sequence, Set
 
 from ..exceptions import CacheKeyError
 
@@ -152,27 +148,6 @@ def _config_canonical(config: Any) -> Any:
 def design_space_key(spec: Any, library: Any, config: Any) -> str:
     """Key for the full :class:`DesignSpace` of one synthesis run."""
     return fingerprint("space", spec, library, _config_canonical(config))
-
-
-def vcg_key(nodes: Sequence[str], weights: Mapping[Any, float]) -> str:
-    """Digest of one island's VCG (nodes in order, weights unordered).
-
-    The VCG is invariant across the switch-count sweep, so callers
-    hash it once per island and derive every :func:`partition_key`
-    from the digest.
-    """
-    return fingerprint("vcg", list(nodes), dict(weights))
-
-
-def partition_key(
-    vcg_digest: str,
-    k: int,
-    max_part_size: int,
-    seed: int,
-    method: str,
-) -> str:
-    """Key for one ``partition_graph`` call (objective-independent)."""
-    return fingerprint("partition", vcg_digest, k, max_part_size, seed, method)
 
 
 def allocation_context_key(spec: Any, library: Any, cost_config: Any) -> str:

@@ -55,8 +55,3 @@ def allocation_signature(result: Any) -> str:
             else None,
         }
     )
-
-
-def partition_signature(parts: Any) -> str:
-    """Identity of a ``partition_graph`` result (part order preserved)."""
-    return _digest([sorted(part) for part in parts])

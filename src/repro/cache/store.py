@@ -64,7 +64,7 @@ class CacheStats:
     """Flat event counters, mergeable across processes.
 
     Keys follow ``event[.tier][.kind]``, e.g. ``hits.memory.space``,
-    ``misses.partition``, ``bytes_written.disk``.  Worker processes ship
+    ``misses.allocation``, ``bytes_written.disk``.  Worker processes ship
     deltas (``snapshot`` before/after, :meth:`diff`) which the parent
     folds back in with :meth:`merge`.
     """
@@ -236,10 +236,10 @@ class DiskTier:
     def put(self, key: str, payload: bytes, header: Dict[str, Any]) -> int:
         """Atomically write one entry; returns bytes written."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
         tmp = path.parent / (path.name + ".tmp%d" % os.getpid())
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError as exc:
@@ -450,13 +450,8 @@ class CacheStore:
         entry = self.get_entry(key, kind)
         if entry is None:
             return None
-        payload, header = entry
-        codec = header.get("codec", "pickle")
         try:
-            if codec == "json":
-                value = json.loads(payload.decode("utf-8"))
-            else:
-                value = pickle.loads(payload)
+            value = pickle.loads(entry[0])
         except Exception:
             # Decode failure past the checksum: schema drift within the
             # same SCHEMA_VERSION.  Treat as a corrupt miss.
@@ -466,12 +461,9 @@ class CacheStore:
             return None
         return value
 
-    def put_object(self, key: str, value: Any, kind: str, codec: str = "pickle") -> bytes:
-        if codec == "json":
-            payload = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        else:
-            payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        self.put_entry(key, payload, kind, codec)
+    def put_object(self, key: str, value: Any, kind: str) -> bytes:
+        payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+        self.put_entry(key, payload, kind, "pickle")
         return payload
 
     def drop(self, key: str) -> None:

@@ -270,6 +270,8 @@ def _cache_scope(args: argparse.Namespace):
     cache_dir = getattr(args, "cache_dir", None)
     if not cache_dir:
         return contextlib.nullcontext(), None
+    if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise CacheError("--cache-dir: %s is not a directory" % cache_dir)
     from .cache import CacheStore, caching
 
     store = CacheStore.open(cache_dir, verify_every=verify_every)

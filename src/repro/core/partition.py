@@ -13,21 +13,32 @@ This module implements the classic EDA recipe the 2009-era tools used:
   single-node moves ordered by gain, with a balance constraint, taking
   the best prefix of the move sequence (allowing hill-climbing out of
   local minima);
-* deterministic, seeded tie-breaking so synthesis results are
-  reproducible run to run.
+* deterministic tie-breaking by node strength, then by node string, so
+  synthesis results are reproducible run to run.
 
 The graph is undirected with non-negative edge weights; callers
 symmetrize directed communication graphs first (see
 :func:`repro.core.vcg.symmetric_weights`).
 
-A greedy agglomerative variant (:func:`partition_graph` with
-``method="greedy"``) is included as an ablation hook (DESIGN.md item 6.1).
+Synthesis asks for every part count ``k`` of the switch-count sweep,
+so :class:`IslandPartitioner` holds one graph and answers
+:meth:`~IslandPartitioner.parts` for each ``k``, reusing bisections
+across them: every even ``k`` opens with the same ``n/2`` split.  The
+reuse is exact.  Nothing in a bisection is random, so it is a pure
+function of its node order, its induced adjacency and its target
+size.  The induced adjacency of a node set is an order-preserving
+filter of the whole graph's adjacency, so it depends on the set alone;
+and the node order is the caller's at the top and ``str``-sorted below
+it.  ``(node tuple, target size)`` therefore determines a bisection.
+:func:`partition_graph` is the one-shot form.
+
+A greedy agglomerative variant (``method="greedy"``) is kept as the
+baseline of the partitioner ablation.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import PartitionError
@@ -35,6 +46,8 @@ from ..exceptions import PartitionError
 Node = Hashable
 Weights = Mapping[Tuple[Node, Node], float]
 Adjacency = Dict[Node, Dict[Node, float]]
+#: The two sides of one bisection, each ``str``-sorted.
+Halves = Tuple[Tuple[Node, ...], Tuple[Node, ...]]
 
 
 def build_adjacency(nodes: Iterable[Node], weights: Weights) -> Adjacency:
@@ -84,7 +97,6 @@ def partition_graph(
     weights: Weights,
     k: int,
     max_part_size: Optional[int] = None,
-    seed: int = 0,
     method: str = "fm",
 ) -> List[Set[Node]]:
     """Partition ``nodes`` into ``k`` parts minimizing the cut weight.
@@ -102,9 +114,6 @@ def partition_graph(
         Upper bound on any part's cardinality (the paper's
         ``max_sw_size`` constraint: a switch cannot host more cores than
         it has ports).  ``None`` means unbounded.
-    seed:
-        Seed for tie-breaking; identical inputs and seeds give
-        identical outputs.
     method:
         ``"fm"`` (recursive bisection + FM refinement, default) or
         ``"greedy"`` (agglomerative merging, ablation baseline).
@@ -115,39 +124,112 @@ def partition_graph(
         Exactly ``k`` non-empty, disjoint sets covering ``nodes``,
         sorted by their smallest member for determinism.
     """
-    node_list = list(nodes)
-    n = len(node_list)
-    if k < 1:
-        raise PartitionError("part count must be >= 1, got %d" % k)
-    if k > n:
-        raise PartitionError("cannot split %d nodes into %d non-empty parts" % (n, k))
-    if len(set(node_list)) != n:
-        raise PartitionError("duplicate nodes in partition input")
-    if max_part_size is not None:
-        if max_part_size < 1:
+    return IslandPartitioner(nodes, weights, max_part_size, method).parts(k)
+
+
+class IslandPartitioner:
+    """k-way min-cut partitions of one graph, for every ``k`` asked.
+
+    The constructor validates the graph and builds its adjacency once;
+    :meth:`parts` answers one part count, memoized per ``k``.  The FM
+    method also memoizes each bisection under ``(node tuple, target
+    size)``, which determines it exactly (see the module docstring), so
+    part counts that share a split compute it once.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence[Node],
+        weights: Weights,
+        max_part_size: Optional[int] = None,
+        method: str = "fm",
+    ) -> None:
+        self.nodes = list(nodes)
+        if len(set(self.nodes)) != len(self.nodes):
+            raise PartitionError("duplicate nodes in partition input")
+        if max_part_size is not None and max_part_size < 1:
             raise PartitionError("max_part_size must be >= 1, got %d" % max_part_size)
-        if k * max_part_size < n:
+        if method not in ("fm", "greedy"):
+            raise PartitionError("unknown partition method %r" % method)
+        self.max_part_size = max_part_size
+        self.method = method
+        self.adj = build_adjacency(self.nodes, weights)
+        self._parts: Dict[int, List[Set[Node]]] = {}
+        self._halves: Dict[Tuple[Tuple[Node, ...], int], Halves] = {}
+
+    def memoized(self, k: int) -> bool:
+        """Whether :meth:`parts` already holds the answer for ``k``."""
+        return k in self._parts
+
+    def parts(self, k: int) -> List[Set[Node]]:
+        """The ``k``-way partition, as :func:`partition_graph` returns it.
+
+        Repeated calls return the same list; callers must not mutate it.
+        """
+        found = self._parts.get(k)
+        if found is not None:
+            return found
+        n = len(self.nodes)
+        if k < 1:
+            raise PartitionError("part count must be >= 1, got %d" % k)
+        if k > n:
+            raise PartitionError("cannot split %d nodes into %d non-empty parts" % (n, k))
+        bound = self.max_part_size
+        if bound is not None and k * bound < n:
             raise PartitionError(
-                "%d parts of <= %d nodes cannot cover %d nodes" % (k, max_part_size, n)
+                "%d parts of <= %d nodes cannot cover %d nodes" % (k, bound, n)
             )
-    if method not in ("fm", "greedy"):
-        raise PartitionError("unknown partition method %r" % method)
-    adj = build_adjacency(node_list, weights)
-    if k == 1:
-        return [set(node_list)]
-    if k == n:
-        return sorted(({x} for x in node_list), key=_part_sort_key)
-    rng = random.Random(seed)
-    if method == "fm":
-        parts = _recursive_bisect(node_list, adj, k, max_part_size, rng)
-    else:
-        parts = _greedy_agglomerate(node_list, adj, k, max_part_size)
-    parts = [set(p) for p in parts if p]
-    if len(parts) != k:
-        raise PartitionError(
-            "internal error: produced %d parts, expected %d" % (len(parts), k)
+        if k == 1:
+            parts = [set(self.nodes)]
+        elif k == n:
+            parts = sorted(({x} for x in self.nodes), key=_part_sort_key)
+        else:
+            if self.method == "fm":
+                raw = self._recursive_bisect(tuple(self.nodes), self.adj, k)
+            else:
+                raw = _greedy_agglomerate(self.nodes, self.adj, k, bound)
+            parts = [set(p) for p in raw if p]
+            if len(parts) != k:
+                raise PartitionError(
+                    "internal error: produced %d parts, expected %d" % (len(parts), k)
+                )
+            parts.sort(key=_part_sort_key)
+        self._parts[k] = parts
+        return parts
+
+    def _recursive_bisect(
+        self, nodes: Tuple[Node, ...], adj: Adjacency, k: int
+    ) -> List[Set[Node]]:
+        """Split ``nodes`` into ``k`` parts by repeated balanced bisection.
+
+        ``adj`` is the adjacency of ``nodes`` or of a superset of them;
+        it is narrowed to ``nodes`` only when a bisection is computed.
+        """
+        if k == 1:
+            return [set(nodes)]
+        n = len(nodes)
+        k_left = k // 2
+        k_right = k - k_left
+        # Target sizes proportional to part counts, adjusted to remain
+        # coverable under the per-part size bound on both sides.
+        target_left = int(round(n * k_left / float(k)))
+        target_left = max(k_left, min(n - k_right, target_left))
+        if self.max_part_size is not None:
+            # Each side must be able to hold its nodes within its parts.
+            target_left = min(target_left, k_left * self.max_part_size)
+            target_left = max(target_left, n - k_right * self.max_part_size)
+        key = (nodes, target_left)
+        halves = self._halves.get(key)
+        if halves is None:
+            if len(adj) != n:
+                adj = _induced(adj, set(nodes))
+            left, right = _bisect(list(nodes), adj, target_left)
+            halves = (tuple(sorted(left, key=str)), tuple(sorted(right, key=str)))
+            self._halves[key] = halves
+        left_nodes, right_nodes = halves
+        return self._recursive_bisect(left_nodes, adj, k_left) + self._recursive_bisect(
+            right_nodes, adj, k_right
         )
-    return sorted(parts, key=_part_sort_key)
 
 
 def _part_sort_key(part: Set[Node]) -> str:
@@ -155,37 +237,8 @@ def _part_sort_key(part: Set[Node]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Recursive bisection
+# Bisection
 # ----------------------------------------------------------------------
-
-
-def _recursive_bisect(
-    nodes: List[Node],
-    adj: Adjacency,
-    k: int,
-    max_part_size: Optional[int],
-    rng: random.Random,
-) -> List[Set[Node]]:
-    """Split ``nodes`` into ``k`` parts by repeated balanced bisection."""
-    if k == 1:
-        return [set(nodes)]
-    n = len(nodes)
-    k_left = k // 2
-    k_right = k - k_left
-    # Target sizes proportional to part counts, adjusted to remain
-    # coverable under the per-part size bound on both sides.
-    target_left = int(round(n * k_left / float(k)))
-    target_left = max(k_left, min(n - k_right, target_left))
-    if max_part_size is not None:
-        # Each side must be able to hold its nodes within its parts.
-        target_left = min(target_left, k_left * max_part_size)
-        target_left = max(target_left, n - k_right * max_part_size)
-    left, right = _bisect(nodes, adj, target_left, rng)
-    sub_adj_left = _induced(adj, left)
-    sub_adj_right = _induced(adj, right)
-    out = _recursive_bisect(sorted(left, key=str), sub_adj_left, k_left, max_part_size, rng)
-    out += _recursive_bisect(sorted(right, key=str), sub_adj_right, k_right, max_part_size, rng)
-    return out
 
 
 def _induced(adj: Adjacency, keep: Set[Node]) -> Adjacency:
@@ -201,7 +254,6 @@ def _bisect(
     nodes: List[Node],
     adj: Adjacency,
     target_left: int,
-    rng: random.Random,
 ) -> Tuple[Set[Node], Set[Node]]:
     """Two-way partition with ``target_left`` nodes on the left side.
 
@@ -234,7 +286,7 @@ def _bisect(
                 gain[v] = gain.get(v, 0.0) + w
         gain.pop(best, None)
     right = set(nodes) - left
-    left, right = _fm_refine(nodes, adj, left, right, target_left, rng)
+    left, right = _fm_refine(nodes, adj, left, right, target_left)
     return left, right
 
 
@@ -248,7 +300,6 @@ def _fm_refine(
     left: Set[Node],
     right: Set[Node],
     target_left: int,
-    rng: random.Random,
     max_passes: int = 8,
     balance_slack: int = 1,
 ) -> Tuple[Set[Node], Set[Node]]:

@@ -26,7 +26,7 @@ paper's power/performance trade-off curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..arch.validate import validate_topology
@@ -36,15 +36,9 @@ from ..cache.keys import (
     allocation_context_key,
     allocation_key,
     design_space_key,
-    partition_key,
-    vcg_key,
 )
-from ..cache.signatures import (
-    allocation_signature,
-    design_space_signature,
-    partition_signature,
-)
-from ..exceptions import CacheKeyError, InfeasibleError, PartitionError, SynthesisError
+from ..cache.signatures import allocation_signature, design_space_signature
+from ..exceptions import CacheKeyError, InfeasibleError, PartitionError
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
 from ..obs.spans import span
@@ -56,7 +50,7 @@ from ..sim.zero_load import evaluate_latency
 from .design_point import DesignPoint, DesignSpace
 from .frequency import IslandPlan, plan_all_islands
 from .objective import Objective
-from .partition import partition_graph
+from .partition import IslandPartitioner, partition_graph
 from .paths import AllocationResult, PathAllocator, PathCostConfig
 from .spec import SoCSpec
 from .vcg import build_all_vcgs
@@ -83,8 +77,10 @@ class SynthesisConfig:
     max_intermediate: Optional[int] = 3
     #: Path-cost configuration (power/latency linear combination).
     path_cost: PathCostConfig = field(default_factory=PathCostConfig)
-    #: Min-cut partitioner variant ("fm" or "greedy") and seed.
+    #: Min-cut partitioner variant ("fm" or "greedy").
     partition_method: str = "fm"
+    #: Seed of the simulated-annealing placer (``anneal_placement``);
+    #: partitioning is deterministic and draws no random numbers.
     seed: int = 0
     #: Floorplanner knobs.
     floorplan: FloorplanConfig = field(default_factory=FloorplanConfig)
@@ -98,12 +94,14 @@ class SynthesisConfig:
     validate_points: bool = True
     #: Stop the sweep after this many feasible points (None = full sweep).
     max_design_points: Optional[int] = None
-    #: Enable the synthesis fast path: partition results cached across
-    #: the switch-count sweep, the switch/NI scaffold cloned instead of
-    #: rebuilt per routing attempt, edge-cost terms memoized inside
-    #: path allocation, and the direct-open dominance shortcut.  Off
-    #: reproduces the same design space through the unmemoized
-    #: reference path (used by determinism tests).
+    #: Enable the synthesis fast path: one partitioner per island that
+    #: reuses its partitions and bisections across the switch-count
+    #: sweep, the switch/NI scaffold cloned instead of rebuilt per
+    #: routing attempt, cost memos and per-destination search state
+    #: inside path allocation, the direct-open dominance shortcut, the
+    #: floorplan-skeleton cache, and the probes of an active cache
+    #: store.  Off reproduces the same design space through the
+    #: unmemoized reference path (used by determinism tests).
     enable_caches: bool = True
     #: Co-synthesis objective: when set, every evaluated candidate is
     #: scored under it *inside* the sweep — points the objective
@@ -220,14 +218,12 @@ def _synthesize_sweep(
     plans = plan_all_islands(spec, library, cfg.freq_step_mhz, cfg.min_freq_mhz)
     vcgs = build_all_vcgs(spec, cfg.alpha)
     space = DesignSpace(spec_name=spec.name, objective=cfg.objective)
-    # Sub-tier cache probes (partitions, allocations) share the active
-    # store; off in reference mode so enable_caches=False really is the
-    # unmemoized computation.  The spec/library digests are hoisted out
-    # of the candidate loop — they are the expensive canonicalizations
-    # and are sweep-invariant.
+    # Allocation-tier probes share the active store; off in reference
+    # mode so enable_caches=False really is the unmemoized computation.
+    # The spec/library digest is hoisted out of the candidate loop — it
+    # is the expensive canonicalization and is sweep-invariant.
     store: Optional[CacheStore] = active_store() if cfg.enable_caches else None
     alloc_ctx: Optional[str] = None
-    vcg_digests: Dict[int, str] = {}
     if store is not None:
         try:
             alloc_ctx = allocation_context_key(spec, library, cfg.path_cost)
@@ -256,10 +252,10 @@ def _synthesize_sweep(
         mid_cap = 0
 
     seen_counts: Set[Tuple[Tuple[int, int], ...]] = set()
-    # Step-11 results repeat across the sweep once an island's switch
-    # count saturates; cache them keyed by everything that determines
-    # the result.  ``None`` disables the cache (reference mode).
-    part_cache: Optional[Dict[Tuple[int, int, int, str], List[Set[str]]]] = (
+    # One step-11 partitioner per island, built on first use: it
+    # answers every switch count of the sweep and shares bisections
+    # between them.  ``None`` is reference mode (no reuse).
+    partitioners: Optional[Dict[int, IslandPartitioner]] = (
         {} if cfg.enable_caches else None
     )
     # Floorplan-skeleton cache shared across the sweep: candidates with
@@ -278,9 +274,7 @@ def _synthesize_sweep(
 
         try:
             with maybe_phase("partitioning"), span("partition", sweep_i=i):
-                partitions = _partition_islands(
-                    spec, vcgs, plans, counts, cfg, part_cache, vcg_digests
-                )
+                partitions = _partition_islands(vcgs, plans, counts, cfg, partitioners)
         except PartitionError as exc:
             space.failures.append((counts_key, -1, "partitioning: %s" % exc))
             continue
@@ -415,103 +409,46 @@ def _synthesize_sweep(
 
 
 def _partition_islands(
-    spec: SoCSpec,
     vcgs: Mapping[int, object],
     plans: Mapping[int, IslandPlan],
     counts: Mapping[int, int],
     cfg: SynthesisConfig,
-    cache: Optional[Dict[Tuple[int, int, int, str], List[Set[str]]]] = None,
-    vcg_digests: Optional[Dict[int, str]] = None,
+    partitioners: Optional[Dict[int, IslandPartitioner]] = None,
 ) -> Dict[int, List[Set[str]]]:
     """Step 11: k-way min-cut partition of every island's VCG.
 
-    ``cache`` memoizes results across the switch-count sweep, keyed by
-    ``(island, k, seed, method)``; partitioning is deterministic in
-    those inputs, and the returned groups are never mutated downstream,
-    so sharing entries is safe.
-
-    Behind the in-run cache sits the cross-run partition tier of the
-    active :class:`~repro.cache.store.CacheStore`, keyed by the exact
-    ``partition_graph`` inputs (content-addressed: any spec producing
-    the same island VCG shares entries).  Objective-independent, so
-    objective re-runs hit it even when the space tier misses.
+    ``partitioners`` holds one :class:`IslandPartitioner` per island for
+    the whole sweep; its per-k memo counts ``partition_cache_hits`` and
+    ``partition_cache_misses``.  The returned groups are shared with
+    later candidates and never mutated downstream.  ``None`` is
+    reference mode: a fresh :func:`partition_graph` per island and
+    candidate.
     """
     recorder = active_recorder()
-    store = active_store() if cfg.enable_caches else None
     partitions: Dict[int, List[Set[str]]] = {}
     for isl in sorted(counts):
         k = counts[isl]
-        key = (isl, k, cfg.seed, cfg.partition_method)
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                partitions[isl] = cached
-                if recorder is not None:
-                    recorder.count("partition_cache_hits")
-                continue
         vcg = vcgs[isl]
-        graph_args = (
-            list(vcg.nodes),
-            vcg.symmetric_weights(),
-            k,
-        )
-        skey: Optional[str] = None
-        if store is not None:
-            try:
-                digest = None if vcg_digests is None else vcg_digests.get(isl)
-                if digest is None:
-                    digest = vcg_key(graph_args[0], graph_args[1])
-                    if vcg_digests is not None:
-                        vcg_digests[isl] = digest
-                skey = partition_key(
-                    digest,
-                    k,
-                    plans[isl].max_switch_size,
-                    cfg.seed,
-                    cfg.partition_method,
-                )
-            except CacheKeyError:
-                store.record_key_error()
-        parts: Optional[List[Set[str]]] = None
-        if skey is not None:
-            part_lists = store.get_object(skey, "partition")
-            if part_lists is not None:
-                parts = [set(p) for p in part_lists]
-                if store.should_verify():
-                    fresh = partition_graph(
-                        graph_args[0],
-                        graph_args[1],
-                        k,
-                        max_part_size=plans[isl].max_switch_size,
-                        seed=cfg.seed,
-                        method=cfg.partition_method,
-                    )
-                    store.check_signature(
-                        partition_signature(parts),
-                        partition_signature(fresh),
-                        "partition island=%d k=%d" % (isl, k),
-                    )
-        if parts is None:
-            parts = partition_graph(
-                graph_args[0],
-                graph_args[1],
+        size = plans[isl].max_switch_size
+        if partitioners is None:
+            partitions[isl] = partition_graph(
+                vcg.nodes,
+                vcg.symmetric_weights(),
                 k,
-                max_part_size=plans[isl].max_switch_size,
-                seed=cfg.seed,
+                max_part_size=size,
                 method=cfg.partition_method,
             )
-            if recorder is not None and cache is not None:
-                recorder.count("partition_cache_misses")
-            if skey is not None:
-                # JSON codec: a partition is just lists of core names,
-                # and sorted inner lists keep the blob canonical (sets
-                # pickle in hash-seed-dependent iteration order).
-                store.put_object(
-                    skey, [sorted(p) for p in parts], "partition", codec="json"
-                )
-        if cache is not None:
-            cache[key] = parts
-        partitions[isl] = parts
+            continue
+        partitioner = partitioners.get(isl)
+        if partitioner is None:
+            partitioner = IslandPartitioner(
+                vcg.nodes, vcg.symmetric_weights(), size, cfg.partition_method
+            )
+            partitioners[isl] = partitioner
+        hit = partitioner.memoized(k)
+        partitions[isl] = partitioner.parts(k)
+        if recorder is not None:
+            recorder.count("partition_cache_hits" if hit else "partition_cache_misses")
     return partitions
 
 

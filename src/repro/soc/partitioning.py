@@ -85,7 +85,7 @@ def logical_partitioning(spec: SoCSpec, num_islands: int) -> SoCSpec:
 
 
 def communication_partitioning(
-    spec: SoCSpec, num_islands: int, alpha: float = 1.0, seed: int = 0
+    spec: SoCSpec, num_islands: int, alpha: float = 1.0
 ) -> SoCSpec:
     """Assign cores to islands by min-cut clustering of the traffic.
 
@@ -98,11 +98,7 @@ def communication_partitioning(
     _check_count(spec, num_islands)
     vcg = build_global_vcg(spec, alpha)
     parts = partition_graph(
-        list(vcg.nodes),
-        vcg.symmetric_weights(),
-        num_islands,
-        max_part_size=None,
-        seed=seed,
+        list(vcg.nodes), vcg.symmetric_weights(), num_islands, max_part_size=None
     )
     return _assign(spec, parts, "%s_com%d" % (spec.name, num_islands))
 

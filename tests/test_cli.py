@@ -241,11 +241,23 @@ class TestErrorPaths:
                 ["synth", "d26_media", "--verify-on-hit", "-1", "--cache-dir", "{tmp}"],
                 id="synth-verify-on-hit-negative",
             ),
+            pytest.param(
+                ["synth", "d12_auto", "--islands", "2", "--cache-dir", "{file}"],
+                id="synth-cache-dir-is-file",
+            ),
+            pytest.param(
+                ["sweep", "d12_auto", "--counts", "1,2", "--workers", "2", "--cache-dir", "{file}"],
+                id="sweep-cache-dir-is-file",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )
     def test_one_line_and_exit_2(self, capsys, tmp_path, argv):
-        argv = [a.replace("{tmp}", str(tmp_path / "cache")) for a in argv]
+        (tmp_path / "file").write_text("")
+        argv = [
+            a.replace("{tmp}", str(tmp_path / "cache")).replace("{file}", str(tmp_path / "file"))
+            for a in argv
+        ]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

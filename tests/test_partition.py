@@ -1,10 +1,21 @@
 """Min-cut partitioner: correctness, constraints, determinism, quality."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
-from repro import PartitionError, partition_graph
-from repro.core.partition import build_adjacency, cut_weight
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import PartitionError, SynthesisConfig, partition_graph, synthesize
+from repro.core import partition as partition_module
+from repro.core.frequency import plan_all_islands
+from repro.core.partition import IslandPartitioner, build_adjacency, cut_weight
+from repro.core.vcg import build_all_vcgs
+from repro.perf import recording
+from repro.power.library import DEFAULT_LIBRARY
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import communication_partitioning, logical_partitioning
+
+from _helpers import space_signature
 
 
 def two_clusters():
@@ -99,14 +110,14 @@ class TestConstraints:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         nodes, w = two_clusters()
-        a = partition_graph(nodes, w, 3, seed=7)
-        b = partition_graph(nodes, w, 3, seed=7)
+        a = partition_graph(nodes, w, 3)
+        b = partition_graph(nodes, w, 3)
         assert a == b
 
     def test_node_order_irrelevant(self):
         nodes, w = two_clusters()
-        a = partition_graph(nodes, w, 2, seed=0)
-        b = partition_graph(list(reversed(nodes)), w, 2, seed=0)
+        a = partition_graph(nodes, w, 2)
+        b = partition_graph(list(reversed(nodes)), w, 2)
         assert sorted(map(sorted, a)) == sorted(map(sorted, b))
 
 
@@ -152,7 +163,7 @@ class TestPartitionProperties:
     @settings(max_examples=60, deadline=None)
     def test_partition_is_a_cover(self, data):
         nodes, edges, k = data
-        parts = partition_graph(nodes, edges, k, seed=3)
+        parts = partition_graph(nodes, edges, k)
         assert len(parts) == k
         # disjoint
         seen = set()
@@ -169,13 +180,129 @@ class TestPartitionProperties:
         nodes, edges, k = data
         if k * bound < len(nodes):
             return  # infeasible combination; rejection tested elsewhere
-        parts = partition_graph(nodes, edges, k, max_part_size=bound, seed=1)
+        parts = partition_graph(nodes, edges, k, max_part_size=bound)
         assert all(len(p) <= bound for p in parts)
 
     @given(random_graphs())
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, data):
         nodes, edges, k = data
-        assert partition_graph(nodes, edges, k, seed=9) == partition_graph(
-            nodes, edges, k, seed=9
+        assert partition_graph(nodes, edges, k) == partition_graph(nodes, edges, k)
+
+
+def _answer(call):
+    """A partition, or the message of the ``PartitionError`` it raised."""
+    try:
+        return call()
+    except PartitionError as exc:
+        return "PartitionError: %s" % exc
+
+
+def _k_queries(draw, n):
+    """Part counts to ask one partitioner: in and out of range, repeated."""
+    ks = draw(st.lists(st.integers(min_value=0, max_value=n + 1), min_size=1, max_size=8))
+    return ks + draw(st.lists(st.sampled_from(ks), max_size=4))
+
+
+@st.composite
+def graph_queries(draw):
+    nodes, edges, _ = draw(random_graphs())
+    bound = draw(st.none() | st.integers(min_value=1, max_value=len(nodes)))
+    method = draw(st.sampled_from(["fm", "greedy"]))
+    return nodes, edges, bound, method, _k_queries(draw, len(nodes))
+
+
+@st.composite
+def island_queries(draw):
+    """An island VCG of a generated SoC, with its switch-size bound."""
+    n_cores = draw(st.integers(min_value=8, max_value=40))
+    spec = generate_soc(
+        GeneratorConfig(
+            name="isl%d" % n_cores,
+            num_cores=n_cores,
+            num_groups=max(1, min(4, n_cores // 3)),
+            seed=draw(st.integers(min_value=0, max_value=999)),
         )
+    )
+    partition = draw(st.sampled_from([logical_partitioning, communication_partitioning]))
+    spec = partition(spec, draw(st.integers(min_value=1, max_value=4)))
+    plans = plan_all_islands(spec, DEFAULT_LIBRARY, 25.0, 100.0)
+    vcgs = build_all_vcgs(spec, draw(st.sampled_from([0.2, 0.6, 1.0])))
+    isl = draw(st.sampled_from(sorted(vcgs)))
+    vcg = vcgs[isl]
+    nodes = list(vcg.nodes)
+    return nodes, vcg.symmetric_weights(), plans[isl].max_switch_size, "fm", _k_queries(
+        draw, len(nodes)
+    )
+
+
+class TestIslandPartitioner:
+    """One partitioner answering many part counts == fresh one-shot calls."""
+
+    @staticmethod
+    def assert_answers_match(case):
+        nodes, edges, bound, method, ks = case
+        partitioner = IslandPartitioner(nodes, edges, bound, method)
+        for k in ks:
+            assert _answer(lambda: partitioner.parts(k)) == _answer(
+                lambda: partition_graph(nodes, edges, k, max_part_size=bound, method=method)
+            ), k
+
+    @given(graph_queries())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, case):
+        self.assert_answers_match(case)
+
+    @given(island_queries())
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_generated_island_vcgs(self, case):
+        self.assert_answers_match(case)
+
+    def test_repeat_returns_memoized_answer(self):
+        nodes, w = two_clusters()
+        partitioner = IslandPartitioner(nodes, w)
+        assert not partitioner.memoized(3)
+        first = partitioner.parts(3)
+        assert partitioner.memoized(3)
+        assert partitioner.parts(3) is first
+
+    def test_graph_errors_raise_at_construction(self):
+        with pytest.raises(PartitionError, match="duplicate"):
+            IslandPartitioner(["a", "a"], {})
+        with pytest.raises(PartitionError, match="unknown partition method"):
+            IslandPartitioner(["a", "b"], {}, method="magic")
+
+
+#: Bisections computed while synthesizing the generated 80-core spec
+#: below: fast path (one partitioner per island) and reference mode.
+PINNED_BISECTIONS = {True: 296, False: 684}
+
+
+class TestPinnedWork:
+    """Step-11 work on the 80-core spec ``test_kernel_parity`` pins routing on."""
+
+    def test_generated_80_core_bisections(self, monkeypatch):
+        spec = communication_partitioning(
+            generate_soc(GeneratorConfig(name="gen80", num_cores=80, num_groups=4, seed=0)),
+            4,
+        )
+        bisect = mock.Mock(wraps=partition_module._bisect)
+        monkeypatch.setattr(partition_module, "_bisect", bisect)
+        got, signatures = {}, {}
+        for caches in (True, False):
+            bisect.reset_mock()
+            with recording() as rec:
+                space = synthesize(spec, config=SynthesisConfig(enable_caches=caches))
+            got[caches] = bisect.call_count
+            signatures[caches] = space_signature(space)
+            counts = (
+                rec.counters.get("partition_cache_hits", 0),
+                rec.counters.get("partition_cache_misses", 0),
+            )
+            assert counts == ((0, 80) if caches else (0, 0)), counts
+        assert got == PINNED_BISECTIONS, got
+        assert signatures[True] == signatures[False]

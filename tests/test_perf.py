@@ -94,7 +94,6 @@ class TestAllocatorCaching:
                 vcgs[isl].symmetric_weights(),
                 2,
                 max_part_size=plans[isl].max_switch_size,
-                seed=0,
             )
             for isl in plans
         }
@@ -180,6 +179,16 @@ class TestSynthesisDeterminism:
 
     def test_objective_costs_identical(self, tiny_spec):
         self.assert_identical_spaces(tiny_spec, objective=StaticLatencyObjective())
+
+    def test_alpha_rerun_identical(self):
+        """Alpha reweights the VCGs, so it changes the partitions: a run
+        right after one at another alpha must still match the reference."""
+        from repro.soc.benchmarks import load_benchmark
+        from repro.soc.partitioning import logical_partitioning
+
+        spec = logical_partitioning(load_benchmark("d12_auto"), 2)
+        for alpha in (0.4, 0.8):
+            self.assert_identical_spaces(spec, alpha=alpha, max_intermediate=1)
 
     @pytest.mark.slow
     def test_d38_identical(self):
