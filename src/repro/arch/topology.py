@@ -330,18 +330,18 @@ class Topology:
         return route
 
     def clone_scaffold(self) -> "Topology":
-        """Structural copy of this topology for a fresh routing attempt.
+        """Structural copy of this topology that can be mutated freely.
 
-        The synthesis sweep routes the *same* switch/NI scaffold many
-        times (once per intermediate-switch count, once per port-reserve
-        retry); rebuilding it through :meth:`add_switch` /
-        :meth:`attach_core` re-validates spec invariants and re-derives
-        link capacities every time.  The clone copies the already-built
-        state instead — switches, NIs, links (with their flow charges),
-        routes, pair index and id counter — preserving insertion order
-        everywhere so a routing run on the clone is byte-identical to
-        one on a freshly constructed topology.  ``spec`` and ``library``
-        are immutable and shared; everything mutable is copied.
+        Spare-path protection routes on copies of a finished design
+        point's topology, and tests route on copies to leave a point
+        untouched.  Rather than rebuild through :meth:`add_switch` /
+        :meth:`attach_core` (re-validating spec invariants and
+        re-deriving link capacities), the clone copies the built state
+        — switches, NIs, links (with their flow charges), routes, pair
+        index and id counter — preserving insertion order everywhere,
+        so routing on the clone is byte-identical to routing on the
+        original.  ``spec`` and ``library`` are immutable and shared;
+        everything mutable is copied.
         """
         clone = Topology.__new__(Topology)
         clone.spec = self.spec

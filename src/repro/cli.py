@@ -105,6 +105,27 @@ def _non_negative(value: int, flag: str) -> int:
     return value
 
 
+#: Namespace attributes of the flags naming a file to write.
+_OUTPUT_ARGS = (
+    "json", "dot", "svg", "csv", "events", "telemetry_out", "html", "chrome_trace", "prom"
+)
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject unwritable output paths and coverage targets outside
+    [0, 1] up front, rather than with a traceback after the run."""
+    for attr in _OUTPUT_ARGS:
+        path = getattr(args, attr, None)
+        flag = "--" + attr.replace("_", "-")
+        if path and os.path.isdir(path):
+            raise ReproError("%s: %s is a directory" % (flag, path))
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ReproError("%s: the directory of %s does not exist" % (flag, path))
+    coverage = getattr(args, "min_coverage", 0.0)
+    if not 0.0 <= coverage <= 1.0:
+        raise ReproError("min_coverage must be in [0, 1], got %r" % coverage)
+
+
 def _partitioned(name: str, islands: int, strategy: str):
     from .soc.benchmarks import load_benchmark
     from .soc.partitioning import communication_partitioning, logical_partitioning
@@ -1207,6 +1228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -27,7 +27,7 @@ and reports success or the first unroutable flow.
 Fast path
 ---------
 The synthesis sweep calls the allocator hundreds of times, so the hot
-loop is engineered around five observations:
+loop is engineered around six observations:
 
 1. the successors of a popped switch depend only on the flow's
    ``(src_island, dst_island)`` pair and on the switch's own island and
@@ -47,22 +47,37 @@ loop is engineered around five observations:
    traffic energy-per-bit of ``(crossing?, v.n_in, v.n_out)`` (one
    int-keyed memo probe per destination state), with no invalidation
    (the keys carry every dynamic input);
-3. every intermediate-count and port-reserve retry routes the same
-   switch/NI scaffold — the scaffold is built once and cheaply cloned
-   per attempt (:meth:`repro.arch.topology.Topology.clone_scaffold`);
+3. most candidates route their switch/NI scaffold only once, so each
+   attempt builds its scaffold and routes it in place, with no copy;
 4. every edge cost is strictly positive, so an existing ``src -> dst``
    link with spare capacity is the whole answer (the one-hop reuse
    strictly beats every alternative) — no search needed;
 5. for the same reason, if the 0-intermediate attempt finished without
    a single dead edge evaluation, paths through indirect switches are
    strictly dominated everywhere and the k>0 attempts are returned
-   from the k=0 result instead of re-routed (the dominance skip).
+   from the k=0 result instead of re-routed (the dominance skip);
+6. opening ``u -> v`` costs ``traffic(v) + open_w[u fresh][v fresh] +
+   lat_cost``, the same float for every popped ``u`` of one
+   **open-edge class** (successor row, segment, ``u`` fresh?) — so in
+   primary searches a class's first member that may open evaluates
+   every target, and later ones only the targets with an existing link
+   from themselves or from that first member (found via ``out_keys``).
 
 Cached and uncached (``use_cache=False``) runs share one cost
 implementation, so they produce byte-identical allocations; the cache
 only changes how often the arithmetic re-runs.  Reference mode
 rebuilds the successor rows for every search, keeps no destination
-state and prices every edge evaluation from scratch.
+state, prices every edge evaluation from scratch and skips no class.
+
+The class skip is exact while every cost is non-negative (else the
+search runs the full loop): pops are then non-decreasing, so a skipped
+target was offered the same open cost by the first member from no
+larger a distance and the strict ``1e-12`` test cannot pass again; its
+port-limit rejection depends only on target and segment, so it set
+``blocked`` already.  The first member's existing-link targets may
+never have been offered the open cost, and a pop that cannot open must
+flag its dead edges, so both are evaluated in full.  Order within a
+pop is irrelevant (heap entries ``(cost, rank)`` are distinct).
 
 Dominance shortcut
 ------------------
@@ -190,8 +205,8 @@ def allocate_paths(
     cost_config:
         Cost-function knobs; defaults to :class:`PathCostConfig`.
     use_cache:
-        Enable the fast path: scaffold cloning, edge-cost memoization
-        and the routing shortcuts (identical results either way).
+        Enable the fast path: edge-cost memoization, the routing
+        shortcuts and the open-class skip (identical results either way).
     """
     allocator = PathAllocator(
         spec, library, plans, partitions, cost_config, use_cache=use_cache
@@ -308,14 +323,13 @@ class PathAllocator:
 
     Construction freezes everything that is identical across the
     intermediate-count sweep and the port-reserve retries: the flow
-    order, the per-island size bounds, and the switch/NI scaffold
-    (built once through the validating construction path, then cloned
-    per attempt when ``use_cache`` is on).
+    order and the per-island size bounds.  Each attempt builds its
+    switch/NI scaffold through the validating construction path and
+    routes on it in place.
 
-    ``use_cache=False`` rebuilds the scaffold from scratch for every
-    attempt, recomputes every edge-cost term and runs the full search
-    for every flow — the reference mode used to prove the fast path
-    changes nothing.
+    ``use_cache=False`` recomputes every edge-cost term and runs the
+    full search, every open edge included, for every flow — the
+    reference mode used to prove the fast path changes nothing.
     """
 
     def __init__(
@@ -362,10 +376,6 @@ class PathAllocator:
             key=lambda f: (-f.bandwidth_mbps, f.latency_cycles, f.key),
         )
         self._min_lat = spec.min_latency_cycles
-        # Scaffold (built lazily on first use): either a Topology to
-        # clone or an AllocationResult describing why building failed.
-        self._scaffold: Optional[Topology] = None
-        self._scaffold_failure: Optional[AllocationResult] = None
         # Pure-function cost memos shared across attempts.  The traffic
         # energy per bit is determined by (crossing?, v.n_in, v.n_out),
         # packed into one int key.  The static open cost is determined
@@ -381,7 +391,7 @@ class PathAllocator:
         # keyed by the popped switch's (island, freq)); see _adjacency.
         # Rows hold indices and attempt-invariant data only (islands,
         # frequencies and size bounds never change between attempts),
-        # so one build serves every clone with the same intermediate
+        # so one build serves every attempt with the same intermediate
         # count.
         self._adj_store: Dict[Tuple[int, int, int], tuple] = {}
         # Direct-open dominance bound, computed lazily once per
@@ -394,7 +404,7 @@ class PathAllocator:
         self._ranks_store: Dict[int, Tuple[List[int], List[int]]] = {}
         # Per-flow routing plan (endpoint switch indices, NI link ids,
         # latency pressure) — identical for every attempt because the
-        # scaffold's ids are deterministic and clones preserve them.
+        # scaffold's ids are deterministic.
         self._flow_plan: Optional[List[tuple]] = None
         # Intermediate-island dominance skip (fast path only): if the
         # 0-intermediate attempt succeeded without a single capacity or
@@ -413,7 +423,6 @@ class PathAllocator:
         self._pops = 0
         self._edge_evals = 0
         self._links_opened = 0
-        self._scaffold_clones = 0
         self._scaffold_builds = 0
         self._cache_hits = 0
         self._cache_misses = 0
@@ -685,43 +694,32 @@ class PathAllocator:
 
     # -- scaffold ------------------------------------------------------
 
-    def _build_scaffold(self) -> None:
-        """Instantiate switches and attach cores (steps 12–13), once."""
+    def _build_scaffold(self):
+        """Instantiate switches and attach cores (steps 12–13), or the
+        failed result when a core group exceeds its switch size bound."""
+        self._scaffold_builds += 1
         topo = Topology(self.spec, self.library, self._base_freqs)
         for isl in sorted(self.partitions):
             for idx, group in enumerate(self.partitions[isl]):
                 if not group:
                     raise SynthesisError("empty core group in island %r" % isl)
                 if len(group) > self._max_sizes[isl]:
-                    self._scaffold_failure = AllocationResult(
+                    return AllocationResult(
                         topology=None,
                         success=False,
                         reason="group of %d cores exceeds max switch size %d in island %d"
                         % (len(group), self._max_sizes[isl], isl),
                     )
-                    return
                 sw = topo.add_switch(isl, idx)
                 for core in sorted(group):
                     topo.attach_core(core, sw)
-        self._scaffold = topo
+        return topo
 
     def _build_attempt_topology(self, num_intermediate: int):
-        """A fresh topology for one routing attempt (clone or rebuild)."""
-        if self._scaffold is None and self._scaffold_failure is None:
-            # First call — or reference mode, where each attempt consumes
-            # the scaffold below and re-runs the validating construction
-            # path here.
-            self._build_scaffold()
-            self._scaffold_builds += 1
-        if self._scaffold_failure is not None:
-            return self._scaffold_failure
-        assert self._scaffold is not None
-        if self.use_cache:
-            topo = self._scaffold.clone_scaffold()
-            self._scaffold_clones += 1
-        else:
-            topo = self._scaffold
-            self._scaffold = None  # consumed; next attempt rebuilds
+        """A freshly built topology for one routing attempt, routed in place."""
+        topo = self._build_scaffold()
+        if isinstance(topo, AllocationResult):
+            return topo
         if num_intermediate > 0:
             topo.island_freqs[INTERMEDIATE_ISLAND] = self._mid_freq
             for idx in range(num_intermediate):
@@ -734,10 +732,9 @@ class PathAllocator:
         """Per-flow routing endpoints, resolved once for all attempts.
 
         Scaffold switch ids, NI link ids and core attachments are
-        deterministic and preserved by :meth:`Topology.clone_scaffold`,
-        so each flow's endpoint switch *indices* (position in switch
-        insertion order), NI link ids and latency pressure are
-        attempt-invariant.
+        deterministic, so each flow's endpoint switch *indices*
+        (position in switch insertion order), NI link ids and latency
+        pressure are attempt-invariant.
         """
         idx_of = {sid: i for i, sid in enumerate(topo.switches)}
         min_lat = self._min_lat
@@ -823,7 +820,8 @@ class PathAllocator:
         bound: Tuple[float, ...] = ()
         # Outgoing pair keys per source index (subset view of
         # pair_links), so the shortcut's "could the first edge of an
-        # alternative path reuse a link?" probe is O(out-degree).
+        # alternative path reuse a link?" probe and the search's lookup
+        # of a switch's existing-link targets are O(out-degree).
         out_keys: Dict[int, List[int]] = {}
         if use_memo:
             bound = self._direct_open_bound()
@@ -873,6 +871,7 @@ class PathAllocator:
                 found = self._search(
                     topo, sw_list, n, adj_store, ranks, use_memo, pair_links,
                     flow, src_i, dst_i, lat_cost_intra, lat_cost_cross, port_reserve,
+                    out_keys=out_keys,
                 )
             if found is None:
                 return AllocationResult(
@@ -890,7 +889,7 @@ class PathAllocator:
                 found2 = self._search(
                     topo, sw_list, n, adj_store, ranks, use_memo, pair_links,
                     flow, src_i, dst_i, lat_cost_intra, lat_cost_cross,
-                    port_reserve, latency_only=True,
+                    port_reserve, latency_only=True, out_keys=out_keys,
                 )
                 if found2 is not None:
                     hops2, lat2 = found2
@@ -1219,7 +1218,7 @@ class PathAllocator:
         :meth:`_successor_row` builds a row the first time the search
         pops a switch of that island, so every switch of an island
         shares one row.  Everything stored is attempt-invariant, so on
-        the fast path one structure serves every clone with the same
+        the fast path one structure serves every attempt with the same
         switch count; reference mode passes a fresh store per search.
         """
         key = (n, isl_a, isl_b)
@@ -1329,6 +1328,7 @@ class PathAllocator:
         blocked_switches: Optional[Set[int]] = None,
         reserved: Optional[Mapping[int, float]] = None,
         allow_open: bool = True,
+        out_keys: Optional[Dict[int, List[int]]] = None,
     ) -> Optional[Tuple[List[Tuple[int, int, str, Optional[Link]]], int]]:
         """Dijkstra over the allowed switch graph.
 
@@ -1349,11 +1349,12 @@ class PathAllocator:
         visited, except the source), ``reserved`` charges
         spare-capacity reservations against link headroom, and
         ``allow_open=False`` restricts backups to existing hardware.
+        Primary routing passes ``out_keys`` (pair keys per source).
 
-        With ``use_memo`` the search keeps per-destination state (see
-        the module docstring); without it every edge evaluation prices
-        its edge from the cost functions directly.  Both evaluate every
-        cost float in the same order.
+        With ``use_memo`` the search keeps per-destination state and
+        skips open-edge classes (see the module docstring); without it
+        every edge evaluation prices its edge from the cost functions
+        directly.  Both evaluate every cost float in the same order.
         """
         cfg = self.cfg
         lib = self.library
@@ -1393,6 +1394,14 @@ class PathAllocator:
         # for the whole search because no link opens mid-search.
         intra_state: List[Optional[tuple]] = [None] * n if use_memo else []
         cross_state: List[Optional[tuple]] = [None] * n if use_memo else []
+        # Open-edge classes (fast path, primary routing, costs >= 0):
+        # per (row, u fresh), per segment, the existing-link targets of
+        # the first member that could open there.
+        nonneg = lat_cost_intra >= 0 and lat_cost_cross >= 0 and lat_intra >= 0 and lat_cross >= 0
+        classes: Optional[Dict[tuple, list]] = None
+        if use_memo and out_keys is not None and nonneg and self._direct_open_bound()[0]:
+            classes = {}
+        class_reach: Optional[list] = None
         heap: List[Tuple[float, int]] = [(0.0, rank_of[src_i])]
         pops = 0
         evals = 0
@@ -1421,10 +1430,14 @@ class PathAllocator:
             u_fresh = u_n_in == 0 and u.n_out == 0
             lim_u_base = max_sizes[u.island]
             ukey = uidx * n
-            for (
+            if classes is not None:
+                class_reach = classes.get((row_key, u_fresh))
+                if class_reach is None:
+                    class_reach = classes[(row_key, u_fresh)] = [None] * len(row)
+            for seg, (
                 targets, crossing, reserve_applies, lim_v_base, capacity,
                 open_w, ekey_base,
-            ) in row:
+            ) in enumerate(row):
                 # Once per segment: latency class, port limits with the
                 # reserve, and the source side of open feasibility.
                 if crossing:
@@ -1443,7 +1456,19 @@ class PathAllocator:
                 if use_memo:
                     w_stale, w_fresh = open_w[u_fresh]
                     state = cross_state if crossing else intra_state
-                for vidx in targets:
+                scan = targets
+                if class_reach is not None and open_ok:
+                    reach = class_reach[seg]
+                    if reach is None:  # first member: evaluated in full
+                        class_reach[seg] = [v for v in targets if ukey + v in pair_links]
+                    else:
+                        # The first member offered every other target
+                        # this open cost from a distance <= d already.
+                        own = out_keys.get(uidx)
+                        scan = reach + [
+                            v for k in own if (v := k - ukey) in targets and v not in reach
+                        ] if own else reach
+                for vidx in scan:
                     if visited[vidx]:
                         continue
                     evals += 1
@@ -1549,13 +1574,12 @@ class PathAllocator:
             recorder.count("dijkstra_pops", self._pops)
             recorder.count("edge_evals", self._edge_evals)
             recorder.count("links_opened", self._links_opened)
-            recorder.count("scaffold_clones", self._scaffold_clones)
             recorder.count("scaffold_builds", self._scaffold_builds)
             recorder.count("cost_cache_hits", self._cache_hits)
             recorder.count("cost_cache_misses", self._cache_misses)
             recorder.count("direct_open_shortcuts", self._shortcuts)
         self._pops = self._edge_evals = 0
-        self._scaffold_clones = self._scaffold_builds = 0
+        self._scaffold_builds = 0
         self._links_opened = 0
         self._cache_hits = self._cache_misses = 0
         self._shortcuts = 0

@@ -96,12 +96,12 @@ class SynthesisConfig:
     max_design_points: Optional[int] = None
     #: Enable the synthesis fast path: one partitioner per island that
     #: reuses its partitions and bisections across the switch-count
-    #: sweep, the switch/NI scaffold cloned instead of rebuilt per
-    #: routing attempt, cost memos and per-destination search state
-    #: inside path allocation, the direct-open dominance shortcut, the
-    #: floorplan-skeleton cache, and the probes of an active cache
-    #: store.  Off reproduces the same design space through the
-    #: unmemoized reference path (used by determinism tests).
+    #: sweep, cost memos and per-destination search state inside path
+    #: allocation, the direct-open dominance shortcut, the search's
+    #: open-edge class skip, the floorplan-skeleton cache, and the
+    #: probes of an active cache store.  Off reproduces the same design
+    #: space through the unmemoized reference path (used by
+    #: determinism tests).
     enable_caches: bool = True
     #: Co-synthesis objective: when set, every evaluated candidate is
     #: scored under it *inside* the sweep — points the objective
@@ -279,8 +279,8 @@ def _synthesize_sweep(
             space.failures.append((counts_key, -1, "partitioning: %s" % exc))
             continue
 
-        # One allocator per candidate: the switch/NI scaffold and flow
-        # order are shared across the whole intermediate-count sweep.
+        # One allocator per candidate: flow order, successor rows and
+        # cost memos are shared across the intermediate-count sweep.
         allocator = PathAllocator(
             spec,
             library,

@@ -9,7 +9,16 @@ live in ``conftest.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro import CoreSpec, SoCSpec, TrafficFlow, build_spec
+from repro.power.library import DEFAULT_LIBRARY
+
+#: A library whose switch fmax falls steeply with port count, so the
+#: per-island switch size bounds bind and routing meets port rejections.
+STEEP_SLOPE_LIBRARY = dataclasses.replace(
+    DEFAULT_LIBRARY, switch_fmax_slope_mhz_per_port=150.0
+)
 
 
 def make_tiny_spec(num_islands: int = 2) -> SoCSpec:

@@ -249,13 +249,40 @@ class TestErrorPaths:
                 ["sweep", "d12_auto", "--counts", "1,2", "--workers", "2", "--cache-dir", "{file}"],
                 id="sweep-cache-dir-is-file",
             ),
+            pytest.param(
+                ["synth", "d12_auto", "--islands", "2", "--json", "{dir}"],
+                id="synth-json-is-dir",
+            ),
+            pytest.param(
+                ["synth", "d12_auto", "--islands", "2", "--dot", "{dir}/missing/topo.dot"],
+                id="synth-dot-parent-missing",
+            ),
+            pytest.param(
+                ["sweep", "d12_auto", "--counts", "1,2", "--events", "{dir}"],
+                id="sweep-events-is-dir",
+            ),
+            pytest.param(
+                ["obs", "d12_auto", "--islands", "2", "--chrome-trace", "{dir}/missing/trace.json"],
+                id="obs-chrome-trace-parent-missing",
+            ),
+            pytest.param(
+                ["resilience", "d12_auto", "--islands", "2", "--min-coverage", "5"],
+                id="resilience-min-coverage-above-1",
+            ),
+            pytest.param(
+                ["control", "d12_auto", "--islands", "2", "--min-coverage", "-5"],
+                id="control-min-coverage-negative",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )
     def test_one_line_and_exit_2(self, capsys, tmp_path, argv):
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
         argv = [
-            a.replace("{tmp}", str(tmp_path / "cache")).replace("{file}", str(tmp_path / "file"))
+            a.replace("{tmp}", str(tmp_path / "cache"))
+            .replace("{file}", str(tmp_path / "file"))
+            .replace("{dir}", str(tmp_path / "dir"))
             for a in argv
         ]
         assert main(argv) == 2

@@ -1,10 +1,11 @@
-"""Routing-kernel parity: the direct-open shortcut against the search.
+"""Routing-kernel parity: the shortcuts and the open-class skip against the search.
 
 Every flow is routed by one kernel: the direct-reuse shortcut, then the
 direct-open dominance shortcut (fast path only), then the Dijkstra
-:meth:`PathAllocator._search`.  The dominance proof promises that
-whenever :meth:`PathAllocator._direct_open_shortcut` answers, the search
-would return exactly the same answer.  Three checks hold it to that:
+:meth:`PathAllocator._search`, which on the fast path evaluates each
+open-edge class once.  The dominance proof promises that whenever
+:meth:`PathAllocator._direct_open_shortcut` answers, the search would
+return exactly the same answer.  Three checks hold it to that:
 
 * flow by flow, on generated SoCs, every shortcut answer is re-derived
   by the reference search (no memos) on the same allocator state and
@@ -14,6 +15,11 @@ would return exactly the same answer.  Three checks hold it to that:
   other fast-path memos stay on — yields a bit-identical design space;
 * reference mode (``enable_caches=False``) never takes the shortcut,
   so the cached-vs-reference tests in ``test_perf.py`` check it too.
+
+The open-class skip is held to the same standard search by search:
+every search that may skip is re-run with the full loop on the same
+allocator state and must give the same answer, pops, ``blocked`` flag
+and memo probes, with no more edge evaluations.
 
 Backup routing (spare paths and online reroutes) runs the same search
 with forbidden links, blocked switches and reservations;
@@ -30,13 +36,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import SynthesisConfig, synthesize
 from repro.core.objective import StaticLatencyObjective
-from repro.core.paths import PathAllocator
+from repro.core.paths import PathAllocator, PathCostConfig
+from repro.exceptions import InfeasibleError
 from repro.perf import recording
+from repro.power.library import DEFAULT_LIBRARY
 from repro.resilience.spare_paths import SparePathConfig, allocate_spare_paths
 from repro.soc.generator import GeneratorConfig, generate_soc, hub_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
-from _helpers import space_signature
+from _helpers import STEEP_SLOPE_LIBRARY, space_signature
 
 
 def _checked_shortcut(checked):
@@ -112,6 +120,100 @@ def test_shortcut_answers_equal_full_search():
     ):
         run()
     assert checked, "the direct-open shortcut never fired"
+
+
+def _checked_search(evals):
+    """A ``_search`` that re-runs every class-skipping search in full.
+
+    Primary routing on the fast path passes ``out_keys``, which arms
+    the open-class skip; ``out_keys=None`` on the same allocator state
+    is the full loop.  ``evals`` collects (skipping, full) edge
+    evaluation counts per search.
+    """
+    original = PathAllocator._search
+
+    def wrapper(self, *args, **kwargs):
+        if kwargs.get("out_keys") is None:
+            return original(self, *args, **kwargs)
+        saved = (self._blocked, self._pops, self._edge_evals, self._cache_hits, self._cache_misses)
+        outcomes, counts = [], []
+        for out_keys in (kwargs["out_keys"], None):
+            self._blocked = False
+            self._pops = self._edge_evals = self._cache_hits = self._cache_misses = 0
+            found = original(self, *args, **dict(kwargs, out_keys=out_keys))
+            probes = self._cache_hits + self._cache_misses
+            outcomes.append((found, self._pops, self._blocked, probes))
+            counts.append((self._edge_evals, self._cache_hits, self._cache_misses))
+        assert outcomes[0] == outcomes[1]
+        (n_evals, hits, misses), (full_evals, _, _) = counts
+        assert n_evals <= full_evals
+        evals.append((n_evals, full_evals))
+        found, pops, blocked, _ = outcomes[0]
+        # Leave the counters as if only the skipping search had run.
+        self._blocked = saved[0] or blocked
+        self._pops = saved[1] + pops
+        self._edge_evals = saved[2] + n_evals
+        self._cache_hits = saved[3] + hits
+        self._cache_misses = saved[4] + misses
+        return found
+
+    return wrapper
+
+
+def test_open_class_skip_equals_full_search():
+    evals = []
+
+    @given(
+        generated_cases(),
+        st.sampled_from([DEFAULT_LIBRARY, STEEP_SLOPE_LIBRARY]),
+        st.booleans(),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    # Known cases where a wrong skip shows: a binding port limit that
+    # fails a class's first member, and a saturated link that the
+    # no-parallel-links policy cannot open beside.
+    @example(
+        (
+            communication_partitioning(
+                generate_soc(GeneratorConfig(name="diff30_5", num_cores=30, seed=5)),
+                3,
+            ),
+            2,
+        ),
+        STEEP_SLOPE_LIBRARY,
+        False,
+    )
+    @example(
+        (
+            communication_partitioning(
+                generate_soc(
+                    GeneratorConfig(name="diff10_1", num_cores=10, num_groups=3, seed=1)
+                ),
+                4,
+            ),
+            0,
+        ),
+        DEFAULT_LIBRARY,
+        False,
+    )
+    def run(case, library, allow_parallel_links):
+        spec, max_intermediate = case
+        config = SynthesisConfig(
+            max_intermediate=max_intermediate,
+            path_cost=PathCostConfig(allow_parallel_links=allow_parallel_links),
+        )
+        try:
+            synthesize(spec, library, config=config)
+        except InfeasibleError:
+            pass  # every routing attempt was still checked
+
+    with mock.patch.object(PathAllocator, "_search", _checked_search(evals)):
+        run()
+    assert sum(skipping for skipping, _ in evals) < sum(full for _, full in evals)
 
 
 def assert_shortcut_invisible(spec, **cfg):
@@ -306,7 +408,7 @@ class TestBackupParity:
 #: (dijkstra_pops, edge_evals, direct_open_shortcuts) of synthesizing
 #: the generated 80-core spec below, and (dijkstra_pops, edge_evals)
 #: of node-disjoint spare paths on its last design point.
-PINNED_80 = (7228, 116400, 724)
+PINNED_80 = (7228, 20828, 724)
 PINNED_80_SPARE = (1584, 26925)
 
 
