@@ -3,7 +3,7 @@
 
 Runs the same scaling sweep as
 ``benchmarks/bench_runtime.py::test_runtime_scaling_with_core_count``
-under a :class:`repro.perf.PerfRecorder`, plus three ablations:
+under a :class:`repro.perf.Recorder`, plus three ablations:
 
 * **cache ablation** — one representative size synthesized with
   ``enable_caches`` on and off, asserting the chosen design points are
@@ -43,19 +43,6 @@ d26 through the closed-loop reconfiguration controller and records
 recovery-time percentiles, the degraded-window energy delta, and the
 deadlock-audit verdicts (see docs/control_plane.md); its determinism
 and deadlock-freedom flags also participate in the exit code.
-The observability section measures the span/metric instrumentation
-overhead on the largest scaling size (gated at <2%), byte-compares the
-Chrome-trace and JSON-lines exports of two identical traced runs
-(durations excluded), and checks that a ``workers=2`` sweep merges
-span streams from at least two distinct worker pids into one trace
-(see docs/observability.md); all three flags participate in the exit
-code, and ``--obs-trace PATH`` writes the merged Perfetto trace.
-The streaming section gates the live event-bus overhead on the same
-scaling size at <2% (same best-of-paired-windows method), checks that
-the live JSONL feed of a ``workers=2`` sweep is byte-identical to the
-post-hoc export of the same run once timing fields are stripped, and
-re-runs the sweep for byte-identical determinism; ``--events-out PATH``
-keeps the live feed (the CI artifact).
 
 Usage::
 
@@ -88,7 +75,7 @@ from repro.core.explore import ExplorationEngine  # noqa: E402
 from repro.core.objective import TraceEnergyObjective  # noqa: E402
 from repro.io.json_io import spare_plan_summary  # noqa: E402
 from repro.resilience import analyze_model, protect_design_point  # noqa: E402
-from repro.perf import PerfRecorder, recording  # noqa: E402
+from repro.perf import Recorder, recording  # noqa: E402
 from repro.runtime import compare_policies, make_policy, markov_trace, simulate_trace  # noqa: E402
 from repro.soc.generator import GeneratorConfig, generate_soc  # noqa: E402
 from repro.soc.partitioning import (  # noqa: E402
@@ -127,7 +114,7 @@ def point_signature(space) -> List[Dict[str, object]]:
     ]
 
 
-def run_scaling(sizes: List[int], recorder: PerfRecorder) -> Dict[str, object]:
+def run_scaling(sizes: List[int], recorder: Recorder) -> Dict[str, object]:
     """The cores-vs-seconds sweep, instrumented."""
     rows = []
     with recording(recorder):
@@ -632,326 +619,6 @@ def run_control_plane(
     return out
 
 
-def run_observability(
-    sizes: List[int],
-    obs_trace_path: Optional[str] = None,
-    reps: int = 5,
-    merge_attempts: int = 3,
-) -> Dict[str, object]:
-    """Overhead, export determinism and cross-process merge checks.
-
-    Three gates, all folded into the harness exit code:
-
-    * **overhead_ok** — the largest scaling size is synthesized in
-      ``reps`` adjacent window pairs: recorder-only (exactly what
-      :func:`run_scaling` already runs under) vs recorder *plus* an
-      active :class:`SpanRecorder` — i.e. the marginal cost of the
-      span layer on top of the status-quo scaling bench.  Each pair
-      yields an overhead fraction and the *minimum* pair must stay
-      under 2%.  Shared single-CPU hosts show several percent of
-      wall-clock noise between adjacent windows, which only ever
-      inflates a pair — the min is the tightest available estimate of
-      the tracing's intrinsic cost, and a span accidentally placed on
-      a hot (per-edge) path blows past 2% in every pair;
-    * **deterministic_exports** — two traced runs of the smallest size
-      must export byte-identical Chrome-trace event sequences and
-      JSON-lines logs with ``timing=False`` (span ids, order,
-      attributes — everything but the measured durations);
-    * **merged_worker_trace** — an alpha sweep on a ``workers=2`` pool
-      under an active tracer must produce one merged trace whose
-      ``task*`` streams carry at least two distinct worker pids (and
-      whose merged perf counters are non-empty — the parallel-sweep
-      counter-loss regression check).  A 2-worker pool on a loaded
-      host can legitimately drain every task through one worker, so
-      the check retries up to ``merge_attempts`` times.
-
-    With ``obs_trace_path`` the merged multi-process trace is written
-    as Perfetto-loadable ``trace_event`` JSON (timing included).
-    """
-    from repro.obs import (  # noqa: E402
-        SpanRecorder,
-        chrome_trace_events,
-        chrome_trace_json,
-        span_log_lines,
-        tracing,
-    )
-
-    t_section = time.perf_counter()
-    # --- instrumentation overhead (largest size, interleaved reps) ----
-    # A single synthesize of even the largest sweep size runs in tens
-    # of milliseconds, where scheduler noise dwarfs a 2% effect; each
-    # timing sample therefore loops enough back-to-back calls to fill
-    # ~0.25s, and the verdict is min-of-``reps`` interleaved samples.
-    big = _scaling_spec(max(sizes))
-    t0 = time.perf_counter()
-    synthesize(big, config=FAST)  # warm-up; also sizes the inner loop
-    single_s = time.perf_counter() - t0
-    inner = max(1, int(round(0.25 / max(single_s, 1e-9))))
-    fractions: List[float] = []
-    plain_s = instr_s = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        with recording(PerfRecorder()):
-            for _ in range(inner):
-                synthesize(big, config=FAST)
-        plain = (time.perf_counter() - t0) / inner
-        t0 = time.perf_counter()
-        with recording(PerfRecorder()), tracing(SpanRecorder()):
-            for _ in range(inner):
-                synthesize(big, config=FAST)
-        instr = (time.perf_counter() - t0) / inner
-        fractions.append((instr - plain) / plain if plain > 0 else 0.0)
-        plain_s = min(plain_s, plain)
-        instr_s = min(instr_s, instr)
-    overhead_fraction = min(fractions)
-    overhead_ok = overhead_fraction < 0.02
-    print(
-        "  overhead: recorder-only %.4fs vs recorder+tracer %.4fs "
-        "(best pair %+.2f%%, gate <2%%) -> %s"
-        % (
-            plain_s,
-            instr_s,
-            100.0 * overhead_fraction,
-            "PASS" if overhead_ok else "FAIL",
-        )
-    )
-
-    # --- export determinism (two identical traced runs) ---------------
-    small = _scaling_spec(min(sizes))
-    exports: List[tuple] = []
-    span_count = 0
-    for _ in range(2):
-        tracer = SpanRecorder()
-        with tracing(tracer):
-            synthesize(small, config=FAST)
-        span_count = len(tracer.spans)
-        exports.append(
-            (
-                json.dumps(chrome_trace_events(tracer, timing=False), sort_keys=True),
-                "\n".join(span_log_lines(tracer, timing=False)),
-            )
-        )
-    deterministic_exports = exports[0] == exports[1]
-    if not deterministic_exports:
-        print("  WARNING: traced reruns exported different event sequences!", file=sys.stderr)
-    print(
-        "  export determinism: %d spans/run, byte-identical=%s"
-        % (span_count, deterministic_exports)
-    )
-
-    # --- cross-process merge (workers=2 sweep into one trace) ---------
-    alphas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-    worker_pids: set = set()
-    task_spans = 0
-    counters_merged = False
-    merged_tracer: Optional[SpanRecorder] = None
-    for attempt in range(merge_attempts):
-        rec = PerfRecorder()
-        tracer = SpanRecorder()
-        with recording(rec), tracing(tracer):
-            with ExplorationEngine(workers=2, config=FAST) as engine:
-                engine.alpha_exploration(small, alphas)
-        worker_pids = {
-            pid for label, pid in tracer.process_meta.items() if label != "main"
-        }
-        task_spans = sum(1 for s in tracer.spans if s.process != "main")
-        counters_merged = bool(rec.counters)
-        merged_tracer = tracer
-        if len(worker_pids) >= 2:
-            break
-        print(
-            "  (attempt %d: one worker drained every task, retrying)"
-            % (attempt + 1)
-        )
-    merged_worker_trace = (
-        len(worker_pids) >= 2 and task_spans > 0 and counters_merged
-    )
-    print(
-        "  merged worker trace: %d task spans from %d worker pid(s), "
-        "counters_merged=%s -> %s"
-        % (
-            task_spans,
-            len(worker_pids),
-            counters_merged,
-            "PASS" if merged_worker_trace else "FAIL",
-        )
-    )
-    if obs_trace_path and merged_tracer is not None:
-        with open(obs_trace_path, "w", encoding="utf-8") as f:
-            f.write(chrome_trace_json(merged_tracer, timing=True))
-            f.write("\n")
-        print("  wrote Perfetto trace %s" % obs_trace_path)
-
-    return {
-        "overhead": {
-            "cores": max(sizes),
-            "reps": reps,
-            "inner_loops": inner,
-            "plain_seconds": round(plain_s, 6),
-            "instrumented_seconds": round(instr_s, 6),
-            "pair_fractions": [round(f, 6) for f in fractions],
-            "fraction": round(overhead_fraction, 6),
-        },
-        "overhead_ok": overhead_ok,
-        "spans_per_run": span_count,
-        "deterministic_exports": deterministic_exports,
-        "worker_pids": len(worker_pids),
-        "task_spans": task_spans,
-        "counters_merged": counters_merged,
-        "merged_worker_trace": merged_worker_trace,
-        "seconds": round(time.perf_counter() - t_section, 4),
-    }
-
-
-def run_streaming(
-    sizes: List[int],
-    events_path: Optional[str] = None,
-    reps: int = 5,
-) -> Dict[str, object]:
-    """Streaming-bus overhead and live-vs-post-hoc agreement gates.
-
-    Three gates, all folded into the harness exit code:
-
-    * **overhead_ok** — the marginal cost of an active
-      :class:`EventBus` *on top of* the recorder+tracer stack the span
-      gate already prices: ``reps`` adjacent window pairs on the
-      largest scaling size, minimum pair fraction under 2% (the same
-      best-of-paired-windows method — see :func:`run_observability`
-      for why the min is the right estimator on noisy hosts);
-    * **live_matches_posthoc** — a ``workers=2`` alpha sweep streamed
-      through a tail-able JSONL sink must, after canonical
-      ``(process, seq)`` ordering and timing-stripping, serialize
-      byte-identically to the post-hoc export of the in-memory capture
-      of the *same* run — the live view and the archived view agree
-      exactly;
-    * **deterministic** — a second identical sweep produces the same
-      canonical timing-stripped event lines byte for byte.
-
-    With ``events_path`` the live JSONL feed of the first sweep is
-    written there (the CI artifact); otherwise a scratch file is used.
-    """
-    import tempfile
-
-    from repro.obs import (  # noqa: E402
-        EventBus,
-        JsonlSink,
-        MemorySink,
-        SpanRecorder,
-        canonical_events,
-        event_lines,
-        read_events,
-        streaming,
-        tracing,
-    )
-
-    t_section = time.perf_counter()
-    # --- bus overhead (largest size, interleaved window pairs) --------
-    big = _scaling_spec(max(sizes))
-    t0 = time.perf_counter()
-    synthesize(big, config=FAST)  # warm-up; also sizes the inner loop
-    single_s = time.perf_counter() - t0
-    inner = max(1, int(round(0.25 / max(single_s, 1e-9))))
-    fractions: List[float] = []
-    plain_s = stream_s = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        with recording(PerfRecorder()), tracing(SpanRecorder()):
-            for _ in range(inner):
-                synthesize(big, config=FAST)
-        plain = (time.perf_counter() - t0) / inner
-        t0 = time.perf_counter()
-        with recording(PerfRecorder()), tracing(SpanRecorder()), \
-                streaming(EventBus()):
-            for _ in range(inner):
-                synthesize(big, config=FAST)
-        streamed = (time.perf_counter() - t0) / inner
-        fractions.append((streamed - plain) / plain if plain > 0 else 0.0)
-        plain_s = min(plain_s, plain)
-        stream_s = min(stream_s, streamed)
-    overhead_fraction = min(fractions)
-    overhead_ok = overhead_fraction < 0.02
-    print(
-        "  overhead: tracer-only %.4fs vs tracer+bus %.4fs "
-        "(best pair %+.2f%%, gate <2%%) -> %s"
-        % (
-            plain_s,
-            stream_s,
-            100.0 * overhead_fraction,
-            "PASS" if overhead_ok else "FAIL",
-        )
-    )
-
-    # --- live JSONL vs post-hoc export (workers=2 sweep) --------------
-    small = _scaling_spec(min(sizes))
-    alphas = [0.2, 0.4, 0.6, 0.8]
-
-    def sweep_stream(path: Optional[str]) -> list:
-        capture = MemorySink()
-        sinks: list = [capture]
-        if path is not None:
-            sinks.append(JsonlSink(path, timing=False))
-        with streaming(EventBus(sinks=sinks)):
-            with ExplorationEngine(workers=2, config=FAST) as engine:
-                engine.alpha_exploration(small, alphas)
-        return capture.events
-
-    if events_path is None:
-        fd, live_path = tempfile.mkstemp(suffix=".jsonl")
-        os.close(fd)
-    else:
-        live_path = events_path
-    captured = sweep_stream(live_path)
-    live = event_lines(canonical_events(read_events(live_path)), timing=False)
-    posthoc = event_lines(canonical_events(captured), timing=False)
-    live_matches_posthoc = live == posthoc
-    processes = sorted({e.process for e in captured})
-    print(
-        "  live vs post-hoc: %d events over %d process streams, "
-        "byte-identical=%s -> %s"
-        % (
-            len(captured),
-            len(processes),
-            live_matches_posthoc,
-            "PASS" if live_matches_posthoc else "FAIL",
-        )
-    )
-    if events_path is not None:
-        print("  wrote live event feed %s (%d lines)" % (events_path, len(live)))
-    else:
-        os.unlink(live_path)
-
-    # --- rerun determinism --------------------------------------------
-    second = sweep_stream(None)
-    deterministic = posthoc == event_lines(canonical_events(second), timing=False)
-    print(
-        "  rerun determinism: %d vs %d events, byte-identical=%s -> %s"
-        % (
-            len(captured),
-            len(second),
-            deterministic,
-            "PASS" if deterministic else "FAIL",
-        )
-    )
-
-    return {
-        "overhead": {
-            "cores": max(sizes),
-            "reps": reps,
-            "inner_loops": inner,
-            "plain_seconds": round(plain_s, 6),
-            "streamed_seconds": round(stream_s, 6),
-            "pair_fractions": [round(f, 6) for f in fractions],
-            "fraction": round(overhead_fraction, 6),
-        },
-        "overhead_ok": overhead_ok,
-        "events": len(captured),
-        "process_streams": len(processes),
-        "live_matches_posthoc": live_matches_posthoc,
-        "deterministic": deterministic,
-        "seconds": round(time.perf_counter() - t_section, 4),
-    }
-
-
 def previous_comparable_total(history_dir: str, sizes: List[int]) -> Optional[Dict[str, object]]:
     """Scaling total of the newest archived snapshot with these sizes.
 
@@ -1146,18 +813,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="after archiving, retain only the newest N history snapshots",
     )
-    parser.add_argument(
-        "--obs-trace",
-        default=None,
-        metavar="PATH",
-        help="write the merged multi-process Perfetto trace JSON here",
-    )
-    parser.add_argument(
-        "--events-out",
-        default=None,
-        metavar="PATH",
-        help="write the streamed live event JSONL of the workers=2 sweep here",
-    )
     args = parser.parse_args(argv)
     if args.keep is not None and args.keep < 1:
         parser.error("--keep must be >= 1")
@@ -1167,7 +822,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sizes = [s for s in sizes if s <= 20] or sizes[:1]
 
     print("scaling sweep (cores=%s):" % sizes)
-    recorder = PerfRecorder()
+    recorder = Recorder()
     scaling = run_scaling(sizes, recorder)
     previous = previous_comparable_total(args.history_dir, sizes)
     if previous is not None:
@@ -1196,10 +851,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     control_plane = run_control_plane(
         max_scenarios=4 if args.quick else None
     )
-    print("observability (overhead, export determinism, merged worker trace):")
-    observability = run_observability(sizes, obs_trace_path=args.obs_trace)
-    print("streaming (bus overhead, live-vs-post-hoc, rerun determinism):")
-    streaming_section = run_streaming(sizes, events_path=args.events_out)
 
     result: Dict[str, object] = {
         "meta": {
@@ -1210,15 +861,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "runtime_scaling": scaling,
         "counters": recorder.counters,
-        "phase_seconds": {k: round(v, 4) for k, v in recorder.phase_seconds.items()},
+        "phase_seconds": {
+            k: round(v, 4) for k, v in recorder.seconds_by_name().items()
+        },
         "cache_ablation": ablation,
         "cache": warm_cache,
         "worker_scaling": worker_rows,
         "runtime_shutdown": runtime_shutdown,
         "resilience": resilience,
         "control_plane": control_plane,
-        "observability": observability,
-        "streaming": streaming_section,
     }
     if args.baseline_seconds is not None:
         result["baseline"] = {
@@ -1254,12 +905,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         and resilience["deterministic"]
         and control_plane["deterministic"]
         and control_plane["all_deadlock_free"]
-        and observability["overhead_ok"]
-        and observability["deterministic_exports"]
-        and observability["merged_worker_trace"]
-        and streaming_section["overhead_ok"]
-        and streaming_section["live_matches_posthoc"]
-        and streaming_section["deterministic"]
     ) else 1
 
 

@@ -1,4 +1,4 @@
-"""Active-store context, mirroring ``repro.perf.recording`` / ``repro.obs.tracing``.
+"""Active-store context, mirroring ``repro.perf.recording``.
 
 Synthesis probes :func:`active_store` at its cache points; installing a
 store via :func:`caching` (or :func:`set_store` for long-lived

@@ -126,6 +126,27 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ReproError("min_coverage must be in [0, 1], got %r" % coverage)
 
 
+@contextlib.contextmanager
+def _feed(sinks: list):
+    """Hand the active recorder's events to ``sinks`` for a ``with`` block.
+
+    Attaches to an enclosing recorder, so it keeps every counter and
+    span it would see anyway, or installs one when none is active.
+    The sinks are detached and closed on exit.
+    """
+    from .perf import active_recorder, recording
+
+    rec = active_recorder()
+    with contextlib.nullcontext(rec) if rec is not None else recording() as rec:
+        rec.sinks.extend(sinks)
+        try:
+            yield rec
+        finally:
+            for sink in sinks:
+                rec.sinks.remove(sink)
+                sink.close()
+
+
 def _partitioned(name: str, islands: int, strategy: str):
     from .soc.benchmarks import load_benchmark
     from .soc.partitioning import communication_partitioning, logical_partitioning
@@ -222,6 +243,7 @@ def _add_objective_args(p: argparse.ArgumentParser) -> None:
         "(default: seed, seed+1, seed+2)",
     )
     _add_fault_args(p)
+    _add_min_coverage_arg(p)
 
 
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
@@ -237,6 +259,10 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
         default=1,
         help="disjoint backup routes per flow",
     )
+
+
+def _add_min_coverage_arg(p: argparse.ArgumentParser) -> None:
+    """``--min-coverage``, for the commands that read it."""
     p.add_argument(
         "--min-coverage",
         type=float,
@@ -375,10 +401,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         objective=objective,
     )
     scope, store = _cache_scope(args)
-    # --live / --events install an event bus around the sweep: the
-    # engine streams progress (and worker span/heartbeat batches)
-    # through it, rendered in place and/or appended to a tail-able
-    # JSONL feed another `repro-noc obs --follow` can watch.
+    # --live / --events hand the recorder's event feed to sinks: the
+    # engine emits progress, spans and merged worker batches, rendered
+    # in place and/or written to a tail-able JSONL feed another
+    # `repro-noc obs --follow` can watch.
     sinks: list = []
     events_sink = None
     if args.live:
@@ -390,13 +416,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         events_sink = JsonlSink(args.events, timing=not args.no_timing)
         sinks.append(events_sink)
-    if sinks:
-        from .obs import EventBus, streaming
-
-        stream_scope = streaming(EventBus(sinks=sinks))
-    else:
-        stream_scope = contextlib.nullcontext()
-    with scope, stream_scope, engine:
+    feed = _feed(sinks) if sinks else contextlib.nullcontext()
+    with scope, feed, engine:
         tasks = [
             engine.task(
                 _partitioned(args.benchmark, n, strategy),
@@ -721,8 +742,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
     if args.stream:
         # Live mode: every controller observation prints the moment it
         # is emitted (per-fault emission order), before the post-hoc
-        # tables below — the CLI face of the streaming event bus.
-        from .obs import CallbackSink, EventBus, streaming
+        # tables below — the CLI face of the event feed.
+        from .obs import CallbackSink
 
         def _print_live(ev) -> None:
             if ev.kind != "telemetry":
@@ -742,7 +763,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
                 )
             )
 
-        with streaming(EventBus(sinks=[CallbackSink(_print_live)])):
+        with _feed([CallbackSink(_print_live)]):
             trace, scenario, event, report = _controlled_replay(args)
     else:
         trace, scenario, event, report = _controlled_replay(args)
@@ -803,27 +824,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.benchmark is None:
         raise ReproError("benchmark is required unless --follow is given")
     from .obs import (
+        JsonlSink,
         MetricsRegistry,
-        SpanRecorder,
         chrome_trace_json,
         prometheus_text,
         record_cache_metrics,
         record_control_metrics,
+        record_perf_metrics,
         record_runtime_metrics,
         render_dashboard,
         render_html,
-        span_log_lines,
-        telemetry_log_lines,
-        tracing,
-        write_lines,
     )
-    from .perf import PerfRecorder, recording
+    from .perf import Recorder, recording
 
+    # --events writes the same feed `sweep --events` does: span closes
+    # and controller telemetry, as they happen.
+    sinks = [JsonlSink(args.events)] if args.events else []
     scope, store = _cache_scope(args)
-    with scope, recording(PerfRecorder()) as rec, tracing(SpanRecorder()) as tracer:
+    with scope, recording(Recorder(sinks=sinks)) as rec:
         trace, scenario, event, report = _controlled_replay(args)
     registry = MetricsRegistry()
-    registry.absorb_perf(rec)
+    record_perf_metrics(registry, rec)
     record_runtime_metrics(registry, report)
     record_control_metrics(registry, report)
     if store is not None:
@@ -841,7 +862,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(
                 render_html(
-                    tracer=tracer, registry=registry, report=report,
+                    recorder=rec, registry=registry, report=report,
                     title=title, top=args.top,
                 )
             )
@@ -849,18 +870,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     else:
         print(
             render_dashboard(
-                tracer=tracer, registry=registry, report=report,
+                recorder=rec, registry=registry, report=report,
                 title=title, top=args.top,
             )
         )
     if args.chrome_trace:
         with open(args.chrome_trace, "w", encoding="utf-8") as fh:
-            fh.write(chrome_trace_json(tracer))
+            fh.write(chrome_trace_json(rec))
         print("wrote %s (load in ui.perfetto.dev)" % args.chrome_trace)
-    if args.events:
-        lines = span_log_lines(tracer) + telemetry_log_lines(report.telemetry)
-        n = write_lines(args.events, lines)
-        print("wrote %s (%d events)" % (args.events, n))
+    if sinks:
+        print("wrote %s (%d events)" % (args.events, sinks[0].lines_written))
     if args.prom:
         with open(args.prom, "w", encoding="utf-8") as fh:
             fh.write(prometheus_text(registry))
@@ -988,8 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--events",
-        help="append the event stream as tail-able JSON lines "
-        "(follow with `repro-noc obs --follow PATH`)",
+        help="write the event feed as tail-able JSON lines, truncating "
+        "PATH (follow with `repro-noc obs --follow PATH`)",
     )
     p_sweep.add_argument(
         "--no-timing",
@@ -1054,6 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_res)
     _add_fault_args(p_res)
+    _add_min_coverage_arg(p_res)
     p_res.add_argument(
         "--node-disjoint",
         action="store_true",
@@ -1189,7 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_obs.add_argument(
         "--events",
-        help="write spans + telemetry as a JSON-lines event log",
+        help="write the span and telemetry event feed as JSON lines "
+        "(the `sweep --events` format; follow with `obs --follow`)",
     )
     p_obs.add_argument(
         "--prom", help="write the metrics registry in Prometheus text format"

@@ -52,7 +52,7 @@ from ..arch.routing import find_cdg_cycle, is_deadlock_free
 from ..arch.topology import FlowKey, Route, Topology
 from ..core.paths import PathAllocator
 from ..exceptions import SpecError
-from ..obs.spans import span
+from ..perf.instrument import span
 from ..power.noc_power import route_traffic_power_mw
 from ..resilience.faults import (
     FaultEvent,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.topology import FlowKey
-from ..obs.stream import active_bus as _active_bus
+from ..perf.instrument import active_recorder
 
 #: Telemetry event kinds, in per-timestamp presentation order.
 TELEMETRY_KINDS: Tuple[str, ...] = (
@@ -68,8 +68,8 @@ class TelemetryEvent:
         )
 
 
-def publish_telemetry(event: TelemetryEvent, bus=None) -> bool:
-    """Stream ``event`` onto the obs event bus, if one is active.
+def publish_telemetry(event: TelemetryEvent) -> bool:
+    """Emit ``event`` on the active recorder, if it has sinks.
 
     The controller calls this as it emits — live observers see the
     stream in *emission* order (per fault, deterministic), while the
@@ -78,10 +78,10 @@ def publish_telemetry(event: TelemetryEvent, bus=None) -> bool:
     in ``attrs`` rather than the droppable ``timing`` block.  Returns
     whether an event was published.
     """
-    target = bus if bus is not None else _active_bus()
-    if target is None:
+    rec = active_recorder()
+    if rec is None or not rec.sinks:
         return False
-    target.emit(
+    rec.emit(
         "telemetry",
         event.kind,
         attrs={

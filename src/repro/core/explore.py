@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
-from ..obs.spans import SpanRecorder, active_tracer, span, tracing
-from ..obs.stream import EventBus, active_bus, streaming
-from ..perf.instrument import PerfRecorder, active_recorder, recording
+from ..perf.instrument import Outbox, Recorder, active_recorder, recording, span
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..soc.partitioning import communication_partitioning, logical_partitioning
 from .design_point import DesignPoint, DesignSpace
@@ -199,9 +197,9 @@ class _TaskDescriptor:
     library_diff: Optional[Mapping[str, object]] = None
     library_full: Optional[NocLibrary] = None
     select: Optional[Callable[[DesignSpace], DesignPoint]] = None
-    #: When set, the worker records the task under fresh perf/span
-    #: recorders and ships their snapshots home alongside the record —
-    #: the parent merges them so parallel sweeps lose no observability.
+    #: When set, the worker records the task under a fresh recorder and
+    #: ships its snapshot home alongside the record — the parent merges
+    #: it so parallel sweeps lose no observability.
     collect_obs: bool = False
 
 
@@ -243,11 +241,11 @@ def _pool_init(
 def _execute_descriptor(desc: _TaskDescriptor):
     """Rehydrate a descriptor against the worker context and run it.
 
-    Returns ``(record, obs_payload)``: the payload is ``None`` unless
-    the descriptor asked for observability capture or a cache store is
-    active.  It carries the worker-side :class:`PerfRecorder` /
-    :class:`SpanRecorder` snapshots and the cache hit/miss counter
-    delta this task produced, for the parent to merge.
+    Returns ``(record, payload)``: the payload is ``None`` unless the
+    descriptor asked for observability capture or a cache store is
+    active.  It carries the task recorder's snapshot (``obs``) and the
+    cache hit/miss counter delta this task produced (``cache``), for
+    the parent to merge.
     """
     assert _WORKER_CONTEXT is not None, "worker pool not initialized"
     specs, base_library, base_config, base_select = _WORKER_CONTEXT
@@ -267,31 +265,29 @@ def _execute_descriptor(desc: _TaskDescriptor):
 
     store = active_store()
     stats_before = store.stats.snapshot() if store is not None else None
+    payload: Dict[str, object] = {}
     if not desc.collect_obs:
         record = _run_one(spec, library, config, desc.knobs, select)
-        if store is None:
-            return record, None
-        return record, {"cache": store.stats.diff(stats_before)}
-    with recording(PerfRecorder()) as rec, tracing(SpanRecorder()) as tracer, \
-            streaming(EventBus(process="worker")) as bus:
-        bus.emit(
-            "heartbeat",
-            "task",
-            attrs={"phase": "start", "knobs": dict(desc.knobs)},
-        )
-        record = _run_one(spec, library, config, desc.knobs, select)
-        bus.emit(
-            "heartbeat",
-            "task",
-            attrs={"phase": "end", "feasible": record.feasible},
-        )
-        # Drain (not snapshot): each result ships exactly this task's
-        # events; the parent relabels the batch ``task<i>`` on ingest.
-        events = bus.drain_snapshot()
-    payload = {"perf": rec.snapshot(), "spans": tracer.snapshot(), "events": events}
+    else:
+        # One fresh recorder per task: its snapshot carries exactly
+        # this task's counters, spans and events, which the parent
+        # relabels ``task<i>`` on merge.
+        with recording(Recorder("worker", sinks=[Outbox()])) as rec:
+            rec.emit(
+                "heartbeat",
+                "task",
+                attrs={"phase": "start", "knobs": dict(desc.knobs)},
+            )
+            record = _run_one(spec, library, config, desc.knobs, select)
+            rec.emit(
+                "heartbeat",
+                "task",
+                attrs={"phase": "end", "feasible": record.feasible},
+            )
+        payload["obs"] = rec.snapshot()
     if store is not None:
         payload["cache"] = store.stats.diff(stats_before)
-    return record, payload
+    return record, payload or None
 
 
 def _dataclass_diff(base: object, value: object):
@@ -413,10 +409,11 @@ class ExplorationEngine:
         self._pool_refs: tuple = ()
         #: In-flight futures of the current parallel :meth:`run`, with
         #: their deterministic ``task<i>`` labels and a merged flag —
-        #: :meth:`close` flushes the obs payloads of completed tasks
-        #: the result loop never reached (mid-sweep teardown).
+        #: :meth:`close` flushes the payloads of completed tasks the
+        #: result loop never reached (mid-sweep teardown) into the
+        #: ``(recorder, store)`` of :attr:`_merge_into`.
         self._inflight: List[Dict[str, object]] = []
-        self._obs_targets: Optional[tuple] = None
+        self._merge_into: Optional[tuple] = None
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -424,9 +421,9 @@ class ExplorationEngine:
         """Shut down the worker pool (idempotent; serial engines no-op).
 
         Tasks still queued are cancelled, running ones are allowed to
-        finish, and the obs payloads (perf/span/event/cache snapshots)
-        of any *completed but unmerged* tasks are flushed into the
-        recorders that were active when the sweep started — a pool torn
+        finish, and the payloads (recorder snapshot, cache delta) of any
+        *completed but unmerged* tasks are flushed into the recorder and
+        store that were active when the sweep started — a pool torn
         down mid-sweep loses no observability.
         """
         pool, self._pool = self._pool, None
@@ -437,9 +434,9 @@ class ExplorationEngine:
         self._flush_inflight()
 
     def _flush_inflight(self) -> int:
-        """Merge obs payloads of completed-but-unmerged tasks; count them."""
+        """Merge payloads of completed-but-unmerged tasks; count them."""
         inflight, self._inflight = self._inflight, []
-        targets, self._obs_targets = self._obs_targets, None
+        targets, self._merge_into = self._merge_into, None
         if not inflight or targets is None:
             return 0
         flushed = 0
@@ -454,27 +451,22 @@ class ExplorationEngine:
             ):
                 continue
             _, payload = future.result()  # type: ignore[attr-defined]
-            self._merge_payload(str(entry["label"]), payload, targets)
+            self._merge_payload(str(entry["label"]), payload, *targets)
             flushed += 1
         return flushed
 
     @staticmethod
-    def _merge_payload(label: str, payload, targets: tuple) -> None:
-        """Fold one worker obs payload into the parent-side recorders."""
+    def _merge_payload(label: str, payload, rec, store) -> None:
+        """Fold one worker payload into the parent's recorder and store."""
         if payload is None:
             return
-        parent_rec, parent_tracer, parent_bus, parent_store = targets
-        if parent_rec is not None and "perf" in payload:
-            parent_rec.merge_snapshot(payload["perf"])
-        if parent_tracer is not None and "spans" in payload:
-            parent_tracer.merge(payload["spans"], process=label)
-        if parent_bus is not None and "events" in payload:
-            parent_bus.ingest(payload["events"], process=label)
-        if parent_store is not None and "cache" in payload:
+        if rec is not None and "obs" in payload:
+            rec.merge(payload["obs"], process=label)
+        if store is not None and "cache" in payload:
             # Worker hit/miss deltas fold into the parent store's
             # stats, so sweep-level cache accounting covers the
             # whole pool, not just the parent process.
-            parent_store.stats.merge(payload["cache"])
+            store.stats.merge(payload["cache"])
 
     def __enter__(self) -> "ExplorationEngine":
         return self
@@ -526,43 +518,51 @@ class ExplorationEngine:
     def run(self, tasks: Sequence[SweepTask]) -> List[SweepRecord]:
         """Execute tasks, preserving input order in the output.
 
-        When the caller has an active :func:`~repro.perf.active_recorder`
-        or :func:`~repro.obs.active_tracer`, parallel runs ask each
-        worker to capture its own perf/span snapshots and merge them
-        back here — serial and parallel sweeps then observe the same
-        counters (workers used to drop them silently).  Merged worker
-        span streams are relabelled ``task<i>`` by submission index, so
+        When the caller has an active :func:`~repro.perf.active_recorder`,
+        parallel runs ask each worker to record its task under a fresh
+        recorder and merge the snapshot back here — serial and parallel
+        sweeps then observe the same counters, spans and events.  Merged
+        worker streams are relabelled ``task<i>`` by submission index, so
         the combined trace stays deterministic even though worker pids
-        and scheduling are not.
+        and scheduling are not.  A recorder with sinks also gets a
+        ``progress`` feed: ``sweep.start``, one ``sweep.task`` per
+        point and ``sweep.done``.
         """
         tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            bus = active_bus()
-            if bus is None:
-                return [_execute_task(t) for t in tasks]
-            # Streaming serial sweep: same progress feed as the pool
-            # path, so live observers need not care about ``workers``.
-            bus.emit(
+        rec = active_recorder()
+        parallel = self.workers > 1 and len(tasks) > 1
+        if not parallel and (rec is None or not rec.sinks):
+            return [_execute_task(t) for t in tasks]
+        from ..cache.context import active_store
+
+        store = active_store()
+        if rec is not None:
+            # The same progress feed serially and on the pool, so live
+            # observers need not care about ``workers``.
+            rec.emit(
                 "progress",
                 "sweep.start",
-                attrs={"tasks": len(tasks), "workers": 1},
+                attrs={
+                    "tasks": len(tasks),
+                    "workers": self.workers if parallel else 1,
+                },
             )
-            from ..cache.context import active_store
-
-            store = active_store()
+        if parallel:
+            records = self._run_pool(tasks, rec, store)
+        else:
             records = []
             for i, t in enumerate(tasks):
                 before = store.stats.snapshot() if store is not None else None
-                record = _execute_task(t)
-                records.append(record)
+                records.append(_execute_task(t))
                 self._emit_task_progress(
-                    bus,
+                    rec,
                     i,
                     len(tasks),
-                    record,
+                    records[-1],
                     cache=store.stats.diff(before) if store is not None else None,
                 )
-            bus.emit(
+        if rec is not None:
+            rec.emit(
                 "progress",
                 "sweep.done",
                 attrs={
@@ -570,18 +570,10 @@ class ExplorationEngine:
                     "feasible": sum(1 for r in records if r.feasible),
                 },
             )
-            return records
-        from ..cache.context import active_store
+        return records
 
-        parent_rec = active_recorder()
-        parent_tracer = active_tracer()
-        parent_bus = active_bus()
-        parent_store = active_store()
-        collect = (
-            parent_rec is not None
-            or parent_tracer is not None
-            or parent_bus is not None
-        )
+    def _run_pool(self, tasks: List[SweepTask], rec, store) -> List[SweepRecord]:
+        """The pool half of :meth:`run`: submit descriptors, merge results."""
         specs: List[SoCSpec] = []
         spec_index: Dict[int, int] = {}
         descriptors: List[_TaskDescriptor] = []
@@ -602,37 +594,30 @@ class ExplorationEngine:
                     library_diff=lib_diff or None,
                     library_full=lib_full,
                     select=None if t.select is self.select else t.select,
-                    collect_obs=collect,
+                    collect_obs=rec is not None,
                 )
             )
         pool = self._ensure_pool(specs)
-        targets = (parent_rec, parent_tracer, parent_bus, parent_store)
         futures = [pool.submit(_execute_descriptor, d) for d in descriptors]
         self._inflight = [
             {"future": f, "label": "task%d" % i, "merged": False}
             for i, f in enumerate(futures)
         ]
-        self._obs_targets = targets
-        if parent_bus is not None:
-            parent_bus.emit(
-                "progress",
-                "sweep.start",
-                attrs={"tasks": len(tasks), "workers": self.workers},
-            )
+        self._merge_into = (rec, store)
         records: List[SweepRecord] = []
         try:
             # Results are consumed in submission order: the merge (and
             # every progress event the parent emits) happens at a
-            # deterministic point in the stream even though worker
+            # deterministic point in the feed even though worker
             # scheduling is not.
             for i, future in enumerate(futures):
                 record, payload = future.result()
                 self._inflight[i]["merged"] = True
-                self._merge_payload("task%d" % i, payload, targets)
+                self._merge_payload("task%d" % i, payload, rec, store)
                 records.append(record)
-                if parent_bus is not None:
+                if rec is not None:
                     self._emit_task_progress(
-                        parent_bus,
+                        rec,
                         i,
                         len(tasks),
                         record,
@@ -641,25 +626,16 @@ class ExplorationEngine:
         except Exception:
             # A broken pool (worker crash, unpicklable payload) stays
             # broken; drop it so the next run starts clean.  close()
-            # flushes the obs payloads of tasks that did complete.
+            # flushes the payloads of tasks that did complete.
             self.close()
             raise
         self._inflight = []
-        self._obs_targets = None
-        if parent_bus is not None:
-            parent_bus.emit(
-                "progress",
-                "sweep.done",
-                attrs={
-                    "tasks": len(tasks),
-                    "feasible": sum(1 for r in records if r.feasible),
-                },
-            )
+        self._merge_into = None
         return records
 
     @staticmethod
     def _emit_task_progress(
-        bus: EventBus,
+        rec: Recorder,
         index: int,
         total: int,
         record: SweepRecord,
@@ -668,7 +644,7 @@ class ExplorationEngine:
         """One ``progress`` event per finished sweep point.
 
         Wall-clock (the point's ``elapsed_s``) rides in ``timing`` so
-        the stream stays byte-deterministic under ``timing=False``;
+        the feed stays byte-deterministic under ``timing=False``;
         ``cache`` is the task's hit/miss counter delta (live view of
         the store's effectiveness per point).
         """
@@ -686,7 +662,7 @@ class ExplorationEngine:
             attrs["cache_misses"] = sum(
                 v for k, v in cache.items() if k.startswith("misses.")
             )
-        bus.emit(
+        rec.emit(
             "progress",
             "sweep.task",
             attrs=attrs,

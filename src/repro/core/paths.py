@@ -109,8 +109,7 @@ from ..arch.topology import (
     ni_id,
 )
 from ..exceptions import SynthesisError
-from ..obs.spans import span
-from ..perf.instrument import active_recorder
+from ..perf.instrument import active_recorder, span
 from ..power.library import NocLibrary
 from .frequency import IslandPlan, intermediate_island_freq_mhz
 from .spec import SoCSpec, TrafficFlow
@@ -419,7 +418,7 @@ class PathAllocator:
         self._k0_result: Optional[AllocationResult] = None
         self._k0_unblocked = False
         self._blocked = False
-        # Counters flushed to the active PerfRecorder per allocate().
+        # Counters flushed to the active recorder per allocate().
         self._pops = 0
         self._edge_evals = 0
         self._links_opened = 0

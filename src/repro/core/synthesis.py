@@ -41,8 +41,7 @@ from ..cache.signatures import allocation_signature, design_space_signature
 from ..exceptions import CacheKeyError, InfeasibleError, PartitionError
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
-from ..obs.spans import span
-from ..perf.instrument import active_recorder, maybe_phase
+from ..perf.instrument import active_recorder, span
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..power.noc_power import compute_noc_power
 from ..power.soc_power import compute_soc_power
@@ -273,7 +272,7 @@ def _synthesize_sweep(
         seen_counts.add(counts_key)
 
         try:
-            with maybe_phase("partitioning"), span("partition", sweep_i=i):
+            with span("partition", sweep_i=i):
                 partitions = _partition_islands(vcgs, plans, counts, cfg, partitioners)
         except PartitionError as exc:
             space.failures.append((counts_key, -1, "partitioning: %s" % exc))
@@ -322,9 +321,7 @@ def _synthesize_sweep(
                         )
             alloc_from_cache = result is not None
             if result is None:
-                with maybe_phase("allocation"), span(
-                    "allocate", k_mid=k_mid
-                ) as alloc_span:
+                with span("allocate", k_mid=k_mid) as alloc_span:
                     result = allocator.allocate(num_intermediate=k_mid)
                     if alloc_span is not None:
                         alloc_span.set(success=result.success)
@@ -358,7 +355,7 @@ def _synthesize_sweep(
                     {"result": result, "k0_unblocked": allocator.k0_dominance},
                     "allocation",
                 )
-            with maybe_phase("evaluation"), span("evaluate", k_mid=k_mid):
+            with span("evaluate", k_mid=k_mid):
                 point = _evaluate_point(
                     result, plans, counts, k_mid, point_index, library, cfg,
                     place_cache,

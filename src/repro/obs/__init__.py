@@ -1,17 +1,16 @@
-"""Structured observability: spans, metrics, exporters, dashboard.
+"""Structured observability: the readers of a :class:`~repro.perf.Recorder`.
 
-The unified instrumentation layer over synthesis, the trace-replay
-runtime, and the reconfiguration control plane.  It subsumes the
-:mod:`repro.perf` counters (which stay as the zero-dependency hot-path
-accumulator; :meth:`MetricsRegistry.absorb_perf` lifts them into the
-registry) and adds what they cannot express: *where* time went
-(hierarchical spans, cross-process), *how values distribute*
-(histograms), and *how a run looked* (dashboard, Perfetto traces).
+The recorder in :mod:`repro.perf` does the recording — counters, spans
+and the event feed, one global, one install scope.  This package holds
+only what reads a finished or live recorder: the exporters (Chrome /
+Perfetto traces, JSON lines, Prometheus text), the metrics projection
+and registry, the terminal/HTML dashboard, the event sinks, the feed
+readers and the live view behind ``--live`` and ``--follow``.
 
 Determinism contract: span identity and ordering never touch the wall
 clock, every exporter orders its output canonically, and timing fields
 can be dropped at export (``timing=False``) — so byte-identical runs
-export byte-identical event sequences, which the bench harness gates.
+export byte-identical event sequences.
 """
 
 from .. import _lazy_exports
@@ -33,7 +32,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "chrome_trace_events",
             "chrome_trace_json",
             "prometheus_text",
-            "span_log_lines",
             "telemetry_log_lines",
             "write_lines",
         ),
@@ -43,38 +41,22 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "Gauge",
             "Histogram",
             "MetricsRegistry",
-            "publish_metrics",
             "record_cache_hit_rates",
             "record_cache_metrics",
             "record_control_metrics",
+            "record_perf_metrics",
             "record_runtime_metrics",
         ),
-        ".spans": (
-            "SpanRecord",
-            "SpanRecorder",
-            "active_tracer",
-            "set_tracer",
-            "span",
-            "stable_span_id",
-            "tracing",
-        ),
         ".stream": (
-            "EVENT_KINDS",
             "CallbackSink",
-            "EventBus",
             "JsonlSink",
             "MemorySink",
-            "ObsEvent",
-            "active_bus",
             "canonical_events",
-            "emit",
             "event_from_record",
             "event_lines",
             "event_record",
             "follow_events",
             "read_events",
-            "set_bus",
-            "streaming",
         ),
     },
 )

@@ -9,8 +9,8 @@ text so they compose into the CLI, the example tour, and tests alike:
   fault -> detected -> installed -> restored repair per scenario;
 * :func:`island_gantt_lines` — one row per island, the trace window
   rendered as ON ``#`` / WAKING ``~`` / OFF ``.`` cells;
-* :func:`counter_lines` — top-N perf counters from the metrics
-  registry's compatibility shim (``perf.counters.*``).
+* :func:`counter_lines` — top-N counters from the metrics registry
+  (the recorder's projection is ``perf.counters.*``).
 
 :func:`render_dashboard` stitches the panels into one report;
 :func:`render_html` wraps the same text in a minimal self-contained
@@ -23,8 +23,8 @@ import html as _html
 import math
 from typing import Dict, List, Optional, Tuple
 
+from ..perf.instrument import Recorder
 from .metrics import MetricsRegistry
-from .spans import SpanRecorder
 
 #: Gantt cell glyphs per island state (ASCII so every terminal works).
 _STATE_GLYPH = {"on": "#", "waking": "~", "off": "."}
@@ -42,7 +42,7 @@ def _bar(fraction: float, width: int) -> str:
 
 
 def phase_breakdown_lines(
-    tracer: SpanRecorder, width: int = 28, max_paths: int = 40
+    recorder: Recorder, width: int = 28, max_paths: int = 40
 ) -> List[str]:
     """Span totals as an indented tree with proportional time bars.
 
@@ -50,7 +50,7 @@ def phase_breakdown_lines(
     and ordered depth-first by path so children sit under parents.
     Bars are scaled to the largest root total.
     """
-    totals = tracer.totals_by_path()
+    totals = recorder.totals_by_path()
     if not totals:
         return ["  (no spans recorded)"]
     scale = max(
@@ -253,7 +253,7 @@ def cache_lines(registry: MetricsRegistry, width: int = 24) -> List[str]:
 
 
 def render_dashboard(
-    tracer: Optional[SpanRecorder] = None,
+    recorder: Optional[Recorder] = None,
     registry: Optional[MetricsRegistry] = None,
     report=None,
     title: str = "observability dashboard",
@@ -266,8 +266,8 @@ def render_dashboard(
     replay.
     """
     sections: List[Tuple[str, List[str]]] = []
-    if tracer is not None:
-        sections.append(("phase breakdown (spans)", phase_breakdown_lines(tracer)))
+    if recorder is not None:
+        sections.append(("phase breakdown (spans)", phase_breakdown_lines(recorder)))
     if report is not None:
         sections.append(("recovery timeline", recovery_timeline_lines(report)))
         sections.append(("island states", island_gantt_lines(report)))
@@ -287,7 +287,7 @@ def render_dashboard(
 
 
 def render_html(
-    tracer: Optional[SpanRecorder] = None,
+    recorder: Optional[Recorder] = None,
     registry: Optional[MetricsRegistry] = None,
     report=None,
     title: str = "observability dashboard",
@@ -300,9 +300,9 @@ def render_html(
     over plain HTTP) without a toolchain.
     """
     panels: List[Tuple[str, str]] = []
-    if tracer is not None:
+    if recorder is not None:
         panels.append(
-            ("Phase breakdown", "\n".join(phase_breakdown_lines(tracer)))
+            ("Phase breakdown", "\n".join(phase_breakdown_lines(recorder)))
         )
     if report is not None:
         panels.append(

@@ -1,19 +1,19 @@
 """Exporters: Chrome/Perfetto trace JSON, JSON-lines logs, Prometheus text.
 
 Every exporter is a pure function over a finished
-:class:`~repro.obs.spans.SpanRecorder` / :class:`~repro.obs.metrics.MetricsRegistry`
+:class:`~repro.perf.Recorder` / :class:`~repro.obs.metrics.MetricsRegistry`
 (or a telemetry event list) that produces deterministically ordered
 output.  Wall-clock numbers are confined to fields the caller can drop
 with ``timing=False``, so two byte-identical runs export byte-identical
-event sequences — the property the bench harness gates on.
+event sequences (``tests/test_obs.py`` pins this).
 
 Formats:
 
 * :func:`chrome_trace_events` — ``trace_event`` complete events
-  (``"ph": "X"``) plus process-name metadata, loadable in
-  ``chrome://tracing`` or https://ui.perfetto.dev;
-* :func:`span_log_lines` / :func:`telemetry_log_lines` — one JSON
-  object per line, grep- and ``jq``-friendly;
+  (``"ph": "X"``) plus process-name metadata, loadable in Chrome's
+  trace viewer or https://ui.perfetto.dev;
+* :func:`telemetry_log_lines` — controller telemetry, one JSON object
+  per line, grep- and ``jq``-friendly;
 * :func:`prometheus_text` — the Prometheus exposition text format,
   with dotted internal metric names sanitized to legal identifiers.
 """
@@ -24,8 +24,8 @@ import json
 import re
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
+from ..perf.instrument import Recorder
 from .metrics import MetricsRegistry
-from .spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..control.telemetry import TelemetryEvent
@@ -42,7 +42,7 @@ def _dumps(obj: object) -> str:
 
 
 def chrome_trace_events(
-    tracer: SpanRecorder, timing: bool = True
+    recorder: Recorder, timing: bool = True
 ) -> List[Dict[str, object]]:
     """Spans as ``trace_event`` dicts (complete events, ``ph="X"``).
 
@@ -52,7 +52,7 @@ def chrome_trace_events(
     and ``dur`` fields are dropped — what remains is the deterministic
     event sequence used for byte-comparison across reruns.
     """
-    labels = sorted({s.process for s in tracer.spans} | set(tracer.process_meta))
+    labels = sorted({s.process for s in recorder.spans} | set(recorder.process_meta))
     pid_of = {label: i + 1 for i, label in enumerate(labels)}
     events: List[Dict[str, object]] = []
     for label in labels:
@@ -65,7 +65,7 @@ def chrome_trace_events(
                 "args": {"name": label},
             }
         )
-    for s in tracer.ordered():
+    for s in recorder.ordered():
         event: Dict[str, object] = {
             "ph": "X",
             "name": s.name,
@@ -83,11 +83,11 @@ def chrome_trace_events(
     return events
 
 
-def chrome_trace_json(tracer: SpanRecorder, timing: bool = True) -> str:
+def chrome_trace_json(recorder: Recorder, timing: bool = True) -> str:
     """The full ``{"traceEvents": [...]}`` document as a JSON string."""
     return _dumps(
         {
-            "traceEvents": chrome_trace_events(tracer, timing=timing),
+            "traceEvents": chrome_trace_events(recorder, timing=timing),
             "displayTimeUnit": "ms",
         }
     )
@@ -98,39 +98,15 @@ def chrome_trace_json(tracer: SpanRecorder, timing: bool = True) -> str:
 # ----------------------------------------------------------------------
 
 
-def span_log_lines(tracer: SpanRecorder, timing: bool = True) -> List[str]:
-    """One JSON object per span, canonical order, ``type: "span"``."""
-    lines = []
-    for s in tracer.ordered():
-        record: Dict[str, object] = {
-            "type": "span",
-            "span_id": s.span_id,
-            "parent_id": s.parent_id,
-            "name": s.name,
-            "path": s.path,
-            "seq": s.seq,
-            "depth": s.depth,
-            "process": s.process,
-            "attrs": dict(s.attrs),
-        }
-        if timing:
-            record["start_s"] = round(s.start_s, 6)
-            record["duration_s"] = round(s.duration_s, 6)
-        lines.append(_dumps(record))
-    return lines
-
-
 def telemetry_log_lines(events: Sequence["TelemetryEvent"]) -> List[str]:
     """Controller telemetry as JSON lines (``type: "telemetry"``).
 
     Each line keeps the event's own ``kind`` (``fault_raised``,
-    ``routing_installed``, ...) and adds the stream discriminator
-    ``type`` so span and telemetry lines can share one log file.
+    ``routing_installed``, ...) and adds the discriminator ``type``.
     Rides on :func:`~repro.control.telemetry.telemetry_summary`, which
     already sorts the stream and maps ``inf`` to ``None`` — the log is
-    deterministic because the controller is.  (Imported lazily: the
-    core synthesis layers import :mod:`repro.obs`, so this module must
-    not pull the control plane in at import time.)
+    deterministic because the controller is.  (Imported lazily, so
+    exporting a span trace loads no control plane.)
     """
     from ..control.telemetry import telemetry_summary
 

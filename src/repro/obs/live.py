@@ -1,6 +1,6 @@
-"""Live terminal rendering of a streaming observability feed.
+"""Live terminal rendering of an observability event feed.
 
-The consumer side of :mod:`repro.obs.stream`: a :class:`LiveStatus`
+A reader of the recorder's event feed: a :class:`LiveStatus`
 aggregate that folds the event stream into the numbers an operator
 watches (sweep progress, feasibility, cache hit/miss deltas, per-phase
 span activity, worker heartbeats), a :class:`LiveRenderer` sink that
@@ -21,11 +21,12 @@ import sys
 import time
 from typing import Callable, Dict, IO, List, Optional
 
-from .stream import ObsEvent, follow_events
+from ..perf.instrument import ObsEvent
+from .stream import follow_events
 
 
 class LiveStatus:
-    """Aggregate view of a streaming run, folded event by event.
+    """Aggregate view of a live run, folded event by event.
 
     Every field derives from the deterministic event payloads except
     :attr:`last_seen`, which records renderer-side arrival times
@@ -177,13 +178,12 @@ def status_lines(
 
 
 class LiveRenderer:
-    """Event-bus sink that repaints a status block as events arrive.
+    """Event sink that repaints a status block as events arrive.
 
     On a TTY the block rewrites itself in place (ANSI cursor-up);
     elsewhere it prints the headline whenever the task count moves, so
     piped output stays a readable log instead of a control-code soup.
-    Attach it with ``bus.add_sink(LiveRenderer())`` or pass it to
-    :class:`~repro.obs.stream.EventBus` as a sink.
+    Pass it to :class:`~repro.perf.Recorder` as a sink.
     """
 
     def __init__(

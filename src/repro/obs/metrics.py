@@ -16,12 +16,10 @@ Every metric takes optional labels (``registry.counter("x").inc(1,
 island=3, state="on")``); samples are keyed by the sorted label set so
 snapshot order — and therefore every exported byte — is deterministic.
 
-The legacy :class:`repro.perf.PerfRecorder` is absorbed behind a
-compatibility shim (:meth:`MetricsRegistry.absorb_perf`): its counters
-become ``perf.counters.<name>`` counters and its phase timers become
-``perf.phase_seconds`` counters labelled by phase, so existing
-consumers of ``BENCH_synthesis.json`` keep their numbers while new
-consumers read one registry.
+A finished :class:`~repro.perf.Recorder` is projected into the
+registry at export (:func:`record_perf_metrics`): its counters become
+``perf.counters.<name>`` counters and its span totals by name become
+the ``perf.phase_seconds`` counter labelled by phase (span name).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import SpecError
-from .stream import EventBus, active_bus as _active_bus
 
 #: Label sets are stored as sorted ``(key, value)`` tuples — hashable,
 #: order-free, deterministic to serialize.
@@ -269,84 +266,27 @@ class MetricsRegistry:
             else:
                 raise SpecError("unknown metric kind %r for %r" % (kind, name))
 
-    # -- compatibility shim over repro.perf ----------------------------
-
-    def absorb_perf(self, perf: object) -> None:
-        """Absorb a :class:`repro.perf.PerfRecorder` (or its snapshot).
-
-        Counters land as ``perf.counters.<name>``; phase timers as the
-        ``perf.phase_seconds`` counter labelled by phase.  Idempotent
-        per distinct recorder state, additive across calls — exactly
-        the semantics of merging one more worker's counters.
-        """
-        snap = perf.snapshot() if hasattr(perf, "snapshot") else perf
-        for name, value in sorted(snap.get("counters", {}).items()):  # type: ignore[union-attr]
-            self.counter(
-                "perf.counters.%s" % name, "synthesis hot-path counter"
-            ).inc(value)
-        phases = self.counter(
-            "perf.phase_seconds", "cumulative synthesis phase wall-clock"
-        )
-        for name, seconds in sorted(snap.get("phase_seconds", {}).items()):  # type: ignore[union-attr]
-            phases.inc(seconds, phase=name)
-
 
 # ----------------------------------------------------------------------
-# Streaming hook: publish a registry onto the event bus
+# Standard metric builders over a recorder and the runtime / control reports
 # ----------------------------------------------------------------------
 
 
-def publish_metrics(
-    registry: MetricsRegistry, bus: Optional[EventBus] = None
-) -> int:
-    """Emit every sample of ``registry`` as ``metric`` events.
+def record_perf_metrics(registry: MetricsRegistry, recorder) -> None:
+    """Project a :class:`~repro.perf.Recorder` into metrics.
 
-    The streaming analogue of :meth:`MetricsRegistry.snapshot`: one
-    event per sample, in the registry's deterministic (name, label)
-    order, so two identical runs publish byte-identical event
-    sequences.  Uses the active bus when ``bus`` is ``None``; a no-op
-    returning 0 when streaming is off.  Values are deterministic
-    except ``perf.phase_seconds``-style wall-clock counters, which
-    callers exclude from byte-comparisons the same way they already do
-    for span durations.
+    Counters land as ``perf.counters.<name>``; span totals by name as
+    the ``perf.phase_seconds`` counter labelled ``phase=<span name>``.
     """
-    target = bus if bus is not None else _active_bus()
-    if target is None:
-        return 0
-    count = 0
-    for metric in registry:
-        if metric.kind == "histogram":
-            for key, (counts, total, n) in sorted(metric.samples.items()):
-                target.emit(
-                    "metric",
-                    metric.name,
-                    attrs={
-                        "metric_kind": metric.kind,
-                        "labels": dict(key),
-                        "bucket_counts": list(counts),
-                        "sum": round(total, 9),
-                        "count": n,
-                    },
-                )
-                count += 1
-        else:
-            for key, value in sorted(metric.samples.items()):
-                target.emit(
-                    "metric",
-                    metric.name,
-                    attrs={
-                        "metric_kind": metric.kind,
-                        "labels": dict(key),
-                        "value": round(value, 9),
-                    },
-                )
-                count += 1
-    return count
-
-
-# ----------------------------------------------------------------------
-# Standard metric builders over the runtime / control reports
-# ----------------------------------------------------------------------
+    for name, value in sorted(recorder.counters.items()):
+        registry.counter(
+            "perf.counters.%s" % name, "synthesis hot-path counter"
+        ).inc(value)
+    phases = registry.counter(
+        "perf.phase_seconds", "cumulative synthesis phase wall-clock"
+    )
+    for name, seconds in sorted(recorder.seconds_by_name().items()):
+        phases.inc(round(seconds, 6), phase=name)
 
 
 def record_runtime_metrics(registry: MetricsRegistry, report) -> None:

@@ -1,45 +1,41 @@
-"""Live telemetry streaming: deterministic event bus and sinks.
+"""Event sinks and feed readers: the consumer side of the event feed.
 
-The streaming leg of the observability layer.  Where
-:mod:`repro.obs.spans` and :mod:`repro.obs.metrics` answer questions
-about a *finished* run, the event bus carries observations out of a
-*running* one — sweep progress, span completions, controller
-telemetry, cache deltas — in an order an external observer can trust.
+A :class:`~repro.perf.Recorder` hands every event it emits (span
+closes, controller telemetry, sweep progress, worker heartbeats) to
+its sinks; this module holds the sinks and the readers of a feed one
+of them wrote.
 
-Determinism is the same contract the rest of :mod:`repro.obs` keeps:
+Determinism is the contract the rest of :mod:`repro.obs` keeps:
 
 * every event carries a **monotone per-process sequence number**
   assigned at emit time — never a wall-clock timestamp — so two
-  byte-identical runs emit byte-identical event streams;
+  byte-identical runs emit byte-identical event feeds;
 * wall-clock enters only through the optional ``t_s`` field and the
   per-event ``timing`` mapping, both of which :func:`event_record`
   drops under ``timing=False``;
-* cross-process streams merge in **canonical** ``(process, seq)``
+* cross-process feeds merge in **canonical** ``(process, seq)``
   order (:func:`canonical_events`), so a live view assembled from
   worker batches and a post-hoc export of the same run serialize
   identically.
 
-The bus is bounded: events land in a ring buffer of fixed capacity,
-and overflow is *counted, never silent* (:attr:`EventBus.dropped`,
-per-kind in :attr:`EventBus.dropped_by_kind`).  Sinks observe every
-event regardless of ring evictions:
+Sinks:
 
-* :class:`MemorySink` — bounded in-memory capture with its own drop
-  accounting (the post-hoc view of a live run);
+* :class:`MemorySink` — in-memory capture, optionally bounded, with
+  its own drop count (the post-hoc view of a live run);
 * :class:`CallbackSink` — hand each event to a callable (renderers,
   tests);
-* :class:`JsonlSink` — append canonical JSON lines to a file, flushed
-  per line so another process can tail it (``repro-noc obs --follow``);
-  byte-deterministic under ``timing=False``.
+* :class:`JsonlSink` — write canonical JSON lines to a file it
+  truncates on open, flushed per line so another process can tail it
+  (``repro-noc obs --follow``); byte-deterministic under
+  ``timing=False``.
 
-Like the tracer and the perf recorder, a module-level active bus is
-consulted through free functions (:func:`active_bus`, :func:`emit`)
-so instrumented code pays one global read when streaming is off::
+Usage::
 
-    from repro.obs import EventBus, MemorySink, streaming
+    from repro.obs import MemorySink, canonical_events, event_lines
+    from repro.perf import Recorder, recording
 
     capture = MemorySink()
-    with streaming(EventBus(sinks=[capture])) as bus:
+    with recording(Recorder(sinks=[capture])):
         run_the_sweep()
     lines = event_lines(canonical_events(capture.events), timing=False)
 """
@@ -47,11 +43,8 @@ so instrumented code pays one global read when streaming is off::
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Deque,
@@ -62,51 +55,10 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
-    Tuple,
 )
 
 from ..exceptions import SpecError
-
-#: Event kinds the standard emit hooks produce.  The bus accepts any
-#: kind string; this tuple documents (and tests pin) the built-ins.
-EVENT_KINDS: Tuple[str, ...] = (
-    "span",        # a finished span (obs/spans.py close hook)
-    "telemetry",   # one controller observation (control/telemetry.py)
-    "metric",      # one metric sample (obs/metrics.py publish hook)
-    "progress",    # sweep/task progress (core/explore.py)
-    "heartbeat",   # liveness beacon from a process (pool workers)
-)
-
-#: The installed bus, or ``None`` (streaming disabled).
-_ACTIVE: Optional["EventBus"] = None
-
-
-@dataclass(frozen=True)
-class ObsEvent:
-    """One observation on the stream: identity, payload, timing.
-
-    ``(process, seq)`` is the event's identity and canonical position;
-    ``attrs`` holds only deterministic values, while wall-clock numbers
-    live in ``t_s`` (seconds from the bus timebase) and ``timing``
-    (named extras such as a span's ``duration_s``) so exports can drop
-    them for byte-comparison.
-    """
-
-    #: Process label the event was emitted under (relabelled on merge).
-    process: str
-    #: Monotone emit-order index within the process stream.
-    seq: int
-    #: Event kind (see :data:`EVENT_KINDS`).
-    kind: str
-    #: Subject name: a span path, telemetry kind, metric name, ...
-    name: str
-    #: JSON-safe deterministic payload.
-    attrs: Mapping[str, object] = field(default_factory=dict)
-    #: Seconds from the emitting bus's timebase (wall clock; droppable).
-    t_s: Optional[float] = None
-    #: Named wall-clock extras (e.g. ``duration_s``; droppable).
-    timing: Mapping[str, float] = field(default_factory=dict)
+from ..perf.instrument import ObsEvent
 
 
 def _dumps(obj: object) -> str:
@@ -222,11 +174,10 @@ class CallbackSink:
 class JsonlSink:
     """Tail-able JSON-lines file sink (one event per line, line-flushed).
 
-    Every line is flushed as it is written so another process can
-    follow the file while the run is live (:func:`follow_events`).
-    With ``timing=False`` the output is byte-deterministic across
-    reruns of deterministic code — the property the stream bench gate
-    byte-compares.
+    Opening the sink truncates ``path``.  Every line is flushed as it
+    is written so another process can follow the file while the run is
+    live (:func:`follow_events`).  With ``timing=False`` the output is
+    byte-deterministic across reruns of deterministic code.
     """
 
     def __init__(self, path: str, timing: bool = True) -> None:
@@ -248,228 +199,6 @@ class JsonlSink:
         fh, self._fh = self._fh, None
         if fh is not None:
             fh.close()
-
-
-# ----------------------------------------------------------------------
-# The bus
-# ----------------------------------------------------------------------
-
-
-class EventBus:
-    """Per-process event stream: sequence numbers, ring buffer, sinks.
-
-    One bus per process; the parent of a worker pool folds worker
-    batches in with :meth:`ingest` under deterministic ``task<i>``
-    labels, preserving each stream's own sequence numbers.  The ring
-    (:meth:`events`) is the bus's bounded recent-history view; sinks
-    see every event exactly once, in arrival order, regardless of ring
-    evictions.
-    """
-
-    def __init__(
-        self,
-        process: str = "main",
-        max_events: int = 4096,
-        sinks: Optional[Sequence[object]] = None,
-    ) -> None:
-        if max_events < 1:
-            raise SpecError("max_events must be >= 1, got %r" % max_events)
-        self.process = process
-        self.max_events = max_events
-        self._ring: Deque[ObsEvent] = deque(maxlen=max_events)
-        self._seq = 0
-        self._t0 = time.perf_counter()
-        self.sinks: List[object] = list(sinks or ())
-        #: Events evicted from the ring (total and per kind).  Sinks
-        #: are unaffected; this counts bounded-history loss only.
-        self.dropped = 0
-        self.dropped_by_kind: Dict[str, int] = {}
-        self._dropped_shipped = 0
-        #: Events accepted (emitted + ingested), for progress feeds.
-        self.emitted = 0
-        #: pid metadata per process label (bookkeeping, never identity).
-        self.process_meta: Dict[str, int] = {process: os.getpid()}
-
-    # -- emit / ingest -------------------------------------------------
-
-    def add_sink(self, sink: object) -> object:
-        self.sinks.append(sink)
-        return sink
-
-    def _accept(self, event: ObsEvent) -> None:
-        if len(self._ring) == self._ring.maxlen:
-            evicted = self._ring[0]
-            self.dropped += 1
-            self.dropped_by_kind[evicted.kind] = (
-                self.dropped_by_kind.get(evicted.kind, 0) + 1
-            )
-        self._ring.append(event)
-        self.emitted += 1
-        for sink in self.sinks:
-            sink.on_event(event)  # type: ignore[attr-defined]
-
-    def emit(
-        self,
-        kind: str,
-        name: str,
-        attrs: Optional[Mapping[str, object]] = None,
-        timing: Optional[Mapping[str, float]] = None,
-    ) -> ObsEvent:
-        """Append one event to this process's stream (monotone seq)."""
-        event = ObsEvent(
-            process=self.process,
-            seq=self._seq,
-            kind=kind,
-            name=name,
-            attrs=dict(attrs or {}),
-            t_s=time.perf_counter() - self._t0,
-            timing=dict(timing or {}),
-        )
-        self._seq += 1
-        self._accept(event)
-        return event
-
-    def ingest(
-        self, snapshot: Mapping[str, object], process: Optional[str] = None
-    ) -> int:
-        """Fold a worker bus's :meth:`snapshot` into this stream.
-
-        ``process`` relabels the merged batch (e.g. ``task3``) so the
-        combined stream stays deterministic even though worker pids
-        and scheduling are not; each event keeps its own sequence
-        number, so :func:`canonical_events` restores the exact
-        within-worker emit order.  Returns the number of events
-        ingested.
-        """
-        label = process if process is not None else str(
-            snapshot.get("process", "worker")
-        )
-        pid = snapshot.get("pid")
-        if isinstance(pid, int):
-            self.process_meta[label] = pid
-        count = 0
-        for record in snapshot.get("events", ()):  # type: ignore[union-attr]
-            event = event_from_record(record)
-            self._accept(
-                ObsEvent(
-                    process=label,
-                    seq=event.seq,
-                    kind=event.kind,
-                    name=event.name,
-                    attrs=event.attrs,
-                    t_s=event.t_s,
-                    timing=event.timing,
-                )
-            )
-            count += 1
-        dropped = snapshot.get("dropped")
-        if isinstance(dropped, int) and dropped > 0:
-            # A worker's bounded ring lost events before shipping; the
-            # loss surfaces in the parent's accounting, never silently.
-            self.dropped += dropped
-            self.dropped_by_kind["ingested"] = (
-                self.dropped_by_kind.get("ingested", 0) + dropped
-            )
-        return count
-
-    # -- views ---------------------------------------------------------
-
-    def events(self) -> List[ObsEvent]:
-        """The ring's current contents, in arrival order."""
-        return list(self._ring)
-
-    def snapshot(self, timing: bool = True) -> Dict[str, object]:
-        """JSON-ready dump of the ring for cross-process shipping."""
-        return {
-            "process": self.process,
-            "pid": os.getpid(),
-            "next_seq": self._seq,
-            "dropped": self.dropped,
-            "events": [event_record(e, timing=timing) for e in self._ring],
-        }
-
-    def drain(self) -> List[ObsEvent]:
-        """Remove and return the ring's contents (drop counters stay).
-
-        The worker-side shipping primitive: a pool worker drains its
-        bus after every task so each result carries exactly that
-        task's events and nothing ships twice.
-        """
-        out = list(self._ring)
-        self._ring.clear()
-        return out
-
-    def drain_snapshot(self, timing: bool = True) -> Dict[str, object]:
-        """:meth:`snapshot` of the ring, then clear it (ship-once).
-
-        The shipped ``dropped`` field is the *delta* since the last
-        drain, so a parent ingesting one batch per task never counts a
-        worker's loss twice.
-        """
-        snap = {
-            "process": self.process,
-            "pid": os.getpid(),
-            "next_seq": self._seq,
-            "dropped": self.dropped - self._dropped_shipped,
-            "events": [event_record(e, timing=timing) for e in self._ring],
-        }
-        self._dropped_shipped = self.dropped
-        self._ring.clear()
-        return snap
-
-    def close(self) -> None:
-        """Close every sink (idempotent)."""
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if callable(close):
-                close()
-
-
-# ----------------------------------------------------------------------
-# Module-level active bus (the active_recorder / active_tracer pattern)
-# ----------------------------------------------------------------------
-
-
-def active_bus() -> Optional[EventBus]:
-    """The installed bus, or ``None`` when streaming is off."""
-    return _ACTIVE
-
-
-def set_bus(bus: Optional[EventBus]) -> Optional[EventBus]:
-    """Install ``bus`` globally; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = bus
-    return previous
-
-
-@contextmanager
-def streaming(bus: Optional[EventBus] = None) -> Iterator[EventBus]:
-    """Install a bus for a ``with`` block (nests safely)."""
-    b = bus if bus is not None else EventBus()
-    previous = set_bus(b)
-    try:
-        yield b
-    finally:
-        set_bus(previous)
-        b.close()
-
-
-def emit(
-    kind: str,
-    name: str,
-    attrs: Optional[Mapping[str, object]] = None,
-    timing: Optional[Mapping[str, float]] = None,
-) -> Optional[ObsEvent]:
-    """Emit on the active bus; a no-op returning ``None`` when off.
-
-    The disabled path is one global read — cheap enough for the same
-    hot-adjacent placement rules as :func:`repro.obs.spans.span`.
-    """
-    bus = _ACTIVE
-    if bus is None:
-        return None
-    return bus.emit(kind, name, attrs=attrs, timing=timing)
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,30 @@
-"""Performance instrumentation for the synthesis engine.
+"""Instrumentation: one recorder for counters, spans and the event feed.
 
-Counters and phase timers threaded through the hot path (path
-allocation, partitioning, evaluation) with near-zero overhead when
-disabled.  ``scripts/run_benchmarks.py`` uses this to emit the
-machine-readable ``BENCH_synthesis.json`` perf record; see
-``docs/performance.md`` for how to read it.
+Counters flushed once per allocation attempt, spans around each
+Algorithm 1 stage, and events handed to sinks, all through
+:class:`Recorder`, with near-zero cost when no recorder is installed.
+:mod:`repro.obs` reads a finished or live recorder (exporters, metrics,
+dashboard, sinks); see ``docs/observability.md``.
 """
 
 from .instrument import (
-    PerfRecorder,
+    ObsEvent,
+    Outbox,
+    Recorder,
+    SpanRecord,
     active_recorder,
-    maybe_phase,
     recording,
-    set_recorder,
+    span,
+    stable_span_id,
 )
 
 __all__ = [
-    "PerfRecorder",
+    "ObsEvent",
+    "Outbox",
+    "Recorder",
+    "SpanRecord",
     "active_recorder",
-    "maybe_phase",
     "recording",
-    "set_recorder",
+    "span",
+    "stable_span_id",
 ]

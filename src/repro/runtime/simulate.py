@@ -46,7 +46,7 @@ from typing import (
 
 from ..arch.topology import INTERMEDIATE_ISLAND, FlowKey, Topology
 from ..exceptions import SpecError
-from ..obs.spans import span
+from ..perf.instrument import span
 from ..power.gating import GatingModel, island_gating_cost
 from ..power.leakage import statically_pinned_islands
 from ..power.noc_power import compute_noc_power, route_traffic_power_mw

@@ -270,8 +270,8 @@ class TestErrorPaths:
                 id="resilience-min-coverage-above-1",
             ),
             pytest.param(
-                ["control", "d12_auto", "--islands", "2", "--min-coverage", "-5"],
-                id="control-min-coverage-negative",
+                ["sweep", "d12_auto", "--counts", "1,2", "--min-coverage", "-5"],
+                id="sweep-min-coverage-negative",
             ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
@@ -290,6 +290,13 @@ class TestErrorPaths:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["control", "obs"])
+    def test_min_coverage_not_accepted_where_unread(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "d12_auto", "--islands", "2", "--min-coverage", "0.5"])
+        assert exc.value.code == 2
+        assert "--min-coverage" in capsys.readouterr().err
 
     def test_int_list_skips_blank_items(self):
         assert _int_list("2,,4", "--counts") == [2, 4]
@@ -393,7 +400,7 @@ class TestImportFootprint:
                 "repro.control",
                 "repro.resilience",
                 "repro.baseline",
-                "repro.obs.dashboard",
+                "repro.obs",
                 "repro.runtime.simulate",
                 "multiprocessing",
             ],

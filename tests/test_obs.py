@@ -1,17 +1,20 @@
 """Observability layer tests: spans, metrics, exporters, dashboard.
 
-Covers ``repro.obs`` end to end: deterministic span identity and
-ordering, the typed metrics registry (counter/gauge/histogram) and its
-PerfRecorder shim, byte-identical exports across reruns (Chrome trace,
-JSON lines, Prometheus text), the cross-process span/counter merge of
-parallel exploration sweeps, the runtime/control metric builders, the
+Covers ``repro.obs`` end to end over the ``repro.perf`` recorder:
+deterministic span identity and ordering, the typed metrics registry
+(counter/gauge/histogram) and its projection of a recorder,
+byte-identical exports across reruns (Chrome trace, JSON lines,
+Prometheus text), the cross-process span/counter merge of parallel
+exploration sweeps, the runtime/control metric builders, the
 text/HTML dashboard, and the ``repro-noc obs`` / ``control
 --telemetry-out`` CLI surfaces.  See docs/observability.md.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 
 import pytest
 
@@ -21,29 +24,27 @@ from repro.control import TELEMETRY_KINDS, ReconfigurationController
 from repro.core.explore import ExplorationEngine
 from repro.exceptions import SpecError
 from repro.obs import (
+    MemorySink,
     MetricsRegistry,
-    SpanRecorder,
-    active_tracer,
     chrome_trace_events,
     chrome_trace_json,
     counter_lines,
+    event_lines,
+    follow_render,
     island_gantt_lines,
     phase_breakdown_lines,
     prometheus_text,
     record_control_metrics,
+    record_perf_metrics,
     record_runtime_metrics,
     recovery_timeline_lines,
     render_dashboard,
     render_html,
-    span,
-    span_log_lines,
-    stable_span_id,
     telemetry_log_lines,
-    tracing,
     write_lines,
 )
-from repro.obs.spans import _NULL_SPAN
-from repro.perf import PerfRecorder, recording
+from repro.perf import Recorder, active_recorder, recording, span, stable_span_id
+from repro.perf.instrument import _NULL_SPAN
 from repro.resilience import FaultEvent, enumerate_scenarios, route_affected
 from repro.runtime import make_policy, markov_trace, simulate_trace
 from repro.soc.usecases import use_cases_for
@@ -96,7 +97,7 @@ class TestSpans:
         assert stable_span_id("a", 0) != stable_span_id("b", 0)
 
     def test_disabled_span_is_shared_null(self):
-        assert active_tracer() is None
+        assert active_recorder() is None
         s = span("anything", k=1)
         assert s is _NULL_SPAN
         assert s is span("something_else")
@@ -104,13 +105,13 @@ class TestSpans:
             assert opened is None
 
     def test_nesting_paths_depths_and_parents(self):
-        with tracing() as tracer:
+        with recording() as recorder:
             with span("a") as sa:
                 with span("b"):
                     pass
                 with span("c"):
                     pass
-        ordered = tracer.ordered()
+        ordered = recorder.ordered()
         assert [(s.name, s.path, s.depth, s.seq) for s in ordered] == [
             ("a", "a", 0, 0),
             ("b", "a/b", 1, 1),
@@ -123,30 +124,20 @@ class TestSpans:
         assert sa is not None
 
     def test_set_attaches_result_attrs(self):
-        with tracing() as tracer:
+        with recording() as recorder:
             with span("work", input=3) as s:
                 s.set(output=9)
-        (rec,) = tracer.spans
+        (rec,) = recorder.spans
         assert rec.attrs == {"input": 3, "output": 9}
 
-    def test_tracing_restores_previous_tracer_on_exception(self):
-        with tracing() as outer:
-            with pytest.raises(RuntimeError):
-                with tracing() as inner:
-                    assert active_tracer() is inner
-                    raise RuntimeError("boom")
-            assert active_tracer() is outer
-        assert active_tracer() is None
-
     def test_merge_relabels_and_tracks_pid(self):
-        worker = SpanRecorder()
+        worker = Recorder("worker")
         with worker.span("explore.task", alpha=0.2):
             pass
         snap = worker.snapshot()
         snap["pid"] = 4242  # simulate a different process
-        parent = SpanRecorder()
-        merged = parent.merge(snap, process="task0")
-        assert merged == 1
+        parent = Recorder()
+        parent.merge(snap, process="task0")
         (s,) = parent.spans
         assert s.process == "task0"
         assert s.name == "explore.task"
@@ -154,21 +145,21 @@ class TestSpans:
         assert "main" in parent.process_meta
 
     def test_synthesis_span_taxonomy(self, tiny_spec):
-        with tracing() as tracer:
+        with recording() as recorder:
             synthesize(tiny_spec, config=FAST)
-        paths = {s.path for s in tracer.spans}
+        paths = {s.path for s in recorder.spans}
         assert "synthesis" in paths
         assert "synthesis/partition" in paths
         assert "synthesis/allocate" in paths
         assert "synthesis/evaluate" in paths
-        root = next(s for s in tracer.spans if s.path == "synthesis")
+        root = next(s for s in recorder.spans if s.path == "synthesis")
         assert root.attrs["design_points"] >= 1
 
     def test_simulate_span(self, tiny_spec, tiny_best):
         trace = markov_trace(use_cases_for(tiny_spec), n_segments=8, seed=3)
-        with tracing() as tracer:
+        with recording() as recorder:
             simulate_trace(tiny_best.topology, trace, make_policy("break_even"))
-        root = next(s for s in tracer.spans if s.path == "runtime.simulate")
+        root = next(s for s in recorder.spans if s.path == "runtime.simulate")
         assert root.attrs["policy"] == "break_even"
         assert root.attrs["controlled"] is False
 
@@ -241,16 +232,24 @@ class TestMetrics:
         counts, total, n = a.histogram("h", buckets=(1.0,)).samples[()]
         assert counts == [1, 1] and n == 2
 
-    def test_absorb_perf_shim(self):
-        rec = PerfRecorder()
+    def test_perf_metrics_projection(self):
+        rec = Recorder()
         rec.count("dijkstra_pops", 11)
-        rec.phase_seconds["allocation"] = 1.25
+        with rec.span("synthesis"):
+            with rec.span("allocate"):
+                pass
+            with rec.span("allocate"):
+                pass
         reg = MetricsRegistry()
-        reg.absorb_perf(rec)
+        record_perf_metrics(reg, rec)
         assert reg.counter("perf.counters.dijkstra_pops").value() == 11
-        assert reg.counter("perf.phase_seconds").value(
-            phase="allocation"
-        ) == pytest.approx(1.25)
+        phases = reg.counter("perf.phase_seconds")
+        assert {dict(key)["phase"] for key in phases.samples} == {
+            "synthesis", "allocate",
+        }
+        assert phases.value(phase="allocate") == pytest.approx(
+            rec.seconds_by_name()["allocate"], abs=1e-6
+        )
 
     def test_runtime_and_control_metric_builders(self, controlled_report):
         reg = MetricsRegistry()
@@ -276,39 +275,43 @@ class TestMetrics:
 
 class TestExporters:
     def test_chrome_trace_shape_and_timing_flag(self, tiny_spec):
-        with tracing() as tracer:
+        with recording() as recorder:
             synthesize(tiny_spec, config=FAST)
-        events = chrome_trace_events(tracer, timing=False)
+        events = chrome_trace_events(recorder, timing=False)
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         assert meta and meta[0]["name"] == "process_name"
         assert spans
         assert all("ts" not in e and "dur" not in e for e in spans)
-        timed = chrome_trace_events(tracer, timing=True)
+        timed = chrome_trace_events(recorder, timing=True)
         assert all("ts" in e for e in timed if e["ph"] == "X")
-        doc = json.loads(chrome_trace_json(tracer))
+        doc = json.loads(chrome_trace_json(recorder))
         assert "traceEvents" in doc
 
     def test_exports_byte_identical_across_reruns(self, tiny_spec):
         outs = []
         for _ in range(2):
-            with tracing() as tracer:
+            capture = MemorySink()
+            with recording(Recorder(sinks=[capture])) as recorder:
                 synthesize(tiny_spec, config=FAST)
             outs.append(
                 (
-                    chrome_trace_json(tracer, timing=False),
-                    "\n".join(span_log_lines(tracer, timing=False)),
+                    chrome_trace_json(recorder, timing=False),
+                    "\n".join(event_lines(capture.events, timing=False)),
                 )
             )
         assert outs[0] == outs[1]
 
-    def test_span_log_lines_parse(self, tiny_spec):
-        with tracing() as tracer:
+    def test_span_events_carry_stable_ids(self, tiny_spec):
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
             synthesize(tiny_spec, config=FAST)
-        for line in span_log_lines(tracer):
+        assert capture.events
+        for line in event_lines(capture.events):
             rec = json.loads(line)
             assert rec["type"] == "span"
-            assert rec["span_id"] == stable_span_id(rec["path"], rec["seq"])
+            attrs = rec["attrs"]
+            assert attrs["span_id"] == stable_span_id(attrs["path"], attrs["span_seq"])
 
     def test_telemetry_log_lines_keep_event_kind(self, controlled_report):
         lines = telemetry_log_lines(controlled_report.telemetry)
@@ -347,31 +350,33 @@ class TestExporters:
 
 class TestParallelMerge:
     def test_workers2_sweep_merges_counters_and_spans(self, tiny_spec):
-        # Regression: parallel sweeps used to drop worker PerfRecorder
-        # snapshots entirely — the parent saw zero counters.  Both the
-        # counters and the span streams must now merge.
+        # Regression: parallel sweeps used to drop worker counters
+        # entirely — the parent saw zero counters.  Both the counters
+        # and the span streams must merge.
         alphas = [0.2, 0.4, 0.6, 0.8]
-        with recording(PerfRecorder()) as rec, tracing() as tracer:
+        with recording() as rec:
             with ExplorationEngine(workers=2, config=FAST) as engine:
                 records = engine.alpha_exploration(tiny_spec, alphas)
         assert len(records) == len(alphas)
         assert rec.counters, "worker counters were dropped"
         assert "edge_evals" in rec.counters
-        task_spans = [s for s in tracer.spans if s.process.startswith("task")]
+        task_spans = [s for s in rec.spans if s.process.startswith("task")]
         assert {s.process for s in task_spans} == {
             "task%d" % i for i in range(len(alphas))
         }
         assert all(s.name == "explore.task" for s in task_spans if s.depth == 0)
-        # Worker pids were recorded for every merged stream.
+        # Worker pids were recorded for every merged stream, and each
+        # is a worker's, not the parent's.
         assert all(
-            "task%d" % i in tracer.process_meta for i in range(len(alphas))
+            rec.process_meta["task%d" % i] != os.getpid()
+            for i in range(len(alphas))
         )
 
     def test_parallel_records_match_serial(self, tiny_spec):
         alphas = [0.2, 0.6]
         with ExplorationEngine(workers=1, config=FAST) as engine:
             serial = engine.alpha_exploration(tiny_spec, alphas)
-        with recording(PerfRecorder()), tracing():
+        with recording():
             with ExplorationEngine(workers=2, config=FAST) as engine:
                 parallel = engine.alpha_exploration(tiny_spec, alphas)
         def rows(records):
@@ -385,8 +390,8 @@ class TestParallelMerge:
         assert rows(serial) == rows(parallel)
 
     def test_sweep_without_observers_ships_no_payload(self, tiny_spec):
-        # With no recorder/tracer installed the workers must not pay
-        # for snapshotting (collect_obs stays False end to end).
+        # With no recorder installed the workers must not pay for
+        # snapshotting (collect_obs stays False end to end).
         with ExplorationEngine(workers=2, config=FAST) as engine:
             records = engine.alpha_exploration(tiny_spec, [0.2, 0.8])
         assert len(records) == 2
@@ -408,9 +413,9 @@ class TestDashboard:
                 assert iv.end_ms >= iv.start_ms
 
     def test_phase_breakdown(self, tiny_spec):
-        with tracing() as tracer:
+        with recording() as recorder:
             synthesize(tiny_spec, config=FAST)
-        lines = phase_breakdown_lines(tracer)
+        lines = phase_breakdown_lines(recorder)
         text = "\n".join(lines)
         assert "synthesis" in text
         assert "allocate" in text
@@ -429,13 +434,13 @@ class TestDashboard:
         assert counter_lines(MetricsRegistry()) == ["  (no counters recorded)"]
 
     def test_render_dashboard_sections(self, tiny_spec, controlled_report):
-        with tracing() as tracer:
+        with recording() as recorder:
             synthesize(tiny_spec, config=FAST)
         reg = MetricsRegistry()
         record_runtime_metrics(reg, controlled_report)
         record_control_metrics(reg, controlled_report)
         text = render_dashboard(
-            tracer=tracer, registry=reg, report=controlled_report, title="t"
+            recorder=recorder, registry=reg, report=controlled_report, title="t"
         )
         assert "phase breakdown" in text
         assert "recovery timeline" in text
@@ -487,6 +492,25 @@ class TestCli:
                 types.add(json.loads(line)["type"])
         assert "span" in types
         assert open(prom_path).read().startswith("# ")
+
+    def test_obs_events_feed_follows(self, tmp_path, capsys):
+        # `obs --events` writes the feed `obs --follow` reads: span
+        # timings and the telemetry kind and scenario survive the trip.
+        events_path = str(tmp_path / "events.jsonl")
+        code = main(
+            ["obs", "d12_auto", "--islands", "3", "--segments", "16",
+             "--events", events_path]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        status = follow_render(
+            events_path, stream=io.StringIO(), poll_s=0.02, idle_timeout_s=0.2
+        )
+        assert status.span_counts
+        assert all(status.span_seconds.get(p, 0.0) > 0 for p in status.span_counts)
+        kind, scenario = status.telemetry_last.split(" ", 1)
+        assert kind in TELEMETRY_KINDS
+        assert "under fault %s (" % scenario in out
 
     def test_obs_subcommand_html(self, tmp_path, capsys):
         html_path = str(tmp_path / "dash.html")

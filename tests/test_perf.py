@@ -6,7 +6,7 @@ skips) is only acceptable if it is invisible in the results:
 ``enable_caches`` on and off must yield bit-identical design spaces —
 exact floats, no rounding, so any drift in accumulation order or
 tie-breaking fails here before it can silently move a benchmark
-number.  These tests pin that contract, plus the PerfRecorder used to
+number.  These tests pin that contract, plus the Recorder used to
 observe the hot path.
 """
 
@@ -17,28 +17,29 @@ import pytest
 from repro import SynthesisConfig, synthesize
 from repro.core.objective import StaticLatencyObjective
 from repro.core.paths import PathAllocator, PathCostConfig
-from repro.perf import PerfRecorder, active_recorder, recording
+from repro.perf import Recorder, active_recorder, recording
 from repro.power.library import DEFAULT_LIBRARY
 
 from _helpers import STEEP_SLOPE_LIBRARY, make_tiny_spec, space_signature
 
 
-class TestPerfRecorder:
+class TestRecorder:
     def test_counters_accumulate(self):
-        rec = PerfRecorder()
+        rec = Recorder()
         rec.count("pops")
         rec.count("pops", 41)
         assert rec.counters == {"pops": 42}
 
     def test_phase_timers_accumulate(self):
-        rec = PerfRecorder()
-        with rec.phase("alloc"):
+        rec = Recorder()
+        with rec.span("alloc"):
             pass
-        with rec.phase("alloc"):
+        with rec.span("alloc"):
             pass
-        assert rec.phase_seconds["alloc"] >= 0.0
+        assert rec.seconds_by_name()["alloc"] >= 0.0
+        assert rec.totals_by_path()["alloc"][0] == 2
         snap = rec.snapshot()
-        assert set(snap) == {"counters", "phase_seconds"}
+        assert set(snap) == {"pid", "counters", "spans", "events"}
 
     def test_recording_installs_and_restores(self):
         assert active_recorder() is None
@@ -49,14 +50,6 @@ class TestPerfRecorder:
             assert active_recorder() is outer
         assert active_recorder() is None
 
-    def test_reset(self):
-        rec = PerfRecorder()
-        rec.count("x")
-        with rec.phase("p"):
-            pass
-        rec.reset()
-        assert rec.counters == {} and rec.phase_seconds == {}
-
     def test_synthesis_emits_counters(self, tiny_spec):
         with recording() as rec:
             synthesize(tiny_spec, config=SynthesisConfig(max_intermediate=1))
@@ -66,8 +59,8 @@ class TestPerfRecorder:
         assert rec.counters["scaffold_builds"] > 0
         assert "scaffold_clones" not in rec.counters
         assert rec.counters["partition_cache_misses"] > 0
-        for phase in ("partitioning", "allocation", "evaluation"):
-            assert rec.phase_seconds[phase] >= 0.0
+        for phase in ("partition", "allocate", "evaluate"):
+            assert rec.seconds_by_name()[phase] >= 0.0
 
     def test_uncached_run_emits_no_cache_hits(self, tiny_spec):
         with recording() as rec:

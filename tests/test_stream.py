@@ -1,13 +1,14 @@
-"""Streaming observability tests: event bus, sinks, merge, follow mode.
+"""Event-feed tests: the recorder's events, sinks, merge, follow mode.
 
-Covers ``repro.obs.stream`` and ``repro.obs.live`` end to end:
-monotone per-process sequence numbers, ring-buffer drop accounting,
-sink fan-out, cross-process merge ordering byte-identical to the
-post-hoc export, JSONL sink determinism under ``timing=False``,
-tailing a partially written feed, the emit hooks (spans, metrics,
-control telemetry), the engine's ``close()`` flush of mid-sweep
-worker payloads, the cache hit-rate satellite, and the ``--live`` /
-``--stream`` / ``--follow`` CLI surfaces.  See docs/observability.md.
+Covers the feed of ``repro.perf.Recorder`` with ``repro.obs.stream``
+and ``repro.obs.live`` end to end: monotone per-process sequence
+numbers, sink fan-out and bounded capture, cross-process merge
+ordering byte-identical to the post-hoc export, JSONL sink determinism
+under ``timing=False``, tailing a partially written feed, the emit
+hooks (spans, control telemetry), the engine's ``close()`` flush of
+mid-sweep worker payloads, the cache hit-rate satellite, and the
+``--live`` / ``--stream`` / ``--follow`` CLI surfaces.  See
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -26,33 +27,25 @@ from repro.core.explore import ExplorationEngine
 from repro.exceptions import SpecError
 from repro.obs import (
     CallbackSink,
-    EventBus,
     JsonlSink,
     LiveRenderer,
     LiveStatus,
     MemorySink,
     MetricsRegistry,
-    ObsEvent,
-    SpanRecorder,
-    active_bus,
     cache_lines,
     canonical_events,
-    emit,
     event_from_record,
     event_lines,
     event_record,
     follow_events,
     prometheus_text,
-    publish_metrics,
     read_events,
     record_cache_hit_rates,
     render_dashboard,
-    span,
     status_lines,
-    streaming,
-    tracing,
 )
 from repro.obs.live import follow_render
+from repro.perf import ObsEvent, Outbox, Recorder, recording, span
 from repro.resilience import FaultEvent, enumerate_scenarios, route_affected
 from repro.runtime import make_policy, markov_trace, simulate_trace
 from repro.soc.usecases import use_cases_for
@@ -63,43 +56,30 @@ FAST = SynthesisConfig(max_intermediate=1)
 
 
 # ----------------------------------------------------------------------
-# Bus core: sequence numbers, ring, sinks
+# Recorder feed: sequence numbers, sinks, merge
 # ----------------------------------------------------------------------
 
 
-class TestEventBus:
+class TestRecorderFeed:
     def test_sequence_monotone_across_kinds(self):
-        bus = EventBus()
+        capture = MemorySink()
+        rec = Recorder(sinks=[capture])
         events = [
-            bus.emit(kind, "e%d" % i)
+            rec.emit(kind, "e%d" % i)
             for i, kind in enumerate(
-                ["span", "telemetry", "metric", "progress", "heartbeat"] * 3
+                ["span", "telemetry", "progress", "heartbeat"] * 3
             )
         ]
-        assert [e.seq for e in events] == list(range(15))
+        assert [e.seq for e in events] == list(range(12))
         assert all(e.process == "main" for e in events)
-        assert bus.emitted == 15
-        assert bus.dropped == 0
-
-    def test_ring_drop_accounting(self):
-        capture = MemorySink()
-        bus = EventBus(max_events=4, sinks=[capture])
-        for i in range(10):
-            bus.emit("span" if i % 2 == 0 else "progress", "e%d" % i)
-        # The ring keeps the newest 4; the 6 evictions are counted,
-        # split by the evicted events' kinds (e0..e5: 3 span, 3 progress).
-        assert len(bus.events()) == 4
-        assert bus.dropped == 6
-        assert bus.dropped_by_kind == {"span": 3, "progress": 3}
-        # Sinks observed every event regardless of ring evictions.
-        assert len(capture.events) == 10
+        assert capture.events == events
         assert capture.dropped == 0
 
     def test_memory_sink_bounded(self):
         sink = MemorySink(max_events=3)
-        bus = EventBus(sinks=[sink])
+        rec = Recorder(sinks=[sink])
         for i in range(5):
-            bus.emit("span", "e%d" % i)
+            rec.emit("span", "e%d" % i)
         assert [e.name for e in sink.events] == ["e2", "e3", "e4"]
         assert sink.dropped == 2
         with pytest.raises(SpecError):
@@ -113,45 +93,32 @@ class TestEventBus:
                 raise RuntimeError("sink bug")
             seen.append(event.name)
 
-        bus = EventBus(sinks=[CallbackSink(cb)])
-        bus.emit("span", "ok")
-        bus.emit("span", "bad")
-        bus.emit("span", "ok2")
+        rec = Recorder(sinks=[CallbackSink(cb)])
+        rec.emit("span", "ok")
+        rec.emit("span", "bad")
+        rec.emit("span", "ok2")
         assert seen == ["ok", "ok2"]
-        assert bus.sinks[0].errors == 1
+        assert rec.sinks[0].errors == 1
 
-    def test_free_emit_requires_active_bus(self):
-        assert active_bus() is None
-        assert emit("span", "nobody-listening") is None
-        with streaming() as bus:
-            assert active_bus() is bus
-            event = emit("progress", "x", attrs={"i": 1})
-            assert event is not None and event.seq == 0
-        assert active_bus() is None
+    def test_emit_needs_a_recorder_with_sinks(self):
+        rec = Recorder()
+        assert rec.emit("span", "nobody-listening") is None
+        capture = MemorySink()
+        rec.sinks.append(capture)
+        event = rec.emit("progress", "x", attrs={"i": 1})
+        # Nothing was built (or numbered) while the recorder had no sinks.
+        assert event is not None and event.seq == 0
+        assert capture.events == [event]
 
-    def test_drain_snapshot_ships_drop_delta_once(self):
-        worker = EventBus(process="worker", max_events=2)
-        for i in range(5):
-            worker.emit("span", "e%d" % i)
-        parent = EventBus()
-        parent.ingest(worker.drain_snapshot(), process="task0")
-        assert parent.dropped == 3  # worker lost e0..e2
-        # Second drain with no new loss must not re-ship the count.
-        worker.emit("span", "late")
-        parent.ingest(worker.drain_snapshot(), process="task0")
-        assert parent.dropped == 3
-        assert parent.dropped_by_kind == {"ingested": 3}
-
-    def test_ingest_relabels_and_keeps_seqs(self):
-        worker = EventBus(process="worker")
+    def test_merge_relabels_events_and_keeps_seqs(self):
+        worker = Recorder("worker", sinks=[Outbox()])
         worker.emit("heartbeat", "task")
         worker.emit("span", "s")
-        parent = EventBus()
+        capture = MemorySink()
+        parent = Recorder(sinks=[capture])
         parent.emit("progress", "sweep.start")
-        n = parent.ingest(worker.snapshot(), process="task3")
-        assert n == 2
-        merged = parent.events()
-        assert [(e.process, e.seq) for e in merged] == [
+        parent.merge(worker.snapshot(), process="task3")
+        assert [(e.process, e.seq) for e in capture.events] == [
             ("main", 0), ("task3", 0), ("task3", 1),
         ]
         assert "task3" in parent.process_meta
@@ -195,10 +162,10 @@ class TestSerialization:
 
     def test_jsonl_sink_deterministic_without_timing(self, tmp_path):
         def run(path):
-            with streaming(EventBus(sinks=[JsonlSink(path, timing=False)])):
-                emit("progress", "start", attrs={"n": 2})
-                emit("span", "work", attrs={"i": 0}, timing={"duration_s": 0.1})
-                emit("progress", "done")
+            with recording(Recorder(sinks=[JsonlSink(path, timing=False)])) as rec:
+                rec.emit("progress", "start", attrs={"n": 2})
+                rec.emit("span", "work", attrs={"i": 0}, timing={"duration_s": 0.1})
+                rec.emit("progress", "done")
 
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         run(a)
@@ -279,18 +246,19 @@ class TestFollow:
 
 
 # ----------------------------------------------------------------------
-# Emit hooks: spans, metrics, control telemetry
+# Emit hooks: spans, control telemetry
 # ----------------------------------------------------------------------
 
 
 class TestEmitHooks:
     def test_span_close_emits_event(self):
-        with tracing() as tracer, streaming() as bus:
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])) as rec:
             with span("synthesis", spec="tiny"):
                 with span("allocate", k_mid=1):
                     pass
         # Spans close inner-first; events follow completion order.
-        events = bus.events()
+        events = capture.events
         assert [e.name for e in events] == ["synthesis/allocate", "synthesis"]
         inner = events[0]
         assert inner.kind == "span"
@@ -299,38 +267,26 @@ class TestEmitHooks:
         assert inner.attrs["attrs"] == {"k_mid": 1}
         assert "duration_s" in inner.timing
         # Same identity as the recorded span.
-        assert inner.attrs["span_id"] == tracer.ordered()[1].span_id
+        assert inner.attrs["span_id"] == rec.ordered()[1].span_id
 
     def test_span_without_bus_records_only(self):
-        with tracing() as tracer:
+        with recording() as rec:
             with span("solo"):
                 pass
-        assert len(tracer.spans) == 1  # no bus, no crash, no event
-
-    def test_publish_metrics_deterministic(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2, kind="x")
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        bus = EventBus()
-        n = publish_metrics(reg, bus=bus)
-        assert n == 3 == len(bus.events())
-        kinds = {e.attrs["metric_kind"] for e in bus.events()}
-        assert kinds == {"counter", "gauge", "histogram"}
-        assert all(e.kind == "metric" for e in bus.events())
-        assert publish_metrics(reg) == 0  # no active bus: no-op
+        assert len(rec.spans) == 1  # no sinks, no crash, no event
+        assert rec._event_seq == 0
 
     def test_publish_telemetry_event_shape(self):
-        bus = EventBus()
-        ok = publish_telemetry(
-            TelemetryEvent(
-                t_ms=1.25, kind="fault_raised", scenario="link3",
-                flow=("a", "b"), detail="x",
-            ),
-            bus=bus,
-        )
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
+            ok = publish_telemetry(
+                TelemetryEvent(
+                    t_ms=1.25, kind="fault_raised", scenario="link3",
+                    flow=("a", "b"), detail="x",
+                )
+            )
         assert ok
-        event = bus.events()[0]
+        event = capture.events[0]
         assert event.kind == "telemetry" and event.name == "fault_raised"
         assert event.attrs == {
             "t_ms": 1.25, "kind": "fault_raised", "scenario": "link3",
@@ -358,7 +314,8 @@ class TestEmitHooks:
             end_ms=0.6 * trace.total_ms,
         )
         controller = ReconfigurationController(topology, spare_plan=prot.plan)
-        with streaming() as bus:
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
             report = simulate_trace(
                 topology,
                 trace,
@@ -367,7 +324,7 @@ class TestEmitHooks:
                 spare_plan=prot.plan,
                 controller=controller,
             )
-        streamed = [e for e in bus.events() if e.kind == "telemetry"]
+        streamed = [e for e in capture.events if e.kind == "telemetry"]
         # Every recorded telemetry event was also streamed, live.
         assert len(streamed) == len(report.telemetry)
         assert {e.name for e in streamed} <= set(TELEMETRY_KINDS)
@@ -382,17 +339,17 @@ class TestEmitHooks:
 
 
 # ----------------------------------------------------------------------
-# Sweep streaming: progress feed, cross-process merge, close() flush
+# Sweep feed: progress, cross-process merge, close() flush
 # ----------------------------------------------------------------------
 
 
 def _sweep_events(tiny_spec, workers, sink_path=None):
-    """Run a 4-point alpha sweep under a streaming bus; return events."""
+    """Run a 4-point alpha sweep under a recorder with sinks; return events."""
     capture = MemorySink()
     sinks = [capture]
     if sink_path is not None:
         sinks.append(JsonlSink(sink_path, timing=False))
-    with streaming(EventBus(sinks=sinks)):
+    with recording(Recorder(sinks=sinks)):
         with ExplorationEngine(workers=workers, config=FAST) as engine:
             records = engine.alpha_exploration(
                 tiny_spec, [0.2, 0.4, 0.6, 0.8]
@@ -448,12 +405,18 @@ class TestSweepStreaming:
         assert set(per_task) == {"task%d" % i for i in range(4)}
         roots = {names[-1] for names in per_task.values()}
         assert roots == {"explore.task"}  # the task root closes last
+        _, serial = _sweep_events(tiny_spec, workers=1)
+        serial_names = [e.name for e in serial if e.kind == "span"]
+        assert serial_names == [
+            name for i in range(4) for name in per_task["task%d" % i]
+        ]
 
     def test_close_flushes_completed_unmerged_payloads(self, tiny_spec):
         # First task fails fast; the concurrently running second task
         # completes but the result loop never reaches it.  close()
         # (invoked by run()'s error path) must still merge its events.
-        with streaming() as bus:
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
             with ExplorationEngine(workers=2, config=FAST) as engine:
                 tasks = [
                     dataclasses.replace(
@@ -463,7 +426,7 @@ class TestSweepStreaming:
                 ]
                 with pytest.raises(RuntimeError, match="boom"):
                     engine.run(tasks)
-            flushed = {e.process for e in bus.events()}
+            flushed = {e.process for e in capture.events}
         assert "task1" in flushed
         assert engine._inflight == []  # flush state fully consumed
 
