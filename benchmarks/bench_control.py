@@ -9,8 +9,7 @@ d26 (and the restore path end to end):
   installed routing at every stage;
 * the recovery-time distribution is tight (all failovers within the
   detection + install budget of the latency model) and recorded under
-  ``benchmarks/results/`` alongside ``BENCH_synthesis.json``'s
-  ``control_plane`` section;
+  ``benchmarks/results/control_recovery.txt``;
 * the full recovery timeline + telemetry stream is byte-identical
   across reruns with a fresh controller;
 * FIT-rate availability: the spare plan the controller leans on takes

@@ -6,8 +6,7 @@ Pins the headline claim of the resilience subsystem on d26 and d38:
   single inter-switch link failure (some flows have only one path);
 * k=1 spare protection reaches **100% flow coverage** under every
   single link failure — zero uncovered flows — at a measured power /
-  wire / link overhead (recorded under ``benchmarks/results/`` and in
-  ``BENCH_synthesis.json``'s ``resilience`` section);
+  wire / link overhead (recorded under ``benchmarks/results/``);
 * k=2 protection extends coverage to double link failures (fully on
   d26; d38's densest switches run out of ports for a third disjoint
   route on a few flows, pinned as a strict improvement instead);

@@ -201,8 +201,7 @@ def test_trace_cosynthesis_beats_static_selection(d26_4isl_spec):
     With :class:`TraceEnergyObjective` inside the synthesis loop the
     chosen topology trades ~5 mW of static power for gating
     opportunity and wins on the actual mode sequence — the
-    co-synthesis acceptance demo (also recorded in
-    ``BENCH_synthesis.json``'s runtime section).
+    co-synthesis acceptance demo.
     """
     import dataclasses
 

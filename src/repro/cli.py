@@ -112,8 +112,9 @@ _OUTPUT_ARGS = (
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject unwritable output paths and coverage targets outside
-    [0, 1] up front, rather than with a traceback after the run."""
+    """Reject unwritable output paths, a directory to follow and
+    coverage targets outside [0, 1] up front, rather than with a
+    traceback or an idle wait after the run."""
     for attr in _OUTPUT_ARGS:
         path = getattr(args, attr, None)
         flag = "--" + attr.replace("_", "-")
@@ -121,6 +122,9 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ReproError("%s: %s is a directory" % (flag, path))
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ReproError("%s: the directory of %s does not exist" % (flag, path))
+    follow = getattr(args, "follow", None)
+    if follow and os.path.isdir(follow):
+        raise ReproError("--follow: %s is a directory" % follow)
     coverage = getattr(args, "min_coverage", 0.0)
     if not 0.0 <= coverage <= 1.0:
         raise ReproError("min_coverage must be in [0, 1], got %r" % coverage)

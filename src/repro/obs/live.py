@@ -64,6 +64,11 @@ class LiveStatus:
         attrs = event.attrs
         if event.kind == "progress":
             if event.name == "sweep.start":
+                # A new sweep (or a re-run writing the same feed):
+                # tally it afresh, not on top of the last one.
+                self.tasks_done = self.feasible = self.design_points = 0
+                self.cache_hits = self.cache_misses = 0
+                self.done = False
                 self.tasks_total = int(attrs.get("tasks", 0))  # type: ignore[arg-type]
                 self.workers = int(attrs.get("workers", 0))  # type: ignore[arg-type]
             elif event.name == "sweep.task":

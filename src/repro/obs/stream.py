@@ -43,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from typing import (
@@ -250,7 +251,10 @@ def follow_events(
     *held*, never mis-parsed or dropped.  Stops when ``stop()`` goes
     true or no new bytes arrive for ``idle_timeout_s`` seconds
     (``None`` follows forever).  The file may not exist yet; the
-    follower waits for it under the same idle budget.
+    follower waits for it under the same idle budget.  A feed that
+    shrinks below the bytes already read was truncated or re-created
+    (``JsonlSink`` truncates on open), so the follower reads it again
+    from the start, as ``tail -F`` does.
     """
     buffer = ""
     offset = 0
@@ -260,6 +264,8 @@ def follow_events(
             return
         try:
             with open(path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_size < offset:
+                    offset, buffer = 0, ""
                 fh.seek(offset)
                 raw = fh.read()
         except OSError:

@@ -34,6 +34,17 @@ def _space_summaries(space):
     return [design_point_summary(p) for p in space.points]
 
 
+#: The payloads two processes race to store under one key.
+_RACE_PAYLOADS = {"small": b"s" * 1_000, "large": b"L" * 300_000}
+
+
+def _put_repeatedly(directory, key, name, times):
+    """Writer process body (module level, so any start method can run it)."""
+    store = CacheStore(directory, max_memory_bytes=0)
+    for _ in range(times):
+        store.put_object(key, (name, _RACE_PAYLOADS[name]), kind="space")
+
+
 class TestCanonicalization:
     def test_vi_assignment_order_insensitive(self):
         cores = [
@@ -221,6 +232,41 @@ class TestDiskTier:
             store.put_object("a" * 64, 1, kind="space")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["not-a-dir"]
         assert blocker.read_text() == ""
+
+    def test_two_processes_writing_one_key(self, tmp_path):
+        """Writers of different-sized payloads under one key, racing a
+        reader: every read is a miss or one whole payload, never a torn
+        or corrupt blob, and no temporary file survives."""
+        import multiprocessing
+        import time
+
+        key = "d" * 64
+        ctx = multiprocessing.get_context("spawn")
+        writers = [
+            ctx.Process(target=_put_repeatedly, args=(str(tmp_path), key, name, 100))
+            for name in _RACE_PAYLOADS
+        ]
+        for proc in writers:
+            proc.start()
+        reader = CacheStore(tmp_path, max_memory_bytes=0)
+        reads = []
+        deadline = time.monotonic() + 60
+        try:
+            while any(proc.is_alive() for proc in writers) and time.monotonic() < deadline:
+                reads.append(reader.get_object(key, kind="space"))
+        finally:
+            for proc in writers:
+                proc.join(timeout=60)
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        reads.append(reader.get_object(key, kind="space"))
+        assert reads[-1] is not None
+        for value in reads:
+            assert value is None or _RACE_PAYLOADS[value[0]] == value[1]
+        assert reader.stats.counters.get("corrupt.disk", 0) == 0
+        assert reader.stats.counters.get("corrupt.decode", 0) == 0
+        report = reader.disk.verify()
+        assert (report["checked"], report["corrupt"], report["stale"]) == (1, [], [])
+        assert not list(tmp_path.rglob("*.tmp*"))
 
     def test_clear(self, tmp_path):
         store = CacheStore.open(tmp_path)

@@ -265,6 +265,7 @@ class TestErrorPaths:
                 ["obs", "d12_auto", "--islands", "2", "--chrome-trace", "{dir}/missing/trace.json"],
                 id="obs-chrome-trace-parent-missing",
             ),
+            pytest.param(["obs", "--follow", "{dir}"], id="obs-follow-is-dir"),
             pytest.param(
                 ["resilience", "d12_auto", "--islands", "2", "--min-coverage", "5"],
                 id="resilience-min-coverage-above-1",

@@ -219,6 +219,63 @@ class TestControllerDecisions:
             assert decision.deadlock_free
             assert is_deadlock_free(topo, routes=decision.installed_routes)
 
+    def test_alternates_closing_a_cycle_demote_the_smallest_flow(self):
+        """Three flows detour off a failed hub onto a one-way ring
+        a -> b -> c -> a; together their reroutes close the channel-
+        dependency cycle ab -> bc -> ca -> ab, so the controller demotes
+        the smallest-keyed one to lost and installs the other two."""
+        from repro import DEFAULT_LIBRARY, CoreSpec, Topology, TrafficFlow, build_spec
+        from repro.arch.routing import find_cdg_cycle
+        from repro.core.paths import PathAllocator
+        from repro.resilience import FaultScenario
+
+        flows = {("u", "v"): ("c", "b"), ("w", "x"): ("a", "c"), ("y", "z"): ("b", "a")}
+        spec = build_spec(
+            "ring_hub",
+            [CoreSpec(name, 1.0, 10.0, 2.0) for name in "uvwxyz"],
+            [TrafficFlow(src, dst, 50.0, 20.0) for src, dst in flows],
+        )
+        topo = Topology(spec, DEFAULT_LIBRARY, {0: 200.0})
+        sw = {name: topo.add_switch(0, i).id for i, name in enumerate("abcd")}
+        for src, dst in ("ab", "bc", "ca", "ad", "da", "bd", "db", "cd", "dc"):
+            topo.open_link(sw[src], sw[dst])
+        link = lambda src, dst: topo.link_between(src, dst).id
+        for (src, dst), (first, last) in flows.items():
+            topo.attach_core(src, topo.switches[sw[first]])
+            topo.attach_core(dst, topo.switches[sw[last]])
+            # Healthy routing: every flow crosses the hub d.
+            hops = ["ni." + src, sw[first], sw["d"], sw[last], "ni." + dst]
+            topo.assign_route(
+                spec.flow(src, dst), [link(s, t) for s, t in zip(hops, hops[1:])]
+            )
+        assert is_deadlock_free(topo)
+        hub = sw["d"]
+        sc = FaultScenario(
+            name="hub",
+            kind="switch",
+            failed_links=tuple(
+                sorted(l.id for l in topo.links.values() if hub in (l.src, l.dst))
+            ),
+            failed_switches=(hub,),
+        )
+        alloc = PathAllocator.for_topology(topo)
+        rerouted = {
+            flow: alloc.route_around(topo, flow, sc.failed_links, sc.failed_switches)[0]
+            for flow in flows
+        }
+        assert find_cdg_cycle(topo, routes=rerouted) is not None
+        decision = ReconfigurationController(topo).decide(sc)
+        actions = {a.flow: a.action for a in decision.actions}
+        assert actions == {
+            ("u", "v"): ACTION_LOST,
+            ("w", "x"): ACTION_REROUTE,
+            ("y", "z"): ACTION_REROUTE,
+        }
+        assert decision.demoted == (("u", "v"),)
+        assert decision.deadlock_free
+        assert is_deadlock_free(topo, routes=decision.installed_routes)
+        assert ("u", "v") not in decision.installed_routes
+
     def test_check_rejects_foreign_topology(self, tiny_protected, d26_best):
         ctrl = ReconfigurationController(
             tiny_protected.topology, spare_plan=tiny_protected.plan

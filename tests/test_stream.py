@@ -235,6 +235,24 @@ class TestFollow:
         )
         assert got == []
 
+    def test_follow_restarts_when_feed_is_recreated(self, tmp_path):
+        # JsonlSink truncates on open, so a producer re-run rewrites the
+        # feed from byte 0; the follower must read it again from there.
+        path = tmp_path / "feed.jsonl"
+        line = lambda name: json.dumps(
+            {"type": "span", "process": "main", "seq": 0, "name": name,
+             "attrs": {}}
+        ) + "\n"
+        path.write_text("".join(line("old%d" % i) for i in range(20)))
+        follower = follow_events(str(path), poll_s=0.02, idle_timeout_s=0.3)
+        assert [next(follower).name for _ in range(20)] == [
+            "old%d" % i for i in range(20)
+        ]
+        path.write_text("".join(line("new%d" % i) for i in range(3)))
+        with open(path, "a") as fh:
+            fh.write("".join(line("new%d" % i) for i in range(3, 6)))
+        assert [e.name for e in follower] == ["new%d" % i for i in range(6)]
+
     def test_follow_stop_callback(self, tmp_path):
         path = tmp_path / "feed.jsonl"
         path.write_text("")
@@ -526,6 +544,24 @@ class TestLiveView:
         lines = status_lines(status)
         assert "sweep 1/2 tasks" in lines[0] and "done" in lines[0]
         assert any("cache 3 hits / 1 misses" in line for line in lines)
+
+    def test_sweep_start_begins_a_fresh_tally(self):
+        # A re-run writing the same feed: the view shows the new sweep,
+        # not a sum whose total is one run's and whose done is both's.
+        status = LiveStatus()
+        task = {"feasible": True, "design_points": 7, "cache_hits": 3,
+                "cache_misses": 1}
+        status.apply(_progress(0, "sweep.start", {"tasks": 2, "workers": 2}))
+        status.apply(_progress(1, "sweep.task", task))
+        status.apply(_progress(2, "sweep.task", task))
+        status.apply(_progress(3, "sweep.done", {"tasks": 2, "feasible": 2}))
+        status.apply(_progress(0, "sweep.start", {"tasks": 3, "workers": 1}))
+        status.apply(_progress(1, "sweep.task", dict(task, feasible=False)))
+        assert (status.tasks_total, status.tasks_done, status.feasible) == (3, 1, 0)
+        assert status.design_points == 7
+        assert (status.cache_hits, status.cache_misses) == (3, 1)
+        assert not status.done
+        assert status_lines(status)[0].startswith("sweep 1/3 tasks")
 
     def test_stall_detection_uses_arrival_clock(self):
         status = LiveStatus()
