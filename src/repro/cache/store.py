@@ -15,7 +15,7 @@ Two tiers behind one :class:`CacheStore` facade:
 
 Blob layout (one file per entry, ``objects/<kk>/<key>.blob``)::
 
-    {"magic": "repro-noc", "schema": 1, "key": ..., "kind": ...,
+    {"magic": "repro-noc", "schema": 2, "key": ..., "kind": ...,
      "codec": "pickle", "sha256": ..., "size": ...}\\n
     <payload bytes>
 
@@ -29,6 +29,7 @@ the field is ignored.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -44,6 +45,21 @@ _MAGIC = "repro-noc"
 #: Protocol 4 is supported by every interpreter this repo targets;
 #: pinning it keeps blob bytes stable across minor Python upgrades.
 _PICKLE_PROTOCOL = 4
+
+
+def _gc_paused(fn: Any, *args: Any) -> Any:
+    """``fn(*args)`` with the cyclic GC off, then left as the caller had it.
+
+    Decoding a design space allocates tens of thousands of objects, none
+    of them garbage, and would set off collection passes over them all.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def default_cache_dir() -> Path:
@@ -212,6 +228,11 @@ class DiskTier:
     last_corrupt = False
 
     @staticmethod
+    def is_current(key: str, header: Dict[str, Any]) -> bool:
+        """True when a header was written by this schema under ``key``."""
+        return header.get("schema") == SCHEMA_VERSION and header.get("key") == key
+
+    @staticmethod
     def _parse(key: str, raw: bytes) -> Optional[Tuple[bytes, Dict[str, Any]]]:
         newline = raw.find(b"\n")
         if newline < 0:
@@ -222,7 +243,7 @@ class DiskTier:
             return None
         if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             return None
-        if header.get("schema") != SCHEMA_VERSION or header.get("key") != key:
+        if not DiskTier.is_current(key, header):
             return None
         payload = raw[newline + 1:]
         if len(payload) != header.get("size"):
@@ -319,9 +340,7 @@ class DiskTier:
                 kind = str(entry[1].get("kind", "?"))
                 kinds[kind] = kinds.get(kind, 0) + 1
                 continue
-            is_stale = header is not None and (
-                header.get("schema") != SCHEMA_VERSION or header.get("key") != key
-            )
+            is_stale = header is not None and not self.is_current(key, header)
             (stale if is_stale else corrupt).append(key)
             if remove:
                 try:
@@ -392,29 +411,6 @@ class CacheStore:
 
     # -- raw byte interface -------------------------------------------------
 
-    def get_entry(self, key: str, kind: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
-        entry = self.memory.get(key)
-        if entry is not None:
-            self._record_hit("memory", kind)
-            return entry
-        if self.disk is not None:
-            entry = self.disk.get(key)
-            if self.disk.last_corrupt:
-                self.stats.incr("corrupt.disk")
-            if entry is not None:
-                payload, header = entry
-                self.stats.incr("bytes_read.disk", len(payload))
-                evicted = self.memory.put(key, payload, header)
-                if evicted:
-                    self.stats.incr("evictions.memory", evicted)
-                self._record_hit("disk", kind)
-                return entry
-        self.stats.incr("misses.%s" % kind)
-        rec = active_recorder()
-        if rec is not None:
-            rec.count("cache_misses")
-        return None
-
     def put_entry(self, key: str, payload: bytes, kind: str, codec: str) -> Dict[str, Any]:
         import hashlib
 
@@ -436,33 +432,46 @@ class CacheStore:
         self.stats.incr("puts.%s" % kind)
         return header
 
-    def _record_hit(self, tier: str, kind: str) -> None:
-        self.stats.incr("hits.%s.%s" % (tier, kind))
-        self._hit_seq += 1
-        rec = active_recorder()
-        if rec is not None:
-            rec.count("cache_hits")
-
     # -- object interface ---------------------------------------------------
 
     def get_object(self, key: str, kind: str) -> Optional[Any]:
-        """Decode a fresh copy of the cached value, or ``None`` on miss."""
-        entry = self.get_entry(key, kind)
-        if entry is None:
-            return None
-        try:
-            value = pickle.loads(entry[0])
-        except Exception:
-            # Decode failure past the checksum: schema drift within the
-            # same SCHEMA_VERSION.  Treat as a corrupt miss.
-            self.stats.incr("corrupt.decode")
-            self.drop(key)
-            self.stats.incr("misses.%s" % kind)
-            return None
-        return value
+        """Decode a fresh copy of the cached value, or ``None`` on miss.
+
+        A hit counts once its payload decodes; a payload that fails to
+        decode is dropped and counts as one miss.
+        """
+        tier, entry = "memory", self.memory.get(key)
+        if entry is None and self.disk is not None:
+            tier, entry = "disk", self.disk.get(key)
+            if self.disk.last_corrupt:
+                self.stats.incr("corrupt.disk")
+            if entry is not None:
+                self.stats.incr("bytes_read.disk", len(entry[0]))
+                evicted = self.memory.put(key, *entry)
+                if evicted:
+                    self.stats.incr("evictions.memory", evicted)
+        rec = active_recorder()
+        if entry is not None:
+            try:
+                value = _gc_paused(pickle.loads, entry[0])
+            except Exception:
+                # Decode failure past the checksum: schema drift within
+                # the same SCHEMA_VERSION.  Treat as a corrupt miss.
+                self.stats.incr("corrupt.decode")
+                self.drop(key)
+            else:
+                self.stats.incr("hits.%s.%s" % (tier, kind))
+                self._hit_seq += 1
+                if rec is not None:
+                    rec.count("cache_hits")
+                return value
+        self.stats.incr("misses.%s" % kind)
+        if rec is not None:
+            rec.count("cache_misses")
+        return None
 
     def put_object(self, key: str, value: Any, kind: str) -> bytes:
-        payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+        payload = _gc_paused(pickle.dumps, value, _PICKLE_PROTOCOL)
         self.put_entry(key, payload, kind, "pickle")
         return payload
 

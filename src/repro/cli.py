@@ -905,10 +905,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         total_bytes = 0
         entries = 0
         unreadable = 0
+        stale = 0
         for key, header in disk.scan_headers():
             entries += 1
             if header is None:
                 unreadable += 1
+                continue
+            if not disk.is_current(key, header):
+                stale += 1
                 continue
             kind = str(header.get("kind", "?"))
             size = int(header.get("size", 0))
@@ -920,6 +924,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for kind in sorted(kinds):
             count, nbytes = kinds[kind]
             print("  %-12s %6d entries  %10d bytes" % (kind, count, nbytes))
+        if stale:
+            print("  stale: %d (run `cache verify --remove`)" % stale)
         if unreadable:
             print("  unreadable headers: %d (run `cache verify`)" % unreadable)
         return 0

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro import CoreSpec, SoCSpec, TrafficFlow, build_spec
+from repro import (
+    CoreSpec,
+    SoCSpec,
+    Topology,
+    TrafficFlow,
+    allocate_paths,
+    build_spec,
+    plan_all_islands,
+)
+from repro.arch.routing import find_cdg_cycle
+from repro.core.partition import partition_graph
+from repro.core.vcg import build_all_vcgs
 from repro.power.library import DEFAULT_LIBRARY
 
 #: A library whose switch fmax falls steeply with port count, so the
@@ -53,6 +64,59 @@ def make_tiny_spec(num_islands: int = 2) -> SoCSpec:
     else:
         raise ValueError("tiny spec supports 1..3 islands")
     return build_spec("tiny%d" % num_islands, cores, flows, assignment)
+
+
+def make_allocation(spec, num_intermediate=0, switches_per_island=None, cost=None):
+    """Helper running the full partition + allocate pipeline."""
+    plans = plan_all_islands(spec, DEFAULT_LIBRARY)
+    vcgs = build_all_vcgs(spec)
+    partitions = {}
+    for isl, plan in plans.items():
+        k = switches_per_island.get(isl, plan.min_switches) if switches_per_island else plan.min_switches
+        vcg = vcgs[isl]
+        partitions[isl] = partition_graph(
+            list(vcg.nodes), vcg.symmetric_weights(), k, plan.max_switch_size
+        )
+    return allocate_paths(
+        spec, DEFAULT_LIBRARY, plans, partitions, num_intermediate, cost
+    )
+
+
+def make_cyclic_topology():
+    """Build a topology with a 2-link CDG cycle from scratch.
+
+    Two switches in one island; the w->x flow detours A->B->A and
+    the y->z flow detours B->A->B, so each holds one inter-switch
+    link while requesting the other — a textbook wormhole deadlock.
+    """
+    cores = [
+        CoreSpec("w", 1.0, 10.0, 2.0),
+        CoreSpec("x", 1.0, 10.0, 2.0),
+        CoreSpec("y", 1.0, 10.0, 2.0),
+        CoreSpec("z", 1.0, 10.0, 2.0),
+    ]
+    flows = [TrafficFlow("w", "x", 50.0, 20.0), TrafficFlow("y", "z", 50.0, 20.0)]
+    spec = build_spec("cyclic", cores, flows)
+    topo = Topology(spec, DEFAULT_LIBRARY, {0: 200.0})
+    a = topo.add_switch(0, 0)
+    b = topo.add_switch(0, 1)
+    topo.attach_core("w", a)
+    topo.attach_core("x", a)
+    topo.attach_core("y", b)
+    topo.attach_core("z", b)
+    ab = topo.open_link(a.id, b.id)
+    ba = topo.open_link(b.id, a.id)
+    link = lambda s, d: topo.link_between(s, d).id
+    topo.assign_route(
+        spec.flow("w", "x"),
+        [link("ni.w", a.id), ab.id, ba.id, link(a.id, "ni.x")],
+    )
+    topo.assign_route(
+        spec.flow("y", "z"),
+        [link("ni.y", b.id), ba.id, ab.id, link(b.id, "ni.z")],
+    )
+    assert find_cdg_cycle(topo) is not None
+    return topo
 
 
 def space_signature(space):

@@ -1,8 +1,14 @@
-"""Routing views and structural validation."""
+"""Routing views, structural validation and the topology's pickled form."""
+
+import copy
+import pickle
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ValidationError, validate_topology
+from repro import SynthesisConfig, ValidationError, synthesize, validate_topology
+from repro.arch.deadlock import break_deadlock_cycles
 from repro.arch.routing import (
     channel_dependency_graph,
     find_cdg_cycle,
@@ -11,7 +17,13 @@ from repro.arch.routing import (
     is_deadlock_free,
     route_table,
 )
+from repro.arch.topology import Link, NetworkInterface, Route, Switch
 from repro.arch.validate import audit_shutdown_safety
+from repro.baseline.flat import synthesize_vi_oblivious
+from repro.soc.generator import GeneratorConfig, generate_soc, hub_soc
+from repro.soc.partitioning import communication_partitioning, logical_partitioning
+
+from _helpers import make_allocation, make_cyclic_topology
 
 
 class TestRouteTable:
@@ -111,3 +123,127 @@ class TestValidate:
         sw.island = 1
         violations = audit_shutdown_safety(topo)
         assert any(v.flow == flow for v in violations)
+
+
+def _exact(value):
+    """``value`` with every float, nested ones too, as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_exact(v) for v in value)
+    return value
+
+
+def _state(topo):
+    """Everything a topology holds, in insertion order, floats exact.
+
+    Components are compared through ``vars()``, so a field added to a
+    component class and left out of its pickled row shows up here.
+    """
+    return (
+        _exact(list(topo.island_freqs.items())),
+        {
+            name: [
+                (key, type(obj), [(k, _exact(v)) for k, v in vars(obj).items()])
+                for key, obj in getattr(topo, name).items()
+            ]
+            for name in ("switches", "nis", "links", "routes")
+        },
+        list(topo.core_switch.items()),
+        list(topo._links_by_pair.items()),
+        topo._next_link_id,
+    )
+
+
+def assert_round_trips(topo):
+    """Pickling and deep-copying ``topo`` give back exactly its state."""
+    expected = _state(topo)
+    for other in (pickle.loads(pickle.dumps(topo, 4)), copy.deepcopy(topo)):
+        assert _state(other) == expected
+        assert other.spec.fingerprint() == topo.spec.fingerprint()
+        assert other.library == topo.library
+
+
+@st.composite
+def generated_specs(draw):
+    n_cores = draw(st.integers(min_value=8, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=999))
+    spec = generate_soc(
+        GeneratorConfig(
+            name="pack%d_%d" % (n_cores, seed),
+            num_cores=n_cores,
+            num_groups=max(1, min(4, n_cores // 3)),
+            seed=seed,
+        )
+    )
+    partition = draw(st.sampled_from([logical_partitioning, communication_partitioning]))
+    return (
+        partition(spec, draw(st.integers(min_value=1, max_value=5))),
+        draw(st.integers(min_value=0, max_value=2)),
+    )
+
+
+class TestPackedState:
+    """``Topology`` pickles one row per component and rebuilds the rest."""
+
+    def test_tiny_space(self, tiny_space):
+        for point in tiny_space:
+            assert_round_trips(point.topology)
+
+    def test_d26_space(self, d26_space):
+        for point in d26_space:
+            assert_round_trips(point.topology)
+
+    def test_intermediate_routes(self):
+        space = synthesize(hub_soc(), config=SynthesisConfig(max_intermediate=2))
+        topo = space.points[0].topology
+        assert any(
+            topo.switches[c].is_intermediate
+            for route in topo.routes.values()
+            for c in route.components[1:-1]
+        )
+        assert_round_trips(topo)
+
+    def test_pruned_intermediate_switches(self, tiny_spec):
+        result = make_allocation(tiny_spec, num_intermediate=2)
+        assert len(result.topology.intermediate_switches) < 2
+        assert_round_trips(result.topology)
+
+    def test_flat_remapped_topology(self, tiny_spec):
+        topo = synthesize_vi_oblivious(tiny_spec).topology
+        assert all(link.has_converter is False for link in topo.links.values())
+        assert_round_trips(topo)
+
+    def test_rerouted_routes(self):
+        topo = make_cyclic_topology()
+        assert break_deadlock_cycles(topo) >= 1
+        assert_round_trips(topo)
+
+    @given(generated_specs())
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_generated_specs(self, case):
+        spec, max_intermediate = case
+        space = synthesize(spec, config=SynthesisConfig(max_intermediate=max_intermediate))
+        for point in space:
+            assert_round_trips(point.topology)
+
+    def test_decoded_components_share_instance_dict_keys(self, tiny_best):
+        """Decoded components are as small as constructed ones.
+
+        Assigning a component's ``__dict__`` wholesale would replace its
+        class's key-sharing dict with a larger combined one.
+        """
+        decoded = pickle.loads(pickle.dumps(tiny_best.topology, 4))
+        fresh = {
+            Switch: Switch("sw0.0", 0, 100.0),
+            NetworkInterface: NetworkInterface("ni.cpu", "cpu", 0, 100.0),
+            Link: Link(0, "a", "b", 0, 0, 100.0, 3200.0, "sw2sw"),
+            Route: Route(("a", "b"), ("a", "b"), (0,)),
+        }
+        for mapping in (decoded.switches, decoded.nis, decoded.links, decoded.routes):
+            obj = next(iter(mapping.values()))
+            assert sys.getsizeof(vars(obj)) == sys.getsizeof(vars(fresh[type(obj)]))

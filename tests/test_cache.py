@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import pickle
+from unittest import mock
 
 import pytest
 
 from _helpers import make_tiny_spec
 from repro import DEFAULT_LIBRARY, CoreSpec, TrafficFlow, build_spec
 from repro.cache import (
+    SCHEMA_VERSION,
     CacheStats,
     CacheStore,
     MemoryTier,
@@ -28,6 +32,7 @@ from repro.io.json_io import design_point_summary, topology_to_dict
 from repro.soc.benchmarks import load_benchmark
 from repro.soc.partitioning import logical_partitioning
 from repro.obs import MetricsRegistry, counter_lines, record_cache_metrics
+from repro.perf import recording
 
 
 def _space_summaries(space):
@@ -36,6 +41,15 @@ def _space_summaries(space):
 
 #: The payloads two processes race to store under one key.
 _RACE_PAYLOADS = {"small": b"s" * 1_000, "large": b"L" * 300_000}
+
+
+def _rewrite_header(path, **fields):
+    """Overwrite header fields of a stored blob, keeping its payload."""
+    raw = path.read_bytes()
+    newline = raw.find(b"\n")
+    header = json.loads(raw[:newline])
+    header.update(fields)
+    path.write_bytes(json.dumps(header).encode() + raw[newline:])
 
 
 def _put_repeatedly(directory, key, name, times):
@@ -159,12 +173,7 @@ class TestDiskTier:
         store = CacheStore.open(tmp_path)
         key = "a" * 64
         store.put_object(key, [1, 2], kind="space")
-        path = store.disk.path_for(key)
-        raw = path.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        header["sig"] = "stale-signature"
-        path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        _rewrite_header(store.disk.path_for(key), sig="stale-signature")
         assert CacheStore.open(tmp_path).get_object(key, kind="space") == [1, 2]
 
     @pytest.mark.parametrize(
@@ -189,12 +198,19 @@ class TestDiskTier:
         assert not path.exists()
 
     def test_undecodable_payload_dropped(self, tmp_path):
+        """A payload that fails to decode is one miss, never also a hit."""
         store = CacheStore.open(tmp_path)
         key = "c" * 64
         store.put_entry(key, b"\x80not-a-pickle", kind="space", codec="pickle")
         fresh = CacheStore.open(tmp_path)
-        assert fresh.get_object(key, kind="space") is None
-        assert fresh.stats.counters["corrupt.decode"] == 1
+        # ``fresh`` reads the blob from disk, ``store`` from its memory tier.
+        for reader in (fresh, store):
+            with recording() as rec:
+                assert reader.get_object(key, kind="space") is None
+            assert (reader.stats.hits, reader.stats.misses) == (0, 1)
+            assert reader.stats.counters["corrupt.decode"] == 1
+            assert rec.counters == {"cache_misses": 1}
+            assert reader._hit_seq == 0  # the sequence verify_every samples
         assert not store.disk.path_for(key).exists()
 
     def test_verify_classifies_corrupt_and_stale(self, tmp_path):
@@ -206,12 +222,7 @@ class TestDiskTier:
         # in a well-formed header, checksum still valid).
         corrupt_path = store.disk.path_for("e" * 64)
         corrupt_path.write_bytes(corrupt_path.read_bytes()[:-1])
-        stale_path = store.disk.path_for("f" * 64)
-        raw = stale_path.read_bytes()
-        newline = raw.find(b"\n")
-        header = json.loads(raw[:newline])
-        header["schema"] = -1
-        stale_path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        _rewrite_header(store.disk.path_for("f" * 64), schema=-1)
 
         report = store.disk.verify(remove=False)
         assert report["checked"] == 3
@@ -274,6 +285,53 @@ class TestDiskTier:
         store.put_object("b" * 64, 2, kind="space")
         assert store.disk.clear() == 2
         assert store.disk.entry_count() == 0
+
+
+class TestGcPause:
+    """Encode and decode run with the cyclic GC off, then leave it as found."""
+
+    @pytest.fixture
+    def gc_state(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_hit_miss_and_decode_failure(self, gc_state, enabled):
+        seen = []
+        real_loads = pickle.loads
+
+        def loads(payload):
+            seen.append(gc.isenabled())
+            return real_loads(payload)
+
+        (gc.enable if enabled else gc.disable)()
+        store = CacheStore.in_memory()
+        store.put_object("a" * 64, {"x": 1}, kind="space")
+        assert gc.isenabled() is enabled
+        with mock.patch.object(pickle, "loads", loads):
+            assert store.get_object("a" * 64, kind="space") == {"x": 1}
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert store.get_object("0" * 64, kind="space") is None
+        assert gc.isenabled() is enabled
+        store.put_entry("b" * 64, b"\x80not-a-pickle", kind="space", codec="pickle")
+        assert store.get_object("b" * 64, kind="space") is None
+        assert store.stats.counters["corrupt.decode"] == 1
+        assert gc.isenabled() is enabled
+
+    def test_encode_runs_paused(self, gc_state):
+        seen = []
+
+        class Probe:
+            def __reduce__(self):
+                seen.append(gc.isenabled())
+                return (int, (7,))
+
+        gc.enable()
+        CacheStore.in_memory().put_object("a" * 64, Probe(), kind="space")
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestVerifyOnHit:
@@ -503,6 +561,21 @@ class TestCacheCli:
         assert "removed" in clear_out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+    def test_stats_lists_stale_entries_apart(self, capsys, tmp_path):
+        """Blobs of another schema are counted as stale, not under their kind."""
+        cache_dir = tmp_path / "cache"
+        store = CacheStore.open(cache_dir)
+        payload = store.put_object("a" * 64, 1, kind="space")
+        store.put_object("b" * 64, list(range(100)), kind="allocation")
+        _rewrite_header(store.disk.path_for("b" * 64), schema=SCHEMA_VERSION - 1)
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "  entries: 2  payload bytes: %d" % len(payload),
+            "  space             1 entries  %10d bytes" % len(payload),
+            "  stale: 1 (run `cache verify --remove`)",
+        ]
 
     def test_verify_reports_corrupt_entry(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"

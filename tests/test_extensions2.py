@@ -20,6 +20,8 @@ from repro.sim.profile import (
 )
 from repro.soc.usecases import mobile_use_cases
 
+from _helpers import make_cyclic_topology
+
 
 class TestNetlistDict:
     def test_counts_match_topology(self, tiny_best):
@@ -139,46 +141,8 @@ class TestEnergyProfile:
 
 
 class TestDeadlockRepair:
-    def _make_cyclic(self):
-        """Build a topology with a 2-link CDG cycle from scratch.
-
-        Two switches in one island; the w->x flow detours A->B->A and
-        the y->z flow detours B->A->B, so each holds one inter-switch
-        link while requesting the other — a textbook wormhole deadlock.
-        """
-        from repro import DEFAULT_LIBRARY, CoreSpec, Topology, TrafficFlow, build_spec
-
-        cores = [
-            CoreSpec("w", 1.0, 10.0, 2.0),
-            CoreSpec("x", 1.0, 10.0, 2.0),
-            CoreSpec("y", 1.0, 10.0, 2.0),
-            CoreSpec("z", 1.0, 10.0, 2.0),
-        ]
-        flows = [TrafficFlow("w", "x", 50.0, 20.0), TrafficFlow("y", "z", 50.0, 20.0)]
-        spec = build_spec("cyclic", cores, flows)
-        topo = Topology(spec, DEFAULT_LIBRARY, {0: 200.0})
-        a = topo.add_switch(0, 0)
-        b = topo.add_switch(0, 1)
-        topo.attach_core("w", a)
-        topo.attach_core("x", a)
-        topo.attach_core("y", b)
-        topo.attach_core("z", b)
-        ab = topo.open_link(a.id, b.id)
-        ba = topo.open_link(b.id, a.id)
-        link = lambda s, d: topo.link_between(s, d).id
-        topo.assign_route(
-            spec.flow("w", "x"),
-            [link("ni.w", a.id), ab.id, ba.id, link(a.id, "ni.x")],
-        )
-        topo.assign_route(
-            spec.flow("y", "z"),
-            [link("ni.y", b.id), ba.id, ab.id, link(b.id, "ni.z")],
-        )
-        assert find_cdg_cycle(topo) is not None
-        return topo
-
     def test_repair_restores_acyclicity(self):
-        topo = self._make_cyclic()
+        topo = make_cyclic_topology()
         assert not is_deadlock_free(topo)
         rerouted = break_deadlock_cycles(topo)
         assert rerouted >= 1
@@ -186,7 +150,7 @@ class TestDeadlockRepair:
         validate_topology(topo)
 
     def test_repair_shortens_detours(self):
-        topo = self._make_cyclic()
+        topo = make_cyclic_topology()
         break_deadlock_cycles(topo)
         # At least one of the two detoured flows now takes the direct
         # single-switch route.
@@ -194,7 +158,7 @@ class TestDeadlockRepair:
         assert lengths[0] == 2
 
     def test_flows_on_cycle_reports_contributors(self):
-        topo = self._make_cyclic()
+        topo = make_cyclic_topology()
         cycle = find_cdg_cycle(topo)
         contributors = flows_on_cycle(topo, cycle)
         assert contributors

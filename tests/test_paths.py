@@ -2,35 +2,11 @@
 
 import pytest
 
-from repro import (
-    DEFAULT_LIBRARY,
-    INTERMEDIATE_ISLAND,
-    PathCostConfig,
-    allocate_paths,
-    plan_all_islands,
-)
-from repro.core.partition import partition_graph
+from repro import INTERMEDIATE_ISLAND, PathCostConfig
 from repro.core.paths import _allowed_transition
-from repro.core.vcg import build_all_vcgs
 from repro.sim.zero_load import route_latency_cycles
 
-from _helpers import make_tiny_spec
-
-
-def make_allocation(spec, num_intermediate=0, switches_per_island=None, cost=None):
-    """Helper running the full partition + allocate pipeline."""
-    plans = plan_all_islands(spec, DEFAULT_LIBRARY)
-    vcgs = build_all_vcgs(spec)
-    partitions = {}
-    for isl, plan in plans.items():
-        k = switches_per_island.get(isl, plan.min_switches) if switches_per_island else plan.min_switches
-        vcg = vcgs[isl]
-        partitions[isl] = partition_graph(
-            list(vcg.nodes), vcg.symmetric_weights(), k, plan.max_switch_size
-        )
-    return allocate_paths(
-        spec, DEFAULT_LIBRARY, plans, partitions, num_intermediate, cost
-    )
+from _helpers import make_allocation, make_tiny_spec
 
 
 class TestTransitionRule:
