@@ -2,9 +2,9 @@
 
 Canonical hashing of the synthesis inputs (:mod:`repro.cache.keys`), a
 two-tier memo store (:mod:`repro.cache.store`) and the active-store
-context (:mod:`repro.cache.context`) that ``core/synthesis.py`` probes
-at two granularities: full design spaces and per-candidate path
-allocations.  See ``docs/caching.md``.
+context (:mod:`repro.cache.context`) through which ``core/synthesis.py``
+stores one entry per run: the objective-free candidate record.  See
+``docs/caching.md``.
 """
 
 from .. import _lazy_exports
@@ -15,14 +15,11 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ".context": ("active_store", "caching", "set_store"),
         ".keys": (
             "SCHEMA_VERSION",
-            "allocation_base_key",
-            "allocation_context_key",
-            "allocation_key",
             "canonical",
             "design_space_key",
             "fingerprint",
         ),
-        ".signatures": ("allocation_signature", "design_space_signature"),
+        ".signatures": ("design_space_signature",),
         ".store": (
             "CacheStats",
             "CacheStore",

@@ -23,20 +23,13 @@ interpreter versions, so keys are partitioned by it).  Bump
 :data:`SCHEMA_VERSION` whenever canonicalization or any cached value's
 serialized layout changes — old entries then simply miss.
 
-Two key builders cover the cache granularities used by
-``core/synthesis.py``:
+One key builder covers the one entry kind ``core/synthesis.py``
+stores:
 
 ``design_space_key``
-    The full result of one synthesis run: spec + library + config
-    (objective included).
-``allocation_key``
-    One ``PathAllocator.allocate`` attempt for one candidate design
-    point: spec + library + path-cost config + island plans +
-    partitions + intermediate-switch count.  Routes for all island
-    pairs interact through shared link capacities, so the sound
-    cacheable unit is the whole allocation, which covers every
-    island-pair routing plan of that candidate.  Also
-    objective-independent.
+    The candidate record of one synthesis run (the objective-free
+    pass's ordered points and failures): spec + library + every config
+    field except :data:`CONFIG_KEY_EXCLUDE`.
 """
 
 from __future__ import annotations
@@ -45,20 +38,22 @@ import dataclasses
 import hashlib
 import json
 import sys
-from typing import Any, Mapping, Sequence, Set
+from typing import Any, Mapping
 
 from ..exceptions import CacheKeyError
 
 #: Version tag mixed into every digest.  Bump on any change to the
 #: canonical form or to the serialized layout of cached values.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Config fields excluded from cache keys.  ``enable_caches`` toggles
 #: the in-run fast path (memo dicts, routing shortcuts), which is
 #: pinned byte-identical to the reference path by
-#: ``tests/test_perf.py`` and the ``cache_ablation`` bench section, so
-#: cached and reference runs share results.
-CONFIG_KEY_EXCLUDE = ("enable_caches",)
+#: ``tests/test_perf.py::TestSynthesisDeterminism``, so cached and
+#: reference runs share results.  ``objective``, ``prune_sweep`` and
+#: ``max_design_points`` only steer the scoring pass, which runs on
+#: every call, hit or miss.
+CONFIG_KEY_EXCLUDE = ("enable_caches", "max_design_points", "objective", "prune_sweep")
 
 
 def canonical(obj: Any) -> Any:
@@ -146,40 +141,6 @@ def _config_canonical(config: Any) -> Any:
 
 
 def design_space_key(spec: Any, library: Any, config: Any) -> str:
-    """Key for the full :class:`DesignSpace` of one synthesis run."""
+    """Key for the candidate record of one synthesis run."""
     return fingerprint("space", spec, library, _config_canonical(config))
 
-
-def allocation_context_key(spec: Any, library: Any, cost_config: Any) -> str:
-    """Digest of the allocation inputs shared by the whole sweep.
-
-    Spec and library are by far the largest canonicalization inputs
-    and never change between candidates; hashing them once per sweep
-    keeps the cold-path overhead of the allocation tier small.
-    """
-    return fingerprint("alloc-ctx", spec, library, cost_config)
-
-
-def allocation_base_key(
-    context_digest: str,
-    plans: Mapping[int, Any],
-    partitions: Mapping[int, Sequence[Set[str]]],
-) -> str:
-    """Shared key prefix for one candidate's path allocations.
-
-    ``context_digest`` comes from :func:`allocation_context_key`; the
-    per-k keys derive from this digest via :func:`allocation_key`.
-
-    ``partitions`` values are sequences of sets; part order is
-    preserved (it determines switch numbering) while the sets
-    themselves canonicalize order-insensitively.
-    """
-    canon_parts = {
-        isl: [sorted(part) for part in parts] for isl, parts in partitions.items()
-    }
-    return fingerprint("allocation-base", context_digest, dict(plans), canon_parts)
-
-
-def allocation_key(base_key: str, num_intermediate: int) -> str:
-    """Key for one candidate's path allocation (objective-independent)."""
-    return fingerprint("allocation", base_key, num_intermediate)

@@ -24,34 +24,26 @@ def _digest(data: Any) -> str:
 
 
 def design_space_signature(space: Any) -> str:
-    """Identity of a :class:`DesignSpace`: all point summaries + failures."""
+    """Identity of a :class:`DesignSpace` (all point summaries and
+    failures), or of a synthesis candidate record: the list of its
+    points and failures in candidate order."""
     from ..io.json_io import design_point_summary
 
+    def failure(counts: Any, k_mid: int, reason: str) -> list:
+        return [[list(pair) for pair in counts], k_mid, reason]
+
+    if isinstance(space, list):
+        return _digest(
+            [
+                failure(*outcome) if isinstance(outcome, tuple)
+                else design_point_summary(outcome)
+                for outcome in space
+            ]
+        )
     return _digest(
         {
             "spec": space.spec_name,
             "points": [design_point_summary(p) for p in space.points],
-            "failures": [
-                [[list(pair) for pair in counts], k_mid, reason]
-                for counts, k_mid, reason in space.failures
-            ],
-        }
-    )
-
-
-def allocation_signature(result: Any) -> str:
-    """Identity of an :class:`AllocationResult` incl. the routed topology."""
-    from ..io.json_io import topology_to_dict
-
-    return _digest(
-        {
-            "success": result.success,
-            "failed_flow": list(result.failed_flow) if result.failed_flow else None,
-            "reason": result.reason,
-            "links_opened": result.links_opened,
-            "flows_via_intermediate": result.flows_via_intermediate,
-            "topology": topology_to_dict(result.topology)
-            if result.topology is not None
-            else None,
+            "failures": [failure(*f) for f in space.failures],
         }
     )

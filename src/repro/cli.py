@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
@@ -112,9 +113,17 @@ _OUTPUT_ARGS = (
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject unwritable output paths, a directory to follow and
-    coverage targets outside [0, 1] up front, rather than with a
-    traceback or an idle wait after the run."""
+    """Reject unwritable output paths, a directory to follow, a NaN in
+    any float flag, negative counts and timeouts and coverage targets
+    outside [0, 1] up front, rather than with a traceback, garbage
+    output or an idle wait after the run."""
+    for name, value in sorted(vars(args).items()):
+        # NaN passes every ``x < 0`` range check downstream.
+        if isinstance(value, float) and math.isnan(value):
+            raise ReproError("--%s: must be a number, got nan" % name.replace("_", "-"))
+    if getattr(args, "follow_timeout", 0.0) < 0:
+        raise ReproError("--follow-timeout: must be >= 0, got %r" % args.follow_timeout)
+    _non_negative(getattr(args, "spare_k", 0), "--spare-k")
     for attr in _OUTPUT_ARGS:
         path = getattr(args, attr, None)
         flag = "--" + attr.replace("_", "-")

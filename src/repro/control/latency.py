@@ -62,7 +62,7 @@ class ControlLatencyModel:
             "install_per_flow_ms",
             "repair_detection_factor",
         ):
-            if getattr(self, field) < 0:
+            if not getattr(self, field) >= 0:  # NaN fails too
                 raise SpecError(
                     "latency model %s must be >= 0, got %r"
                     % (field, getattr(self, field))

@@ -473,7 +473,7 @@ class WakeLatencyQoSObjective(Objective):
     def __post_init__(self) -> None:
         if self.trace is None:
             raise SpecError("wake_qos objective needs a trace")
-        if self.budget_ms < 0:
+        if not self.budget_ms >= 0:  # NaN fails too; inf is no budget
             raise SpecError(
                 "wake budget must be >= 0 ms, got %r" % self.budget_ms
             )

@@ -474,24 +474,6 @@ class PathAllocator:
 
     # -- public API ----------------------------------------------------
 
-    @property
-    def k0_dominance(self) -> bool:
-        """Whether the k=0 dominance shortcut is armed (see ``allocate``)."""
-        return self._k0_unblocked
-
-    def seed_k0(self, result: AllocationResult, unblocked: bool) -> None:
-        """Restore k=0 state from a cached allocation.
-
-        ``allocate(k > 0)`` is not history-free: the dominance shortcut
-        replays the k=0 result when that routing was never capacity- or
-        port-constrained.  A cache hit for k=0 must therefore re-arm
-        this state, or later cold ``allocate`` calls (and
-        ``verify_on_hit`` recomputes) would diverge from the run that
-        populated the cache.
-        """
-        self._k0_result = result
-        self._k0_unblocked = bool(unblocked)
-
     def allocate(self, num_intermediate: int = 0) -> AllocationResult:
         """Route all flows with ``num_intermediate`` indirect switches.
 

@@ -19,25 +19,34 @@ Pipeline per design-point candidate:
    lengths, power and zero-load latency; feasible candidates become
    :class:`~repro.core.design_point.DesignPoint` s.
 
-The returned :class:`~repro.core.design_point.DesignSpace` is the
-paper's power/performance trade-off curve.
+Steps 1–6 are objective-free and run as one lazy candidate pass; a
+scoring pass then applies the configured objective, its veto, sweep
+pruning and the point cap.  Only the candidate pass's outcomes are
+cached.  The returned :class:`~repro.core.design_point.DesignSpace` is
+the paper's power/performance trade-off curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..arch.validate import validate_topology
 from ..cache.context import active_store
-from ..cache.keys import (
-    allocation_base_key,
-    allocation_context_key,
-    allocation_key,
-    design_space_key,
-)
-from ..cache.signatures import allocation_signature, design_space_signature
+from ..cache.keys import design_space_key
+from ..cache.signatures import design_space_signature
 from ..exceptions import CacheKeyError, InfeasibleError, PartitionError
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
@@ -91,32 +100,38 @@ class SynthesisConfig:
     #: Validate every design point's structural invariants (cheap; keep
     #: on outside of tight benchmark loops).
     validate_points: bool = True
-    #: Stop the sweep after this many feasible points (None = full sweep).
+    #: Stop the sweep after this many accepted points (None = full
+    #: sweep).  Applied by the scoring pass, which pulls candidates one
+    #: at a time, so a capped run does no work past its last accepted
+    #: point.  Not part of the cache key: a capped run that stops early
+    #: stores nothing, and a complete stored record answers every cap.
     max_design_points: Optional[int] = None
     #: Enable the synthesis fast path: one partitioner per island that
     #: reuses its partitions and bisections across the switch-count
     #: sweep, cost memos and per-destination search state inside path
     #: allocation, the direct-open dominance shortcut, the search's
     #: open-edge class skip, the floorplan-skeleton cache, and the
-    #: probes of an active cache store.  Off reproduces the same design
-    #: space through the unmemoized reference path (used by
-    #: determinism tests).
+    #: active cache store's candidate record.  Off reproduces the same
+    #: design space through the unmemoized reference path (used by
+    #: determinism tests), without touching the store.
     enable_caches: bool = True
-    #: Co-synthesis objective: when set, every evaluated candidate is
-    #: scored under it *inside* the sweep — points the objective
-    #: rejects are recorded as failures (like a routing failure) and
-    #: the surviving points carry their :class:`ObjectiveResult`, so
-    #: trace energy or QoS deadlines steer Algorithm 1's switch-count
-    #: and partition choices directly.  ``None`` (the default) keeps
-    #: the historical behaviour: no scoring during synthesis, and
-    #: selection helpers fall back to the static-power objective —
-    #: byte-identical to passing ``StaticPowerObjective()``.
+    #: Co-synthesis objective: when set, the scoring pass scores every
+    #: evaluated candidate under it — points the objective rejects are
+    #: recorded as failures (like a routing failure) and the surviving
+    #: points carry their :class:`ObjectiveResult`, so trace energy or
+    #: QoS deadlines steer which switch-count and partition choices of
+    #: Algorithm 1 survive.  ``None`` (the default) keeps the
+    #: historical behaviour: no scoring during synthesis, and selection
+    #: helpers fall back to the static-power objective — byte-identical
+    #: to passing ``StaticPowerObjective()``.  Not part of the cache
+    #: key: the cached candidate record is objective-free, so a re-run
+    #: under another objective is one record hit plus scoring.
     objective: Optional[Objective] = None
-    #: Objective-aware sweep pruning: once an incumbent best point
-    #: exists, a candidate whose cheap *exact cost prefix*
+    #: Objective-aware pruning in the scoring pass: once an incumbent
+    #: best point exists, a candidate whose cheap *exact cost prefix*
     #: (:meth:`~repro.core.objective.Objective.partial_cost`) compares
     #: strictly greater than the incumbent's cost is dropped without
-    #: the expensive remainder of its evaluation (trace replays,
+    #: the expensive remainder of its scoring (trace replays,
     #: spare-path protection).  Pruned candidates are recorded in
     #: ``DesignSpace.failures`` and never enter ``points`` — the space
     #: is smaller, but selection under the objective is provably
@@ -127,8 +142,16 @@ class SynthesisConfig:
     #: Inert when ``max_design_points`` is set: the cap truncates by
     #: accepted-point count, and skipping candidates would shift the
     #: truncation boundary — breaking the identical-selection
-    #: guarantee — so the sweep silently evaluates everything instead.
+    #: guarantee — so the sweep silently scores everything instead.
+    #: Not part of the cache key: the candidate record it prunes is the
+    #: same either way.
     prune_sweep: bool = False
+
+
+#: One candidate's outcome in the objective-free pass: a metrics-only
+#: :class:`DesignPoint`, or a ``(switch counts, k_mid, reason)`` failure
+#: (``k_mid`` is -1 when partitioning failed).
+Outcome = Union[DesignPoint, Tuple[Tuple[Tuple[int, int], ...], int, str]]
 
 
 def synthesize(
@@ -137,6 +160,11 @@ def synthesize(
     config: Optional[SynthesisConfig] = None,
 ) -> DesignSpace:
     """Run Algorithm 1 on a spec; return all feasible design points.
+
+    Two passes: the objective-free candidate pass (partitioning,
+    routing, evaluation), served from the active cache store when it
+    can be, and the scoring pass, which applies the objective and the
+    sweep options to its outcomes.
 
     Raises
     ------
@@ -147,60 +175,75 @@ def synthesize(
     """
     cfg = config or SynthesisConfig()
     with span("synthesis", spec=spec.name, islands=spec.num_islands) as s:
-        space = _cached_synthesize(spec, library, cfg, s)
+        space = _score(spec.name, cfg, _outcomes(spec, library, cfg, s))
         space.require_feasible()
         if s is not None:
             s.set(design_points=len(space))
         return space
 
 
-def _cached_synthesize(
+def _outcomes(
     spec: SoCSpec,
     library: NocLibrary,
     cfg: SynthesisConfig,
     root_span=None,
-) -> DesignSpace:
-    """Space-tier cache probe around the full sweep.
+) -> Iterator[Outcome]:
+    """The candidate pass's outcomes, through the active cache store.
 
-    Active only when a :class:`~repro.cache.store.CacheStore` is
-    installed (``repro.cache.caching``) *and* the config's fast paths
-    are on — ``enable_caches=False`` is the reference mode and must
-    exercise the real computation.  Infeasible sweeps are cached too
-    (the stored space carries the failures; :func:`synthesize` re-raises
-    from it), so warm re-runs of infeasible corners stay cheap.
+    The store holds one entry per pass: the complete outcome list,
+    keyed without the objective and the scoring options, so a run under
+    any objective, prune setting or cap is served by it.  Active only
+    when a :class:`~repro.cache.store.CacheStore` is installed
+    (``repro.cache.caching``) *and* the config's fast paths are on —
+    ``enable_caches=False`` is the reference mode and must exercise the
+    real computation.  Infeasible sweeps are cached too (the record is
+    all failures; :func:`synthesize` re-raises after scoring).
     """
     store = active_store()
     if store is None or not cfg.enable_caches:
-        return _synthesize_sweep(spec, library, cfg)
+        return _candidate_pass(spec, library, cfg)
     try:
         key = design_space_key(spec, library, cfg)
     except CacheKeyError:
-        # Something in the config (say, a closure-capturing objective)
-        # has no stable content address; run cold, don't fail the run.
+        # Something in the config has no stable content address; run
+        # cold, don't fail the run.
         store.record_key_error()
-        return _synthesize_sweep(spec, library, cfg)
-    space = store.get_object(key, "space")
-    if space is not None:
-        # Keys leave the spec name out, so the hit may have been stored
-        # under another name: hand back the caller's own spec objects.
-        space.spec_name = spec.name
-        for point in space.points:
-            _rebind(point.topology, spec, library)
+        return _candidate_pass(spec, library, cfg)
+    record = store.get_object(key, "space")
+    if record is None:
         if root_span is not None:
-            root_span.set(cache="hit")
-        if store.should_verify():
-            fresh = _synthesize_sweep(spec, library, cfg)
-            store.check_signature(
-                design_space_signature(space),
-                design_space_signature(fresh),
-                "design space for %s" % spec.name,
-            )
-        return space
+            root_span.set(cache="miss")
+        return _stored_when_complete(_candidate_pass(spec, library, cfg), store, key)
+    # Keys leave the spec name out, so the hit may have been stored
+    # under another name: hand back the caller's own spec objects.
+    for outcome in record:
+        if isinstance(outcome, DesignPoint):
+            _rebind(outcome.topology, spec, library)
     if root_span is not None:
-        root_span.set(cache="miss")
-    space = _synthesize_sweep(spec, library, cfg)
-    store.put_object(key, space, "space")
-    return space
+        root_span.set(cache="hit")
+    if store.should_verify():
+        # The pass never touches the store, so this is a clean recompute.
+        store.check_signature(
+            design_space_signature(record),
+            design_space_signature(list(_candidate_pass(spec, library, cfg))),
+            "candidate record for %s" % spec.name,
+        )
+    return iter(record)
+
+
+def _stored_when_complete(
+    outcomes: Iterator[Outcome], store: "CacheStore", key: str
+) -> Iterator[Outcome]:
+    """Pass ``outcomes`` through; store them all once they are exhausted.
+
+    A consumer that stops early (``max_design_points``) leaves the
+    record incomplete, and nothing is stored.
+    """
+    record: List[Outcome] = []
+    for outcome in outcomes:
+        record.append(outcome)
+        yield outcome
+    store.put_object(key, record, "space")
 
 
 def _rebind(topology: Optional[Topology], spec: SoCSpec, library: NocLibrary) -> None:
@@ -210,38 +253,18 @@ def _rebind(topology: Optional[Topology], spec: SoCSpec, library: NocLibrary) ->
         topology.library = library
 
 
-def _synthesize_sweep(
+def _candidate_pass(
     spec: SoCSpec, library: NocLibrary, cfg: SynthesisConfig
-) -> DesignSpace:
-    """The Algorithm-1 sweep body (root span opened by :func:`synthesize`)."""
+) -> Iterator[Outcome]:
+    """Algorithm 1's objective-free pass, one outcome per candidate.
+
+    Yields, in candidate order, each ``(switch counts, k_mid)``
+    candidate's metrics-only point or failure.  Lazy: work stops where
+    the consumer stops pulling.  Point indices count the points yielded
+    so far; scoring renumbers them when it drops any.
+    """
     plans = plan_all_islands(spec, library, cfg.freq_step_mhz, cfg.min_freq_mhz)
     vcgs = build_all_vcgs(spec, cfg.alpha)
-    space = DesignSpace(spec_name=spec.name, objective=cfg.objective)
-    # Allocation-tier probes share the active store; off in reference
-    # mode so enable_caches=False really is the unmemoized computation.
-    # The spec/library digest is hoisted out of the candidate loop — it
-    # is the expensive canonicalization and is sweep-invariant.
-    store: Optional[CacheStore] = active_store() if cfg.enable_caches else None
-    alloc_ctx: Optional[str] = None
-    if store is not None:
-        try:
-            alloc_ctx = allocation_context_key(spec, library, cfg.path_cost)
-        except CacheKeyError:
-            store.record_key_error()
-    # Pruning needs a full-cost incumbent to compare prefixes against;
-    # with no objective configured the static-power default drives the
-    # prune decision alone (accepted points stay objective-free).
-    # Under max_design_points the cap truncates by accepted-point
-    # count; pruning would shift that boundary (a pruned candidate may
-    # or may not have been vetoed by the objective, which the skipped
-    # evaluation cannot tell), so the guarantee only holds with the
-    # prune disabled.
-    prune_obj: Optional[Objective] = None
-    if cfg.prune_sweep and cfg.max_design_points is None:
-        from .objective import StaticPowerObjective
-
-        prune_obj = cfg.objective or StaticPowerObjective()
-    incumbent: Optional[Tuple[float, ...]] = None
 
     max_cores = max(p.num_cores for p in plans.values())
     has_cross_flows = bool(spec.flows_across_islands())
@@ -275,7 +298,7 @@ def _synthesize_sweep(
             with span("partition", sweep_i=i):
                 partitions = _partition_islands(vcgs, plans, counts, cfg, partitioners)
         except PartitionError as exc:
-            space.failures.append((counts_key, -1, "partitioning: %s" % exc))
+            yield (counts_key, -1, "partitioning: %s" % exc)
             continue
 
         # One allocator per candidate: flow order, successor rows and
@@ -288,121 +311,108 @@ def _synthesize_sweep(
             cost_config=cfg.path_cost,
             use_cache=cfg.enable_caches,
         )
-        # Allocation-tier cache: one base digest per candidate (the
-        # spec/library/plans/partitions canonicalization is shared by
-        # the whole intermediate-count sweep), per-k keys derived from
-        # it.  Routes interact through shared link capacities, so the
-        # whole allocation — every island pair's routing plan — is the
-        # sound cacheable unit.  Objective-independent by construction:
-        # objective re-runs hit this tier.
-        alloc_base: Optional[str] = None
-        if alloc_ctx is not None:
-            alloc_base = allocation_base_key(alloc_ctx, plans, partitions)
         seen_signatures: Set[Tuple[Tuple[Tuple[int, int], ...], int]] = set()
         for k_mid in range(0, mid_cap + 1):
-            result = None
-            if alloc_base is not None:
-                akey = allocation_key(alloc_base, k_mid)
-                alloc_entry = store.get_object(akey, "allocation")
-                if alloc_entry is not None:
-                    result = alloc_entry["result"]
-                    _rebind(result.topology, spec, library)
-                    if k_mid == 0:
-                        # allocate(k>0) is not history-free (the k=0
-                        # dominance shortcut); re-arm the state so any
-                        # later cold allocate matches the populating run.
-                        allocator.seed_k0(result, alloc_entry["k0_unblocked"])
-                    if store.should_verify():
-                        fresh_alloc = allocator.allocate(num_intermediate=k_mid)
-                        store.check_signature(
-                            allocation_signature(result),
-                            allocation_signature(fresh_alloc),
-                            "allocation %s k_mid=%d" % (counts_key, k_mid),
-                        )
-            alloc_from_cache = result is not None
-            if result is None:
-                with span("allocate", k_mid=k_mid) as alloc_span:
-                    result = allocator.allocate(num_intermediate=k_mid)
-                    if alloc_span is not None:
-                        alloc_span.set(success=result.success)
+            with span("allocate", k_mid=k_mid) as alloc_span:
+                result = allocator.allocate(num_intermediate=k_mid)
+                if alloc_span is not None:
+                    alloc_span.set(success=result.success)
             if not result.success:
-                if alloc_base is not None and not alloc_from_cache:
-                    store.put_object(
-                        akey,
-                        {"result": result, "k0_unblocked": allocator.k0_dominance},
-                        "allocation",
-                    )
-                space.failures.append((counts_key, k_mid, result.reason or "unknown"))
+                yield (counts_key, k_mid, result.reason or "unknown")
                 continue
             # Requesting more intermediate switches than the allocator
             # uses reproduces an earlier point; skip the duplicate.
             used_mid = len(result.require_topology().intermediate_switches)
             signature = (counts_key, used_mid)
             if signature in seen_signatures:
-                # Never cached: the dominance shortcut aliases this
-                # result to the k=0 object, whose topology evaluation
-                # has already mutated (wire lengths) — warm runs
-                # instead miss here and re-skip via the seeded k=0
-                # dominance state, which costs nothing.
                 continue
             seen_signatures.add(signature)
-            if alloc_base is not None and not alloc_from_cache:
-                # Snapshot *before* evaluation: _evaluate_point assigns
-                # wire lengths onto this topology in place, and the
-                # cached bytes must stay pre-evaluation.
-                store.put_object(
-                    akey,
-                    {"result": result, "k0_unblocked": allocator.k0_dominance},
-                    "allocation",
-                )
             with span("evaluate", k_mid=k_mid):
                 point = _evaluate_point(
                     result, plans, counts, k_mid, point_index, library, cfg,
                     place_cache,
                 )
-            if prune_obj is not None and incumbent is not None:
-                prefix = prune_obj.partial_cost(point)
-                if prefix is not None and prefix > incumbent[: len(prefix)]:
-                    # The prefix is an exact prefix of the full cost
-                    # vector and already compares strictly greater, so
-                    # the candidate can never beat the incumbent —
-                    # skip the expensive remainder of its evaluation.
-                    recorder = active_recorder()
-                    if recorder is not None:
-                        recorder.count("sweep_pruned")
-                    space.failures.append(
-                        (counts_key, k_mid, "pruned: partial cost above incumbent")
-                    )
-                    continue
-            if cfg.objective is not None:
-                point = replace(
-                    point, objective_result=cfg.objective.evaluate(point)
-                )
-            if point.objective_result is not None and not point.objective_result.feasible:
-                # Co-synthesis rejection: the objective vetoes the
-                # candidate mid-sweep, exactly like a routing failure
-                # (the freed index goes to the next accepted point).
+            point_index += 1
+            yield point
+
+
+def _score(
+    spec_name: str, cfg: SynthesisConfig, outcomes: Iterable[Outcome]
+) -> DesignSpace:
+    """The scoring pass: objective, veto, prune, indices and cap.
+
+    Pulls ``outcomes`` one at a time and stops at
+    ``max_design_points``, so a capped run does no candidate work past
+    its last accepted point.  Record points are never mutated: a point
+    whose index or objective result changes is a new one
+    (``dataclasses.replace``).
+    """
+    space = DesignSpace(spec_name=spec_name, objective=cfg.objective)
+    # Pruning needs a full-cost incumbent to compare prefixes against;
+    # with no objective configured the static-power default drives the
+    # prune decision alone (accepted points stay objective-free).
+    # Under max_design_points the cap truncates by accepted-point
+    # count; pruning would shift that boundary (a pruned candidate may
+    # or may not have been vetoed by the objective, which the skipped
+    # evaluation cannot tell), so the guarantee only holds with the
+    # prune disabled.
+    prune_obj: Optional[Objective] = None
+    if cfg.prune_sweep and cfg.max_design_points is None:
+        from .objective import StaticPowerObjective
+
+        prune_obj = cfg.objective or StaticPowerObjective()
+    incumbent: Optional[Tuple[float, ...]] = None
+    for outcome in outcomes:
+        if not isinstance(outcome, DesignPoint):
+            space.failures.append(outcome)
+            continue
+        point = outcome
+        if point.index != len(space.points):
+            point = replace(point, index=len(space.points))
+        if prune_obj is not None and incumbent is not None:
+            prefix = prune_obj.partial_cost(point)
+            if prefix is not None and prefix > incumbent[: len(prefix)]:
+                # The prefix is an exact prefix of the full cost
+                # vector and already compares strictly greater, so
+                # the candidate can never beat the incumbent —
+                # skip the expensive remainder of its scoring.
+                recorder = active_recorder()
+                if recorder is not None:
+                    recorder.count("sweep_pruned")
                 space.failures.append(
-                    (
-                        counts_key,
-                        k_mid,
-                        "objective: %s" % (point.objective_result.reason or "rejected"),
-                    )
+                    _failure(point, "pruned: partial cost above incumbent")
                 )
                 continue
-            space.points.append(point)
-            if prune_obj is not None:
-                cost = (
-                    point.objective_result.cost
-                    if point.objective_result is not None
-                    else prune_obj.evaluate(point).cost
+        if cfg.objective is not None:
+            point = replace(point, objective_result=cfg.objective.evaluate(point))
+        if point.objective_result is not None and not point.objective_result.feasible:
+            # Co-synthesis rejection: the objective vetoes the
+            # candidate mid-sweep, exactly like a routing failure
+            # (the freed index goes to the next accepted point).
+            space.failures.append(
+                _failure(
+                    point, "objective: %s" % (point.objective_result.reason or "rejected")
                 )
-                if incumbent is None or cost < incumbent:
-                    incumbent = cost
-            point_index += 1
-            if cfg.max_design_points is not None and len(space.points) >= cfg.max_design_points:
-                return space
+            )
+            continue
+        space.points.append(point)
+        if prune_obj is not None:
+            cost = (
+                point.objective_result.cost
+                if point.objective_result is not None
+                else prune_obj.evaluate(point).cost
+            )
+            if incumbent is None or cost < incumbent:
+                incumbent = cost
+        if cfg.max_design_points is not None and len(space.points) >= cfg.max_design_points:
+            break
     return space
+
+
+def _failure(point: DesignPoint, reason: str) -> Outcome:
+    """A scored-out candidate, in the pass's failure form."""
+    counts_key = tuple(sorted(point.switch_counts.items()))
+    return (counts_key, point.num_intermediate_requested, reason)
 
 
 def _partition_islands(

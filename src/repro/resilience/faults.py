@@ -62,11 +62,11 @@ class FitRates:
 
     def __post_init__(self) -> None:
         for name in ("link_fit", "switch_fit", "island_fit"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise SpecError(
                     "%s must be >= 0 FIT, got %r" % (name, getattr(self, name))
                 )
-        if self.repair_hours <= 0:
+        if not self.repair_hours > 0:
             raise SpecError(
                 "repair_hours must be > 0, got %r" % self.repair_hours
             )
@@ -125,7 +125,7 @@ class FaultScenario:
             raise SpecError("fault scenario needs a name")
         if not (self.failed_links or self.failed_switches or self.failed_islands):
             raise SpecError("fault scenario %r fails nothing" % self.name)
-        if self.fit < 0:
+        if not self.fit >= 0:  # NaN fails too
             raise SpecError(
                 "fault scenario %r has negative FIT rate %r"
                 % (self.name, self.fit)
@@ -167,15 +167,17 @@ class FaultEvent:
     reroute_stall_ms: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.start_ms < 0:
+        # Written so that NaN fails each check; an infinite end_ms (the
+        # default) means "never repaired".
+        if not self.start_ms >= 0:
             raise SpecError(
                 "fault event start must be >= 0 ms, got %r" % self.start_ms
             )
-        if self.end_ms <= self.start_ms:
+        if not self.end_ms > self.start_ms:
             raise SpecError(
                 "fault event window [%r, %r) is empty" % (self.start_ms, self.end_ms)
             )
-        if self.reroute_stall_ms < 0:
+        if not self.reroute_stall_ms >= 0:
             raise SpecError(
                 "reroute stall must be >= 0 ms, got %r" % self.reroute_stall_ms
             )

@@ -184,9 +184,10 @@ def markov_trace(
     """
     if n_segments < 1:
         raise SpecError("n_segments must be >= 1, got %r" % n_segments)
-    if mean_dwell_ms <= 0:
+    # Written so that NaN fails both checks.
+    if not mean_dwell_ms > 0:
         raise SpecError("mean dwell must be positive, got %r" % mean_dwell_ms)
-    if min_dwell_ms <= 0 or min_dwell_ms > mean_dwell_ms:
+    if not 0 < min_dwell_ms <= mean_dwell_ms:
         raise SpecError(
             "min dwell must be in (0, mean], got %r" % min_dwell_ms
         )

@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import pickle
+import tempfile
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from _helpers import make_tiny_spec
-from repro import DEFAULT_LIBRARY, CoreSpec, TrafficFlow, build_spec
+from repro import DEFAULT_LIBRARY, OBJECTIVE_NAMES, CoreSpec, TrafficFlow, build_spec
 from repro.cache import (
     SCHEMA_VERSION,
     CacheStats,
@@ -25,18 +28,63 @@ from repro.cache import (
 )
 from repro.cli import main
 from repro.core.explore import alpha_exploration
-from repro.core.objective import StaticLatencyObjective
+from repro.core.objective import (
+    Objective,
+    ObjectiveResult,
+    StaticLatencyObjective,
+    make_objective,
+)
 from repro.core.synthesis import SynthesisConfig, synthesize
-from repro.exceptions import CacheCorruptionError, CacheError, CacheKeyError
+from repro.exceptions import (
+    CacheCorruptionError,
+    CacheError,
+    CacheKeyError,
+    InfeasibleError,
+)
 from repro.io.json_io import design_point_summary, topology_to_dict
+from repro.runtime import markov_trace
 from repro.soc.benchmarks import load_benchmark
-from repro.soc.partitioning import logical_partitioning
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import communication_partitioning, logical_partitioning
+from repro.soc.usecases import use_cases_for
 from repro.obs import MetricsRegistry, counter_lines, record_cache_metrics
 from repro.perf import recording
 
 
 def _space_summaries(space):
     return [design_point_summary(p) for p in space.points]
+
+
+def _answer(spec, cfg):
+    """What a run hands back: signature, objective results and failures
+    in order, or the infeasibility it raised."""
+    try:
+        space = synthesize(spec, config=cfg)
+    except InfeasibleError as exc:
+        return "infeasible: %s" % exc
+    return (
+        design_space_signature(space),
+        [p.objective_result for p in space.points],
+        space.failures,
+    )
+
+
+def _served(directory, spec, cfg):
+    """``cfg``'s run from a fresh store on a populated ``directory``,
+    every hit verified, plus the store's hit/miss/put counters."""
+    store = CacheStore.open(directory, verify_every=1)
+    with caching(store):
+        answer = _answer(spec, cfg)
+    counters = store.stats.counters
+    traffic = {k: v for k, v in counters.items() if k.startswith(("hits.", "misses.", "puts."))}
+    return answer, traffic, counters.get("verify_mismatches", 0)
+
+
+def _named_objective(name, spec):
+    """The objective ``name`` as the CLI builds it, with short traces."""
+    cases = use_cases_for(spec)
+    traces = [markov_trace(cases, n_segments=24, seed=seed) for seed in (0, 1)]
+    return make_objective(name, trace=traces[0], traces=traces)
 
 
 #: The payloads two processes race to store under one key.
@@ -120,14 +168,25 @@ class TestConfigKeys:
             spec, DEFAULT_LIBRARY, base
         )
 
-    def test_seed_alpha_objective_included(self):
+    def test_scoring_options_excluded(self):
+        """The record is objective-free: what only scoring reads is keyless."""
+        spec = make_tiny_spec()
+        base = SynthesisConfig()
+        key = design_space_key(spec, DEFAULT_LIBRARY, base)
+        for variant in (
+            dataclasses.replace(base, objective=StaticLatencyObjective()),
+            dataclasses.replace(base, prune_sweep=True),
+            dataclasses.replace(base, max_design_points=2),
+        ):
+            assert design_space_key(spec, DEFAULT_LIBRARY, variant) == key
+
+    def test_seed_alpha_included(self):
         spec = make_tiny_spec()
         base = SynthesisConfig()
         key = design_space_key(spec, DEFAULT_LIBRARY, base)
         for variant in (
             dataclasses.replace(base, seed=1),
             dataclasses.replace(base, alpha=0.4),
-            dataclasses.replace(base, objective=StaticLatencyObjective()),
         ):
             assert design_space_key(spec, DEFAULT_LIBRARY, variant) != key
 
@@ -364,19 +423,38 @@ class TestVerifyOnHit:
         """A wrong value re-put under a valid key passes the checksum;
         sampled verification must still catch it."""
         spec = make_tiny_spec()
+        other = make_tiny_spec(3)
         cfg = SynthesisConfig(max_intermediate=1)
         with caching(CacheStore.open(tmp_path)):
             cold = synthesize(spec, config=cfg)
-        poison = synthesize(make_tiny_spec(3), config=cfg)
-        assert design_space_signature(poison) != design_space_signature(cold)
+            poisoned = synthesize(other, config=cfg)
+        assert design_space_signature(poisoned) != design_space_signature(cold)
+        # Poison the key with the other spec's candidate record.
+        store = CacheStore.open(tmp_path)
+        poison = store.get_object(design_space_key(other, DEFAULT_LIBRARY, cfg), "space")
         key = design_space_key(spec, DEFAULT_LIBRARY, cfg)
-        CacheStore.open(tmp_path).put_object(key, poison, "space")
+        store.put_object(key, poison, "space")
 
         warm_store = CacheStore.open(tmp_path, verify_every=1)
         with caching(warm_store), pytest.raises(CacheCorruptionError):
             synthesize(spec, config=cfg)
         assert warm_store.stats.counters["hits.disk.space"] == 1
         assert warm_store.stats.counters["verify_mismatches"] == 1
+
+    def test_sampled_verification_is_a_clean_recompute(self, tmp_path):
+        """The recompute behind a sampled hit makes no store call."""
+        spec = make_tiny_spec()
+        cfg = SynthesisConfig(max_intermediate=1)
+        with caching(CacheStore.open(tmp_path)):
+            synthesize(spec, config=cfg)
+        warm_store = CacheStore.open(tmp_path, verify_every=1)
+        with caching(warm_store):
+            synthesize(spec, config=cfg)
+        assert warm_store.stats.counters == {
+            "bytes_read.disk": warm_store.stats.counters["bytes_read.disk"],
+            "hits.disk.space": 1,
+            "verify_runs": 1,
+        }
 
 
 class TestStatsMerge:
@@ -422,22 +500,41 @@ class TestWarmSynthesis:
         assert _space_summaries(plain) == _space_summaries(warm)
         assert plain.failures == warm.failures
 
-    def test_objective_rerun_hits_subtiers(self, tmp_path):
+    def test_objective_rerun_is_one_record_hit(self, tmp_path):
         spec = make_tiny_spec()
+        rerun_cfg = dataclasses.replace(self.CFG, objective=StaticLatencyObjective())
         store = CacheStore.open(tmp_path, verify_every=1)
         with caching(store):
             synthesize(spec, config=self.CFG)
             before = store.stats.snapshot()
-            rerun_cfg = dataclasses.replace(self.CFG, objective=StaticLatencyObjective())
             rerun = synthesize(spec, config=rerun_cfg)
         delta = store.stats.diff(before)
-        # The objective changes the space key but not path allocation:
-        # that tier serves the re-run.
-        assert delta.get("misses.space") == 1
-        assert sum(v for k, v in delta.items() if k.startswith("hits.") and k.endswith(".allocation")) > 0
-        assert not any(k.startswith("verify_mismatches") for k in delta)
-        plain = synthesize(spec, config=dataclasses.replace(self.CFG, objective=StaticLatencyObjective()))
+        # The record is objective-free: the re-run is one hit plus
+        # scoring, with no miss and no put.
+        assert {k: v for k, v in delta.items() if k.startswith(("hits.", "misses.", "puts."))} == {
+            "hits.memory.space": 1
+        }
+        assert delta["verify_runs"] == 1
+        assert "verify_mismatches" not in delta
+        plain = synthesize(spec, config=rerun_cfg)
         assert _space_summaries(plain) == _space_summaries(rerun)
+        assert plain.failures == rerun.failures
+
+    def test_capped_run_stops_early_and_stores_nothing(self, tmp_path):
+        """A cap stops the candidate pass where it is reached, store or no
+        store, and an incomplete record is never stored."""
+        spec = make_tiny_spec()
+        capped = dataclasses.replace(self.CFG, max_design_points=1)
+
+        def allocations(cfg, store=None):
+            with caching(store), recording() as rec:
+                space = synthesize(spec, config=cfg)
+            return sum(1 for s in rec.spans if s.name == "allocate"), _space_summaries(space)
+
+        store = CacheStore.open(tmp_path)
+        assert allocations(capped, store) == allocations(capped)
+        assert allocations(capped)[0] < allocations(self.CFG)[0]
+        assert store.stats.counters == {"misses.space": 1}
 
     def test_disabled_caches_bypass_store(self, tmp_path):
         spec = make_tiny_spec()
@@ -470,14 +567,14 @@ class TestWarmSynthesis:
         store = CacheStore.open(tmp_path, verify_every=1)
         with caching(store):
             space_hit = synthesize(beta, config=self.CFG)
-            # A new objective misses the space tier; allocations still hit.
-            alloc_hits = synthesize(beta, config=rerun)
+            # A new objective is served by the same record.
+            rerun_hit = synthesize(beta, config=rerun)
         counters = store.stats.counters
         assert counters["hits.disk.space"] == 1
-        assert counters["hits.disk.allocation"] > 0
+        assert counters["hits.memory.space"] == 1
         assert counters["verify_runs"] > 0
         assert "verify_mismatches" not in counters
-        for space in (space_hit, alloc_hits):
+        for space in (space_hit, rerun_hit):
             assert space.spec_name == "beta"
             for point in space.points:
                 assert point.topology.spec is beta
@@ -486,9 +583,118 @@ class TestWarmSynthesis:
         assert _space_summaries(space_hit) == _space_summaries(
             synthesize(beta, config=self.CFG)
         )
-        assert _space_summaries(alloc_hits) == _space_summaries(
+        assert _space_summaries(rerun_hit) == _space_summaries(
             synthesize(beta, config=rerun)
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class _EvenCountVeto(Objective):
+    """Rejects every point whose lowest island has an even switch count:
+    vetoes that alternate with accepted points along the sweep."""
+
+    name = "even_count_veto"
+
+    def evaluate(self, point):
+        if point.switch_counts[min(point.switch_counts)] % 2 == 0:
+            return ObjectiveResult(cost=(math.inf,), feasible=False, reason="even count")
+        return ObjectiveResult(cost=(point.power_mw,))
+
+
+class TestAnyObjectiveOneRecord:
+    """The record is objective-free: whichever objective populated it,
+    it serves every objective, cap and prune setting exactly."""
+
+    STATIC = ("static_power", "static_latency", "static_area", "wire_length")
+    CFG = SynthesisConfig(max_intermediate=1)
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            pytest.param(make_tiny_spec, id="tiny"),
+            pytest.param(
+                lambda: logical_partitioning(load_benchmark("d26_media"), 4), id="d26-4"
+            ),
+            pytest.param(
+                lambda: communication_partitioning(
+                    generate_soc(GeneratorConfig("gen24", num_cores=24, num_groups=4, seed=3)), 3
+                ),
+                id="gen24-3",
+            ),
+        ],
+    )
+    def test_every_objective_both_ways(self, tmp_path, make_spec):
+        spec = make_spec()
+        static = dataclasses.replace(self.CFG, objective=make_objective("static_power"))
+        with caching(CacheStore.open(tmp_path / "static_power")):
+            static_answer = _answer(spec, static)
+        for name in OBJECTIVE_NAMES:
+            cfg = dataclasses.replace(self.CFG, objective=_named_objective(name, spec))
+            with caching(CacheStore.open(tmp_path / name)):
+                cold = _answer(spec, cfg)
+            assert _answer(spec, dataclasses.replace(cfg, enable_caches=False)) == cold, name
+            one_hit = {"hits.disk.space": 1}
+            # Populated under static_power, served to ``name`` ...
+            assert _served(tmp_path / "static_power", spec, cfg) == (cold, one_hit, 0), name
+            # ... and populated under ``name``, served to static_power.
+            assert _served(tmp_path / name, spec, static) == (static_answer, one_hit, 0), name
+
+    def test_veto_prune_and_cap_served_from_one_record(self, tmp_path):
+        """Scoring renumbers what a veto or a prune drops, and a cap
+        stops it, identically on a hit and a cold run."""
+        spec = logical_partitioning(load_benchmark("d26_media"), 4)
+        with caching(CacheStore.open(tmp_path)):
+            _answer(spec, self.CFG)
+        for cfg, dropped in (
+            (dataclasses.replace(self.CFG, objective=_EvenCountVeto()), "objective: "),
+            (
+                dataclasses.replace(self.CFG, objective=StaticLatencyObjective(), prune_sweep=True),
+                "pruned: ",
+            ),
+            (
+                dataclasses.replace(self.CFG, objective=_EvenCountVeto(), max_design_points=3),
+                "objective: ",
+            ),
+        ):
+            cold = _answer(spec, cfg)
+            assert cold[1] and any(reason.startswith(dropped) for _, _, reason in cold[2])
+            # Indices number the accepted points, in acceptance order.
+            indices = [p.index for p in synthesize(spec, config=cfg).points]
+            assert indices == list(range(len(cold[1])))
+            assert _answer(spec, dataclasses.replace(cfg, enable_caches=False)) == cold
+            assert _served(tmp_path, spec, cfg) == (cold, {"hits.disk.space": 1}, 0)
+
+    @given(
+        n_cores=st.integers(min_value=8, max_value=40),
+        gen_seed=st.integers(min_value=0, max_value=999),
+        n_islands=st.integers(min_value=1, max_value=4),
+        strategy=st.sampled_from([logical_partitioning, communication_partitioning]),
+        first=st.sampled_from(STATIC),
+        second=st.sampled_from(STATIC),
+        cap=st.sampled_from([None, 1, 3]),
+    )
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_record_serves_any_objective(
+        self, n_cores, gen_seed, n_islands, strategy, first, second, cap
+    ):
+        soc = generate_soc(
+            GeneratorConfig("prop%d" % n_cores, num_cores=n_cores, num_groups=min(4, n_cores // 3), seed=gen_seed)
+        )
+        spec = strategy(soc, n_islands)
+        populate = dataclasses.replace(self.CFG, objective=make_objective(first))
+        run = dataclasses.replace(
+            self.CFG, objective=make_objective(second), max_design_points=cap
+        )
+        expected = _answer(spec, run)
+        assert _answer(spec, dataclasses.replace(run, enable_caches=False)) == expected
+        with tempfile.TemporaryDirectory() as directory:
+            with caching(CacheStore.open(directory)):
+                _answer(spec, populate)
+            assert _served(directory, spec, run) == (expected, {"hits.disk.space": 1}, 0)
 
 
 class TestWarmPool:

@@ -274,6 +274,42 @@ class TestErrorPaths:
                 ["sweep", "d12_auto", "--counts", "1,2", "--min-coverage", "-5"],
                 id="sweep-min-coverage-negative",
             ),
+            pytest.param(
+                ["control", "d26_media", "--detection-ms", "nan"], id="control-detection-ms-nan"
+            ),
+            pytest.param(
+                ["control", "d26_media", "--fault-start", "nan"], id="control-fault-start-nan"
+            ),
+            pytest.param(
+                ["resilience", "d26_media", "--availability", "--switch-fit", "nan"],
+                id="resilience-switch-fit-nan",
+            ),
+            pytest.param(
+                ["runtime", "--benchmark", "d26_media", "--dwell-ms", "nan"],
+                id="runtime-dwell-ms-nan",
+            ),
+            pytest.param(["control", "d26_media", "--dwell-ms", "nan"], id="control-dwell-ms-nan"),
+            pytest.param(
+                ["synth", "d26_media", "--objective", "wake_qos", "--qos-budget-ms", "nan"],
+                id="synth-qos-budget-ms-nan",
+            ),
+            pytest.param(
+                ["synth", "d26_media", "--objective", "trace_energy", "--trace-dwell-ms", "nan"],
+                id="synth-trace-dwell-ms-nan",
+            ),
+            pytest.param(
+                ["obs", "--follow", "{file}", "--follow-timeout", "nan"],
+                id="obs-follow-timeout-nan",
+            ),
+            pytest.param(
+                ["obs", "--follow", "{file}", "--follow-timeout", "-1"],
+                id="obs-follow-timeout-negative",
+            ),
+            pytest.param(["synth", "d26_media", "--spare-k", "-1"], id="synth-spare-k-negative"),
+            pytest.param(
+                ["sweep", "d26_media", "--counts", "1,2", "--spare-k", "-1"],
+                id="sweep-spare-k-negative",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )

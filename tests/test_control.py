@@ -116,6 +116,20 @@ class TestLatencyModel:
         with pytest.raises(SpecError):
             ControlLatencyModel(install_per_flow_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "detection_base_ms",
+            "detection_jitter_ms",
+            "install_base_ms",
+            "install_per_flow_ms",
+            "repair_detection_factor",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        with pytest.raises(SpecError, match=field):
+            ControlLatencyModel(**{field: float("nan")})
+
     def test_detection_within_jitter_band(self, tiny_protected):
         lat = ControlLatencyModel()
         for sc in enumerate_scenarios(tiny_protected.topology, "single_link"):

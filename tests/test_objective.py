@@ -234,6 +234,12 @@ class TestWakeLatencyQoS:
         with pytest.raises(SpecError):
             WakeLatencyQoSObjective(trace=idle_trace, budget_ms=-1.0)
 
+    def test_nan_budget_rejected(self, idle_trace):
+        with pytest.raises(SpecError, match="wake budget"):
+            WakeLatencyQoSObjective(trace=idle_trace, budget_ms=float("nan"))
+        # An infinite budget stays legal: it never rejects a point.
+        assert WakeLatencyQoSObjective(trace=idle_trace, budget_ms=float("inf"))
+
 
 class TestComposite:
     def test_weighted_sum(self, tiny_space):

@@ -92,6 +92,14 @@ class TestFaultModels:
         assert ev.overlap_ms(0.0, 20.0) == pytest.approx(10.0)
         assert ev.overlap_ms(40.0, 50.0) == 0.0
 
+    @pytest.mark.parametrize("field", ["start_ms", "end_ms", "reroute_stall_ms"])
+    def test_event_nan_rejected(self, field):
+        sc = FaultScenario(name="l0", kind="single_link", failed_links=(0,))
+        with pytest.raises(SpecError):
+            FaultEvent(scenario=sc, **{field: float("nan")})
+        # An infinite end (the default) stays legal: never repaired.
+        assert FaultEvent(scenario=sc).end_ms == float("inf")
+
     def test_single_link_enumeration(self, tiny_best):
         topo = tiny_best.topology
         scenarios = single_link_failures(topo)
@@ -535,6 +543,15 @@ class TestFitRates:
         with pytest.raises(SpecError):
             FaultScenario(
                 name="l0", kind="single_link", failed_links=(0,), fit=-5.0
+            )
+
+    @pytest.mark.parametrize("field", ["link_fit", "switch_fit", "island_fit", "repair_hours"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(SpecError):
+            FitRates(**{field: float("nan")})
+        with pytest.raises(SpecError):
+            FaultScenario(
+                name="l0", kind="single_link", failed_links=(0,), fit=float("nan")
             )
 
     def test_scenario_fit_by_kind(self):

@@ -116,6 +116,12 @@ class TestTraces:
         assert a.segments == b.segments
         assert a.segments != c.segments
 
+    @pytest.mark.parametrize("dwell", [{"mean_dwell_ms": math.nan}, {"min_dwell_ms": math.nan}])
+    def test_markov_trace_nan_dwell_rejected(self, dwell):
+        cases = tiny_cases(make_tiny_spec(2))
+        with pytest.raises(SpecError, match="dwell"):
+            markov_trace(cases, n_segments=8, **dwell)
+
     def test_markov_trace_no_self_loops(self):
         cases = tiny_cases(make_tiny_spec(2))
         t = markov_trace(cases, n_segments=64, seed=1)
