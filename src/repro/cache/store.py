@@ -15,7 +15,7 @@ Two tiers behind one :class:`CacheStore` facade:
 
 Blob layout (one file per entry, ``objects/<kk>/<key>.blob``)::
 
-    {"magic": "repro-noc", "schema": 2, "key": ..., "kind": ...,
+    {"magic": "repro-noc", "schema": 3, "key": ..., "kind": ...,
      "codec": "pickle", "sha256": ..., "size": ...}\\n
     <payload bytes>
 
@@ -80,7 +80,7 @@ class CacheStats:
     """Flat event counters, mergeable across processes.
 
     Keys follow ``event[.tier][.kind]``, e.g. ``hits.memory.space``,
-    ``misses.allocation``, ``bytes_written.disk``.  Worker processes ship
+    ``misses.space``, ``bytes_written.disk``.  Worker processes ship
     deltas (``snapshot`` before/after, :meth:`diff`) which the parent
     folds back in with :meth:`merge`.
     """

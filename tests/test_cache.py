@@ -748,8 +748,8 @@ class TestCacheCli:
         warm_out = capsys.readouterr().out
         assert "cache: 1 hits, 0 misses" in warm_out
 
-        # Sampled verification recomputes the sweep on hit (adding
-        # sub-tier traffic) but must succeed and change no output.
+        # Sampled verification recomputes the candidate pass on hit
+        # (without touching the store) and must succeed and write nothing.
         assert main(argv + ["--verify-on-hit", "1"]) == 0
         verify_warm_out = capsys.readouterr().out
         assert "0 bytes written" in verify_warm_out
