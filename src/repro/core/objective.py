@@ -115,7 +115,13 @@ class Objective:
     name = "abstract"
 
     def evaluate(self, point: "DesignPoint") -> ObjectiveResult:
-        """Score one design point."""
+        """Score one design point.
+
+        Must not mutate ``point`` or its topology, floorplan or wires:
+        during synthesis they belong to the cached candidate record,
+        which every objective is served from (work on
+        ``topology.clone_scaffold()`` or another copy instead).
+        """
         raise NotImplementedError
 
     def key(self, point: "DesignPoint") -> Tuple[float, ...]:

@@ -125,7 +125,9 @@ class SynthesisConfig:
     #: helpers fall back to the static-power objective — byte-identical
     #: to passing ``StaticPowerObjective()``.  Not part of the cache
     #: key: the cached candidate record is objective-free, so a re-run
-    #: under another objective is one record hit plus scoring.
+    #: under any objective is one record hit plus scoring, and scoring
+    #: re-runs ``evaluate`` on every point (a trace replay or spare-path
+    #: protection for the costly objectives; docs/performance.md).
     objective: Optional[Objective] = None
     #: Objective-aware pruning in the scoring pass: once an incumbent
     #: best point exists, a candidate whose cheap *exact cost prefix*
@@ -343,9 +345,11 @@ def _score(
 
     Pulls ``outcomes`` one at a time and stops at
     ``max_design_points``, so a capped run does no candidate work past
-    its last accepted point.  Record points are never mutated: a point
-    whose index or objective result changes is a new one
-    (``dataclasses.replace``).
+    its last accepted point.  A point whose index or objective result
+    changes is a new one (``dataclasses.replace``), but it shares the
+    record point's topology, floorplan and wires, and a record is
+    stored only after this pass has run: the objective must not mutate
+    them (the :meth:`Objective.evaluate` contract).
     """
     space = DesignSpace(spec_name=spec_name, objective=cfg.objective)
     # Pruning needs a full-cost incumbent to compare prefixes against;

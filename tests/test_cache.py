@@ -639,6 +639,18 @@ class TestAnyObjectiveOneRecord:
             # ... and populated under ``name``, served to static_power.
             assert _served(tmp_path / name, spec, static) == (static_answer, one_hit, 0), name
 
+    def test_built_in_objectives_leave_points_unchanged(self):
+        """Scored points share the record's topology, floorplan and
+        wires, so no built-in objective may change them."""
+        spec = logical_partitioning(load_benchmark("d26_media"), 4)
+        points = synthesize(spec, config=self.CFG).points
+        before = [pickle.dumps(p) for p in points]
+        for name in OBJECTIVE_NAMES:
+            objective = _named_objective(name, spec)
+            for point in points:
+                objective.evaluate(point)
+            assert [pickle.dumps(p) for p in points] == before, name
+
     def test_veto_prune_and_cap_served_from_one_record(self, tmp_path):
         """Scoring renumbers what a veto or a prune drops, and a cap
         stops it, identically on a hit and a cold run."""
