@@ -29,7 +29,6 @@ the field is ignored.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import pickle
@@ -45,21 +44,6 @@ _MAGIC = "repro-noc"
 #: Protocol 4 is supported by every interpreter this repo targets;
 #: pinning it keeps blob bytes stable across minor Python upgrades.
 _PICKLE_PROTOCOL = 4
-
-
-def _gc_paused(fn: Any, *args: Any) -> Any:
-    """``fn(*args)`` with the cyclic GC off, then left as the caller had it.
-
-    Decoding a design space allocates tens of thousands of objects, none
-    of them garbage, and would set off collection passes over them all.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def default_cache_dir() -> Path:
@@ -453,7 +437,7 @@ class CacheStore:
         rec = active_recorder()
         if entry is not None:
             try:
-                value = _gc_paused(pickle.loads, entry[0])
+                value = pickle.loads(entry[0])
             except Exception:
                 # Decode failure past the checksum: schema drift within
                 # the same SCHEMA_VERSION.  Treat as a corrupt miss.
@@ -471,7 +455,7 @@ class CacheStore:
         return None
 
     def put_object(self, key: str, value: Any, kind: str) -> bytes:
-        payload = _gc_paused(pickle.dumps, value, _PICKLE_PROTOCOL)
+        payload = pickle.dumps(value, _PICKLE_PROTOCOL)
         self.put_entry(key, payload, kind, "pickle")
         return payload
 

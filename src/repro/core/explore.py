@@ -38,7 +38,7 @@ from ..soc.partitioning import communication_partitioning, logical_partitioning
 from .design_point import DesignPoint, DesignSpace
 from .objective import Objective, TraceEnergyObjective
 from .spec import SoCSpec
-from .synthesis import SynthesisConfig, synthesize
+from .synthesis import SynthesisConfig, gc_paused, synthesize
 
 if TYPE_CHECKING:  # pragma: no cover - a sweep without a trace loads no runtime
     from ..power.gating import GatingModel
@@ -139,13 +139,22 @@ def _run_one(
     knobs: Mapping[str, object],
     select: Callable[[DesignSpace], DesignPoint],
 ) -> SweepRecord:
+    """One sweep task, serial or on a pool worker: synthesize, then select.
+
+    The whole task runs under :func:`~repro.core.synthesis.gc_paused`,
+    so reference counting frees the unselected points before the
+    collector resumes, and the collector then walks only the returned
+    record.  That rests on the premise ``synthesize`` states: synthesis
+    and selection create no reference cycles.
+    """
     t0 = time.perf_counter()
     design_points = 0
-    with span("explore.task", **dict(knobs)):
+    with gc_paused(), span("explore.task", **dict(knobs)):
         try:
             space = synthesize(spec, library, config)
             design_points = len(space)
             point = select(space)
+            del space  # free the unselected points while the collector is off
             return SweepRecord(
                 knobs=dict(knobs),
                 point=point,

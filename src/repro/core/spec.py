@@ -80,13 +80,13 @@ class CoreSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("core name must be a non-empty string")
-        if self.area_mm2 <= 0:
+        if not self.area_mm2 > 0:
             raise SpecError("core %r: area must be positive" % self.name)
-        if self.dynamic_power_mw < 0:
+        if not self.dynamic_power_mw >= 0:
             raise SpecError("core %r: dynamic power must be >= 0" % self.name)
-        if self.leakage_power_mw < 0:
+        if not self.leakage_power_mw >= 0:
             raise SpecError("core %r: leakage power must be >= 0" % self.name)
-        if self.freq_mhz <= 0:
+        if not self.freq_mhz > 0:
             raise SpecError("core %r: frequency must be positive" % self.name)
 
 
@@ -120,11 +120,11 @@ class TrafficFlow:
             raise SpecError("flow endpoints must be non-empty strings")
         if self.src == self.dst:
             raise SpecError("flow %s->%s: self-loops are not allowed" % (self.src, self.dst))
-        if self.bandwidth_mbps <= 0:
+        if not self.bandwidth_mbps > 0:
             raise SpecError(
                 "flow %s->%s: bandwidth must be positive" % (self.src, self.dst)
             )
-        if self.latency_cycles <= 0:
+        if not self.latency_cycles > 0:
             raise SpecError(
                 "flow %s->%s: latency constraint must be positive" % (self.src, self.dst)
             )

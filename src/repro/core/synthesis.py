@@ -28,6 +28,8 @@ the paper's power/performance trade-off curve.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -47,8 +49,8 @@ from ..arch.validate import validate_topology
 from ..cache.context import active_store
 from ..cache.keys import design_space_key
 from ..cache.signatures import design_space_signature
-from ..exceptions import CacheKeyError, InfeasibleError, PartitionError
-from ..floorplan.placer import Floorplan, FloorplanConfig, place
+from ..exceptions import CacheKeyError, PartitionError
+from ..floorplan.placer import FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
 from ..perf.instrument import active_recorder, span
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
@@ -156,6 +158,25 @@ class SynthesisConfig:
 Outcome = Union[DesignPoint, Tuple[Tuple[Tuple[int, int], ...], int, str]]
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off.
+
+    The caller's setting comes back in a ``finally``, so a collector the
+    caller had disabled stays off.  Only for code that creates no
+    reference cycles: reference counting then frees all of its garbage,
+    and the collector, which allocation bursts would otherwise set off
+    over and over, would find nothing to collect.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def synthesize(
     spec: SoCSpec,
     library: NocLibrary = DEFAULT_LIBRARY,
@@ -168,6 +189,13 @@ def synthesize(
     can be, and the scoring pass, which applies the objective and the
     sweep options to its outcomes.
 
+    The whole call, cache decode and encode included, runs under
+    :func:`gc_paused`.  That rests on synthesis creating no reference
+    cycles, under every built-in objective, cold or served from the
+    store (``tests/test_synthesis.py::TestNoReferenceCycles``); a
+    pause around code that did would hold its cyclic garbage until the
+    collector resumes.
+
     Raises
     ------
     InfeasibleError
@@ -176,7 +204,7 @@ def synthesize(
         catch it or inspect ``DesignSpace.failures``.)
     """
     cfg = config or SynthesisConfig()
-    with span("synthesis", spec=spec.name, islands=spec.num_islands) as s:
+    with gc_paused(), span("synthesis", spec=spec.name, islands=spec.num_islands) as s:
         space = _score(spec.name, cfg, _outcomes(spec, library, cfg, s))
         space.require_feasible()
         if s is not None:

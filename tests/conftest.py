@@ -7,12 +7,31 @@ computed once per session and shared read-only across test modules.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import SoCSpec, SynthesisConfig, mobile_soc_26, synthesize
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
 from _helpers import make_tiny_spec
+
+
+@pytest.fixture(autouse=True)
+def _gc_state_unchanged():
+    """Fail a test that leaves the cyclic GC switched or retuned.
+
+    Synthesis pauses the collector and must hand it back as it found
+    it; a test that leaks a change would hide that from every later
+    test.  The state is put back before the failure is reported.
+    """
+    before = (gc.isenabled(), gc.get_threshold())
+    yield
+    after = (gc.isenabled(), gc.get_threshold())
+    if after != before:
+        (gc.enable if before[0] else gc.disable)()
+        gc.set_threshold(*before[1])
+        pytest.fail("cyclic GC (enabled, threshold) changed: %r -> %r" % (before, after))
 
 
 @pytest.fixture(scope="session")

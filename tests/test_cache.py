@@ -27,7 +27,8 @@ from repro.cache import (
     fingerprint,
 )
 from repro.cli import main
-from repro.core.explore import alpha_exploration
+from repro.core import synthesis
+from repro.core.explore import ExplorationEngine, alpha_exploration
 from repro.core.objective import (
     Objective,
     ObjectiveResult,
@@ -346,50 +347,120 @@ class TestDiskTier:
         assert store.disk.entry_count() == 0
 
 
+def _noting_gc_state(seen, fn):
+    """``fn``, noting in ``seen`` whether the cyclic GC is on at each call."""
+
+    def probe(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return fn(*args, **kwargs)
+
+    return probe
+
+
+class _GcStateSelector:
+    """Best-power selection with one column: the GC state at selection."""
+
+    def __call__(self, space):
+        return space.best_by_power()
+
+    def columns(self, point):
+        return {"gc_enabled": gc.isenabled()}
+
+    def column_names(self):
+        return ("gc_enabled",)
+
+
 class TestGcPause:
-    """Encode and decode run with the cyclic GC off, then leave it as found."""
+    """``synthesize`` and each sweep task run with the cyclic GC off, and
+    leave it as the caller had it."""
 
     @pytest.fixture
-    def gc_state(self):
+    def collector(self):
+        """Switch the collector for one test; the old state comes back."""
         was_enabled = gc.isenabled()
-        yield
-        (gc.enable if was_enabled else gc.disable)()
+
+        def switch(enabled):
+            (gc.enable if enabled else gc.disable)()
+
+        yield switch
+        switch(was_enabled)
+
+    def test_cold_synthesize_runs_paused(self, collector):
+        collector(True)
+        evaluated, encoded = [], []
+        real_power = synthesis.compute_noc_power
+        with caching(CacheStore.in_memory()), mock.patch.object(
+            synthesis, "compute_noc_power", _noting_gc_state(evaluated, real_power)
+        ), mock.patch.object(pickle, "dumps", _noting_gc_state(encoded, pickle.dumps)):
+            synthesize(make_tiny_spec(), config=SynthesisConfig(max_intermediate=1))
+        assert evaluated and not any(evaluated)
+        assert encoded == [False]
+        assert gc.isenabled()
+
+    def test_warm_hit_decodes_paused(self, collector):
+        collector(True)
+        spec, cfg = make_tiny_spec(), SynthesisConfig(max_intermediate=1)
+        store = CacheStore.in_memory()
+        decoded = []
+        with caching(store):
+            synthesize(spec, config=cfg)
+            with mock.patch.object(pickle, "loads", _noting_gc_state(decoded, pickle.loads)):
+                synthesize(spec, config=cfg)
+        assert store.stats.counters["hits.memory.space"] == 1
+        assert decoded == [False]
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_state_restored_after_hit_miss_and_decode_failure(self, gc_state, enabled):
-        seen = []
-        real_loads = pickle.loads
-
-        def loads(payload):
-            seen.append(gc.isenabled())
-            return real_loads(payload)
-
-        (gc.enable if enabled else gc.disable)()
+    def test_state_restored_after_hit_miss_and_decode_failure(self, collector, enabled):
+        """A collector the caller had switched off stays off."""
+        spec, cfg = make_tiny_spec(), SynthesisConfig(max_intermediate=1)
         store = CacheStore.in_memory()
-        store.put_object("a" * 64, {"x": 1}, kind="space")
-        assert gc.isenabled() is enabled
-        with mock.patch.object(pickle, "loads", loads):
-            assert store.get_object("a" * 64, kind="space") == {"x": 1}
-        assert seen == [False]
-        assert gc.isenabled() is enabled
-        assert store.get_object("0" * 64, kind="space") is None
-        assert gc.isenabled() is enabled
-        store.put_entry("b" * 64, b"\x80not-a-pickle", kind="space", codec="pickle")
-        assert store.get_object("b" * 64, kind="space") is None
-        assert store.stats.counters["corrupt.decode"] == 1
-        assert gc.isenabled() is enabled
+        collector(enabled)
+        with caching(store):
+            synthesize(spec, config=cfg)
+            assert gc.isenabled() is enabled
+            synthesize(spec, config=cfg)
+            assert gc.isenabled() is enabled
+            key = design_space_key(spec, DEFAULT_LIBRARY, cfg)
+            store.put_entry(key, b"\x80not-a-pickle", kind="space", codec="pickle")
+            synthesize(spec, config=cfg)
+            assert gc.isenabled() is enabled
+        counters = store.stats.counters
+        assert (counters["misses.space"], counters["hits.memory.space"]) == (2, 1)
+        assert counters["corrupt.decode"] == 1
 
-    def test_encode_runs_paused(self, gc_state):
-        seen = []
+    def test_back_on_after_infeasible_error(self, collector):
+        collector(True)
+        cores = [CoreSpec("a", 1.0, 10.0, 1.0), CoreSpec("b", 1.0, 10.0, 1.0)]
+        flows = [TrafficFlow("a", "b", 100.0, latency_cycles=2.0)]
+        spec = build_spec("impossible", cores, flows, {"a": 0, "b": 1})
+        with caching(CacheStore.in_memory()), pytest.raises(InfeasibleError):
+            synthesize(spec)
+        assert gc.isenabled()
 
-        class Probe:
-            def __reduce__(self):
-                seen.append(gc.isenabled())
-                return (int, (7,))
+    def test_back_on_after_corruption_error(self, collector):
+        collector(True)
+        spec, other = make_tiny_spec(), make_tiny_spec(3)
+        cfg = SynthesisConfig(max_intermediate=1)
+        store = CacheStore.in_memory(verify_every=1)
+        with caching(store):
+            synthesize(other, config=cfg)
+        poison = store.get_object(design_space_key(other, DEFAULT_LIBRARY, cfg), "space")
+        store.put_object(design_space_key(spec, DEFAULT_LIBRARY, cfg), poison, "space")
+        with caching(store), pytest.raises(CacheCorruptionError):
+            synthesize(spec, config=cfg)
+        assert gc.isenabled()
 
-        gc.enable()
-        CacheStore.in_memory().put_object("a" * 64, Probe(), kind="space")
-        assert seen == [False]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_task_runs_paused(self, collector, workers):
+        """Selection, outside ``synthesize``, is inside the task's pause."""
+        collector(True)
+        engine = ExplorationEngine(
+            workers, config=SynthesisConfig(max_intermediate=1), select=_GcStateSelector()
+        )
+        with engine:
+            records = engine.grid_exploration(make_tiny_spec(), islands=[1, 2]).records
+        assert [r.extras["gc_enabled"] for r in records] == [False, False]
         assert gc.isenabled()
 
 

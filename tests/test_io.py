@@ -48,6 +48,17 @@ class TestSpecJson:
     def test_json_serializable(self, tiny_spec):
         json.dumps(spec_to_dict(tiny_spec))
 
+    def test_nan_literal_rejected(self, tiny_spec, tmp_path):
+        from repro.exceptions import SpecError
+
+        data = spec_to_dict(tiny_spec)
+        data["cores"][0]["area_mm2"] = float("nan")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert '"area_mm2": NaN' in path.read_text()
+        with pytest.raises(SpecError, match="area"):
+            load_spec(str(path))
+
 
 class TestTopologyJson:
     def test_roundtrip_preserves_structure(self, tiny_best):

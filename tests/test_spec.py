@@ -1,6 +1,7 @@
 """SoC specification model: validation, accessors, derivation."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -30,6 +31,10 @@ class TestCoreSpec:
             ("dynamic_power_mw", -0.1),
             ("leakage_power_mw", -0.1),
             ("freq_mhz", 0.0),
+            ("area_mm2", math.nan),
+            ("dynamic_power_mw", math.nan),
+            ("leakage_power_mw", math.nan),
+            ("freq_mhz", math.nan),
         ],
     )
     def test_rejects_bad_numbers(self, field, value):
@@ -57,6 +62,12 @@ class TestTrafficFlow:
     def test_rejects_nonpositive_latency(self):
         with pytest.raises(SpecError):
             TrafficFlow("a", "b", 1.0, latency_cycles=0.0)
+
+    @pytest.mark.parametrize("field", ["bandwidth_mbps", "latency_cycles"])
+    def test_rejects_nan(self, field):
+        values = {"bandwidth_mbps": 1.0, "latency_cycles": 20.0, field: math.nan}
+        with pytest.raises(SpecError):
+            TrafficFlow("a", "b", **values)
 
 
 class TestSoCSpecValidation:

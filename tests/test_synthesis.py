@@ -1,9 +1,12 @@
 """Algorithm 1 driver: sweep structure, feasibility, config effects."""
 
+import gc
+
 import pytest
 
 from repro import (
     DEFAULT_LIBRARY,
+    OBJECTIVE_NAMES,
     InfeasibleError,
     SynthesisConfig,
     TrafficFlow,
@@ -11,7 +14,12 @@ from repro import (
     synthesize,
     validate_topology,
 )
+from repro.cache import CacheStore, caching
+from repro.core.explore import ExplorationEngine
+from repro.core.objective import make_objective
 from repro.core.spec import CoreSpec
+from repro.runtime import markov_trace
+from repro.soc.usecases import use_cases_for
 
 from _helpers import make_tiny_spec
 
@@ -173,3 +181,50 @@ class TestParetoAndSelectors:
         rows = tiny_space.summary_rows()
         assert len(rows) == len(tiny_space)
         assert all("noc_power_mw" in r for r in rows)
+
+
+def _cyclic_garbage_after(run):
+    """How many objects the cyclic GC finds unreachable after ``run()``."""
+    gc.collect()
+    run()
+    return gc.collect()
+
+
+class TestNoReferenceCycles:
+    """``synthesize`` and each sweep task run with the cyclic GC paused
+    (``gc_paused``), which is sound only while reference counting frees
+    all of their garbage.  Each run follows a warm-up run, so one-off
+    allocations (deferred imports, memo tables) are not counted."""
+
+    @pytest.mark.parametrize("name", OBJECTIVE_NAMES)
+    @pytest.mark.parametrize("which", ["tiny", "d26-4"])
+    def test_synthesize_cold_and_warm(self, tiny_spec, d26_com4, which, name):
+        spec = tiny_spec if which == "tiny" else d26_com4
+        traces = [markov_trace(use_cases_for(spec), n_segments=24, seed=s) for s in (0, 1)]
+        objective = make_objective(name, trace=traces[0], traces=traces)
+        cfg = SynthesisConfig(max_intermediate=1, objective=objective)
+        store = CacheStore.in_memory()
+        with caching(store):
+            synthesize(spec, config=cfg)
+        with caching(CacheStore.in_memory()):
+            assert _cyclic_garbage_after(lambda: synthesize(spec, config=cfg)) == 0
+        with caching(store):
+            assert _cyclic_garbage_after(lambda: synthesize(spec, config=cfg)) == 0
+        assert store.stats.counters["hits.memory.space"] == 1
+
+    def test_serial_grid_sweep(self, tiny_spec):
+        store = CacheStore.in_memory()
+
+        def sweep(store):
+            with caching(store), ExplorationEngine(workers=1) as engine:
+                engine.grid_exploration(
+                    tiny_spec,
+                    islands=[1, 2],
+                    strategies=("logical", "communication"),
+                    alphas=[0.4, 0.8],
+                )
+
+        sweep(store)
+        assert _cyclic_garbage_after(lambda: sweep(CacheStore.in_memory())) == 0
+        assert _cyclic_garbage_after(lambda: sweep(store)) == 0
+        assert store.stats.counters["hits.memory.space"] >= 8
