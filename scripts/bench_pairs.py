@@ -14,7 +14,10 @@ identical benchmark code, so a BASE whose ``perfbench/`` or
 ``BENCH_synthesis.json`` gets one row per ``<workload>/<metric>`` of
 ``BENCHMARK.json``'s ``end_to_end`` list: each side's samples, median
 and quartiles, the pairs this tree won, lost and tied, and a verdict
-(see :func:`compare`).  The script exits 1 when any run reports
+(see :func:`compare`).  perfbench reports times normalized to a
+reference host; the ``setup_s`` and ``pass_s`` rows also carry the same
+statistics of the raw wall-clock figures (``wall``), read from the
+record each run leaves in ``perfbench/out/``.  The script exits 1 when any run reports
 ``correct: false``; the record is written either way.  Standard
 library only: it imports nothing from the program it measures.
 """
@@ -86,16 +89,44 @@ def compare(base: list, change: list, better: str, bound: float) -> dict:
     return row
 
 
+def raw_walls(record: dict) -> dict:
+    """``setup_s`` and ``pass_s`` of one perfbench record, in wall seconds.
+
+    Aggregated as perfbench aggregates the normalized samples: the
+    median set-up, and the mean of each generator seed's median pass.
+    """
+    walls = {}
+    if record.get("setup"):
+        walls["setup_s"] = statistics.median(s["wall_s"] for s in record["setup"])
+    by_seed: dict = {}
+    for p in record.get("result", record).get("passes") or []:
+        by_seed.setdefault(p.get("generator_seed"), []).append(p["wall_s"])
+    if by_seed:
+        walls["pass_s"] = statistics.mean(statistics.median(t) for t in by_seed.values())
+    return walls
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``tree``: its last stdout line, or a failed run."""
+    """One perfbench run in ``tree``: its last stdout line, or a failed run.
+
+    ``wall`` holds :func:`raw_walls` of the record the run wrote, when
+    it wrote one.
+    """
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
+    record = tree / "perfbench" / "out" / ("%s-seed%d-trace0.json" % (workload, seed))
+    record.unlink(missing_ok=True)  # a record left by an earlier run is not this one's
     proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
     try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
         print("run failed (exit %d): %s" % (proc.returncode, " ".join(argv)), file=sys.stderr)
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+    try:
+        out["wall"] = raw_walls(json.loads(record.read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError):
+        out["wall"] = {}
+    return out
 
 
 def src_lines(tree: Path) -> int:
@@ -143,6 +174,9 @@ def measure(trees: dict, bench: dict, workloads: list, seed: int, record: dict) 
                             for side in ("base", "change"))
             row = {key: metric[key] for key in ("unit", "better", "bound")}
             row.update(compare(base, change, metric["better"], metric["bound"]))
+            if all(name in out["wall"] for p in both for out in p.values()):
+                row["wall"] = {side: stats([p[side]["wall"][name] for p in both])
+                               for side in ("base", "change")}
             record["rows"]["%s/%s" % (workload, name)] = row
 
 
@@ -190,9 +224,13 @@ def main() -> int:
     RECORD.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, row in record["rows"].items():
         base, change = row["base"]["median"], row["change"]["median"]
-        print("%-26s %10.4g -> %-10.4g %+6.1f%%  won/lost/tied %d/%d/%d  %s" % (
+        wall = ""
+        if "wall" in row:
+            wall = "  wall %.4g -> %.4g" % (row["wall"]["base"]["median"],
+                                            row["wall"]["change"]["median"])
+        print("%-26s %10.4g -> %-10.4g %+6.1f%%  won/lost/tied %d/%d/%d  %s%s" % (
             name, base, change, 100.0 * (change - base) / base if base else 0.0,
-            row["won"], row["lost"], row["tied"], row["verdict"]))
+            row["won"], row["lost"], row["tied"], row["verdict"], wall))
     return 0 if record["correct"] else 1
 
 

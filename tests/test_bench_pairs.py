@@ -91,8 +91,28 @@ class TestVerdict:
         assert row["tied"] == 10 and row["verdict"] == "no regression"
 
 
+class TestRawWalls:
+    def test_aggregated_like_the_normalized_figures(self):
+        record = {
+            "setup": [{"wall_s": w, "normalized_s": 9.0} for w in (0.3, 0.1, 0.2)],
+            "result": {"passes": [
+                {"wall_s": 1.0, "normalized_s": 9.0, "generator_seed": 0},
+                {"wall_s": 3.0, "normalized_s": 9.0, "generator_seed": 0},
+                {"wall_s": 4.0, "normalized_s": 9.0, "generator_seed": 1},
+            ]},
+        }
+        # The mean of each generator seed's median pass: (2.0 + 4.0) / 2.
+        assert bench_pairs.raw_walls(record) == {"setup_s": 0.2, "pass_s": 3.0}
+
+    def test_a_record_without_seeds_or_passes(self):
+        record = {"setup": [], "passes": [{"wall_s": 0.5}, {"wall_s": 0.7}]}
+        assert bench_pairs.raw_walls(record) == {"pass_s": pytest.approx(0.6)}
+        assert bench_pairs.raw_walls({"setup": [], "result": {}}) == {}
+
+
 # A stand-in for perfbench/run.py: reports src/value as pass_s, logs
 # which tree ran, and reports correct: false when src/incorrect exists.
+# Its record in perfbench/out/ gives half the value as the raw wall time.
 FAKE_RUN = '''\
 import json, os, sys
 from pathlib import Path
@@ -101,6 +121,10 @@ with open(os.environ["PAIRS_LOG"], "a") as log:
     log.write("%s %s\\n" % (tree, " ".join(sys.argv[1:])))
 value = float((tree / "src" / "value").read_text())
 print("pass_s %s" % value)
+out = tree / "perfbench" / "out"
+out.mkdir(exist_ok=True)
+name = "%s-seed%s-trace0.json" % (sys.argv[2], sys.argv[4])
+(out / name).write_text(json.dumps({"setup": [], "passes": [{"wall_s": value / 2}]}))
 print(json.dumps({"correct": not (tree / "src" / "incorrect").exists(),
                   "attempted": 3, "failed": 0,
                   "metrics": {"pass_s": {"value": value, "unit": "s"}}}))
@@ -188,6 +212,8 @@ class TestPairedRun:
         assert (row["unit"], row["better"], row["bound"]) == ("s", "lower", 0.24)
         assert row["base"]["samples"] == [1.0] * 10 and row["change"]["median"] == 1.5
         assert (row["lost"], row["verdict"]) == (10, "regression")
+        assert row["wall"]["base"]["samples"] == [0.5] * 10
+        assert row["wall"]["change"]["median"] == 0.75
         # The worktree is gone, and git no longer lists it.
         assert not list(tmp_path.glob("bench-pairs-*"))
         assert _git(repo, "worktree", "list").count("\n") == 0
