@@ -374,19 +374,20 @@ class TestGcPause:
     """``synthesize`` and each sweep task run with the cyclic GC off, and
     leave it as the caller had it."""
 
-    @pytest.fixture
+    @pytest.fixture(autouse=True)
     def collector(self):
-        """Switch the collector for one test; the old state comes back."""
+        """Each test starts with the collector on and may switch it; the
+        state it had before the test comes back."""
         was_enabled = gc.isenabled()
 
         def switch(enabled):
             (gc.enable if enabled else gc.disable)()
 
+        switch(True)
         yield switch
         switch(was_enabled)
 
-    def test_cold_synthesize_runs_paused(self, collector):
-        collector(True)
+    def test_cold_synthesize_runs_paused(self):
         evaluated, encoded = [], []
         real_power = synthesis.compute_noc_power
         with caching(CacheStore.in_memory()), mock.patch.object(
@@ -397,8 +398,7 @@ class TestGcPause:
         assert encoded == [False]
         assert gc.isenabled()
 
-    def test_warm_hit_decodes_paused(self, collector):
-        collector(True)
+    def test_warm_hit_decodes_paused(self):
         spec, cfg = make_tiny_spec(), SynthesisConfig(max_intermediate=1)
         store = CacheStore.in_memory()
         decoded = []
@@ -429,8 +429,7 @@ class TestGcPause:
         assert (counters["misses.space"], counters["hits.memory.space"]) == (2, 1)
         assert counters["corrupt.decode"] == 1
 
-    def test_back_on_after_infeasible_error(self, collector):
-        collector(True)
+    def test_back_on_after_infeasible_error(self):
         cores = [CoreSpec("a", 1.0, 10.0, 1.0), CoreSpec("b", 1.0, 10.0, 1.0)]
         flows = [TrafficFlow("a", "b", 100.0, latency_cycles=2.0)]
         spec = build_spec("impossible", cores, flows, {"a": 0, "b": 1})
@@ -438,8 +437,7 @@ class TestGcPause:
             synthesize(spec)
         assert gc.isenabled()
 
-    def test_back_on_after_corruption_error(self, collector):
-        collector(True)
+    def test_back_on_after_corruption_error(self):
         spec, other = make_tiny_spec(), make_tiny_spec(3)
         cfg = SynthesisConfig(max_intermediate=1)
         store = CacheStore.in_memory(verify_every=1)
@@ -452,9 +450,8 @@ class TestGcPause:
         assert gc.isenabled()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_task_runs_paused(self, collector, workers):
+    def test_sweep_task_runs_paused(self, workers):
         """Selection, outside ``synthesize``, is inside the task's pause."""
-        collector(True)
         engine = ExplorationEngine(
             workers, config=SynthesisConfig(max_intermediate=1), select=_GcStateSelector()
         )
