@@ -17,9 +17,10 @@ and quartiles, the pairs this tree won, lost and tied, and a verdict
 (see :func:`compare`).  perfbench reports times normalized to a
 reference host; the ``setup_s`` and ``pass_s`` rows also carry the same
 statistics of the raw wall-clock figures (``wall``), read from the
-record each run leaves in ``perfbench/out/``.  The script exits 1 when any run reports
-``correct: false``; the record is written either way.  Standard
-library only: it imports nothing from the program it measures.
+record each run leaves in ``perfbench/out/``.  The script exits 1 when
+any run reports ``correct: false``; the record is written either way.
+Standard library only: it imports nothing from the program it
+measures.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class TestRawWalls:
         # The mean of each generator seed's median pass: (2.0 + 4.0) / 2.
         assert bench_pairs.raw_walls(record) == {"setup_s": 0.2, "pass_s": 3.0}
 
-    def test_a_record_without_seeds_or_passes(self):
+    def test_records_without_seeds_or_samples(self):
         record = {"setup": [], "passes": [{"wall_s": 0.5}, {"wall_s": 0.7}]}
         assert bench_pairs.raw_walls(record) == {"pass_s": pytest.approx(0.6)}
         assert bench_pairs.raw_walls({"setup": [], "result": {}}) == {}
