@@ -72,7 +72,7 @@ def aware_reports(d26_spec, d26_trace):
 
 @pytest.fixture(scope="module")
 def oblivious_reports(d26_spec, d26_trace):
-    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig(seed=0))
+    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig())
     return certified_policy_comparison(oblivious.topology, d26_trace)
 
 
@@ -127,7 +127,7 @@ def test_uncurated_mode_breaks_oblivious_routability(d26_spec, d26_trace):
     from repro import make_use_case
     from repro.runtime import AlwaysOff, scripted_trace, simulate_trace
 
-    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig(seed=0))
+    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig())
     topo = oblivious.topology
     spec = d26_spec
     crossing = None
@@ -155,7 +155,7 @@ def test_uncurated_mode_breaks_oblivious_routability(d26_spec, d26_trace):
 
 def test_certified_controller_pins_oblivious_islands(d26_spec):
     """The certified comparison actually pins the statically unsafe islands."""
-    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig(seed=0))
+    oblivious = synthesize_vi_oblivious(d26_spec, config=SynthesisConfig())
     pinned = statically_pinned_islands(oblivious.topology)
     assert pinned, "expected third-party routes on the oblivious baseline"
 

@@ -39,7 +39,7 @@ from repro.soc.usecases import use_cases_for
 def main() -> None:
     spec = logical_partitioning(mobile_soc_26(), 6)
     spec = spec.with_vi_assignment(spec.vi_assignment, name="d26_media")
-    best = synthesize(spec, config=SynthesisConfig(seed=0)).best_by_power()
+    best = synthesize(spec, config=SynthesisConfig()).best_by_power()
     prot = protect_design_point(best, k=1)
     topology = prot.topology
 

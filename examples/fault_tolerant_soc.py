@@ -41,7 +41,7 @@ from repro.soc.usecases import use_cases_for
 def main() -> None:
     spec = logical_partitioning(mobile_soc_26(), 6)
     spec = spec.with_vi_assignment(spec.vi_assignment, name="d26_media")
-    space = synthesize(spec, config=SynthesisConfig(seed=0))
+    space = synthesize(spec, config=SynthesisConfig())
     best = space.best_by_power()
 
     # 1. the unprotected design under single link failures

@@ -44,16 +44,15 @@ from ..exceptions import CacheKeyError
 
 #: Version tag mixed into every digest.  Bump on any change to the
 #: canonical form or to the serialized layout of cached values.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Config fields excluded from cache keys.  ``enable_caches`` toggles
 #: the in-run fast path (memo dicts, routing shortcuts), which is
 #: pinned byte-identical to the reference path by
 #: ``tests/test_perf.py::TestSynthesisDeterminism``, so cached and
-#: reference runs share results.  ``objective``, ``prune_sweep`` and
-#: ``max_design_points`` only steer the scoring pass, which runs on
-#: every call, hit or miss.
-CONFIG_KEY_EXCLUDE = ("enable_caches", "max_design_points", "objective", "prune_sweep")
+#: reference runs share results.  ``objective`` and ``prune_sweep``
+#: only steer the scoring pass, which runs on every call, hit or miss.
+CONFIG_KEY_EXCLUDE = ("enable_caches", "objective", "prune_sweep")
 
 
 def canonical(obj: Any) -> Any:

@@ -233,6 +233,9 @@ def _add_objective_args(p: argparse.ArgumentParser) -> None:
         help="gating policy the trace-driven objectives simulate under",
     )
     p.add_argument(
+        "--seed", type=int, default=0, help="seed of the objective's Markov trace"
+    )
+    p.add_argument(
         "--trace-segments",
         type=int,
         default=96,
@@ -358,7 +361,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = SynthesisConfig(
         alpha=args.alpha,
         allow_intermediate=not args.no_intermediate,
-        seed=args.seed,
         objective=objective,
     )
     scope, store = _cache_scope(args)
@@ -410,7 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     objective = _objective_for(args, base)
     engine = ExplorationEngine(
         workers=args.workers,
-        config=SynthesisConfig(seed=args.seed),
+        config=SynthesisConfig(),
         objective=objective,
     )
     scope, store = _cache_scope(args)
@@ -460,15 +462,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_shutdown(args: argparse.Namespace) -> int:
     from .baseline.checker import compare_shutdown_capability
     from .baseline.flat import synthesize_vi_oblivious
-    from .core.synthesis import SynthesisConfig, synthesize
+    from .core.synthesis import synthesize
     from .io.report import format_table, percent
     from .power.leakage import weighted_savings_fraction
     from .soc.usecases import use_cases_for
 
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
     cases = use_cases_for(spec)
-    aware = synthesize(spec, config=SynthesisConfig(seed=args.seed)).best_by_power()
-    oblivious = synthesize_vi_oblivious(spec, config=SynthesisConfig(seed=args.seed))
+    aware = synthesize(spec).best_by_power()
+    oblivious = synthesize_vi_oblivious(spec)
     reports = compare_shutdown_capability(aware.topology, oblivious.topology, cases)
     for label in ("vi_aware", "vi_oblivious"):
         rep = reports[label]
@@ -497,7 +499,7 @@ def _cmd_shutdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
-    from .core.synthesis import SynthesisConfig, synthesize
+    from .core.synthesis import synthesize
     from .io.report import format_table, percent, save_csv
     from .runtime import (
         certified_policy_comparison,
@@ -525,7 +527,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             total_ms=args.segments * args.dwell_ms,
             rounds=max(1, round(args.segments / len(cases))),
         )
-    best = synthesize(spec, config=SynthesisConfig(seed=args.seed)).best_by_power()
+    best = synthesize(spec).best_by_power()
     reports = compare_policies(best.topology, trace)
     rows = policy_comparison_rows(list(reports.values()))
     print(
@@ -558,7 +560,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         from .baseline.flat import synthesize_vi_oblivious
         from .power.leakage import statically_pinned_islands
 
-        oblivious = synthesize_vi_oblivious(spec, config=SynthesisConfig(seed=args.seed))
+        oblivious = synthesize_vi_oblivious(spec)
         pinned = sorted(statically_pinned_islands(oblivious.topology))
         orep = certified_policy_comparison(oblivious.topology, trace)
         orows = policy_comparison_rows(list(orep.values()))
@@ -580,13 +582,12 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
-    from .core.synthesis import SynthesisConfig, synthesize
+    from .core.synthesis import synthesize
     from .io.report import format_table, percent, save_csv
     from .resilience import FitRates, SparePathConfig, analyze_model, protect_design_point
 
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
-    space = synthesize(spec, config=SynthesisConfig(seed=args.seed))
-    best = space.best_by_power()
+    best = synthesize(spec).best_by_power()
     scenarios_kind = args.fault_model
     rates = None
     if args.availability:
@@ -674,13 +675,12 @@ def _pick_scenario(scenarios, requested, topology):
         by_name = {sc.name: sc for sc in scenarios}
         if requested in by_name:
             return by_name[requested]
-        try:
+        if requested.isdecimal() and int(requested) < len(scenarios):
             return scenarios[int(requested)]
-        except (ValueError, IndexError):
-            raise ReproError(
-                "unknown scenario %r (%d scenarios: %s ...)"
-                % (requested, len(scenarios), scenarios[0].name)
-            )
+        raise ReproError(
+            "unknown scenario %r (%d scenarios: %s ...)"
+            % (requested, len(scenarios), scenarios[0].name)
+        )
     # Default to the first scenario that actually hits a primary
     # route — a fault nothing uses makes a boring demo.
     return next(
@@ -704,13 +704,13 @@ def _controlled_replay(args: argparse.Namespace):
     design point with a single injected fault scenario.
     """
     from .control import ControlLatencyModel, ReconfigurationController
-    from .core.synthesis import SynthesisConfig, synthesize
+    from .core.synthesis import synthesize
     from .resilience import FaultEvent, enumerate_scenarios, protect_design_point
     from .runtime import make_policy, markov_trace, simulate_trace
     from .soc.usecases import use_cases_for
 
     spec = _partitioned(args.benchmark, args.islands, args.strategy)
-    best = synthesize(spec, config=SynthesisConfig(seed=args.seed)).best_by_power()
+    best = synthesize(spec).best_by_power()
     prot = protect_design_point(best, k=args.spare_k)
     topology = prot.topology
     trace = markov_trace(
@@ -993,7 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="logical",
             help="island assignment strategy",
         )
-        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
 
     p_synth = sub.add_parser("synth", help="synthesize one design")
     common(p_synth)
@@ -1014,7 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="island-count sweep (Fig. 2/3 data)")
     p_sweep.add_argument("benchmark")
     p_sweep.add_argument("--counts", default="1,2,3,4,5,6,7", help="comma-separated island counts")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--csv", help="also write rows as CSV")
     p_sweep.add_argument(
         "--workers", type=int, default=1, help="parallel synthesis workers"
@@ -1139,6 +1137,9 @@ def build_parser() -> argparse.ArgumentParser:
         """Controlled-replay knobs shared by ``control`` and ``obs``."""
         common(p, optional_benchmark=optional_benchmark)
         _add_fault_args(p)
+        p.add_argument(
+            "--seed", type=int, default=0, help="seed of the replayed Markov trace"
+        )
         p.add_argument(
             "--scenario",
             help="fault scenario to inject, by name or index "

@@ -19,9 +19,9 @@ Pipeline per design-point candidate:
    lengths, power and zero-load latency; feasible candidates become
    :class:`~repro.core.design_point.DesignPoint` s.
 
-Steps 1–6 are objective-free and run as one lazy candidate pass; a
-scoring pass then applies the configured objective, its veto, sweep
-pruning and the point cap.  Only the candidate pass's outcomes are
+Steps 1–6 are objective-free and run as one candidate pass over the
+whole sweep; a scoring pass then applies the configured objective, its
+veto and sweep pruning.  Only the candidate pass's outcomes are
 cached.  The returned :class:`~repro.core.design_point.DesignSpace` is
 the paper's power/performance trade-off curve.
 """
@@ -32,7 +32,6 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -65,9 +64,6 @@ from .paths import AllocationResult, PathAllocator, PathCostConfig
 from .spec import SoCSpec
 from .vcg import build_all_vcgs
 
-if TYPE_CHECKING:  # pragma: no cover - the store loads with the first cache in use
-    from ..cache.store import CacheStore
-
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -89,25 +85,8 @@ class SynthesisConfig:
     path_cost: PathCostConfig = field(default_factory=PathCostConfig)
     #: Min-cut partitioner variant ("fm" or "greedy").
     partition_method: str = "fm"
-    #: Seed of the simulated-annealing placer (``anneal_placement``);
-    #: partitioning is deterministic and draws no random numbers.
-    seed: int = 0
     #: Floorplanner knobs.
     floorplan: FloorplanConfig = field(default_factory=FloorplanConfig)
-    #: Run simulated-annealing placement refinement (slower, shorter
-    #: wires); the constructive placer is the default.
-    anneal_placement: bool = False
-    #: Use placed wire lengths in power figures.
-    use_lengths: bool = True
-    #: Validate every design point's structural invariants (cheap; keep
-    #: on outside of tight benchmark loops).
-    validate_points: bool = True
-    #: Stop the sweep after this many accepted points (None = full
-    #: sweep).  Applied by the scoring pass, which pulls candidates one
-    #: at a time, so a capped run does no work past its last accepted
-    #: point.  Not part of the cache key: a capped run that stops early
-    #: stores nothing, and a complete stored record answers every cap.
-    max_design_points: Optional[int] = None
     #: Enable the synthesis fast path: one partitioner per island that
     #: reuses its partitions and bisections across the switch-count
     #: sweep, cost memos and per-destination search state inside path
@@ -143,10 +122,6 @@ class SynthesisConfig:
     #: implies a strictly greater full cost vector).  With no
     #: objective configured, the static-power default drives the prune
     #: decision only (points still carry no ``objective_result``).
-    #: Inert when ``max_design_points`` is set: the cap truncates by
-    #: accepted-point count, and skipping candidates would shift the
-    #: truncation boundary — breaking the identical-selection
-    #: guarantee — so the sweep silently scores everything instead.
     #: Not part of the cache key: the candidate record it prunes is the
     #: same either way.
     prune_sweep: bool = False
@@ -186,8 +161,8 @@ def synthesize(
 
     Two passes: the objective-free candidate pass (partitioning,
     routing, evaluation), served from the active cache store when it
-    can be, and the scoring pass, which applies the objective and the
-    sweep options to its outcomes.
+    can be, and the scoring pass, which applies the objective, its veto
+    and sweep pruning to its outcomes.
 
     The whole call, cache decode and encode included, runs under
     :func:`gc_paused`.  That rests on synthesis creating no reference
@@ -217,13 +192,14 @@ def _outcomes(
     library: NocLibrary,
     cfg: SynthesisConfig,
     root_span=None,
-) -> Iterator[Outcome]:
+) -> Iterable[Outcome]:
     """The candidate pass's outcomes, through the active cache store.
 
     The store holds one entry per pass: the complete outcome list,
     keyed without the objective and the scoring options, so a run under
-    any objective, prune setting or cap is served by it.  Active only
-    when a :class:`~repro.cache.store.CacheStore` is installed
+    any objective or prune setting is served by it.  On a miss the list
+    is built and stored before it is scored.  Active only when a
+    :class:`~repro.cache.store.CacheStore` is installed
     (``repro.cache.caching``) *and* the config's fast paths are on —
     ``enable_caches=False`` is the reference mode and must exercise the
     real computation.  Infeasible sweeps are cached too (the record is
@@ -243,7 +219,9 @@ def _outcomes(
     if record is None:
         if root_span is not None:
             root_span.set(cache="miss")
-        return _stored_when_complete(_candidate_pass(spec, library, cfg), store, key)
+        record = list(_candidate_pass(spec, library, cfg))
+        store.put_object(key, record, "space")
+        return record
     # Keys leave the spec name out, so the hit may have been stored
     # under another name: hand back the caller's own spec objects.
     for outcome in record:
@@ -258,22 +236,7 @@ def _outcomes(
             design_space_signature(list(_candidate_pass(spec, library, cfg))),
             "candidate record for %s" % spec.name,
         )
-    return iter(record)
-
-
-def _stored_when_complete(
-    outcomes: Iterator[Outcome], store: "CacheStore", key: str
-) -> Iterator[Outcome]:
-    """Pass ``outcomes`` through; store them all once they are exhausted.
-
-    A consumer that stops early (``max_design_points``) leaves the
-    record incomplete, and nothing is stored.
-    """
-    record: List[Outcome] = []
-    for outcome in outcomes:
-        record.append(outcome)
-        yield outcome
-    store.put_object(key, record, "space")
+    return record
 
 
 def _rebind(topology: Optional[Topology], spec: SoCSpec, library: NocLibrary) -> None:
@@ -289,9 +252,8 @@ def _candidate_pass(
     """Algorithm 1's objective-free pass, one outcome per candidate.
 
     Yields, in candidate order, each ``(switch counts, k_mid)``
-    candidate's metrics-only point or failure.  Lazy: work stops where
-    the consumer stops pulling.  Point indices count the points yielded
-    so far; scoring renumbers them when it drops any.
+    candidate's metrics-only point or failure.  Point indices count the
+    points yielded so far; scoring renumbers them when it drops any.
     """
     plans = plan_all_islands(spec, library, cfg.freq_step_mhz, cfg.min_freq_mhz)
     vcgs = build_all_vcgs(spec, cfg.alpha)
@@ -369,27 +331,20 @@ def _candidate_pass(
 def _score(
     spec_name: str, cfg: SynthesisConfig, outcomes: Iterable[Outcome]
 ) -> DesignSpace:
-    """The scoring pass: objective, veto, prune, indices and cap.
+    """The scoring pass: objective, veto, prune and indices.
 
-    Pulls ``outcomes`` one at a time and stops at
-    ``max_design_points``, so a capped run does no candidate work past
-    its last accepted point.  A point whose index or objective result
-    changes is a new one (``dataclasses.replace``), but it shares the
-    record point's topology, floorplan and wires, and a record is
-    stored only after this pass has run: the objective must not mutate
-    them (the :meth:`Objective.evaluate` contract).
+    A point whose index or objective result changes is a new one
+    (``dataclasses.replace``), but it shares the record point's
+    topology, floorplan and wires, which a store hit decodes afresh:
+    the objective must not mutate them (the :meth:`Objective.evaluate`
+    contract), or a cold run and a hit would disagree.
     """
     space = DesignSpace(spec_name=spec_name, objective=cfg.objective)
     # Pruning needs a full-cost incumbent to compare prefixes against;
     # with no objective configured the static-power default drives the
     # prune decision alone (accepted points stay objective-free).
-    # Under max_design_points the cap truncates by accepted-point
-    # count; pruning would shift that boundary (a pruned candidate may
-    # or may not have been vetoed by the objective, which the skipped
-    # evaluation cannot tell), so the guarantee only holds with the
-    # prune disabled.
     prune_obj: Optional[Objective] = None
-    if cfg.prune_sweep and cfg.max_design_points is None:
+    if cfg.prune_sweep:
         from .objective import StaticPowerObjective
 
         prune_obj = cfg.objective or StaticPowerObjective()
@@ -436,8 +391,6 @@ def _score(
             )
             if incumbent is None or cost < incumbent:
                 incumbent = cost
-        if cfg.max_design_points is not None and len(space.points) >= cfg.max_design_points:
-            break
     return space
 
 
@@ -503,21 +456,15 @@ def _evaluate_point(
 ) -> DesignPoint:
     """Final step: floorplan, wires, power, latency for one topology."""
     topo = result.require_topology()
-    if cfg.anneal_placement:
-        from ..floorplan.annealer import AnnealConfig, anneal_placement
-
-        floorplan = anneal_placement(topo, cfg.floorplan, AnnealConfig(seed=cfg.seed))
-    else:
-        floorplan = place(topo, cfg.floorplan, skeleton_cache=place_cache)
+    floorplan = place(topo, cfg.floorplan, skeleton_cache=place_cache)
     wires = assign_wire_lengths(topo, floorplan)
-    if cfg.validate_points:
-        max_sizes = {isl: p.max_switch_size for isl, p in plans.items()}
-        if topo.has_intermediate_island:
-            max_sizes[INTERMEDIATE_ISLAND] = library.max_switch_size_for_freq(
-                topo.island_freqs[INTERMEDIATE_ISLAND]
-            )
-        validate_topology(topo, max_switch_sizes=max_sizes)
-    noc_power = compute_noc_power(topo, use_lengths=cfg.use_lengths)
+    max_sizes = {isl: p.max_switch_size for isl, p in plans.items()}
+    if topo.has_intermediate_island:
+        max_sizes[INTERMEDIATE_ISLAND] = library.max_switch_size_for_freq(
+            topo.island_freqs[INTERMEDIATE_ISLAND]
+        )
+    validate_topology(topo, max_switch_sizes=max_sizes)
+    noc_power = compute_noc_power(topo, use_lengths=True)
     soc_power = compute_soc_power(topo, noc_power)
     latency = evaluate_latency(topo)
     # Objective scoring happens in the sweep loop (after the pruning

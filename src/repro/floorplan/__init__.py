@@ -1,6 +1,6 @@
 """Island-aware floorplanning.
 
 Modules: geometry primitives (`geometry`), slicing island allocation
-(`islands`), core/switch placement (`placer`), wire length/power/delay
-(`wires`) and simulated-annealing refinement (`annealer`).
+(`islands`), core/switch placement (`placer`) and wire
+length/power/delay (`wires`).
 """

@@ -23,7 +23,7 @@ The result is a :class:`Floorplan` that the wire model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
@@ -72,14 +72,9 @@ class Floorplan:
 def place(
     topology: Topology,
     config: Optional[FloorplanConfig] = None,
-    core_order: Optional[Mapping[int, Sequence[str]]] = None,
     skeleton_cache: Optional[dict] = None,
 ) -> Floorplan:
     """Produce a floorplan for a synthesized topology.
-
-    ``core_order`` optionally fixes the per-island core ordering fed to
-    the slicing tiler — the annealer uses this hook to explore
-    placements; by default cores are tiled in bandwidth-affinity order.
 
     ``skeleton_cache`` memoizes the floorplan *skeleton* — chip
     outline, island regions, core rectangles and NI positions — across
@@ -90,7 +85,7 @@ def place(
     area vector instead of once per design point.  Only switch
     placement depends on the routed links and is recomputed per call;
     cached geometry objects are immutable and shared, the dicts are
-    copied.  The annealer's ``core_order`` hook bypasses the cache.
+    copied.
     """
     cfg = config or FloorplanConfig()
     spec = topology.spec
@@ -112,7 +107,7 @@ def place(
 
     skeleton = None
     skeleton_key = None
-    if skeleton_cache is not None and core_order is None:
+    if skeleton_cache is not None:
         skeleton_key = (
             tuple(region_areas),
             cfg.whitespace_fraction,
@@ -131,16 +126,8 @@ def place(
 
         core_rects: Dict[str, Rect] = {}
         for isl in spec.islands:
-            cores = list(spec.cores_in_island(isl))
-            if core_order and isl in core_order:
-                ordered = list(core_order[isl])
-                if sorted(ordered) != sorted(cores):
-                    raise FloorplanError(
-                        "core_order for island %d does not match its cores" % isl
-                    )
-                cores = ordered
             rect = island_rects[isl]
-            entries = [(c, spec.core(c).area_mm2) for c in cores]
+            entries = [(c, spec.core(c).area_mm2) for c in spec.cores_in_island(isl)]
             placed = slice_regions(rect, entries)
             for c, r in placed.items():
                 core_rects[str(c)] = r

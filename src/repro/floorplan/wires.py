@@ -11,7 +11,7 @@ budget absorbs the flight time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..arch.topology import Topology
 from .placer import Floorplan
@@ -66,16 +66,3 @@ def assign_wire_lengths(topology: Topology, floorplan: Floorplan) -> WireReport:
         timing_violations=tuple(sorted(timing)),
         crossing_violations=tuple(sorted(crossing)),
     )
-
-
-def wirelength_objective(topology: Topology, floorplan: Floorplan) -> float:
-    """Bandwidth-weighted total wire length (annealer objective).
-
-    Lower is better: high-bandwidth links want to be short since wire
-    energy is per bit *and* per millimetre.
-    """
-    cost = 0.0
-    for link in topology.links.values():
-        length = floorplan.wire_length_mm(link.src, link.dst)
-        cost += length * max(link.used_mbps, 1.0)
-    return cost

@@ -126,10 +126,17 @@ class NocLibrary:
         least 2 — a one-core island still needs a functioning 2-port
         switch; frequencies above what a 2-port switch sustains raise
         ``ValueError`` because the spec is physically infeasible at the
-        chosen link width.
+        chosen link width.  Frequencies at or below
+        ``switch_fmax_floor_mhz`` raise too: every size closes timing
+        there, so the model gives no bound.
         """
-        if freq_mhz <= 0:
+        if not freq_mhz > 0:
             raise ValueError("frequency must be positive, got %r" % freq_mhz)
+        if freq_mhz <= self.switch_fmax_floor_mhz:
+            raise ValueError(
+                "no switch size bound at %.1f MHz: every size closes timing at "
+                "or below the %.1f MHz fmax floor" % (freq_mhz, self.switch_fmax_floor_mhz)
+            )
         if self.switch_fmax_mhz(2) < freq_mhz:
             raise ValueError(
                 "no switch closes timing at %.1f MHz (2-port fmax %.1f MHz); "

@@ -305,9 +305,8 @@ class ProtectionResult:
     unprotected topology — not against the point's stored metrics —
     so they isolate the cost of the spare hardware even when the
     point was synthesized with different evaluation settings (custom
-    floorplan knobs, annealed placement, ``use_lengths=False``).  For
-    points built with the default pipeline the baseline reproduces
-    the stored metrics exactly.
+    floorplan knobs).  For points built with the default pipeline the
+    baseline reproduces the stored metrics exactly.
     """
 
     topology: Topology

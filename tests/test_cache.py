@@ -177,19 +177,16 @@ class TestConfigKeys:
         for variant in (
             dataclasses.replace(base, objective=StaticLatencyObjective()),
             dataclasses.replace(base, prune_sweep=True),
-            dataclasses.replace(base, max_design_points=2),
         ):
             assert design_space_key(spec, DEFAULT_LIBRARY, variant) == key
 
-    def test_seed_alpha_included(self):
+    def test_alpha_included(self):
         spec = make_tiny_spec()
         base = SynthesisConfig()
-        key = design_space_key(spec, DEFAULT_LIBRARY, base)
-        for variant in (
-            dataclasses.replace(base, seed=1),
-            dataclasses.replace(base, alpha=0.4),
-        ):
-            assert design_space_key(spec, DEFAULT_LIBRARY, variant) != key
+        variant = dataclasses.replace(base, alpha=0.4)
+        assert design_space_key(spec, DEFAULT_LIBRARY, variant) != design_space_key(
+            spec, DEFAULT_LIBRARY, base
+        )
 
 
 class TestMemoryTier:
@@ -588,22 +585,6 @@ class TestWarmSynthesis:
         assert _space_summaries(plain) == _space_summaries(rerun)
         assert plain.failures == rerun.failures
 
-    def test_capped_run_stops_early_and_stores_nothing(self, tmp_path):
-        """A cap stops the candidate pass where it is reached, store or no
-        store, and an incomplete record is never stored."""
-        spec = make_tiny_spec()
-        capped = dataclasses.replace(self.CFG, max_design_points=1)
-
-        def allocations(cfg, store=None):
-            with caching(store), recording() as rec:
-                space = synthesize(spec, config=cfg)
-            return sum(1 for s in rec.spans if s.name == "allocate"), _space_summaries(space)
-
-        store = CacheStore.open(tmp_path)
-        assert allocations(capped, store) == allocations(capped)
-        assert allocations(capped)[0] < allocations(self.CFG)[0]
-        assert store.stats.counters == {"misses.space": 1}
-
     def test_disabled_caches_bypass_store(self, tmp_path):
         spec = make_tiny_spec()
         store = CacheStore.open(tmp_path)
@@ -719,9 +700,9 @@ class TestAnyObjectiveOneRecord:
                 objective.evaluate(point)
             assert [pickle.dumps(p) for p in points] == before, name
 
-    def test_veto_prune_and_cap_served_from_one_record(self, tmp_path):
-        """Scoring renumbers what a veto or a prune drops, and a cap
-        stops it, identically on a hit and a cold run."""
+    def test_veto_and_prune_served_from_one_record(self, tmp_path):
+        """Scoring renumbers what a veto or a prune drops, identically on
+        a hit and a cold run."""
         spec = logical_partitioning(load_benchmark("d26_media"), 4)
         with caching(CacheStore.open(tmp_path)):
             _answer(spec, self.CFG)
@@ -730,10 +711,6 @@ class TestAnyObjectiveOneRecord:
             (
                 dataclasses.replace(self.CFG, objective=StaticLatencyObjective(), prune_sweep=True),
                 "pruned: ",
-            ),
-            (
-                dataclasses.replace(self.CFG, objective=_EvenCountVeto(), max_design_points=3),
-                "objective: ",
             ),
         ):
             cold = _answer(spec, cfg)
@@ -751,7 +728,6 @@ class TestAnyObjectiveOneRecord:
         strategy=st.sampled_from([logical_partitioning, communication_partitioning]),
         first=st.sampled_from(STATIC),
         second=st.sampled_from(STATIC),
-        cap=st.sampled_from([None, 1, 3]),
     )
     @settings(
         max_examples=6,
@@ -759,16 +735,14 @@ class TestAnyObjectiveOneRecord:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_record_serves_any_objective(
-        self, n_cores, gen_seed, n_islands, strategy, first, second, cap
+        self, n_cores, gen_seed, n_islands, strategy, first, second
     ):
         soc = generate_soc(
             GeneratorConfig("prop%d" % n_cores, num_cores=n_cores, num_groups=min(4, n_cores // 3), seed=gen_seed)
         )
         spec = strategy(soc, n_islands)
         populate = dataclasses.replace(self.CFG, objective=make_objective(first))
-        run = dataclasses.replace(
-            self.CFG, objective=make_objective(second), max_design_points=cap
-        )
+        run = dataclasses.replace(self.CFG, objective=make_objective(second))
         expected = _answer(spec, run)
         assert _answer(spec, dataclasses.replace(run, enable_caches=False)) == expected
         with tempfile.TemporaryDirectory() as directory:
@@ -847,6 +821,16 @@ class TestCacheCli:
         assert "removed" in clear_out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+    def test_seed_rerun_hits_the_same_record(self, capsys, tmp_path):
+        """``--seed`` seeds only the objective's traces: not part of the key."""
+        argv = ["synth", "d12_auto", "--islands", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--seed", "1"]) == 0
+        seeded = capsys.readouterr().out.splitlines()
+        assert seeded[0].startswith("cache: 1 hits, 0 misses")
+        assert seeded[1:] == cold[1:]
 
     def test_stats_lists_stale_entries_apart(self, capsys, tmp_path):
         """Blobs of another schema are counted as stale, not under their kind."""

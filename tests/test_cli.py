@@ -310,6 +310,14 @@ class TestErrorPaths:
                 ["sweep", "d26_media", "--counts", "1,2", "--spare-k", "-1"],
                 id="sweep-spare-k-negative",
             ),
+            pytest.param(
+                ["control", "d12_auto", "--islands", "2", "--scenario", "-1"],
+                id="control-scenario-negative",
+            ),
+            pytest.param(
+                ["obs", "d12_auto", "--islands", "2", "--scenario", "-1"],
+                id="obs-scenario-negative",
+            ),
         ],
         ids=lambda argv: "-".join(a for a in argv if a.isalpha()),
     )
@@ -328,12 +336,22 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["control", "obs"])
-    def test_min_coverage_not_accepted_where_unread(self, capsys, command):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("control", "--min-coverage", id="control"),
+            pytest.param("obs", "--min-coverage", id="obs"),
+            pytest.param("shutdown", "--seed", id="shutdown-seed"),
+            pytest.param("resilience", "--seed", id="resilience-seed"),
+        ],
+    )
+    def test_min_coverage_not_accepted_where_unread(self, capsys, command, flag):
+        """A command rejects a flag it would not read, ``--min-coverage``
+        or ``--seed`` alike."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "d12_auto", "--islands", "2", "--min-coverage", "0.5"])
+            main([command, "d12_auto", "--islands", "2", flag, "1"])
         assert exc.value.code == 2
-        assert "--min-coverage" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_int_list_skips_blank_items(self):
         assert _int_list("2,,4", "--counts") == [2, 4]

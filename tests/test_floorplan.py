@@ -1,16 +1,13 @@
-"""Floorplanning: geometry, slicing, placement, wires, annealing."""
-
-import dataclasses
+"""Floorplanning: geometry, slicing, placement, wires."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import FloorplanError, place
-from repro.floorplan.annealer import AnnealConfig, anneal_placement
 from repro.floorplan.geometry import Point, Rect
 from repro.floorplan.islands import chip_rect, slice_regions
 from repro.floorplan.placer import FloorplanConfig
-from repro.floorplan.wires import assign_wire_lengths, wirelength_objective
+from repro.floorplan.wires import assign_wire_lengths
 from repro.arch.topology import INTERMEDIATE_ISLAND
 
 
@@ -152,10 +149,6 @@ class TestPlacer:
         for p in with_mid[:2]:
             assert INTERMEDIATE_ISLAND in p.floorplan.island_rects
 
-    def test_core_order_override_validated(self, tiny_best):
-        with pytest.raises(FloorplanError):
-            place(tiny_best.topology, core_order={0: ["cpu"]})  # incomplete
-
     def test_custom_config_whitespace(self, tiny_best):
         fat = place(tiny_best.topology, FloorplanConfig(whitespace_fraction=1.0))
         slim = place(tiny_best.topology, FloorplanConfig(whitespace_fraction=0.0))
@@ -185,53 +178,3 @@ class TestWires:
         half_perimeter = fp.chip.w + fp.chip.h
         for link in tiny_best.topology.links.values():
             assert link.length_mm <= half_perimeter
-
-    def test_objective_positive_and_monotone_in_lengths(self, tiny_best):
-        obj = wirelength_objective(tiny_best.topology, tiny_best.floorplan)
-        assert obj > 0
-
-
-class TestAnnealer:
-    def test_anneal_never_worse_than_constructive(self, tiny_best):
-        topo = tiny_best.topology
-        constructive = place(topo)
-        annealed = anneal_placement(
-            topo,
-            anneal=AnnealConfig(seed=1, moves_per_temperature=8, cooling=0.7),
-        )
-        assert wirelength_objective(topo, annealed) <= wirelength_objective(
-            topo, constructive
-        ) * (1.0 + 1e-9)
-
-    def test_anneal_deterministic(self, tiny_best):
-        topo = tiny_best.topology
-        cfg = AnnealConfig(seed=3, moves_per_temperature=6, cooling=0.7)
-        a = anneal_placement(topo, anneal=cfg)
-        b = anneal_placement(topo, anneal=cfg)
-        assert a.core_rects == b.core_rects
-
-    def test_annealed_plan_still_valid(self, tiny_best, tiny_spec):
-        fp = anneal_placement(
-            tiny_best.topology,
-            anneal=AnnealConfig(seed=2, moves_per_temperature=6, cooling=0.7),
-        )
-        for core in tiny_spec.core_names:
-            isl = tiny_spec.island_of(core)
-            assert fp.island_rects[isl].contains_rect(fp.core_rects[core], tol=1e-6)
-
-    @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_incremental_matches_reference(self, tiny_best, seed):
-        topo = tiny_best.topology
-        base = AnnealConfig(seed=seed, moves_per_temperature=8, cooling=0.7)
-        ref = anneal_placement(
-            topo, anneal=dataclasses.replace(base, incremental=False)
-        )
-        inc = anneal_placement(
-            topo, anneal=dataclasses.replace(base, incremental=True)
-        )
-        assert ref.chip == inc.chip
-        assert ref.island_rects == inc.island_rects
-        assert ref.core_rects == inc.core_rects
-        assert ref.ni_pos == inc.ni_pos
-        assert ref.switch_pos == inc.switch_pos
-        assert wirelength_objective(topo, ref) == wirelength_objective(topo, inc)

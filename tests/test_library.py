@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DEFAULT_LIBRARY, NocLibrary
+from repro import (
+    DEFAULT_LIBRARY,
+    NocLibrary,
+    SynthesisConfig,
+    logical_partitioning,
+    synthesize,
+)
+from repro.soc.benchmarks import load_benchmark
 
 LIB = DEFAULT_LIBRARY
 
@@ -34,6 +41,26 @@ class TestTiming:
     def test_infeasible_frequency_raises(self):
         with pytest.raises(ValueError):
             LIB.max_switch_size_for_freq(LIB.switch_fmax_base_mhz + 1.0)
+
+    @pytest.mark.parametrize(
+        "freq, message",
+        [
+            pytest.param(LIB.switch_fmax_floor_mhz, "fmax floor", id="at-floor"),
+            pytest.param(LIB.switch_fmax_floor_mhz - 40.0, "fmax floor", id="below-floor"),
+            pytest.param(float("nan"), "positive", id="nan"),
+        ],
+    )
+    def test_unbounded_frequency_raises(self, freq, message):
+        """No size bound exists at or below the fmax floor, where every
+        size closes timing, nor at NaN."""
+        with pytest.raises(ValueError, match=message):
+            LIB.max_switch_size_for_freq(freq)
+
+    def test_clock_floor_under_fmax_floor_raises(self):
+        """d12_auto's island 0 needs 20 MHz, which a 50 MHz floor rounds up to."""
+        spec = logical_partitioning(load_benchmark("d12_auto"), 3)
+        with pytest.raises(ValueError, match="fmax floor"):
+            synthesize(spec, config=SynthesisConfig(min_freq_mhz=50))
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def random_partitioned_socs(draw):
     return communication_partitioning(spec, n_islands)
 
 
-PROP_CONFIG = SynthesisConfig(max_intermediate=1, max_design_points=3)
+PROP_CONFIG = SynthesisConfig(max_intermediate=1)
 
 
 @given(random_partitioned_socs())

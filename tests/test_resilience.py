@@ -30,7 +30,6 @@ from repro import (
     ResilienceObjective,
     SparePathConfig,
     StaticPowerObjective,
-    SynthesisConfig,
     TraceEnergyObjective,
     WakeLatencyQoSObjective,
     allocate_spare_paths,
@@ -39,7 +38,6 @@ from repro import (
     degraded_routes,
     make_objective,
     protect_design_point,
-    synthesize,
 )
 from repro.arch.routing import is_deadlock_free
 from repro.arch.topology import INTERMEDIATE_ISLAND
@@ -839,21 +837,3 @@ class TestBackupLatencyBudget:
             budget = spec.flow(*key).latency_cycles
             for c in cycles:
                 assert c <= budget + 1e-9
-
-
-class TestPruneCapInteraction:
-    """prune_sweep is inert under max_design_points (cap truncates by
-    accepted-point count; skipping candidates would move the boundary)."""
-
-    def test_prune_disabled_under_cap(self, tiny_spec):
-        capped = synthesize(
-            tiny_spec, config=SynthesisConfig(max_design_points=2)
-        )
-        both = synthesize(
-            tiny_spec,
-            config=SynthesisConfig(max_design_points=2, prune_sweep=True),
-        )
-        assert [p.label() for p in both.points] == [
-            p.label() for p in capped.points
-        ]
-        assert not any("pruned" in reason for _, _, reason in both.failures)

@@ -486,7 +486,7 @@ class TestViolations:
         from repro.baseline.flat import synthesize_vi_oblivious
 
         spec = make_tiny_spec(3)
-        oblivious = synthesize_vi_oblivious(spec, config=SynthesisConfig(seed=0))
+        oblivious = synthesize_vi_oblivious(spec, config=SynthesisConfig())
         topo = oblivious.topology
         crossing = None
         for key in sorted(topo.routes):

@@ -95,29 +95,12 @@ class TestSweepStructure:
 
 
 class TestConfig:
-    def test_seed_reproducibility(self, tiny_spec):
-        a = synthesize(tiny_spec, config=SynthesisConfig(seed=5))
-        b = synthesize(tiny_spec, config=SynthesisConfig(seed=5))
-        assert [p.label() for p in a] == [p.label() for p in b]
-        assert [p.power_mw for p in a] == pytest.approx([p.power_mw for p in b])
-
     def test_no_intermediate_config(self, tiny_spec):
         space = synthesize(tiny_spec, config=SynthesisConfig(allow_intermediate=False))
         assert all(p.num_intermediate_used == 0 for p in space)
 
-    def test_max_design_points_caps_output(self, tiny_spec):
-        space = synthesize(tiny_spec, config=SynthesisConfig(max_design_points=2))
-        assert len(space) == 2
-
     def test_greedy_partition_method(self, tiny_spec):
         space = synthesize(tiny_spec, config=SynthesisConfig(partition_method="greedy"))
-        assert space.feasible
-
-    def test_anneal_placement_runs(self, tiny_spec):
-        space = synthesize(
-            tiny_spec,
-            config=SynthesisConfig(anneal_placement=True, max_design_points=1),
-        )
         assert space.feasible
 
     def test_alpha_extremes_both_feasible(self, tiny_spec):
