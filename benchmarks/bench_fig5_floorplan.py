@@ -10,7 +10,6 @@ the geometric invariants the figure depicts.
 from __future__ import annotations
 
 from _bench_utils import write_result
-from repro.floorplan.wires import assign_wire_lengths
 from repro.io.floorplan_art import floorplan_to_ascii, floorplan_to_svg
 from repro.io.report import format_table
 

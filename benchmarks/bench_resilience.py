@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro import SynthesisConfig, synthesize
+from repro import synthesize
 from repro.arch.routing import is_deadlock_free
 from repro.arch.topology import INTERMEDIATE_ISLAND
 from repro.arch.validate import validate_topology

@@ -26,7 +26,7 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ValidationError
-from .routing import channel_dependency_graph, find_cdg_cycle
+from .routing import find_cdg_cycle
 from .topology import FlowKey, Topology, ni_id
 
 

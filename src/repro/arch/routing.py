@@ -15,7 +15,7 @@ flow needs from the stored routes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import ValidationError
 from .topology import FlowKey, Route, Topology

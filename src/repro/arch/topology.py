@@ -22,7 +22,7 @@ simulation and export.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.spec import SoCSpec, TrafficFlow
 from ..exceptions import ValidationError

@@ -11,9 +11,8 @@ island shutdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from ..core.spec import SoCSpec
 from ..exceptions import ValidationError
 from .topology import INTERMEDIATE_ISLAND, FlowKey, Topology
 

@@ -10,7 +10,7 @@ third-party switches pin idle islands awake.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..arch.topology import Topology
 from ..arch.validate import ShutdownViolation, audit_shutdown_safety

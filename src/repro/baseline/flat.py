@@ -25,7 +25,6 @@ from shutting down because live flows route through their switches.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..arch.topology import Topology

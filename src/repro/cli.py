@@ -1270,10 +1270,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that closed stdout (`| head`) is
+        # caught below and not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: stop quietly.  Point stdout at devnull so
+        # the flush at exit cannot raise again (the recipe of the
+        # `signal` module's documentation), and exit 1 as on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

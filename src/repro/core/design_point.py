@@ -13,7 +13,7 @@ latency).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..arch.topology import Topology
 from ..exceptions import InfeasibleError

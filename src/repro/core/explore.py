@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
-from ..perf.instrument import Outbox, Recorder, active_recorder, recording, span
+from ..perf.instrument import Recorder, active_recorder, span, worker_recording
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..soc.partitioning import communication_partitioning, logical_partitioning
 from .design_point import DesignPoint, DesignSpace
@@ -278,10 +278,7 @@ def _execute_descriptor(desc: _TaskDescriptor):
     if not desc.collect_obs:
         record = _run_one(spec, library, config, desc.knobs, select)
     else:
-        # One fresh recorder per task: its snapshot carries exactly
-        # this task's counters, spans and events, which the parent
-        # relabels ``task<i>`` on merge.
-        with recording(Recorder("worker", sinks=[Outbox()])) as rec:
+        with worker_recording(payload) as rec:
             rec.emit(
                 "heartbeat",
                 "task",
@@ -293,7 +290,6 @@ def _execute_descriptor(desc: _TaskDescriptor):
                 "task",
                 attrs={"phase": "end", "feasible": record.feasible},
             )
-        payload["obs"] = rec.snapshot()
     if store is not None:
         payload["cache"] = store.stats.diff(stats_before)
     return record, payload or None

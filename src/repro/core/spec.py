@@ -16,9 +16,8 @@ to derive a re-islanded variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..exceptions import SpecError
 

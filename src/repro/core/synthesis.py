@@ -24,26 +24,35 @@ whole sweep; a scoring pass then applies the configured objective, its
 veto and sweep pruning.  Only the candidate pass's outcomes are
 cached.  The returned :class:`~repro.core.design_point.DesignSpace` is
 the paper's power/performance trade-off curve.
+
+After step 1 the switch-count steps are independent, so a large spec's
+candidate pass is dealt round-robin by step over the CPUs the process
+may use (:func:`_fanout_width`) and merged back into candidate order
+before scoring: the outcomes are exactly those of one process.
 """
 
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
+import itertools
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
+    BinaryIO,
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
 )
 
-from ..arch.topology import INTERMEDIATE_ISLAND, Topology
+from ..arch.topology import INTERMEDIATE_ISLAND
 from ..arch.validate import validate_topology
 from ..cache.context import active_store
 from ..cache.keys import design_space_key
@@ -51,7 +60,7 @@ from ..cache.signatures import design_space_signature
 from ..exceptions import CacheKeyError, PartitionError
 from ..floorplan.placer import FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
-from ..perf.instrument import active_recorder, span
+from ..perf.instrument import active_recorder, span, worker_recording
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..power.noc_power import compute_noc_power
 from ..power.soc_power import compute_soc_power
@@ -91,10 +100,11 @@ class SynthesisConfig:
     #: reuses its partitions and bisections across the switch-count
     #: sweep, cost memos and per-destination search state inside path
     #: allocation, the direct-open dominance shortcut, the search's
-    #: open-edge class skip, the floorplan-skeleton cache, and the
-    #: active cache store's candidate record.  Off reproduces the same
-    #: design space through the unmemoized reference path (used by
-    #: determinism tests), without touching the store.
+    #: open-edge class skip, the floorplan-skeleton cache, the fan-out
+    #: of a large spec's candidate pass over the CPUs, and the active
+    #: cache store's candidate record.  Off reproduces the same design
+    #: space through the unmemoized reference path (used by
+    #: determinism tests) in one process, without touching the store.
     enable_caches: bool = True
     #: Co-synthesis objective: when set, the scoring pass scores every
     #: evaluated candidate under it — points the objective rejects are
@@ -131,6 +141,11 @@ class SynthesisConfig:
 #: :class:`DesignPoint`, or a ``(switch counts, k_mid, reason)`` failure
 #: (``k_mid`` is -1 when partitioning failed).
 Outcome = Union[DesignPoint, Tuple[Tuple[Tuple[int, int], ...], int, str]]
+
+#: Fewest cores for which one call fans its candidate pass out over the
+#: CPUs.  Below it a pass is too short to pay for starting a worker
+#: (docs/performance.md, "Candidate fan-out", has the crossover).
+_FANOUT_MIN_CORES = 40
 
 
 @contextmanager
@@ -207,57 +222,261 @@ def _outcomes(
     """
     store = active_store()
     if store is None or not cfg.enable_caches:
-        return _candidate_pass(spec, library, cfg)
+        return _cold_pass(spec, library, cfg)
     try:
         key = design_space_key(spec, library, cfg)
     except CacheKeyError:
         # Something in the config has no stable content address; run
         # cold, don't fail the run.
         store.record_key_error()
-        return _candidate_pass(spec, library, cfg)
+        return _cold_pass(spec, library, cfg)
     record = store.get_object(key, "space")
     if record is None:
         if root_span is not None:
             root_span.set(cache="miss")
-        record = list(_candidate_pass(spec, library, cfg))
+        record = list(_cold_pass(spec, library, cfg))
         store.put_object(key, record, "space")
         return record
     # Keys leave the spec name out, so the hit may have been stored
     # under another name: hand back the caller's own spec objects.
-    for outcome in record:
-        if isinstance(outcome, DesignPoint):
-            _rebind(outcome.topology, spec, library)
+    _rebind(record, spec, library)
     if root_span is not None:
         root_span.set(cache="hit")
     if store.should_verify():
         # The pass never touches the store, so this is a clean recompute.
         store.check_signature(
             design_space_signature(record),
-            design_space_signature(list(_candidate_pass(spec, library, cfg))),
+            design_space_signature(list(_cold_pass(spec, library, cfg))),
             "candidate record for %s" % spec.name,
         )
     return record
 
 
-def _rebind(topology: Optional[Topology], spec: SoCSpec, library: NocLibrary) -> None:
-    """Point a decoded cached topology at the caller's spec and library."""
-    if topology is not None:
-        topology.spec = spec
-        topology.library = library
+def _rebind(
+    outcomes: Iterable[Outcome],
+    spec: Optional[SoCSpec],
+    library: Optional[NocLibrary],
+) -> None:
+    """Point the points' topologies at the caller's spec and library."""
+    for outcome in outcomes:
+        if isinstance(outcome, DesignPoint) and outcome.topology is not None:
+            outcome.topology.spec = spec
+            outcome.topology.library = library
+
+
+def _cold_pass(
+    spec: SoCSpec, library: NocLibrary, cfg: SynthesisConfig
+) -> Iterable[Outcome]:
+    """The candidate pass, computed: in this process, or fanned out.
+
+    Fanned out (:func:`_fanout_width` above 1), it returns the merged
+    list; otherwise a generator that the scoring pass drains as it goes.
+    """
+    plans = plan_all_islands(spec, library, cfg.freq_step_mhz, cfg.min_freq_mhz)
+    width = _fanout_width(spec, cfg, len(_sweep_steps(plans)))
+    if width > 1:
+        return _fanned_out_pass(spec, library, cfg, plans, width)
+    return itertools.chain.from_iterable(_candidate_pass(spec, library, cfg, plans))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _fanout_width(spec: SoCSpec, cfg: SynthesisConfig, steps: int) -> int:
+    """Processes to deal a candidate pass of ``steps`` steps over (1: none).
+
+    A pass fans out only when every condition holds: the fast path is on
+    (the ``enable_caches=False`` reference mode stays one process), the
+    spec has at least :data:`_FANOUT_MIN_CORES` cores, the pass has more
+    than one step, this process is not itself a pool worker (a sweep
+    task never nests a pool), the start method is ``fork`` (workers
+    inherit the spec instead of unpickling it), no other thread runs (a
+    fork copies no thread, so a lock another one holds would stay held
+    in the worker), and more than one CPU is usable.  The width is then
+    ``min(CPUs, steps)``.
+    """
+    if not cfg.enable_caches or steps < 2 or len(spec.cores) < _FANOUT_MIN_CORES:
+        return 1
+    import multiprocessing
+    import threading
+
+    if multiprocessing.parent_process() is not None or threading.active_count() > 1:
+        return 1
+    method = multiprocessing.get_start_method(allow_none=True)
+    if (method or multiprocessing.get_all_start_methods()[0]) != "fork":
+        return 1
+    return min(_usable_cpus(), steps)
+
+
+def _fanned_out_pass(
+    spec: SoCSpec,
+    library: NocLibrary,
+    cfg: SynthesisConfig,
+    plans: Mapping[int, IslandPlan],
+    width: int,
+) -> List[Outcome]:
+    """The candidate pass dealt round-robin by step over ``width`` processes.
+
+    Step ``j`` goes to chunk ``j % width``: round-robin chunks do equal
+    work, where contiguous ones would not (per-step cost grows with the
+    switch count).  This process runs chunk 0 while ``width - 1``
+    forked workers run the others (:func:`_run_chunk`); with a recorder
+    installed, each worker's snapshot merges here as ``chunk<i>``.  A
+    worker's exception re-raises here, and no worker outlives the call.
+
+    Each worker is a bare forked process writing one pickle to a pipe:
+    it inherits everything it reads and starts on its chunk at once,
+    and this process decodes the pickle straight off the pipe once its
+    own chunk is done, so the encoded bytes are never held whole.  (A
+    ``ProcessPoolExecutor`` hands the task over and takes the result in
+    through threads of this process, which wait for the GIL while this
+    process computes: docs/performance.md, "Candidate fan-out".)
+    """
+    import multiprocessing
+    import pickle
+
+    context = multiprocessing.get_context("fork")
+    recorder = active_recorder()
+    workers: List[Tuple[multiprocessing.Process, BinaryIO]] = []
+    try:
+        for chunk in range(1, width):
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            worker = context.Process(
+                target=_run_chunk,
+                args=(write_fd, read_fd, spec, library, cfg, plans, chunk, width,
+                      recorder is not None),
+                name="synthesis-chunk%d" % chunk,
+            )
+            try:
+                worker.start()
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(write_fd)
+            workers.append((worker, pipe))
+        chunks = [list(_candidate_pass(spec, library, cfg, plans, 0, width))]
+        for chunk, (worker, pipe) in enumerate(workers, 1):
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    "synthesis chunk %d: worker exited without a result" % chunk
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            steps, snapshot = result
+            _rebind(itertools.chain.from_iterable(steps), spec, library)
+            chunks.append(steps)
+            if snapshot is not None:
+                recorder.merge(snapshot, process="chunk%d" % chunk)
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, pipe in workers:
+            pipe.close()
+            worker.join()
+    return _merge_chunks(chunks)
+
+
+def _run_chunk(
+    write_fd: int,
+    read_fd: int,
+    spec: SoCSpec,
+    library: NocLibrary,
+    cfg: SynthesisConfig,
+    plans: Mapping[int, IslandPlan],
+    chunk: int,
+    width: int,
+    collect_obs: bool,
+) -> None:
+    """A forked worker's chunk of :func:`_fanned_out_pass`.
+
+    Writes one pickle to ``write_fd``: ``(step outcome lists, recorder
+    snapshot or None)``, or the exception that stopped the chunk.  The
+    topologies travel without their spec and library, which the caller
+    already holds.
+    """
+    import pickle
+
+    os.close(read_fd)
+    payload: Dict[str, object] = {}
+    capture = worker_recording(payload) if collect_obs else nullcontext()
+    try:
+        with gc_paused(), capture:
+            steps = list(_candidate_pass(spec, library, cfg, plans, chunk, width))
+        _rebind(itertools.chain.from_iterable(steps), None, None)
+        data = pickle.dumps((steps, payload.get("obs")), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # re-raised by the caller
+        data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+    with open(write_fd, "wb") as pipe:
+        pipe.write(data)
+
+
+def _merge_chunks(chunks: Sequence[List[List[Outcome]]]) -> List[Outcome]:
+    """Chunks' per-step outcomes back in sweep order, points renumbered.
+
+    Step ``j`` ran in chunk ``j % len(chunks)``, whose points were
+    numbered from 0; renumbered, the list equals the one-process pass.
+    """
+    width = len(chunks)
+    merged: List[Outcome] = []
+    points = 0
+    for j in range(sum(len(c) for c in chunks)):
+        for outcome in chunks[j % width][j // width]:
+            if isinstance(outcome, DesignPoint):
+                if outcome.index != points:
+                    outcome = replace(outcome, index=points)
+                points += 1
+            merged.append(outcome)
+    return merged
+
+
+def _sweep_steps(plans: Mapping[int, IslandPlan]) -> List[Dict[int, int]]:
+    """Steps 4–10: every island's switch count at each sweep step.
+
+    One sweep variable ``i`` raises every island's count in lock-step
+    from its minimum, each saturating at one switch per core; the sweep
+    ends when every island has saturated, since the next step would
+    explore nothing new.
+    """
+    steps: List[Dict[int, int]] = []
+    while True:
+        i = len(steps)
+        counts = {
+            isl: min(plan.min_switches + i, plan.num_cores) for isl, plan in plans.items()
+        }
+        if steps and counts == steps[-1]:
+            return steps
+        steps.append(counts)
 
 
 def _candidate_pass(
-    spec: SoCSpec, library: NocLibrary, cfg: SynthesisConfig
-) -> Iterator[Outcome]:
-    """Algorithm 1's objective-free pass, one outcome per candidate.
+    spec: SoCSpec,
+    library: NocLibrary,
+    cfg: SynthesisConfig,
+    plans: Mapping[int, IslandPlan],
+    chunk: int = 0,
+    width: int = 1,
+) -> Iterator[List[Outcome]]:
+    """Algorithm 1's objective-free pass: each step's candidate outcomes.
 
-    Yields, in candidate order, each ``(switch counts, k_mid)``
-    candidate's metrics-only point or failure.  Point indices count the
-    points yielded so far; scoring renumbers them when it drops any.
+    Yields one list per switch-count step, in sweep order, of each
+    ``(switch counts, k_mid)`` candidate's metrics-only point or
+    failure.  Only the steps ``j`` with ``j % width == chunk`` run (one
+    chunk of a fanned-out pass).  Point indices count the points this
+    pass yielded so far; scoring renumbers them when it drops any, and
+    the fan-out's merge when it interleaves chunks.
     """
-    plans = plan_all_islands(spec, library, cfg.freq_step_mhz, cfg.min_freq_mhz)
     vcgs = build_all_vcgs(spec, cfg.alpha)
-
     max_cores = max(p.num_cores for p in plans.values())
     has_cross_flows = bool(spec.flows_across_islands())
     if cfg.allow_intermediate and has_cross_flows and spec.num_islands > 1:
@@ -265,7 +484,6 @@ def _candidate_pass(
     else:
         mid_cap = 0
 
-    seen_counts: Set[Tuple[Tuple[int, int], ...]] = set()
     # One step-11 partitioner per island, built on first use: it
     # answers every switch count of the sweep and shares bisections
     # between them.  ``None`` is reference mode (no reuse).
@@ -277,20 +495,16 @@ def _candidate_pass(
     # rectangles and NI positions (see repro.floorplan.placer.place).
     place_cache: Optional[dict] = {} if cfg.enable_caches else None
     point_index = 0
-    for i in range(0, max_cores + 1):
-        counts: Dict[int, int] = {}
-        for isl, plan in plans.items():
-            counts[isl] = min(plan.min_switches + i, plan.num_cores)
+    for i, counts in enumerate(_sweep_steps(plans)):
+        if i % width != chunk:
+            continue
         counts_key = tuple(sorted(counts.items()))
-        if counts_key in seen_counts:
-            continue  # every island saturated; nothing new to explore
-        seen_counts.add(counts_key)
-
+        outcomes: List[Outcome] = []
         try:
             with span("partition", sweep_i=i):
                 partitions = _partition_islands(vcgs, plans, counts, cfg, partitioners)
         except PartitionError as exc:
-            yield (counts_key, -1, "partitioning: %s" % exc)
+            yield [(counts_key, -1, "partitioning: %s" % exc)]
             continue
 
         # One allocator per candidate: flow order, successor rows and
@@ -310,7 +524,7 @@ def _candidate_pass(
                 if alloc_span is not None:
                     alloc_span.set(success=result.success)
             if not result.success:
-                yield (counts_key, k_mid, result.reason or "unknown")
+                outcomes.append((counts_key, k_mid, result.reason or "unknown"))
                 continue
             # Requesting more intermediate switches than the allocator
             # uses reproduces an earlier point; skip the duplicate.
@@ -325,7 +539,8 @@ def _candidate_pass(
                     place_cache,
                 )
             point_index += 1
-            yield point
+            outcomes.append(point)
+        yield outcomes
 
 
 def _score(

@@ -19,8 +19,8 @@ baseline VI-oblivious synthesis; :func:`build_global_vcg` provides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Set, Tuple
 
 from ..exceptions import SpecError
 from .spec import SoCSpec, TrafficFlow

@@ -8,7 +8,7 @@ uses throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from ..exceptions import FloorplanError
 

@@ -10,7 +10,7 @@ converter annotation.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 

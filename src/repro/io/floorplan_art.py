@@ -9,7 +9,7 @@ standalone vector image without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..floorplan.placer import Floorplan

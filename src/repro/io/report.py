@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import csv
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 
 def format_table(

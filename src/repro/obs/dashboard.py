@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import html as _html
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..perf.instrument import Recorder
 from .metrics import MetricsRegistry

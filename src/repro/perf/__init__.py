@@ -16,6 +16,7 @@ from .instrument import (
     recording,
     span,
     stable_span_id,
+    worker_recording,
 )
 
 __all__ = [
@@ -27,4 +28,5 @@ __all__ = [
     "recording",
     "span",
     "stable_span_id",
+    "worker_recording",
 ]

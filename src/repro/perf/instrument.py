@@ -362,6 +362,22 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
             sink.close()  # type: ignore[attr-defined]
 
 
+@contextmanager
+def worker_recording(payload: Dict[str, object]) -> Iterator[Recorder]:
+    """Record a worker process's share of a run; ship it in ``payload["obs"]``.
+
+    Installs a fresh ``Recorder("worker", sinks=[Outbox()])`` for the
+    block and puts its :meth:`~Recorder.snapshot` in ``payload`` when the
+    block ends, so the snapshot carries exactly that share's counters,
+    spans and events.  Sweep-task and synthesis-chunk workers both record
+    through it; the parent merges the snapshot under a deterministic
+    label (``task<i>``, ``chunk<i>``) with :meth:`Recorder.merge`.
+    """
+    with recording(Recorder("worker", sinks=[Outbox()])) as rec:
+        yield rec
+    payload["obs"] = rec.snapshot()
+
+
 def span(name: str, **attrs: object):
     """Open a span on the active recorder; a shared no-op when off.
 

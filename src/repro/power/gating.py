@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..arch.topology import Topology
 from ..exceptions import SpecError

@@ -22,12 +22,12 @@ motivation — see :mod:`repro.baseline.checker`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from ..arch.topology import INTERMEDIATE_ISLAND, Topology
+from ..arch.topology import Topology
 from ..arch.validate import audit_shutdown_safety
 from ..sim.scenarios import UseCase
-from .noc_power import NocPower, compute_noc_power
+from .noc_power import compute_noc_power
 
 
 @dataclass(frozen=True)

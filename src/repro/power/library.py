@@ -28,7 +28,7 @@ one-line change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import units
 
@@ -103,6 +103,16 @@ class NocLibrary:
     fifo_crossing_cycles: int = 4
     #: Signal velocity on repeatered wire, mm per ns.
     wire_speed_mm_per_ns: float = 1.6
+
+    def __post_init__(self) -> None:
+        # fmax must fall with size, or no clock bounds the switch size
+        # and max_switch_size_for_freq would search forever.
+        slope = self.switch_fmax_slope_mhz_per_port
+        if not (slope > 0 and math.isfinite(slope)):
+            raise ValueError(
+                "switch_fmax_slope_mhz_per_port must be positive and finite, got %r"
+                % (slope,)
+            )
 
     # ------------------------------------------------------------------
     # Timing

@@ -18,11 +18,11 @@ the SoC-level overhead accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from .. import units
-from ..arch.topology import INTERMEDIATE_ISLAND, FlowKey, Topology
+from ..arch.topology import FlowKey, Topology
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..arch.topology import Topology
-from ..core.spec import SoCSpec
 from .noc_power import NocPower, compute_noc_power, noc_area_mm2
 
 

@@ -24,10 +24,10 @@ results used for the paper's figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
-from ..arch.topology import INTERMEDIATE_ISLAND, Topology
+from ..arch.topology import Topology
 from ..exceptions import SpecError
 from .noc_power import NocPower, compute_noc_power
 

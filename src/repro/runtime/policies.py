@@ -28,7 +28,7 @@ rather than approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..exceptions import SpecError

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..exceptions import SpecError
 

@@ -30,7 +30,7 @@ different frequencies interact exactly as they would in silicon.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..arch.topology import FlowKey, Topology

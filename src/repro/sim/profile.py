@@ -12,7 +12,7 @@ battery-life claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.topology import Topology
 from ..exceptions import SpecError

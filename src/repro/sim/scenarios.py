@@ -10,8 +10,8 @@ can be gated during it and what that saves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Sequence
 
 from ..core.spec import SoCSpec, TrafficFlow
 from ..exceptions import SpecError

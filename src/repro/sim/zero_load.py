@@ -23,7 +23,7 @@ cross-island flow costs ``1 + 4 + 1 = 6`` cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..arch.topology import FlowKey, Link, Topology
 from ..exceptions import ValidationError

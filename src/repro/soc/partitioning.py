@@ -17,7 +17,7 @@ and 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Set
 
 from ..core.partition import partition_graph
 from ..core.spec import SoCSpec

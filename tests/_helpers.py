@@ -21,6 +21,7 @@ from repro import (
     plan_all_islands,
 )
 from repro.arch.routing import find_cdg_cycle
+from repro.core import synthesis as synthesis_module
 from repro.core.partition import partition_graph
 from repro.core.vcg import build_all_vcgs
 from repro.power.library import DEFAULT_LIBRARY
@@ -147,3 +148,18 @@ def space_signature(space):
             )
         )
     return (space.spec_name, tuple(points), tuple(space.failures))
+
+
+def pin_fanout_width(monkeypatch, width: int) -> None:
+    """Deal every fast-path candidate pass over ``width`` processes.
+
+    Replaces the host-dependent choice (``synthesis._fanout_width``) so
+    a test runs the same on any host: 1 keeps every call in one
+    process; above 1 every fast-path call fans out, whatever its size.
+    The ``enable_caches=False`` reference mode stays one process.
+    """
+    monkeypatch.setattr(
+        synthesis_module,
+        "_fanout_width",
+        lambda spec, cfg, steps: min(width, steps) if cfg.enable_caches else 1,
+    )

@@ -113,8 +113,6 @@ class TestValidate:
     def test_detects_shutdown_violation(self, tiny_space):
         import copy
 
-        from repro.arch.topology import INTERMEDIATE_ISLAND
-
         topo = copy.deepcopy(tiny_space.points[0].topology)
         # Relabel a switch used by an intra-island flow into the other
         # island: its flows now cross a third-party island.

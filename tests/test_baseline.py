@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SynthesisConfig, make_use_case, synthesize
+from repro import SynthesisConfig, make_use_case
 from repro.arch.validate import audit_shutdown_safety
 from repro.baseline.checker import (
     check_shutdown_feasibility,

@@ -358,6 +358,31 @@ class TestErrorPaths:
         assert _int_list(" 1, 3 ,", "--trace-seeds") == [1, 3]
 
 
+class TestClosedStdout:
+    def test_reader_gone_exits_nonzero_without_traceback(self):
+        """`synth ... | head -1`: the reader closes the pipe before the
+        output ends.  Here the read end is closed before the child
+        starts, so every write fails."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "synth", "d12_auto",
+                 "--islands", "2", "--ascii-floorplan"],
+                stdout=write_fd,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
 def _loaded_modules(code):
     """Modules a fresh interpreter loads while it runs ``code``.
 
@@ -445,6 +470,13 @@ class TestImportFootprint:
                 "concurrent.futures",
             ],
         ) == []
+
+    def test_synth_d26_loads_no_process_machinery(self):
+        """Its 26 cores are below the fan-out size: one process, and
+        neither ``multiprocessing`` nor ``concurrent`` is imported."""
+        loaded = _cli_modules(["synth", "d26_media", "--islands", "4"])
+        assert "repro.core.synthesis" in loaded
+        assert _under(loaded, ["multiprocessing", "concurrent"]) == []
 
     def test_synth_loads_no_other_subsystem(self):
         loaded = _cli_modules(["synth", "d12_auto", "--islands", "2"])

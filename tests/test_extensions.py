@@ -184,7 +184,6 @@ class TestExplore:
             data_width_exploration(tiny_spec, [0])
 
     def test_infeasible_recorded_not_raised(self):
-        from repro import SynthesisConfig
         from repro.soc.generator import hub_soc
 
         records = island_count_exploration(

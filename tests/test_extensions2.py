@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro import ValidationError, make_use_case, validate_topology
+from repro import make_use_case, validate_topology
 from repro.arch.deadlock import break_deadlock_cycles, flows_on_cycle
 from repro.arch.routing import find_cdg_cycle, is_deadlock_free
 from repro.io.netlist import (
@@ -12,12 +12,7 @@ from repro.io.netlist import (
     topology_to_netlist_dict,
     topology_to_verilog,
 )
-from repro.sim.profile import (
-    EnergyProfile,
-    TimelineSegment,
-    daily_mobile_timeline,
-    profile_timeline,
-)
+from repro.sim.profile import TimelineSegment, daily_mobile_timeline, profile_timeline
 from repro.soc.usecases import mobile_use_cases
 
 from _helpers import make_cyclic_topology

@@ -11,7 +11,6 @@ import pytest
 from repro import (
     SynthesisConfig,
     analyze_shutdown,
-    make_use_case,
     synthesize,
     validate_topology,
 )

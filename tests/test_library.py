@@ -56,6 +56,17 @@ class TestTiming:
         with pytest.raises(ValueError, match=message):
             LIB.max_switch_size_for_freq(freq)
 
+    @pytest.mark.parametrize(
+        "slope",
+        [0.0, -28.0, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_flat_or_rising_fmax_slope_rejected(self, slope):
+        """A slope that does not make fmax fall with size bounds no
+        switch size: max_switch_size_for_freq would never return."""
+        with pytest.raises(ValueError, match="switch_fmax_slope_mhz_per_port"):
+            NocLibrary(switch_fmax_slope_mhz_per_port=slope)
+
     def test_clock_floor_under_fmax_floor_raises(self):
         """d12_auto's island 0 needs 20 MHz, which a 50 MHz floor rounds up to."""
         spec = logical_partitioning(load_benchmark("d12_auto"), 3)

@@ -40,8 +40,6 @@ from repro import (
 )
 from repro.runtime import make_policy, scripted_trace, simulate_trace
 
-from _helpers import make_tiny_spec
-
 
 def point_signature(space):
     """Order-sensitive identity of every design point in a space."""

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import PartitionError, SynthesisConfig, partition_graph, synthesize
 from repro.core import partition as partition_module
+from repro.core import synthesis as synthesis_module
 from repro.core.frequency import plan_all_islands
 from repro.core.partition import IslandPartitioner, build_adjacency, cut_weight
 from repro.core.vcg import build_all_vcgs
@@ -15,7 +16,7 @@ from repro.power.library import DEFAULT_LIBRARY
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
-from _helpers import space_signature
+from _helpers import pin_fanout_width, space_signature
 
 
 def two_clusters():
@@ -280,16 +281,28 @@ class TestIslandPartitioner:
 #: Bisections computed while synthesizing the generated 80-core spec
 #: below: fast path (one partitioner per island) and reference mode.
 PINNED_BISECTIONS = {True: 296, False: 684}
+#: The fast path's bisections per chunk when the switch-count steps are
+#: dealt round-robin over 2 processes: an even split, 48 more in all.
+PINNED_CHUNK_BISECTIONS = [172, 172]
+
+
+def _gen80():
+    return communication_partitioning(
+        generate_soc(GeneratorConfig(name="gen80", num_cores=80, num_groups=4, seed=0)),
+        4,
+    )
 
 
 class TestPinnedWork:
-    """Step-11 work on the 80-core spec ``test_kernel_parity`` pins routing on."""
+    """Step-11 work on the 80-core spec ``test_kernel_parity`` pins routing on.
+
+    The bisection mock counts calls in this process only, so the
+    synthesis runs are pinned to one process.
+    """
 
     def test_generated_80_core_bisections(self, monkeypatch):
-        spec = communication_partitioning(
-            generate_soc(GeneratorConfig(name="gen80", num_cores=80, num_groups=4, seed=0)),
-            4,
-        )
+        spec = _gen80()
+        pin_fanout_width(monkeypatch, 1)
         bisect = mock.Mock(wraps=partition_module._bisect)
         monkeypatch.setattr(partition_module, "_bisect", bisect)
         got, signatures = {}, {}
@@ -306,3 +319,22 @@ class TestPinnedWork:
             assert counts == ((0, 80) if caches else (0, 0)), counts
         assert got == PINNED_BISECTIONS, got
         assert signatures[True] == signatures[False]
+
+    def test_round_robin_chunks_split_the_bisections_evenly(self, monkeypatch):
+        spec = _gen80()
+        config = SynthesisConfig()
+        plans = plan_all_islands(
+            spec, DEFAULT_LIBRARY, config.freq_step_mhz, config.min_freq_mhz
+        )
+        bisect = mock.Mock(wraps=partition_module._bisect)
+        monkeypatch.setattr(partition_module, "_bisect", bisect)
+        split = []
+        for chunk in (0, 1):
+            bisect.reset_mock()
+            list(
+                synthesis_module._candidate_pass(
+                    spec, DEFAULT_LIBRARY, config, plans, chunk, 2
+                )
+            )
+            split.append(bisect.call_count)
+        assert split == PINNED_CHUNK_BISECTIONS

@@ -24,6 +24,8 @@ from repro.perf import Recorder, active_recorder, recording, span
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import communication_partitioning
 
+from _helpers import pin_fanout_width
+
 pytestmark = pytest.mark.obs
 
 FAST = SynthesisConfig(max_intermediate=1)
@@ -148,11 +150,15 @@ PINNED_COUNT_CALLS = 280
 
 
 class TestPinnedWork:
+    """The ``count`` wrapper sees calls in this process only, so the
+    synthesis run is pinned to one process."""
+
     def test_generated_80_core_instrumentation(self, monkeypatch):
         spec = communication_partitioning(
             generate_soc(GeneratorConfig(name="gen80", num_cores=80, num_groups=4, seed=0)),
             4,
         )
+        pin_fanout_width(monkeypatch, 1)
         calls = []
         original = Recorder.count
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro import (
-    INTERMEDIATE_ISLAND,
     analyze_shutdown,
     compute_noc_power,
-    compute_soc_power,
     make_use_case,
     noc_area_mm2,
 )

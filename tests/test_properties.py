@@ -11,12 +11,7 @@ exercises the exact code path a user hits with their own spec.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import (
-    INTERMEDIATE_ISLAND,
-    SynthesisConfig,
-    synthesize,
-    validate_topology,
-)
+from repro import SynthesisConfig, synthesize, validate_topology
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 

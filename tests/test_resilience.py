@@ -33,7 +33,6 @@ from repro import (
     TraceEnergyObjective,
     WakeLatencyQoSObjective,
     allocate_spare_paths,
-    analyze_coverage,
     analyze_model,
     degraded_routes,
     make_objective,

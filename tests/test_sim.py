@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SpecError, evaluate_latency, make_use_case, validate_scenario_set
+from repro import SpecError, make_use_case, validate_scenario_set
 from repro.soc.usecases import use_cases_for
 from repro.sim.events import EventQueue, run_until
 from repro.sim.flit_sim import FlitSimConfig, simulate, zero_load_latency_ns

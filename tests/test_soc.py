@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DEFAULT_LIBRARY, SpecError
-from repro.soc.benchmarks import BENCHMARKS, benchmark_suite, load_benchmark, mobile_soc_26
+from repro.soc.benchmarks import BENCHMARKS, benchmark_suite, load_benchmark
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import (
     communication_partitioning,

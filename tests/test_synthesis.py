@@ -19,9 +19,11 @@ from repro.core.explore import ExplorationEngine
 from repro.core.objective import make_objective
 from repro.core.spec import CoreSpec
 from repro.runtime import markov_trace
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import communication_partitioning
 from repro.soc.usecases import use_cases_for
 
-from _helpers import make_tiny_spec
+from _helpers import pin_fanout_width
 
 
 class TestDesignSpace:
@@ -193,6 +195,24 @@ class TestNoReferenceCycles:
             assert _cyclic_garbage_after(lambda: synthesize(spec, config=cfg)) == 0
         with caching(store):
             assert _cyclic_garbage_after(lambda: synthesize(spec, config=cfg)) == 0
+        assert store.stats.counters["hits.memory.space"] == 1
+
+    def test_fanned_out_synthesize_cold_and_warm(self, monkeypatch):
+        """Two processes share the candidate pass; the caller decodes
+        the worker's half inside the pause."""
+        spec = communication_partitioning(
+            generate_soc(GeneratorConfig(name="gen40", num_cores=40, num_groups=2, seed=0)),
+            2,
+        )
+        pin_fanout_width(monkeypatch, 2)
+        store = CacheStore.in_memory()
+        with caching(store):
+            synthesize(spec)
+        assert _cyclic_garbage_after(lambda: synthesize(spec)) == 0
+        with caching(CacheStore.in_memory()):
+            assert _cyclic_garbage_after(lambda: synthesize(spec)) == 0
+        with caching(store):
+            assert _cyclic_garbage_after(lambda: synthesize(spec)) == 0
         assert store.stats.counters["hits.memory.space"] == 1
 
     def test_serial_grid_sweep(self, tiny_spec):

@@ -1,6 +1,5 @@
 """Unit conversions: the one place bandwidth/frequency/power math lives."""
 
-import math
 
 import pytest
 from hypothesis import given, strategies as st
