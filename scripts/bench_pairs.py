@@ -9,7 +9,10 @@ and this tree first when it is odd, so drift on a shared host falls on
 both sides alike.  Workloads default to every one ``BENCHMARK.json``
 lists, and each run lasts its ``run_seconds``.  Both sides must run
 identical benchmark code, so a BASE whose ``perfbench/`` or
-``BENCHMARK.json`` differs from this tree's is refused (exit 2).
+``BENCHMARK.json`` differs from this tree's is refused (exit 2).  So
+is a run under ``PYTHONDONTWRITEBYTECODE`` while this tree's ``src/``
+or ``perfbench/`` holds ``.pyc`` files: this side would load bytecode
+while the fresh base compiles on every start.
 
 ``BENCH_synthesis.json`` gets one row per ``<workload>/<metric>`` of
 ``BENCHMARK.json``'s ``end_to_end`` list: each side's samples, median
@@ -146,6 +149,12 @@ def refusal(base: str):
     if changed or untracked:
         return ("perfbench/ or BENCHMARK.json differs from %s; both sides must run "
                 "the same benchmark" % base)
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        stray = sum(1 for d in ("src", "perfbench") for _ in (ROOT / d).rglob("*.pyc"))
+        if stray:
+            return ("%d .pyc files under src/ or perfbench/ would load here while the "
+                    "base compiles afresh (PYTHONDONTWRITEBYTECODE is set); delete them"
+                    % stray)
 
 
 def measure(trees: dict, bench: dict, workloads: list, seed: int, record: dict) -> None:

@@ -32,6 +32,8 @@ from ..power.library import NocLibrary
 INTERMEDIATE_ISLAND = -1
 
 FlowKey = Tuple[str, str]
+#: A flow's ``(key, bandwidth_mbps)`` charge on one link of its route.
+FlowCharge = Tuple[FlowKey, float]
 
 
 def switch_id(island: int, index: int) -> str:
@@ -71,14 +73,26 @@ class Switch:
         return self.island == INTERMEDIATE_ISLAND
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkInterface:
-    """The NI attaching one core to its island's NoC."""
+    """The NI attaching one core to its island's NoC.
+
+    Frozen, so topologies can share one: every scaffold of a candidate
+    pass attaches the same NI per core, clones share their original's,
+    and the points of one cached record or fan-out chunk decode into
+    shared NIs.
+    """
 
     id: str
     core: str
     island: int
     freq_mhz: float
+
+    def __reduce__(self) -> tuple:
+        # The constructor with positional fields: smaller than the
+        # default state dict, and pickle's memo writes a shared NI once
+        # per payload.
+        return (NetworkInterface, (self.id, self.core, self.island, self.freq_mhz))
 
 
 @dataclass
@@ -104,7 +118,7 @@ class Link:
     capacity_mbps: float
     kind: str  # "ni2sw" | "sw2ni" | "sw2sw"
     length_mm: float = 0.0
-    flows: List[Tuple[FlowKey, float]] = field(default_factory=list)
+    flows: List[FlowCharge] = field(default_factory=list)
     #: None = derive from islands; True/False = explicit override.
     has_converter: Optional[bool] = None
 
@@ -115,14 +129,18 @@ class Link:
         # list only through add_flow/remove_flow so the cache stays true.
         self._used_mbps = sum(bw for _, bw in self.flows)
 
-    def add_flow(self, key: FlowKey, bandwidth_mbps: float) -> None:
-        """Charge ``bandwidth_mbps`` of flow ``key`` to this link."""
-        self.flows.append((key, bandwidth_mbps))
-        self._used_mbps += bandwidth_mbps
+    def add_flow(self, charge: FlowCharge) -> None:
+        """Charge a flow's ``(key, bandwidth_mbps)`` to this link.
+
+        Routes pass the flow's own :attr:`TrafficFlow.charge`, so every
+        link a flow crosses holds the one tuple.
+        """
+        self.flows.append(charge)
+        self._used_mbps += charge[1]
 
     def remove_flow(self, key: FlowKey) -> None:
         """Release every charge of flow ``key`` from this link."""
-        kept = [(k, bw) for k, bw in self.flows if k != key]
+        kept = [charge for charge in self.flows if charge[0] != key]
         if len(kept) != len(self.flows):
             self.flows = kept
             self._used_mbps = sum(bw for _, bw in kept)
@@ -204,9 +222,9 @@ class Topology:
         self.routes: Dict[FlowKey, Route] = {}
         self.core_switch: Dict[str, str] = {}
         self._next_link_id = 0
-        # (src component, dst component) -> link ids, kept in insertion
-        # order; lets the path allocator look up candidate links in O(1).
-        self._links_by_pair: Dict[Tuple[str, str], List[int]] = {}
+        # (src component, dst component) -> link ids, built by the first
+        # query that needs it (see _pair_index).
+        self._links_by_pair: Optional[Dict[Tuple[str, str], List[int]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -223,12 +241,21 @@ class Topology:
         self.switches[sid] = sw
         return sw
 
-    def attach_core(self, core_name: str, sw: Switch) -> NetworkInterface:
-        """Attach a core to a switch through a new NI (two links).
+    def attach_core(
+        self,
+        core_name: str,
+        sw: Switch,
+        nis: Optional[Dict[str, NetworkInterface]] = None,
+    ) -> NetworkInterface:
+        """Attach a core to a switch through its NI (two links).
 
         The NI lives in the core's island; attaching a core to a switch
         of a *different* island is rejected — Section 3.1 mandates that
         "cores in a VI are connected to switches in the same VI".
+
+        ``nis`` is a table of NIs by core name that several topologies
+        share: the core's entry is attached when its island and clock
+        match, else a new NI is built and stored there.
         """
         island = self.spec.island_of(core_name)
         if sw.island != island:
@@ -236,12 +263,18 @@ class Topology:
                 "core %r (island %d) may not attach to switch %s (island %d)"
                 % (core_name, island, sw.id, sw.island)
             )
-        nid = ni_id(core_name)
-        if nid in self.nis:
+        if ni_id(core_name) in self.nis:
             raise ValidationError("core %r already attached" % core_name)
-        ni = NetworkInterface(
-            id=nid, core=core_name, island=island, freq_mhz=sw.freq_mhz
-        )
+        ni = None if nis is None else nis.get(core_name)
+        if ni is None or ni.island != island or ni.freq_mhz != sw.freq_mhz:
+            ni = NetworkInterface(
+                id=ni_id(core_name), core=core_name, island=island, freq_mhz=sw.freq_mhz
+            )
+            if nis is not None:
+                nis[core_name] = ni
+        # The NI's own id string names it everywhere, so topologies that
+        # share the NI share the string too.
+        nid = ni.id
         self.nis[nid] = ni
         self.core_switch[core_name] = sw.id
         self._add_link(nid, sw.id, island, sw.island, "ni2sw")
@@ -268,7 +301,7 @@ class Topology:
         )
         self.links[link.id] = link
         self._next_link_id += 1
-        self._links_by_pair.setdefault((src, dst), []).append(link.id)
+        self._links_by_pair = None
         # NI-side ports are implicit (an NI always has exactly 1 in and
         # 1 out); only switch port counts are tracked for the size bound.
         if kind == "sw2sw":
@@ -286,7 +319,9 @@ class Topology:
         """Record the route of ``flow`` over the given link sequence.
 
         Verifies link continuity, endpoint correctness and capacity,
-        then charges the flow's bandwidth to every link on the path.
+        then charges the flow to every link on the path: each link, the
+        route and the ``routes`` entry hold the flow's own
+        :attr:`~repro.core.spec.TrafficFlow.charge` and key tuples.
         ``validate=False`` skips the checks for callers that construct
         routes correct by construction (the path allocator, whose every
         reuse/open decision already enforced capacity); the final
@@ -321,10 +356,10 @@ class Topology:
         else:
             for lid in links:
                 comps.append(all_links[lid].dst)
-        key = flow.key
-        bw = flow.bandwidth_mbps
+        charge = flow.charge
         for lid in links:
-            all_links[lid].add_flow(key, bw)
+            all_links[lid].add_flow(charge)
+        key = charge[0]
         route = Route(flow=key, components=tuple(comps), links=tuple(links))
         self.routes[key] = route
         return route
@@ -337,11 +372,12 @@ class Topology:
         untouched.  Rather than rebuild through :meth:`add_switch` /
         :meth:`attach_core` (re-validating spec invariants and
         re-deriving link capacities), the clone copies the built state
-        — switches, NIs, links (with their flow charges), routes, pair
-        index and id counter — preserving insertion order everywhere,
-        so routing on the clone is byte-identical to routing on the
-        original.  ``spec`` and ``library`` are immutable and shared;
-        everything mutable is copied.
+        — switches, NIs, links (with their flow charges), routes and id
+        counter — preserving insertion order everywhere, so routing on
+        the clone is byte-identical to routing on the original.
+        ``spec``, ``library``, NIs and flow charges are immutable and
+        shared; everything mutable is copied.  The pair index is left
+        for the clone's first query to build.
         """
         clone = Topology.__new__(Topology)
         clone.spec = self.spec
@@ -372,21 +408,24 @@ class Topology:
         clone.routes = dict(self.routes)  # Route is frozen; entries shareable
         clone.core_switch = dict(self.core_switch)
         clone._next_link_id = self._next_link_id
-        clone._links_by_pair = {k: list(v) for k, v in self._links_by_pair.items()}
+        clone._links_by_pair = None
         return clone
 
     def __getstate__(self) -> tuple:
         """Pickle state with one row of live field values per component.
 
-        Rows pickle smaller and decode faster than instance dicts.  Only
-        the component objects and the pair index are rebuilt on load.
+        Rows pickle smaller and decode faster than instance dicts.  NIs
+        and flow charges go in as the objects themselves, which other
+        topologies share: pickle's memo writes each once per payload,
+        and the topologies decoded from it share them again.  Only the
+        switches, links and routes are rebuilt on load.
         """
         return (
             self.spec,
             self.library,
             self.island_freqs,
             [(s.id, s.island, s.freq_mhz, s.n_in, s.n_out) for s in self.switches.values()],
-            [(n.id, n.core, n.island, n.freq_mhz) for n in self.nis.values()],
+            list(self.nis.values()),
             [
                 (l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
                  l.capacity_mbps, l.kind, l.length_mm, l.flows, l.has_converter,
@@ -410,22 +449,14 @@ class Topology:
             sw = new(Switch)
             sw.id, sw.island, sw.freq_mhz, sw.n_in, sw.n_out = row
             self.switches[sw.id] = sw
-        self.nis = {}
-        for row in nis:
-            ni = new(NetworkInterface)
-            ni.id, ni.core, ni.island, ni.freq_mhz = row
-            self.nis[ni.id] = ni
-        # Links are never removed, so the pair index is every link id in
-        # link order, grouped by endpoints.
+        self.nis = {ni.id: ni for ni in nis}
         self.links = {}
-        by_pair: Dict[Tuple[str, str], List[int]] = {}
         for row in links:
             l = new(Link)
             (l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
              l.capacity_mbps, l.kind, l.length_mm, l.flows, l.has_converter,
              l._used_mbps) = row
             self.links[l.id] = l
-            by_pair.setdefault((l.src, l.dst), []).append(l.id)
         self.routes = {}
         set_field = object.__setattr__
         for flow, components, link_ids in routes:
@@ -435,7 +466,7 @@ class Topology:
             set_field(route, "links", link_ids)
         self.core_switch = core_switch
         self._next_link_id = next_link_id
-        self._links_by_pair = by_pair
+        self._links_by_pair = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -469,14 +500,30 @@ class Topology:
         """All switch-to-switch links."""
         return [l for l in self.links.values() if l.kind == "sw2sw"]
 
+    def _pair_index(self) -> Dict[Tuple[str, str], List[int]]:
+        """``(src, dst)`` -> link ids in link order, built on first use.
+
+        Only the exporters and a few lookups query it, so a design point
+        carries no index (a key tuple and a list per link) until one
+        does; :meth:`_add_link` drops a built index.  Links are never
+        removed, and ``links`` holds them in id order.
+        """
+        index = self._links_by_pair
+        if index is None:
+            index = {}
+            for link in self.links.values():
+                index.setdefault((link.src, link.dst), []).append(link.id)
+            self._links_by_pair = index
+        return index
+
     def links_between(self, src_sw: str, dst_sw: str) -> List[Link]:
         """Existing (possibly parallel) links from ``src_sw`` to ``dst_sw``."""
-        ids = self._links_by_pair.get((src_sw, dst_sw), [])
+        ids = self._pair_index().get((src_sw, dst_sw), [])
         return [self.links[i] for i in ids if self.links[i].kind == "sw2sw"]
 
     def link_between(self, src: str, dst: str) -> Optional[Link]:
         """The first link from ``src`` to ``dst`` of any kind, if present."""
-        ids = self._links_by_pair.get((src, dst), [])
+        ids = self._pair_index().get((src, dst), [])
         return self.links[ids[0]] if ids else None
 
     def num_converters(self) -> int:

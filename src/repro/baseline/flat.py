@@ -136,7 +136,6 @@ def remap_topology_islands(topology: Topology, spec: SoCSpec) -> Topology:
             # *label* boundaries carry no physical converter.
             has_converter=False,
         )
-        out._links_by_pair.setdefault((link.src, link.dst), []).append(lid)
     out._next_link_id = topology._next_link_id
     out.routes = dict(topology.routes)
     return out

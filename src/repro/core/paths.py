@@ -103,6 +103,7 @@ from ..arch.topology import (
     INTERMEDIATE_ISLAND,
     FlowKey,
     Link,
+    NetworkInterface,
     Route,
     Switch,
     Topology,
@@ -324,7 +325,10 @@ class PathAllocator:
     intermediate-count sweep and the port-reserve retries: the flow
     order and the per-island size bounds.  Each attempt builds its
     switch/NI scaffold through the validating construction path and
-    routes on it in place.
+    routes on it in place.  Scaffolds take their NIs from ``nis``, a
+    table by core name (the allocator's own when ``None``): a candidate
+    pass hands every allocator one table, so all of its topologies
+    share one NI per core.
 
     ``use_cache=False`` recomputes every edge-cost term and runs the
     full search, every open edge included, for every flow — the
@@ -339,6 +343,7 @@ class PathAllocator:
         partitions: Mapping[int, Sequence[Set[str]]],
         cost_config: Optional[PathCostConfig] = None,
         use_cache: bool = True,
+        nis: Optional[Dict[str, NetworkInterface]] = None,
     ) -> None:
         self.spec = spec
         self.library = library
@@ -346,6 +351,7 @@ class PathAllocator:
         self.partitions = partitions
         self.cfg = cost_config or PathCostConfig()
         self.use_cache = use_cache
+        self._nis: Dict[str, NetworkInterface] = {} if nis is None else nis
 
         self._base_freqs: Dict[int, float] = {
             isl: plan.freq_mhz for isl, plan in plans.items()
@@ -693,7 +699,7 @@ class PathAllocator:
                     )
                 sw = topo.add_switch(isl, idx)
                 for core in sorted(group):
-                    topo.attach_core(core, sw)
+                    topo.attach_core(core, sw, self._nis)
         return topo
 
     def _build_attempt_topology(self, num_intermediate: int):
@@ -718,6 +724,15 @@ class PathAllocator:
         pressure are attempt-invariant.
         """
         idx_of = {sid: i for i, sid in enumerate(topo.switches)}
+        # The scaffold's links are its NI attachments: per NI id, the
+        # link into its switch and the link back out.
+        to_switch: Dict[str, int] = {}
+        from_switch: Dict[str, int] = {}
+        for link in topo.links.values():
+            if link.kind == "ni2sw":
+                to_switch[link.src] = link.id
+            elif link.kind == "sw2ni":
+                from_switch[link.dst] = link.id
         min_lat = self._min_lat
         lib = self.library
         # Pressure-weighted hop-latency costs, precomputed per flow with
@@ -733,8 +748,8 @@ class PathAllocator:
         for flow in self._ordered_flows:
             sw_src = topo.switch_of_core(flow.src)
             sw_dst = topo.switch_of_core(flow.dst)
-            ni_src_lid = _ni_link(topo, ni_id(flow.src), sw_src.id).id
-            ni_dst_lid = _ni_link(topo, sw_dst.id, ni_id(flow.dst)).id
+            ni_src_lid = to_switch[ni_id(flow.src)]
+            ni_dst_lid = from_switch[ni_id(flow.dst)]
             pressure = (
                 min_lat / flow.latency_cycles if flow.latency_cycles > 0 else 1.0
             )
@@ -1592,14 +1607,6 @@ def _first_fitting(
             continue
         return link
     return None
-
-
-def _ni_link(topo: Topology, src: str, dst: str) -> Link:
-    """The unique NI attachment link from ``src`` to ``dst``."""
-    link = topo.link_between(src, dst)
-    if link is None or link.kind not in ("ni2sw", "sw2ni"):
-        raise SynthesisError("missing NI link %s -> %s" % (src, dst))
-    return link
 
 
 def _prune_unused_intermediate(topo: Topology) -> None:

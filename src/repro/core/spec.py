@@ -130,8 +130,30 @@ class TrafficFlow:
 
     @property
     def key(self) -> Tuple[str, str]:
-        """The ``(src, dst)`` pair identifying this flow."""
-        return (self.src, self.dst)
+        """The ``(src, dst)`` pair identifying this flow (one tuple per flow)."""
+        return self.charge[0]
+
+    @property
+    def charge(self) -> Tuple[Tuple[str, str], float]:
+        """``(key, bandwidth_mbps)``: what each link of the flow's route holds.
+
+        Built on first use and then handed out as the same tuple, so the
+        route keys, link charges and latency entries of every design
+        point share one key and one charge per flow.  Stored beside the
+        dataclass fields, as :meth:`SoCSpec._index` is, so equality,
+        ``repr`` and cache keys never see it, and dropped by
+        :meth:`__getstate__`, so a pickled flow carries its fields only.
+        """
+        charge = self.__dict__.get("_charge")
+        if charge is None:
+            charge = ((self.src, self.dst), self.bandwidth_mbps)
+            object.__setattr__(self, "_charge", charge)
+        return charge
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_charge", None)
+        return state
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from typing import (
     Union,
 )
 
-from ..arch.topology import INTERMEDIATE_ISLAND
+from ..arch.topology import INTERMEDIATE_ISLAND, NetworkInterface
 from ..arch.validate import validate_topology
 from ..cache.context import active_store
 from ..cache.keys import design_space_key
@@ -494,6 +494,9 @@ def _candidate_pass(
     # identical island region areas re-tile the same chip outline, core
     # rectangles and NI positions (see repro.floorplan.placer.place).
     place_cache: Optional[dict] = {} if cfg.enable_caches else None
+    # One NI per core for the whole pass: island clocks are fixed by the
+    # plans, so every scaffold attaches the same frozen NI.
+    nis: Dict[str, NetworkInterface] = {}
     point_index = 0
     for i, counts in enumerate(_sweep_steps(plans)):
         if i % width != chunk:
@@ -516,6 +519,7 @@ def _candidate_pass(
             partitions,
             cost_config=cfg.path_cost,
             use_cache=cfg.enable_caches,
+            nis=nis,
         )
         seen_signatures: Set[Tuple[Tuple[Tuple[int, int], ...], int]] = set()
         for k_mid in range(0, mid_cap + 1):

@@ -186,7 +186,6 @@ def topology_from_dict(data: Dict[str, Any], library: Optional[NocLibrary] = Non
             has_converter=l.get("has_converter"),
         )
         topo.links[link.id] = link
-        topo._links_by_pair.setdefault((link.src, link.dst), []).append(link.id)
         max_id = max(max_id, link.id)
     topo._next_link_id = max_id + 1
     for key_str, link_ids in data["routes"].items():

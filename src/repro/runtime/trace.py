@@ -24,6 +24,7 @@ them against a synthesized design.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -184,9 +185,10 @@ def markov_trace(
     """
     if n_segments < 1:
         raise SpecError("n_segments must be >= 1, got %r" % n_segments)
-    # Written so that NaN fails both checks.
-    if not mean_dwell_ms > 0:
-        raise SpecError("mean dwell must be positive, got %r" % mean_dwell_ms)
+    # Written so that NaN fails both checks.  An infinite mean would
+    # make the exponential's rate zero.
+    if not 0 < mean_dwell_ms < math.inf:
+        raise SpecError("mean dwell must be positive and finite, got %r" % mean_dwell_ms)
     if not 0 < min_dwell_ms <= mean_dwell_ms:
         raise SpecError(
             "min dwell must be in (0, mean], got %r" % min_dwell_ms

@@ -94,10 +94,12 @@ def evaluate_latency(topology: Topology, use_lengths: bool = False) -> LatencyRe
     total_bw = 0.0
     weighted = 0.0
     for flow in spec.flows:
-        cycles = route_latency_cycles(topology, flow.key, use_lengths)
-        per_flow[flow.key] = cycles
+        # The flow's own key tuple, shared with its route and link charges.
+        key = flow.key
+        cycles = route_latency_cycles(topology, key, use_lengths)
+        per_flow[key] = cycles
         if cycles > flow.latency_cycles + 1e-9:
-            violations.append(flow.key)
+            violations.append(key)
         total_bw += flow.bandwidth_mbps
         weighted += cycles * flow.bandwidth_mbps
     if not per_flow:

@@ -132,6 +132,16 @@ def _exact(value):
     return value
 
 
+def pair_answers(topo):
+    """``link_between`` and ``links_between`` for every linked pair, by link id."""
+    pairs = dict.fromkeys((l.src, l.dst) for l in topo.links.values())
+    return [
+        (pair, getattr(topo.link_between(*pair), "id", None),
+         [l.id for l in topo.links_between(*pair)])
+        for pair in pairs
+    ]
+
+
 def _state(topo):
     """Everything a topology holds, in insertion order, floats exact.
 
@@ -148,7 +158,7 @@ def _state(topo):
             for name in ("switches", "nis", "links", "routes")
         },
         list(topo.core_switch.items()),
-        list(topo._links_by_pair.items()),
+        pair_answers(topo),
         topo._next_link_id,
     )
 

@@ -190,6 +190,20 @@ class TestPairedRun:
         assert len(lines) == 1 and lines[0].startswith("error: perfbench/ or BENCHMARK.json")
         assert not (tmp_path / "runs.log").exists()
 
+    def test_stray_bytecode_without_bytecode_writes_is_refused(self, repo, tmp_path, monkeypatch):
+        """Bytecode this tree holds would load on this side only, while the
+        fresh base worktree, which writes none, compiles on every start."""
+        (repo / ".gitignore").write_text("__pycache__/\n")
+        for rel in ("src/__pycache__/a.cpython-311.pyc", "perfbench/__pycache__/b.cpython-311.pyc"):
+            (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+            (repo / rel).write_bytes(b"")
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        proc = _run(repo, "HEAD")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: 2 .pyc files under src/")
+        assert not (tmp_path / "runs.log").exists()
+
     def test_pairs_alternate_and_the_record_holds_every_row(self, repo, tmp_path):
         base = _git(repo, "rev-parse", "HEAD")
         (repo / "src" / "value").write_text("1.5\n\n")  # 50% worse, one line more

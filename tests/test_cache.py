@@ -292,6 +292,17 @@ class TestDiskTier:
         assert report["removed"] == 2
         assert store.disk.entry_count() == 1
 
+    def test_schema_4_blob_is_stale(self, tmp_path):
+        """Schema 5 pickles NIs as shared objects: a schema-4 record's
+        NI rows would not decode, so its blob must read as stale."""
+        store = CacheStore.open(tmp_path)
+        store.put_object("a" * 64, 1, kind="space")
+        store.put_object("b" * 64, 2, kind="space")
+        _rewrite_header(store.disk.path_for("b" * 64), schema=4)
+        assert SCHEMA_VERSION == 5
+        assert store.disk.verify()["stale"] == ["b" * 64]
+        assert CacheStore.open(tmp_path).get_object("b" * 64, kind="space") is None
+
     def test_put_under_a_file_raises_cache_error(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
@@ -304,14 +315,18 @@ class TestDiskTier:
     def test_two_processes_writing_one_key(self, tmp_path):
         """Writers of different-sized payloads under one key, racing a
         reader: every read is a miss or one whole payload, never a torn
-        or corrupt blob, and no temporary file survives."""
+        or corrupt blob, and no temporary file survives.
+
+        Each writer puts 15 times: replacing an existing blob costs tens
+        of milliseconds on some file systems, and the reader decoding
+        both payloads shows the writes interleaved with its reads."""
         import multiprocessing
         import time
 
         key = "d" * 64
         ctx = multiprocessing.get_context("spawn")
         writers = [
-            ctx.Process(target=_put_repeatedly, args=(str(tmp_path), key, name, 100))
+            ctx.Process(target=_put_repeatedly, args=(str(tmp_path), key, name, 15))
             for name in _RACE_PAYLOADS
         ]
         for proc in writers:
@@ -330,6 +345,7 @@ class TestDiskTier:
         assert reads[-1] is not None
         for value in reads:
             assert value is None or _RACE_PAYLOADS[value[0]] == value[1]
+        assert {value[0] for value in reads if value is not None} == set(_RACE_PAYLOADS)
         assert reader.stats.counters.get("corrupt.disk", 0) == 0
         assert reader.stats.counters.get("corrupt.decode", 0) == 0
         report = reader.disk.verify()

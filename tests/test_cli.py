@@ -298,6 +298,15 @@ class TestErrorPaths:
                 id="synth-trace-dwell-ms-nan",
             ),
             pytest.param(
+                ["synth", "d26_media", "--objective", "trace_energy", "--trace-dwell-ms", "inf"],
+                id="synth-trace-dwell-ms-inf",
+            ),
+            pytest.param(
+                ["runtime", "--benchmark", "d26_media", "--dwell-ms", "inf"],
+                id="runtime-dwell-ms-inf",
+            ),
+            pytest.param(["control", "d26_media", "--dwell-ms", "inf"], id="control-dwell-ms-inf"),
+            pytest.param(
                 ["obs", "--follow", "{file}", "--follow-timeout", "nan"],
                 id="obs-follow-timeout-nan",
             ),

@@ -484,14 +484,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "phase breakdown" in out
         assert "island states" in out
-        doc = json.loads(open(trace_path).read())
+        with open(trace_path) as fh:
+            doc = json.load(fh)
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         types = set()
         with open(events_path) as fh:
             for line in fh:
                 types.add(json.loads(line)["type"])
         assert "span" in types
-        assert open(prom_path).read().startswith("# ")
+        with open(prom_path) as fh:
+            assert fh.read().startswith("# ")
 
     def test_obs_events_feed_follows(self, tmp_path, capsys):
         # `obs --events` writes the feed `obs --follow` reads: span
@@ -519,7 +521,8 @@ class TestCli:
              "--html", html_path]
         )
         assert code == 0
-        html = open(html_path).read()
+        with open(html_path) as fh:
+            html = fh.read()
         assert html.startswith("<!DOCTYPE html>")
         assert "Island states" in html
 

@@ -122,6 +122,11 @@ class TestTraces:
         with pytest.raises(SpecError, match="dwell"):
             markov_trace(cases, n_segments=8, **dwell)
 
+    def test_markov_trace_infinite_mean_dwell_rejected(self):
+        cases = tiny_cases(make_tiny_spec(2))
+        with pytest.raises(SpecError, match="finite"):
+            markov_trace(cases, n_segments=8, mean_dwell_ms=math.inf)
+
     def test_markov_trace_no_self_loops(self):
         cases = tiny_cases(make_tiny_spec(2))
         t = markov_trace(cases, n_segments=64, seed=1)

@@ -170,8 +170,8 @@ class TestSerialization:
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         run(a)
         run(b)
-        bytes_a = open(a, "rb").read()
-        assert bytes_a == open(b, "rb").read()
+        bytes_a = (tmp_path / "a.jsonl").read_bytes()
+        assert bytes_a == (tmp_path / "b.jsonl").read_bytes()
         assert b"duration_s" not in bytes_a  # timing stripped at the sink
 
     def test_read_events_tolerates_partial_tail(self, tmp_path):
