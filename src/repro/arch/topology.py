@@ -22,10 +22,13 @@ simulation and export.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, count
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.spec import SoCSpec, TrafficFlow
 from ..exceptions import ValidationError
+from ..packed import PackedShell
 from ..power.library import NocLibrary
 
 #: Island id of the intermediate (never-gated) NoC island.
@@ -437,7 +440,13 @@ class Topology:
             self._next_link_id,
         )
 
-    def __setstate__(self, state: tuple) -> None:
+    def __setstate__(self, state: tuple, flows: Optional[List[FlowCharge]] = None) -> None:
+        """Rebuild from :meth:`__getstate__` rows.
+
+        ``flows`` is the packed form's (see :class:`TopologyPacker`):
+        every link's charges in link order, one list, while each link
+        row holds the number of its charges in place of the list.
+        """
         (self.spec, self.library, self.island_freqs, switches, nis, links, routes,
          core_switch, next_link_id) = state
         # Attributes are assigned in field order (never through
@@ -451,11 +460,15 @@ class Topology:
             self.switches[sw.id] = sw
         self.nis = {ni.id: ni for ni in nis}
         self.links = {}
+        end = 0
         for row in links:
             l = new(Link)
             (l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
              l.capacity_mbps, l.kind, l.length_mm, l.flows, l.has_converter,
              l._used_mbps) = row
+            if flows is not None:
+                start, end = end, end + l.flows
+                l.flows = flows[start:end]
             self.links[l.id] = l
         self.routes = {}
         set_field = object.__setattr__
@@ -566,3 +579,142 @@ class Topology:
                 len(self.routes),
             )
         )
+
+
+_FLOWS = attrgetter("flows")
+_COMPONENTS = attrgetter("components")
+_LINK_IDS = attrgetter("links")
+_KEY = itemgetter(0)
+
+#: One flow-charge table: the charges, then ``id(charge)`` -> position
+#: and ``id(flow key)`` -> position of the charge that holds the key.
+_ChargeTable = Tuple[Tuple[FlowCharge, ...], Dict[int, int], Dict[int, int]]
+
+
+class TopologyPacker:
+    """Writes the topologies of one cached record as packed shells.
+
+    :meth:`reduce` gives pickle a topology's shell constructor and its
+    arguments ``(spec, library, nis, charges, blob)``:
+
+    * ``nis`` holds the topology's NIs and ``charges`` its distinct flow
+      charges, in the order its links first use them.  Topologies that
+      hold the same objects get the same tuple, so the record's pickle
+      memo writes each NI and charge once and the decoded points share
+      them again;
+    * ``blob`` is a nested pickle of the :meth:`Topology.__getstate__`
+      rows without spec, library and NIs.  Each link row holds the
+      number of its charges, and the charges themselves and every
+      route's key are stored as indices into ``charges``.
+
+    A packer serves one record: it builds a charge table from the first
+    topology whose charges no earlier table covers, so a record of one
+    candidate pass builds one table (a fanned-out pass, one per chunk).
+    A topology whose route keys are not its link charges' keys stays
+    eager (:meth:`reduce` returns ``NotImplemented``).
+    """
+
+    def __init__(self, protocol: int) -> None:
+        self.protocol = protocol
+        self._nis: Dict[Tuple[int, ...], Tuple[NetworkInterface, ...]] = {}
+        self._tables: List[_ChargeTable] = []
+
+    def reduce(self, topology: Topology):
+        import pickle
+
+        links = topology.links.values()
+        charged = list(chain.from_iterable(map(_FLOWS, links)))
+        refs = self._refs(topology, charged)
+        if refs is None:
+            return NotImplemented
+        charges, flow_refs, key_refs = refs
+        nis = tuple(topology.nis.values())
+        nis = self._nis.setdefault(tuple(map(id, nis)), nis)
+        routes = topology.routes.values()
+        rows = (
+            topology.island_freqs,
+            [(s.id, s.island, s.freq_mhz, s.n_in, s.n_out)
+             for s in topology.switches.values()],
+            [(l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
+              l.capacity_mbps, l.kind, l.length_mm, len(l.flows), l.has_converter,
+              l._used_mbps)
+             for l in links],
+            flow_refs,
+            key_refs,
+            list(map(_COMPONENTS, routes)),
+            list(map(_LINK_IDS, routes)),
+            topology.core_switch,
+            topology._next_link_id,
+        )
+        blob = pickle.dumps(rows, self.protocol)
+        return _packed_topology, (topology.spec, topology.library, nis, charges, blob)
+
+    def _refs(self, topology: Topology, charged: List[FlowCharge]):
+        """The first charge table that covers ``topology``, with its
+        link charge and route key indices, or None."""
+        for table in self._tables:
+            refs = _indices(table, topology, charged)
+            if refs is not None:
+                return refs
+        distinct = dict(zip(map(id, charged), charged))
+        charges = tuple(distinct.values())
+        table = (
+            charges,
+            dict(zip(distinct, count())),
+            dict(zip(map(id, map(_KEY, charges)), count())),
+        )
+        refs = _indices(table, topology, charged)
+        if refs is not None:
+            self._tables.append(table)
+        return refs
+
+
+def _indices(table: _ChargeTable, topology: Topology, charged: List[FlowCharge]):
+    """``(charges, link charge indices, route key indices)`` under one
+    charge table, or None when it lacks one of them."""
+    charges, index, key_index = table
+    try:
+        return (
+            charges,
+            list(map(index.__getitem__, map(id, charged))),
+            list(map(key_index.__getitem__, map(id, topology.routes))),
+        )
+    except KeyError:
+        return None
+
+
+def _packed_topology(spec, library, nis, charges, blob) -> "Topology":
+    """A decoded shell: the constructor :class:`TopologyPacker` writes."""
+    shell = object.__new__(_PackedTopology)
+    shell.spec = spec
+    shell.library = library
+    shell._packed = (nis, charges, blob)
+    return shell
+
+
+class _PackedTopology(PackedShell, Topology):
+    """A topology from a cache hit that nothing has read yet.
+
+    It holds ``spec`` and ``library``, which a hit rebinds without
+    unpacking, and ``_packed``: the rest of what :class:`TopologyPacker`
+    wrote.  The first read of anything else unpacks it through
+    :meth:`Topology.__setstate__` (:class:`~repro.packed.PackedShell`).
+    """
+
+    def __reduce__(self) -> tuple:
+        return _packed_topology, (self.spec, self.library) + self._packed
+
+    def _whole(self) -> Topology:
+        import pickle
+
+        nis, charges, blob = self._packed
+        (island_freqs, switches, links, flow_refs, key_refs, components, link_ids,
+         core_switch, next_link_id) = pickle.loads(blob)
+        routes = zip(map(_KEY, map(charges.__getitem__, key_refs)), components, link_ids)
+        topology = Topology.__new__(Topology)
+        topology.__setstate__(
+            (self.spec, self.library, island_freqs, switches, nis, links, routes,
+             core_switch, next_link_id),
+            list(map(charges.__getitem__, flow_refs)),
+        )
+        return topology

@@ -15,7 +15,7 @@ Two tiers behind one :class:`CacheStore` facade:
 
 Blob layout (one file per entry, ``objects/<kk>/<key>.blob``)::
 
-    {"magic": "repro-noc", "schema": 4, "key": ..., "kind": ...,
+    {"magic": "repro-noc", "schema": 6, "key": ..., "kind": ...,
      "codec": "pickle", "sha256": ..., "size": ...}\\n
     <payload bytes>
 
@@ -29,12 +29,13 @@ the field is ignored.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
 
 from ..exceptions import CacheCorruptionError, CacheError
 from ..perf.instrument import active_recorder
@@ -352,6 +353,31 @@ class DiskTier:
         return removed
 
 
+class _RecordPickler(pickle.Pickler):
+    """The store's encoder: plain pickle, except that each exact
+    :class:`~repro.arch.topology.Topology` and
+    :class:`~repro.floorplan.placer.Floorplan` is written as a packed
+    shell (:mod:`repro.packed`), by one packer of each per record.  A
+    hit then decodes them only when something reads them.  A shell that
+    was never read is of neither exact type and passes through as it
+    came.
+    """
+
+    def __init__(self, file: BinaryIO) -> None:
+        from ..arch.topology import Topology, TopologyPacker
+        from ..floorplan.placer import Floorplan, FloorplanPacker
+
+        super().__init__(file, _PICKLE_PROTOCOL)
+        self._packers = {
+            Topology: TopologyPacker(_PICKLE_PROTOCOL).reduce,
+            Floorplan: FloorplanPacker(_PICKLE_PROTOCOL).reduce,
+        }
+
+    def reducer_override(self, obj: Any) -> Any:
+        packer = self._packers.get(type(obj))
+        return NotImplemented if packer is None else packer(obj)
+
+
 class CacheStore:
     """Facade over the memory + disk tiers with hit/miss accounting.
 
@@ -455,7 +481,11 @@ class CacheStore:
         return None
 
     def put_object(self, key: str, value: Any, kind: str) -> bytes:
-        payload = pickle.dumps(value, _PICKLE_PROTOCOL)
+        """Encode ``value`` and store it; topologies and floorplans go
+        in packed (:class:`_RecordPickler`)."""
+        buffer = io.BytesIO()
+        _RecordPickler(buffer).dump(value)
+        payload = buffer.getvalue()
         self.put_entry(key, payload, kind, "pickle")
         return payload
 

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 from ..exceptions import InfeasibleError, SpecError
 from ..perf.instrument import Recorder, active_recorder, span, worker_recording
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
-from ..soc.partitioning import communication_partitioning, logical_partitioning
+from ..soc.partitioning import island_count_sweep
 from .design_point import DesignPoint, DesignSpace
 from .objective import Objective, TraceEnergyObjective
 from .spec import SoCSpec
@@ -705,13 +705,9 @@ class ExplorationEngine:
         """Tasks of the Figures 2/3 sweep: island count x strategy."""
         tasks = []
         for strategy in strategies:
-            partition = _strategy_fn(strategy)
-            for n in counts:
-                tasks.append(
-                    self._task(
-                        partition(spec, n), {"islands": n, "strategy": strategy}
-                    )
-                )
+            specs = island_count_sweep(spec, counts, strategy)
+            for n, partitioned in zip(counts, specs):
+                tasks.append(self._task(partitioned, {"islands": n, "strategy": strategy}))
         return tasks
 
     def island_count_exploration(
@@ -800,13 +796,6 @@ class ExplorationEngine:
         ignored).  Returns every record plus the Pareto-merged subset
         (:func:`pareto_merge`) over the whole grid.
         """
-        isl_axis: Sequence[Tuple[Optional[str], Optional[int]]]
-        if islands is None:
-            isl_axis = [(None, None)]
-        else:
-            isl_axis = [(s, n) for s in strategies for n in islands]
-            for s in strategies:
-                _strategy_fn(s)  # validate up front, before any synthesis
         alpha_axis: Sequence[Optional[float]] = (
             [None] if alphas is None else list(alphas)
         )
@@ -814,19 +803,24 @@ class ExplorationEngine:
         for width in width_axis:
             if width is not None and width <= 0:
                 raise SpecError("link width must be positive, got %r" % width)
+        isl_axis: Sequence[Tuple[Optional[str], Optional[int]]] = [(None, None)]
+        # Every strategy's specs before any synthesis (a bad strategy or
+        # count raises here), each strategy's from one partitioner.
+        partitioned: Dict[Tuple[str, int], SoCSpec] = {}
+        if islands is not None:
+            isl_axis = [(s, n) for s in strategies for n in islands]
+            for s in strategies:
+                specs = island_count_sweep(spec, islands, s)
+                partitioned.update(((s, n), p) for n, p in zip(islands, specs))
 
         tasks = []
-        partitioned: Dict[Tuple[str, int], SoCSpec] = {}
         for (strategy, n), alpha, width in itertools.product(
             isl_axis, alpha_axis, width_axis
         ):
             knobs: Dict[str, object] = {}
             task_spec = spec
             if strategy is not None:
-                key = (strategy, n)
-                if key not in partitioned:
-                    partitioned[key] = _strategy_fn(strategy)(spec, n)
-                task_spec = partitioned[key]
+                task_spec = partitioned[strategy, n]
                 knobs["islands"] = n
                 knobs["strategy"] = strategy
             config = self.config
@@ -928,14 +922,6 @@ def runtime_exploration(
     """Module-level wrapper over :meth:`ExplorationEngine.runtime_exploration`."""
     with ExplorationEngine(workers, library, config) as engine:
         return engine.runtime_exploration(spec, counts, trace, strategies, policy, model)
-
-
-def _strategy_fn(strategy: str) -> Callable[[SoCSpec, int], SoCSpec]:
-    if strategy == "logical":
-        return logical_partitioning
-    if strategy == "communication":
-        return communication_partitioning
-    raise SpecError("unknown strategy %r" % strategy)
 
 
 # ----------------------------------------------------------------------

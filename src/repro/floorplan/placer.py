@@ -24,10 +24,12 @@ The result is a :class:`Floorplan` that the wire model
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..exceptions import FloorplanError
+from ..packed import PackedShell
 from .geometry import Point, Rect
 from .islands import chip_rect, slice_regions
 
@@ -67,6 +69,62 @@ class Floorplan:
     def wire_length_mm(self, src_id: str, dst_id: str) -> float:
         """Manhattan distance between two placed components."""
         return self.position_of(src_id).manhattan(self.position_of(dst_id))
+
+
+class FloorplanPacker:
+    """Writes the floorplans of one cached record as packed shells.
+
+    :meth:`reduce` gives pickle a floorplan's shell constructor and
+    ``(skeleton, switches)``, two nested pickles.  ``skeleton`` holds
+    the chip, island regions, core cells and NI positions, which the
+    points of one candidate pass share (see :func:`place`), so the
+    packer pickles each distinct skeleton once and hands its bytes to
+    every floorplan that has it: the record's pickle memo writes them
+    once.  ``switches`` holds the switch positions.
+    """
+
+    def __init__(self, protocol: int) -> None:
+        self.protocol = protocol
+        self._skeletons: Dict[Tuple[int, ...], bytes] = {}
+
+    def reduce(self, floorplan: Floorplan) -> tuple:
+        import pickle
+
+        parts = (floorplan.chip, floorplan.island_rects, floorplan.core_rects, floorplan.ni_pos)
+        # The skeleton's identity: its objects, keys and values alike.
+        key = tuple(map(id, chain(parts[:1], *(chain(d, d.values()) for d in parts[1:]))))
+        skeleton = self._skeletons.get(key)
+        if skeleton is None:
+            skeleton = self._skeletons[key] = pickle.dumps(parts, self.protocol)
+        return _packed_floorplan, (skeleton, pickle.dumps(floorplan.switch_pos, self.protocol))
+
+
+def _packed_floorplan(skeleton: bytes, switches: bytes) -> Floorplan:
+    """A decoded shell: the constructor :class:`FloorplanPacker` writes."""
+    shell = object.__new__(_PackedFloorplan)
+    shell._packed = (skeleton, switches)
+    return shell
+
+
+class _PackedFloorplan(PackedShell, Floorplan):
+    """A floorplan from a cache hit that nothing has read yet: the first
+    read unpacks it (:class:`~repro.packed.PackedShell`)."""
+
+    def __reduce__(self) -> tuple:
+        return _packed_floorplan, self._packed
+
+    def __eq__(self, other: object) -> bool:
+        # The dataclass comparison wants equal classes: compare as the
+        # floorplan this shell unpacks to.
+        self._unpack()
+        return self == other
+
+    def _whole(self) -> Floorplan:
+        import pickle
+
+        skeleton, switches = self._packed
+        chip, island_rects, core_rects, ni_pos = pickle.loads(skeleton)
+        return Floorplan(chip, island_rects, core_rects, pickle.loads(switches), ni_pos)
 
 
 def place(

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from ..arch.topology import Link, NetworkInterface, Switch, Topology
+from ..arch.topology import FlowCharge, Link, NetworkInterface, Switch, Topology
 from ..core.design_point import DesignPoint
 from ..core.spec import CoreSpec, SoCSpec, TrafficFlow
-from ..exceptions import SpecError
+from ..exceptions import SpecError, ValidationError
 from ..power.library import NocLibrary
 
 
@@ -155,6 +155,17 @@ def topology_from_dict(data: Dict[str, Any], library: Optional[NocLibrary] = Non
 
     spec = spec_from_dict(data["spec"])
     lib = library or NocLibrary()
+
+    def charge(src: str, dst: str, bandwidth_mbps: float) -> FlowCharge:
+        """The loaded flow's own charge tuple, as a synthesized link holds."""
+        own = spec.flow(src, dst).charge
+        if own[1] != bandwidth_mbps:
+            raise ValidationError(
+                "link charge %s->%s of %r Mb/s differs from its flow's %r Mb/s"
+                % (src, dst, bandwidth_mbps, own[1])
+            )
+        return own
+
     freqs = {int(k): float(v) for k, v in data["island_freqs"].items()}
     topo = Topology(spec, lib, freqs)
     for s in data["switches"]:
@@ -182,20 +193,19 @@ def topology_from_dict(data: Dict[str, Any], library: Optional[NocLibrary] = Non
             capacity_mbps=l["capacity_mbps"],
             kind=l["kind"],
             length_mm=l["length_mm"],
-            flows=[((k[0], k[1]), bw) for k, bw in l["flows"]],
+            flows=[charge(k[0], k[1], bw) for k, bw in l["flows"]],
             has_converter=l.get("has_converter"),
         )
         topo.links[link.id] = link
         max_id = max(max_id, link.id)
     topo._next_link_id = max_id + 1
     for key_str, link_ids in data["routes"].items():
-        src, dst = key_str.split("->")
+        # Keyed by the flow's own key tuple, which its charges share.
+        key = spec.flow(*key_str.split("->")).key
         comps: List[str] = [topo.links[link_ids[0]].src]
         for lid in link_ids:
             comps.append(topo.links[lid].dst)
-        topo.routes[(src, dst)] = Route(
-            flow=(src, dst), components=tuple(comps), links=tuple(link_ids)
-        )
+        topo.routes[key] = Route(flow=key, components=tuple(comps), links=tuple(link_ids))
     return topo
 
 

@@ -17,9 +17,9 @@ and 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
-from ..core.partition import partition_graph
+from ..core.partition import IslandPartitioner
 from ..core.spec import SoCSpec
 from ..core.vcg import build_global_vcg
 from ..exceptions import SpecError
@@ -95,25 +95,40 @@ def communication_partitioning(
     defaults to 1.0 (pure bandwidth): island assignment is about which
     flows pay converter crossings, not about latency tightness.
     """
-    _check_count(spec, num_islands)
+    return _communication_specs(spec, [num_islands], alpha)[0]
+
+
+def _communication_specs(
+    spec: SoCSpec, counts: Sequence[int], alpha: float = 1.0
+) -> List[SoCSpec]:
+    """:func:`communication_partitioning` for each count, from one partitioner.
+
+    The global VCG and its :class:`~repro.core.partition.IslandPartitioner`
+    are built once.  The partitioner's bisection memo is exact, so each
+    spec equals the one-count call's, and counts that share a split
+    compute it once.
+    """
+    for n in counts:
+        _check_count(spec, n)
     vcg = build_global_vcg(spec, alpha)
-    parts = partition_graph(
-        list(vcg.nodes), vcg.symmetric_weights(), num_islands, max_part_size=None
-    )
-    return _assign(spec, parts, "%s_com%d" % (spec.name, num_islands))
+    partitioner = IslandPartitioner(list(vcg.nodes), vcg.symmetric_weights())
+    return [
+        _assign(spec, partitioner.parts(n), "%s_com%d" % (spec.name, n)) for n in counts
+    ]
 
 
 def island_count_sweep(
-    spec: SoCSpec, counts: List[int], strategy: str = "logical"
+    spec: SoCSpec, counts: Sequence[int], strategy: str = "logical"
 ) -> List[SoCSpec]:
     """Re-islanded specs for every count (Figures 2/3 x-axis).
 
-    ``strategy`` is ``"logical"`` or ``"communication"``.
+    ``strategy`` is ``"logical"`` or ``"communication"``; the
+    communication specs of all counts come from one partitioner.
     """
     if strategy == "logical":
         return [logical_partitioning(spec, n) for n in counts]
     if strategy == "communication":
-        return [communication_partitioning(spec, n) for n in counts]
+        return _communication_specs(spec, counts)
     raise SpecError("unknown partitioning strategy %r" % strategy)
 
 

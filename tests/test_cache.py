@@ -26,6 +26,7 @@ from repro.cache import (
     design_space_signature,
     fingerprint,
 )
+from repro.cache import store as store_module
 from repro.cli import main
 from repro.core import synthesis
 from repro.core.explore import ExplorationEngine, alpha_exploration
@@ -292,14 +293,15 @@ class TestDiskTier:
         assert report["removed"] == 2
         assert store.disk.entry_count() == 1
 
-    def test_schema_4_blob_is_stale(self, tmp_path):
-        """Schema 5 pickles NIs as shared objects: a schema-4 record's
-        NI rows would not decode, so its blob must read as stale."""
+    def test_schema_5_blob_is_stale(self, tmp_path):
+        """Schema 6 writes each topology as a packed shell: a schema-5
+        record's eager topologies are another layout, so its blob must
+        read as stale."""
         store = CacheStore.open(tmp_path)
         store.put_object("a" * 64, 1, kind="space")
         store.put_object("b" * 64, 2, kind="space")
-        _rewrite_header(store.disk.path_for("b" * 64), schema=4)
-        assert SCHEMA_VERSION == 5
+        _rewrite_header(store.disk.path_for("b" * 64), schema=5)
+        assert SCHEMA_VERSION == 6
         assert store.disk.verify()["stale"] == ["b" * 64]
         assert CacheStore.open(tmp_path).get_object("b" * 64, kind="space") is None
 
@@ -383,6 +385,17 @@ class _GcStateSelector:
         return ("gc_enabled",)
 
 
+@dataclasses.dataclass(frozen=True)
+class _ConverterCount(Objective):
+    """Scores each point by its topology's converters: an objective
+    that reads every point's topology."""
+
+    name = "converter_count"
+
+    def evaluate(self, point):
+        return ObjectiveResult(cost=(point.topology.num_converters(),))
+
+
 class TestGcPause:
     """``synthesize`` and each sweep task run with the cyclic GC off, and
     leave it as the caller had it."""
@@ -401,26 +414,41 @@ class TestGcPause:
         switch(was_enabled)
 
     def test_cold_synthesize_runs_paused(self):
-        evaluated, encoded = [], []
+        """The record's encode and every nested blob: each point's
+        topology and switch positions, and each distinct floorplan
+        skeleton."""
+        evaluated, encoded, blobs = [], [], []
         real_power = synthesis.compute_noc_power
+        pickler = store_module._RecordPickler
         with caching(CacheStore.in_memory()), mock.patch.object(
             synthesis, "compute_noc_power", _noting_gc_state(evaluated, real_power)
-        ), mock.patch.object(pickle, "dumps", _noting_gc_state(encoded, pickle.dumps)):
-            synthesize(make_tiny_spec(), config=SynthesisConfig(max_intermediate=1))
+        ), mock.patch.object(
+            pickler, "dump", _noting_gc_state(encoded, pickler.dump)
+        ), mock.patch.object(pickle, "dumps", _noting_gc_state(blobs, pickle.dumps)):
+            space = synthesize(make_tiny_spec(), config=SynthesisConfig(max_intermediate=1))
         assert evaluated and not any(evaluated)
         assert encoded == [False]
+        skeletons = len({id(p.floorplan.chip) for p in space.points})
+        assert len(space) > 1 and blobs == [False] * (2 * len(space) + skeletons)
         assert gc.isenabled()
 
     def test_warm_hit_decodes_paused(self):
+        """The record's decode, and each nested topology blob's when an
+        objective reads every point's topology."""
         spec, cfg = make_tiny_spec(), SynthesisConfig(max_intermediate=1)
         store = CacheStore.in_memory()
         decoded = []
         with caching(store):
             synthesize(spec, config=cfg)
             with mock.patch.object(pickle, "loads", _noting_gc_state(decoded, pickle.loads)):
-                synthesize(spec, config=cfg)
-        assert store.stats.counters["hits.memory.space"] == 1
-        assert decoded == [False]
+                default = synthesize(spec, config=cfg)
+                assert decoded == [False]
+                reading = synthesize(
+                    spec, config=dataclasses.replace(cfg, objective=_ConverterCount())
+                )
+        assert store.stats.counters["hits.memory.space"] == 2
+        assert len(reading) == len(default) > 1
+        assert decoded == [False] * (2 + len(reading))
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False])

@@ -15,6 +15,9 @@ from repro.core.explore import (
 )
 from repro.exceptions import SpecError
 from repro.io.report import format_table
+from repro.soc import partitioning
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
 
 def strip_timing(record):
@@ -170,6 +173,61 @@ class TestGridExploration:
     def test_pareto_merge_ignores_infeasible(self):
         rec = SweepRecord(knobs={}, point=None, design_points=0, elapsed_s=0.0)
         assert pareto_merge([rec]) == []
+
+
+class TestOnePartitionerPerSweep:
+    """Each strategy partitions all of a sweep's island counts with one
+    ``IslandPartitioner``, whose specs equal the per-count calls'."""
+
+    COUNTS = [2, 4, 6, 8]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Graph sizes of the partitioners ``soc.partitioning`` builds."""
+        sizes = []
+        real = partitioning.IslandPartitioner
+
+        def counting(nodes, *args, **kwargs):
+            sizes.append(len(nodes))
+            return real(nodes, *args, **kwargs)
+
+        monkeypatch.setattr(partitioning, "IslandPartitioner", counting)
+        return sizes
+
+    @staticmethod
+    def tasks_of(engine, monkeypatch):
+        """The tasks ``engine`` is handed, which it then does not run."""
+        handed = []
+        monkeypatch.setattr(engine, "run", lambda tasks: handed.extend(tasks) or [])
+        return handed
+
+    def test_grid_sweep(self, built, monkeypatch):
+        spec = generate_soc(GeneratorConfig(name="gen40", num_cores=40, num_groups=2, seed=4))
+        engine = ExplorationEngine(workers=1)
+        tasks = self.tasks_of(engine, monkeypatch)
+        engine.grid_exploration(
+            spec, islands=self.COUNTS, strategies=("communication", "logical"),
+            alphas=[0.4, 0.8],
+        )
+        assert built == [40]
+        expected = [communication_partitioning(spec, n) for n in self.COUNTS]
+        communication = [t.spec for t in tasks if t.knobs["strategy"] == "communication"]
+        assert communication == [s for s in expected for _ in (0.4, 0.8)]
+        logical = [t.spec for t in tasks if t.knobs["strategy"] == "logical"]
+        assert logical == [logical_partitioning(spec, n) for n in self.COUNTS for _ in (0.4, 0.8)]
+
+    def test_island_count_tasks(self, built, d26):
+        tasks = ExplorationEngine(workers=1).island_count_tasks(
+            d26, self.COUNTS, ("communication",)
+        )
+        assert built == [len(d26.cores)]
+        assert [t.spec for t in tasks] == [
+            communication_partitioning(d26, n) for n in self.COUNTS
+        ]
+
+    def test_one_count_form_checks_the_count(self, d26):
+        with pytest.raises(SpecError, match="island count"):
+            communication_partitioning(d26, len(d26.cores) + 1)
 
 
 class _StubPoint:

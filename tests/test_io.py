@@ -22,6 +22,7 @@ from repro.io.json_io import (
     topology_from_dict,
     topology_to_dict,
 )
+from repro.exceptions import ValidationError
 from repro.io.report import format_table, percent, rows_to_csv, save_csv
 
 
@@ -92,6 +93,29 @@ class TestTopologyJson:
         save_topology(tiny_best.topology, path)
         back = load_topology(path, tiny_best.topology.library)
         assert set(back.routes) == set(tiny_best.topology.routes)
+
+    def test_file_roundtrip_shares_flow_keys_and_charges(self, d26_best, tmp_path):
+        """A loaded topology holds its spec's flow keys and charges, one
+        of each per flow, as a synthesized one does."""
+        topo = d26_best.topology
+        path = str(tmp_path / "topo.json")
+        save_topology(topo, path)
+        back = load_topology(path, topo.library)
+        charges = {f.key: f.charge for f in back.spec.flows}
+        for link in back.links.values():
+            assert all(charge is charges[charge[0]] for charge in link.flows)
+        for key, route in back.routes.items():
+            assert route.flow is key is charges[key][0]
+        assert len({id(c) for l in back.links.values() for c in l.flows}) == len(charges)
+        assert list(back.links.values()) == list(topo.links.values())
+        assert back.routes == topo.routes
+
+    def test_charge_off_its_flow_bandwidth_is_rejected(self, tiny_best):
+        data = topology_to_dict(tiny_best.topology)
+        link = next(l for l in data["links"] if l["flows"])
+        link["flows"][0][1] += 1.0
+        with pytest.raises(ValidationError, match="differs from its flow"):
+            topology_from_dict(data, tiny_best.topology.library)
 
     def test_design_point_summary_fields(self, tiny_best):
         s = design_point_summary(tiny_best)
