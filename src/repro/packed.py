@@ -45,6 +45,3 @@ class PackedShell:
             ) from exc
         self.__class__ = type(whole)
         self.__dict__ = whole.__dict__
-
-    def _whole(self):  # pragma: no cover - every shell class defines it
-        raise NotImplementedError
