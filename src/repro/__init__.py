@@ -71,13 +71,10 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ".control.objective": ("RecoveryObjective",),
         ".core.design_point": ("DesignPoint", "DesignSpace"),
         ".core.explore": (
+            "ExplorationEngine",
             "ObjectiveSelector",
             "RuntimeEnergySelector",
             "SweepRecord",
-            "alpha_exploration",
-            "data_width_exploration",
-            "grid_exploration",
-            "island_count_exploration",
         ),
         ".core.frequency": ("IslandPlan", "plan_all_islands"),
         ".core.objective": (

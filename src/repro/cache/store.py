@@ -387,9 +387,8 @@ class CacheStore:
     compares the semantic signatures of the hit and the recompute via
     :meth:`check_signature`.
 
-    Pickling a store (pool ``initargs`` on spawn platforms) drops the
-    memory-tier contents — workers either share the parent's warm tier
-    through fork or start cold against the same disk tier.
+    Forked sweep and fan-out workers inherit the active store, its warm
+    memory tier included, and send their stats deltas home.
     """
 
     def __init__(
@@ -516,14 +515,3 @@ class CacheStore:
 
     def record_key_error(self) -> None:
         self.stats.incr("key_errors")
-
-    # -- pool plumbing ------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        # Memory contents don't travel: fork shares them by inheritance,
-        # spawn workers rebuild from disk.
-        tier = state["memory"]
-        state["memory"] = MemoryTier(tier.max_bytes, tier.max_entries)
-        state["stats"] = CacheStats()
-        return state

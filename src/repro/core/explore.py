@@ -8,18 +8,12 @@ so benches, examples and notebooks share one implementation instead of
 re-rolling loops.
 
 Sweep points are independent synthesis runs, so :class:`ExplorationEngine`
-can fan them out across a *persistent* worker pool (``workers > 1``):
-the :class:`~concurrent.futures.ProcessPoolExecutor` is created once,
-its initializer installs the sweep-invariant context (the distinct
-specs, base library/config, selector) in each worker — shared for free
-via copy-on-write under the ``fork`` start method, shipped once per
-worker otherwise — and each task then travels as a small descriptor
-(spec index, knob labels, config/library field diffs) instead of a full
-pickled :class:`SweepTask`.  Results come back in submission order, so
-parallel and serial sweeps produce identical record lists; ``workers=1``
-never touches the pool machinery at all.  The module-level sweep
-functions are thin wrappers over a default engine and accept the same
-``workers`` knob.
+can deal them over forked workers (``workers > 1``,
+:mod:`repro.core.forked`): each worker inherits the task list, runs
+every ``width``-th task and sends each record home as it finishes.
+The caller takes the records in submission order, so parallel and
+serial sweeps produce identical record lists; ``workers=1`` never
+forks.
 """
 
 from __future__ import annotations
@@ -27,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
@@ -36,6 +30,7 @@ from ..perf.instrument import Recorder, active_recorder, span, worker_recording
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..soc.partitioning import island_count_sweep
 from .design_point import DesignPoint, DesignSpace
+from .forked import forked_workers, may_fork
 from .objective import Objective, TraceEnergyObjective
 from .spec import SoCSpec
 from .synthesis import SynthesisConfig, gc_paused, synthesize
@@ -102,12 +97,9 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One synthesis run of a sweep, ready to execute anywhere.
-
-    Fully self-contained (spec, library, config, knob labels, selector)
-    so the engine can ship it to a pool worker; every field must be
-    picklable when ``workers > 1``.
-    """
+    """One synthesis run of a sweep: spec, library, config, knob labels
+    and selector.  A forked worker inherits it, so nothing in it has to
+    pickle; its record does."""
 
     spec: SoCSpec
     library: NocLibrary
@@ -132,14 +124,8 @@ def _selector_column_names(
     return tuple(names()) if callable(names) else ()
 
 
-def _run_one(
-    spec: SoCSpec,
-    library: NocLibrary,
-    config: SynthesisConfig,
-    knobs: Mapping[str, object],
-    select: Callable[[DesignSpace], DesignPoint],
-) -> SweepRecord:
-    """One sweep task, serial or on a pool worker: synthesize, then select.
+def _run_one(task: SweepTask) -> SweepRecord:
+    """One sweep task, in the caller or on a worker: synthesize, then select.
 
     The whole task runs under :func:`~repro.core.synthesis.gc_paused`,
     so reference counting frees the unselected points before the
@@ -149,14 +135,15 @@ def _run_one(
     """
     t0 = time.perf_counter()
     design_points = 0
-    with gc_paused(), span("explore.task", **dict(knobs)):
+    select = task.select
+    with gc_paused(), span("explore.task", **dict(task.knobs)):
         try:
-            space = synthesize(spec, library, config)
+            space = synthesize(task.spec, task.library, task.config)
             design_points = len(space)
             point = select(space)
             del space  # free the unselected points while the collector is off
             return SweepRecord(
-                knobs=dict(knobs),
+                knobs=dict(task.knobs),
                 point=point,
                 design_points=design_points,
                 elapsed_s=time.perf_counter() - t0,
@@ -166,7 +153,7 @@ def _run_one(
             # Either the sweep found no routable candidate, or the
             # objective rejected every one (QoS): both are infeasible rows.
             return SweepRecord(
-                knobs=dict(knobs),
+                knobs=dict(task.knobs),
                 point=None,
                 design_points=design_points,
                 elapsed_s=time.perf_counter() - t0,
@@ -175,154 +162,42 @@ def _run_one(
             )
 
 
-def _execute_task(task: SweepTask) -> SweepRecord:
-    """Module-level task runner (picklable for the process pool)."""
-    return _run_one(task.spec, task.library, task.config, task.knobs, task.select)
-
-
-# ----------------------------------------------------------------------
-# Persistent worker pool plumbing
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _TaskDescriptor:
-    """Slim wire format of one pool task.
-
-    The sweep-invariant context (specs, base library/config, selector)
-    lives in the worker already (see :func:`_pool_init`); a descriptor
-    carries only what differs for this task: the spec's index into the
-    shared spec table, the knob labels, and either a field diff against
-    the base config/library (reconstructed with ``dataclasses.replace``)
-    or — when a diff cannot represent the change — the full object.
-    At most one of ``config_diff`` / ``config_full`` is set; both
-    ``None`` means "use the base" (same for the library and selector).
-    """
-
-    spec_index: int
-    knobs: Mapping[str, object]
-    config_diff: Optional[Mapping[str, object]] = None
-    config_full: Optional[SynthesisConfig] = None
-    library_diff: Optional[Mapping[str, object]] = None
-    library_full: Optional[NocLibrary] = None
-    select: Optional[Callable[[DesignSpace], DesignPoint]] = None
-    #: When set, the worker records the task under a fresh recorder and
-    #: ships its snapshot home alongside the record — the parent merges
-    #: it so parallel sweeps lose no observability.
-    collect_obs: bool = False
-
-
-#: Per-worker sweep context installed by :func:`_pool_init`:
-#: ``(specs, base_library, base_config, base_select)``.
-_WORKER_CONTEXT: Optional[tuple] = None
-
-
-def _pool_init(
-    specs: Sequence[SoCSpec],
-    library: NocLibrary,
-    config: SynthesisConfig,
-    select: Callable[[DesignSpace], DesignPoint],
-    cache_store=None,
+def _run_share(
+    tasks: Sequence[SweepTask],
+    width: int,
+    collect_obs: bool,
+    worker: int,
+    send: Callable[[object], None],
 ) -> None:
-    """Worker initializer: install the shared read-only sweep context.
+    """A forked worker's share of a sweep: tasks ``worker``,
+    ``worker + width``, ... in order.
 
-    Runs once per worker process at pool start-up; under the ``fork``
-    start method the argument pickle is the only per-worker cost and the
-    large objects behind it stay copy-on-write shared with the parent.
-
-    ``cache_store`` carries the parent's active
-    :class:`~repro.cache.store.CacheStore` into the worker.  Under
-    ``fork`` the worker inherits the parent's store module-global —
-    including its warm in-memory tier, copy-on-write shared — so the
-    shipped store only installs itself where nothing is active yet
-    (spawn platforms, whose pickled copy drops memory-tier contents
-    and re-reads from disk).
+    Sends ``(record, payload)`` as each task finishes.  The payload
+    holds the task's recorder snapshot (``obs``, with a start and an end
+    heartbeat) when the caller records, and the task's cache hit/miss
+    counter delta (``cache``) when a store is active, for the caller to
+    merge.
     """
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (list(specs), library, config, select)
-    if cache_store is not None:
-        from ..cache.context import active_store, set_store
-
-        if active_store() is None:
-            set_store(cache_store)
-
-
-def _execute_descriptor(desc: _TaskDescriptor):
-    """Rehydrate a descriptor against the worker context and run it.
-
-    Returns ``(record, payload)``: the payload is ``None`` unless the
-    descriptor asked for observability capture or a cache store is
-    active.  It carries the task recorder's snapshot (``obs``) and the
-    cache hit/miss counter delta this task produced (``cache``), for
-    the parent to merge.
-    """
-    assert _WORKER_CONTEXT is not None, "worker pool not initialized"
-    specs, base_library, base_config, base_select = _WORKER_CONTEXT
-    spec = specs[desc.spec_index]
-    config = base_config
-    if desc.config_full is not None:
-        config = desc.config_full
-    elif desc.config_diff:
-        config = dataclasses.replace(base_config, **dict(desc.config_diff))
-    library = base_library
-    if desc.library_full is not None:
-        library = desc.library_full
-    elif desc.library_diff:
-        library = dataclasses.replace(base_library, **dict(desc.library_diff))
-    select = desc.select if desc.select is not None else base_select
     from ..cache.context import active_store
 
     store = active_store()
-    stats_before = store.stats.snapshot() if store is not None else None
-    payload: Dict[str, object] = {}
-    if not desc.collect_obs:
-        record = _run_one(spec, library, config, desc.knobs, select)
-    else:
-        with worker_recording(payload) as rec:
-            rec.emit(
-                "heartbeat",
-                "task",
-                attrs={"phase": "start", "knobs": dict(desc.knobs)},
-            )
-            record = _run_one(spec, library, config, desc.knobs, select)
-            rec.emit(
-                "heartbeat",
-                "task",
-                attrs={"phase": "end", "feasible": record.feasible},
-            )
-    if store is not None:
-        payload["cache"] = store.stats.diff(stats_before)
-    return record, payload or None
-
-
-def _dataclass_diff(base: object, value: object):
-    """``(diff, full)`` decomposition of ``value`` against ``base``.
-
-    Returns a field-name -> value dict of the init fields that differ
-    (possibly empty, meaning ``value`` equals ``base``) and ``None``,
-    or ``(None, value)`` when no faithful diff exists (different types,
-    a differing non-init field, or a comparison that refuses) and the
-    full object must ship instead.
-    """
-    if value is base:
-        return {}, None
-    if type(value) is not type(base) or not dataclasses.is_dataclass(base):
-        return None, value
-    diff: Dict[str, object] = {}
-    for f in dataclasses.fields(base):  # type: ignore[arg-type]
-        a = getattr(base, f.name)
-        b = getattr(value, f.name)
-        if a is b:
-            continue
-        try:
-            if bool(a == b):
-                continue
-        except Exception:
-            return None, value
-        if not f.init:
-            return None, value
-        diff[f.name] = b
-    return diff, None
+    for task in tasks[worker::width]:
+        payload: Dict[str, object] = {}
+        before = store.stats.snapshot() if store is not None else None
+        if collect_obs:
+            with worker_recording(payload) as rec:
+                rec.emit(
+                    "heartbeat", "task", attrs={"phase": "start", "knobs": dict(task.knobs)}
+                )
+                record = _run_one(task)
+                rec.emit(
+                    "heartbeat", "task", attrs={"phase": "end", "feasible": record.feasible}
+                )
+        else:
+            record = _run_one(task)
+        if store is not None:
+            payload["cache"] = store.stats.diff(before)
+        send((record, payload))
 
 
 def pareto_merge(records: Sequence[SweepRecord]) -> List[SweepRecord]:
@@ -360,26 +235,16 @@ def pareto_merge(records: Sequence[SweepRecord]) -> List[SweepRecord]:
 
 
 class ExplorationEngine:
-    """Executes sweep tasks serially or across a persistent worker pool.
+    """Executes sweep tasks serially or over forked workers.
 
-    ``workers=1`` (the default) runs every task inline — no pool, no
-    pickling requirements, identical to the historical serial loops.
-    ``workers>1`` fans tasks out to a persistent
-    :class:`~concurrent.futures.ProcessPoolExecutor`: the pool is
-    created lazily on the first parallel :meth:`run`, seeds every
-    worker with the sweep-invariant context (the distinct specs, base
-    library/config, selector) via its initializer, and is then reused
-    by subsequent runs over the same context — repeated sweeps pay the
-    worker start-up cost once, and each task crosses the process
-    boundary as a :class:`_TaskDescriptor` of a few small fields.
-    Results are collected in submission order so the returned records
-    match the serial run element for element.  With a pool, task fields
-    — including a custom ``select`` — must be picklable (module-level
-    functions; lambdas only work serially).
-
-    The engine owns the pool: call :meth:`close` (or use the engine as
-    a context manager) to release the worker processes; a dropped
-    engine cleans up on garbage collection as a fallback.
+    ``workers=1`` (the default) runs every task inline, identical to the
+    historical serial loops.  ``workers>1`` deals a run's tasks over
+    forked workers (:meth:`run`), which inherit them: a custom
+    ``select`` need not pickle (a lambda works), only the records do.
+    Results are collected in submission order, so the returned records
+    match the serial run element for element.  The engine holds no
+    process between runs; it is still a context manager, for the call
+    sites that use it as one.
 
     The engine carries the sweep-invariant context (library, base
     config, selector) so call sites only name the knob values.
@@ -407,158 +272,52 @@ class ExplorationEngine:
             select = ObjectiveSelector(objective)
         self.select = select
         self.objective = objective
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Context the live pool was initialized with — identity key
-        #: plus strong references that keep the ``id()`` values stable.
-        self._pool_key: Optional[tuple] = None
-        self._pool_refs: tuple = ()
-        #: In-flight futures of the current parallel :meth:`run`, with
-        #: their deterministic ``task<i>`` labels and a merged flag —
-        #: :meth:`close` flushes the payloads of completed tasks the
-        #: result loop never reached (mid-sweep teardown) into the
-        #: ``(recorder, store)`` of :attr:`_merge_into`.
-        self._inflight: List[Dict[str, object]] = []
-        self._merge_into: Optional[tuple] = None
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; serial engines no-op).
-
-        Tasks still queued are cancelled, running ones are allowed to
-        finish, and the payloads (recorder snapshot, cache delta) of any
-        *completed but unmerged* tasks are flushed into the recorder and
-        store that were active when the sweep started — a pool torn
-        down mid-sweep loses no observability.
-        """
-        pool, self._pool = self._pool, None
-        self._pool_key = None
-        self._pool_refs = ()
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._flush_inflight()
-
-    def _flush_inflight(self) -> int:
-        """Merge payloads of completed-but-unmerged tasks; count them."""
-        inflight, self._inflight = self._inflight, []
-        targets, self._merge_into = self._merge_into, None
-        if not inflight or targets is None:
-            return 0
-        flushed = 0
-        for entry in inflight:
-            if entry["merged"]:
-                continue
-            future = entry["future"]
-            if (
-                not future.done()  # type: ignore[attr-defined]
-                or future.cancelled()  # type: ignore[attr-defined]
-                or future.exception() is not None  # type: ignore[attr-defined]
-            ):
-                continue
-            _, payload = future.result()  # type: ignore[attr-defined]
-            self._merge_payload(str(entry["label"]), payload, *targets)
-            flushed += 1
-        return flushed
-
-    @staticmethod
-    def _merge_payload(label: str, payload, rec, store) -> None:
-        """Fold one worker payload into the parent's recorder and store."""
-        if payload is None:
-            return
-        if rec is not None and "obs" in payload:
-            rec.merge(payload["obs"], process=label)
-        if store is not None and "cache" in payload:
-            # Worker hit/miss deltas fold into the parent store's
-            # stats, so sweep-level cache accounting covers the
-            # whole pool, not just the parent process.
-            store.stats.merge(payload["cache"])
 
     def __enter__(self) -> "ExplorationEngine":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _ensure_pool(self, specs: Sequence[SoCSpec]) -> ProcessPoolExecutor:
-        """The persistent pool, (re)created when the context changes.
-
-        The context key is identity-based (the spec objects and the
-        engine's library/config/selector); the engine holds strong
-        references to the keyed objects so the ids cannot be recycled
-        while the pool lives.  Re-running the same sweep — the common
-        case for benchmarks and iterative exploration — reuses the
-        warm pool and ships only descriptors.
-        """
-        from ..cache.context import active_store
-
-        store = active_store()
-        key = (
-            self.workers,
-            id(self.library),
-            id(self.config),
-            id(self.select),
-            id(store),
-            tuple(id(s) for s in specs),
-        )
-        if self._pool is not None and self._pool_key == key:
-            return self._pool
-        self.close()
-        self._pool_refs = (self.library, self.config, self.select, tuple(specs), store)
-        self._pool_key = key
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_pool_init,
-            initargs=(tuple(specs), self.library, self.config, self.select, store),
-        )
-        return self._pool
+        return None
 
     # -- execution -----------------------------------------------------
 
     def run(self, tasks: Sequence[SweepTask]) -> List[SweepRecord]:
         """Execute tasks, preserving input order in the output.
 
-        When the caller has an active :func:`~repro.perf.active_recorder`,
-        parallel runs ask each worker to record its task under a fresh
-        recorder and merge the snapshot back here — serial and parallel
-        sweeps then observe the same counters, spans and events.  Merged
-        worker streams are relabelled ``task<i>`` by submission index, so
-        the combined trace stays deterministic even though worker pids
-        and scheduling are not.  A recorder with sinks also gets a
-        ``progress`` feed: ``sweep.start``, one ``sweep.task`` per
-        point and ``sweep.done``.
+        With ``workers > 1`` and more than one task, task ``i`` runs on
+        forked worker ``i % width`` of ``width = min(workers,
+        len(tasks))`` (:func:`_run_share`), where the process may fork
+        (:func:`~repro.core.forked.may_fork`); otherwise every task runs
+        here.  The caller runs no task itself: it takes each record in
+        submission order, merges the worker's recorder snapshot under
+        ``task<i>`` (deterministic, though worker pids and scheduling
+        are not) and its cache-stats delta into the active store.
+        Serial and forked sweeps then observe the same counters, spans
+        and events.  A recorder with sinks also gets a ``progress``
+        feed: ``sweep.start``, one ``sweep.task`` per point and
+        ``sweep.done``.
         """
         tasks = list(tasks)
         rec = active_recorder()
-        parallel = self.workers > 1 and len(tasks) > 1
-        if not parallel and (rec is None or not rec.sinks):
-            return [_execute_task(t) for t in tasks]
+        width = min(self.workers, len(tasks))
+        if width > 1 and not may_fork():
+            width = 1
+        if width == 1 and (rec is None or not rec.sinks):
+            return [_run_one(t) for t in tasks]
         from ..cache.context import active_store
 
         store = active_store()
         if rec is not None:
-            # The same progress feed serially and on the pool, so live
+            # The same progress feed serially and forked, so live
             # observers need not care about ``workers``.
             rec.emit(
-                "progress",
-                "sweep.start",
-                attrs={
-                    "tasks": len(tasks),
-                    "workers": self.workers if parallel else 1,
-                },
+                "progress", "sweep.start", attrs={"tasks": len(tasks), "workers": width}
             )
-        if parallel:
-            records = self._run_pool(tasks, rec, store)
-        else:
-            records = []
+        records: List[SweepRecord] = []
+        if width == 1:
             for i, t in enumerate(tasks):
                 before = store.stats.snapshot() if store is not None else None
-                records.append(_execute_task(t))
+                records.append(_run_one(t))
                 self._emit_task_progress(
                     rec,
                     i,
@@ -566,6 +325,23 @@ class ExplorationEngine:
                     records[-1],
                     cache=store.stats.diff(before) if store is not None else None,
                 )
+        else:
+            work = partial(_run_share, tasks, width, rec is not None)
+            with forked_workers(work, range(width), "sweep worker") as receive:
+                for i in range(len(tasks)):
+                    record, payload = receive(i % width)
+                    if rec is not None:
+                        rec.merge(payload["obs"], process="task%d" % i)
+                    if store is not None:
+                        # Worker hit/miss deltas fold into this store's
+                        # stats, so sweep-level cache accounting covers
+                        # every task.
+                        store.stats.merge(payload["cache"])
+                    records.append(record)
+                    if rec is not None:
+                        self._emit_task_progress(
+                            rec, i, len(tasks), record, cache=payload.get("cache")
+                        )
         if rec is not None:
             rec.emit(
                 "progress",
@@ -575,67 +351,6 @@ class ExplorationEngine:
                     "feasible": sum(1 for r in records if r.feasible),
                 },
             )
-        return records
-
-    def _run_pool(self, tasks: List[SweepTask], rec, store) -> List[SweepRecord]:
-        """The pool half of :meth:`run`: submit descriptors, merge results."""
-        specs: List[SoCSpec] = []
-        spec_index: Dict[int, int] = {}
-        descriptors: List[_TaskDescriptor] = []
-        for t in tasks:
-            i = spec_index.get(id(t.spec))
-            if i is None:
-                i = len(specs)
-                spec_index[id(t.spec)] = i
-                specs.append(t.spec)
-            cfg_diff, cfg_full = _dataclass_diff(self.config, t.config)
-            lib_diff, lib_full = _dataclass_diff(self.library, t.library)
-            descriptors.append(
-                _TaskDescriptor(
-                    spec_index=i,
-                    knobs=dict(t.knobs),
-                    config_diff=cfg_diff or None,
-                    config_full=cfg_full,
-                    library_diff=lib_diff or None,
-                    library_full=lib_full,
-                    select=None if t.select is self.select else t.select,
-                    collect_obs=rec is not None,
-                )
-            )
-        pool = self._ensure_pool(specs)
-        futures = [pool.submit(_execute_descriptor, d) for d in descriptors]
-        self._inflight = [
-            {"future": f, "label": "task%d" % i, "merged": False}
-            for i, f in enumerate(futures)
-        ]
-        self._merge_into = (rec, store)
-        records: List[SweepRecord] = []
-        try:
-            # Results are consumed in submission order: the merge (and
-            # every progress event the parent emits) happens at a
-            # deterministic point in the feed even though worker
-            # scheduling is not.
-            for i, future in enumerate(futures):
-                record, payload = future.result()
-                self._inflight[i]["merged"] = True
-                self._merge_payload("task%d" % i, payload, rec, store)
-                records.append(record)
-                if rec is not None:
-                    self._emit_task_progress(
-                        rec,
-                        i,
-                        len(tasks),
-                        record,
-                        cache=payload.get("cache") if payload else None,
-                    )
-        except Exception:
-            # A broken pool (worker crash, unpicklable payload) stays
-            # broken; drop it so the next run starts clean.  close()
-            # flushes the payloads of tasks that did complete.
-            self.close()
-            raise
-        self._inflight = []
-        self._merge_into = None
         return records
 
     @staticmethod
@@ -691,9 +406,6 @@ class ExplorationEngine:
             select=self.select,
         )
 
-    # Historical private name, used by older call sites.
-    _task = task
-
     # -- single-axis sweeps --------------------------------------------
 
     def island_count_tasks(
@@ -707,7 +419,7 @@ class ExplorationEngine:
         for strategy in strategies:
             specs = island_count_sweep(spec, counts, strategy)
             for n, partitioned in zip(counts, specs):
-                tasks.append(self._task(partitioned, {"islands": n, "strategy": strategy}))
+                tasks.append(self.task(partitioned, {"islands": n, "strategy": strategy}))
         return tasks
 
     def island_count_exploration(
@@ -724,7 +436,7 @@ class ExplorationEngine:
         """Sweep the Definition-1 weight between bandwidth and latency."""
         return self.run(
             [
-                self._task(
+                self.task(
                     spec,
                     {"alpha": alpha},
                     config=dataclasses.replace(self.config, alpha=alpha),
@@ -742,7 +454,7 @@ class ExplorationEngine:
             if width <= 0:
                 raise SpecError("link width must be positive, got %r" % width)
             tasks.append(
-                self._task(
+                self.task(
                     spec,
                     {"width_bits": width},
                     library=dataclasses.replace(self.library, data_width_bits=width),
@@ -831,7 +543,7 @@ class ExplorationEngine:
             if width is not None:
                 knobs["width_bits"] = width
                 library = dataclasses.replace(library, data_width_bits=width)
-            tasks.append(self._task(task_spec, knobs, library=library, config=config))
+            tasks.append(self.task(task_spec, knobs, library=library, config=config))
         records = self.run(tasks)
         return GridResult(records=records, pareto=pareto_merge(records))
 
@@ -858,11 +570,10 @@ class GridResult:
 class ObjectiveSelector:
     """Adapt any :class:`~repro.core.objective.Objective` to a selector.
 
-    The pickling-friendly bridge between the objective layer and
-    :class:`SweepTask`: selection delegates to
-    :meth:`Objective.select` (deterministic cost-then-index
-    tie-breaking), and the objective's sweep columns flow into
-    :attr:`SweepRecord.extras`.
+    The bridge between the objective layer and :class:`SweepTask`:
+    selection delegates to :meth:`Objective.select` (deterministic
+    cost-then-index tie-breaking), and the objective's sweep columns
+    flow into :attr:`SweepRecord.extras`.
     """
 
     objective: Objective
@@ -906,98 +617,3 @@ class RuntimeEnergySelector:
 
     def column_names(self) -> Tuple[str, ...]:
         return self._objective().column_names()
-
-
-def runtime_exploration(
-    spec: SoCSpec,
-    counts: Sequence[int],
-    trace: UseCaseTrace,
-    strategies: Sequence[str] = ("logical",),
-    policy: str = "break_even",
-    model: Optional[GatingModel] = None,
-    library: NocLibrary = DEFAULT_LIBRARY,
-    config: Optional[SynthesisConfig] = None,
-    workers: int = 1,
-) -> List[SweepRecord]:
-    """Module-level wrapper over :meth:`ExplorationEngine.runtime_exploration`."""
-    with ExplorationEngine(workers, library, config) as engine:
-        return engine.runtime_exploration(spec, counts, trace, strategies, policy, model)
-
-
-# ----------------------------------------------------------------------
-# Module-level wrappers (historical API, plus the ``workers`` knob)
-# ----------------------------------------------------------------------
-
-
-def island_count_exploration(
-    spec: SoCSpec,
-    counts: Sequence[int],
-    strategies: Sequence[str] = ("logical", "communication"),
-    library: NocLibrary = DEFAULT_LIBRARY,
-    config: Optional[SynthesisConfig] = None,
-    select: Callable[[DesignSpace], DesignPoint] = DesignSpace.best_by_power,
-    workers: int = 1,
-    objective: Optional[Objective] = None,
-) -> List[SweepRecord]:
-    """The Figures 2/3 sweep: island count x assignment strategy."""
-    with ExplorationEngine(workers, library, config, select, objective) as engine:
-        return engine.island_count_exploration(spec, counts, strategies)
-
-
-def alpha_exploration(
-    spec: SoCSpec,
-    alphas: Sequence[float],
-    library: NocLibrary = DEFAULT_LIBRARY,
-    config: Optional[SynthesisConfig] = None,
-    select: Callable[[DesignSpace], DesignPoint] = DesignSpace.best_by_power,
-    workers: int = 1,
-    objective: Optional[Objective] = None,
-) -> List[SweepRecord]:
-    """Sweep the Definition-1 weight between bandwidth and latency."""
-    with ExplorationEngine(workers, library, config, select, objective) as engine:
-        return engine.alpha_exploration(spec, alphas)
-
-
-def data_width_exploration(
-    spec: SoCSpec,
-    widths: Sequence[int],
-    library: NocLibrary = DEFAULT_LIBRARY,
-    config: Optional[SynthesisConfig] = None,
-    select: Callable[[DesignSpace], DesignPoint] = DesignSpace.best_by_power,
-    workers: int = 1,
-    objective: Optional[Objective] = None,
-) -> List[SweepRecord]:
-    """Sweep the NoC link data width ("could be varied in a range")."""
-    with ExplorationEngine(workers, library, config, select, objective) as engine:
-        return engine.data_width_exploration(spec, widths)
-
-
-def grid_exploration(
-    spec: SoCSpec,
-    islands: Optional[Sequence[int]] = None,
-    strategies: Sequence[str] = ("logical",),
-    alphas: Optional[Sequence[float]] = None,
-    widths: Optional[Sequence[int]] = None,
-    library: NocLibrary = DEFAULT_LIBRARY,
-    config: Optional[SynthesisConfig] = None,
-    select: Callable[[DesignSpace], DesignPoint] = DesignSpace.best_by_power,
-    workers: int = 1,
-    objective: Optional[Objective] = None,
-) -> GridResult:
-    """Cross-product sweep over island/strategy/alpha/width knobs."""
-    with ExplorationEngine(workers, library, config, select, objective) as engine:
-        return engine.grid_exploration(spec, islands, strategies, alphas, widths)
-
-
-def pareto_records(space: DesignSpace) -> List[Dict[str, object]]:
-    """The (power, latency) Pareto front as table rows."""
-    return [
-        {
-            "point": p.label(),
-            "noc_power_mw": round(p.power_mw, 2),
-            "avg_latency_cycles": round(p.avg_latency_cycles, 2),
-            "switches": p.total_switches,
-            "intermediate": p.num_intermediate_used,
-        }
-        for p in space.pareto_front()
-    ]

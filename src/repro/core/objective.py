@@ -27,8 +27,9 @@ An :class:`Objective` maps a
   space mid-sweep, exactly like a routing failure.
 * ``metrics`` — named numbers for reports (trace energy, worst stall).
 
-Objectives must be deterministic, side-effect free, and picklable
-(frozen dataclasses), so sweeps can fan them out across process pools.
+Objectives must be deterministic and side-effect free (frozen
+dataclasses).  Forked sweep workers inherit them, so they need not
+pickle; the :class:`ObjectiveResult` a point carries does.
 
 Built-ins
 ---------
@@ -108,7 +109,7 @@ class Objective:
 
     Subclasses implement :meth:`evaluate`; everything else — selection,
     tie-breaking, sweep columns — is shared.  Subclasses should be
-    frozen dataclasses so sweep tasks carrying them stay picklable.
+    frozen dataclasses.
     """
 
     #: Canonical objective name; subclasses override.

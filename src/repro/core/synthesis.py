@@ -38,8 +38,9 @@ import itertools
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
-    BinaryIO,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -66,6 +67,7 @@ from ..power.noc_power import compute_noc_power
 from ..power.soc_power import compute_soc_power
 from ..sim.zero_load import evaluate_latency
 from .design_point import DesignPoint, DesignSpace
+from .forked import forked_workers, may_fork
 from .frequency import IslandPlan, plan_all_islands
 from .objective import Objective
 from .partition import IslandPartitioner, partition_graph
@@ -293,22 +295,14 @@ def _fanout_width(spec: SoCSpec, cfg: SynthesisConfig, steps: int) -> int:
     A pass fans out only when every condition holds: the fast path is on
     (the ``enable_caches=False`` reference mode stays one process), the
     spec has at least :data:`_FANOUT_MIN_CORES` cores, the pass has more
-    than one step, this process is not itself a pool worker (a sweep
-    task never nests a pool), the start method is ``fork`` (workers
-    inherit the spec instead of unpickling it), no other thread runs (a
-    fork copies no thread, so a lock another one holds would stay held
-    in the worker), and more than one CPU is usable.  The width is then
+    than one step, this process may fork workers
+    (:func:`~repro.core.forked.may_fork`; a sweep worker never does),
+    and more than one CPU is usable.  The width is then
     ``min(CPUs, steps)``.
     """
     if not cfg.enable_caches or steps < 2 or len(spec.cores) < _FANOUT_MIN_CORES:
         return 1
-    import multiprocessing
-    import threading
-
-    if multiprocessing.parent_process() is not None or threading.active_count() > 1:
-        return 1
-    method = multiprocessing.get_start_method(allow_none=True)
-    if (method or multiprocessing.get_all_start_methods()[0]) != "fork":
+    if not may_fork():
         return 1
     return min(_usable_cpus(), steps)
 
@@ -325,100 +319,47 @@ def _fanned_out_pass(
     Step ``j`` goes to chunk ``j % width``: round-robin chunks do equal
     work, where contiguous ones would not (per-step cost grows with the
     switch count).  This process runs chunk 0 while ``width - 1``
-    forked workers run the others (:func:`_run_chunk`); with a recorder
-    installed, each worker's snapshot merges here as ``chunk<i>``.  A
-    worker's exception re-raises here, and no worker outlives the call.
-
-    Each worker is a bare forked process writing one pickle to a pipe:
-    it inherits everything it reads and starts on its chunk at once,
-    and this process decodes the pickle straight off the pipe once its
-    own chunk is done, so the encoded bytes are never held whole.  (A
-    ``ProcessPoolExecutor`` hands the task over and takes the result in
-    through threads of this process, which wait for the GIL while this
-    process computes: docs/performance.md, "Candidate fan-out".)
+    forked workers run the others (:func:`_run_chunk`), then decodes
+    each worker's result off its pipe; with a recorder installed, each
+    worker's snapshot merges here as ``chunk<i>``.  A worker's exception
+    re-raises here, and no worker outlives the call
+    (:func:`~repro.core.forked.forked_workers`).
     """
-    import multiprocessing
-    import pickle
-
-    context = multiprocessing.get_context("fork")
     recorder = active_recorder()
-    workers: List[Tuple[multiprocessing.Process, BinaryIO]] = []
-    try:
-        for chunk in range(1, width):
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
-            worker = context.Process(
-                target=_run_chunk,
-                args=(write_fd, read_fd, spec, library, cfg, plans, chunk, width,
-                      recorder is not None),
-                name="synthesis-chunk%d" % chunk,
-            )
-            try:
-                worker.start()
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(write_fd)
-            workers.append((worker, pipe))
+    work = partial(_run_chunk, spec, library, cfg, plans, width, recorder is not None)
+    with forked_workers(work, range(1, width), "synthesis chunk") as receive:
         chunks = [list(_candidate_pass(spec, library, cfg, plans, 0, width))]
-        for chunk, (worker, pipe) in enumerate(workers, 1):
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(
-                    "synthesis chunk %d: worker exited without a result" % chunk
-                ) from None
-            if isinstance(result, BaseException):
-                raise result
-            steps, snapshot = result
+        for chunk in range(1, width):
+            steps, snapshot = receive(chunk)
             _rebind(itertools.chain.from_iterable(steps), spec, library)
             chunks.append(steps)
             if snapshot is not None:
                 recorder.merge(snapshot, process="chunk%d" % chunk)
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, pipe in workers:
-            pipe.close()
-            worker.join()
     return _merge_chunks(chunks)
 
 
 def _run_chunk(
-    write_fd: int,
-    read_fd: int,
     spec: SoCSpec,
     library: NocLibrary,
     cfg: SynthesisConfig,
     plans: Mapping[int, IslandPlan],
-    chunk: int,
     width: int,
     collect_obs: bool,
+    chunk: int,
+    send: Callable[[object], None],
 ) -> None:
     """A forked worker's chunk of :func:`_fanned_out_pass`.
 
-    Writes one pickle to ``write_fd``: ``(step outcome lists, recorder
-    snapshot or None)``, or the exception that stopped the chunk.  The
-    topologies travel without their spec and library, which the caller
-    already holds.
+    Sends one message: ``(step outcome lists, recorder snapshot or
+    None)``.  The topologies travel without their spec and library,
+    which the caller already holds.
     """
-    import pickle
-
-    os.close(read_fd)
     payload: Dict[str, object] = {}
     capture = worker_recording(payload) if collect_obs else nullcontext()
-    try:
-        with gc_paused(), capture:
-            steps = list(_candidate_pass(spec, library, cfg, plans, chunk, width))
-        _rebind(itertools.chain.from_iterable(steps), None, None)
-        data = pickle.dumps((steps, payload.get("obs")), pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # re-raised by the caller
-        data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-    with open(write_fd, "wb") as pipe:
-        pipe.write(data)
+    with gc_paused(), capture:
+        steps = list(_candidate_pass(spec, library, cfg, plans, chunk, width))
+    _rebind(itertools.chain.from_iterable(steps), None, None)
+    send((steps, payload.get("obs")))
 
 
 def _merge_chunks(chunks: Sequence[List[List[Outcome]]]) -> List[Outcome]:

@@ -9,9 +9,9 @@ Everything that observes a run goes through one :class:`Recorder`:
 * :meth:`Recorder.emit` hands events (span closes, controller
   telemetry, sweep progress, worker heartbeats) to the recorder's
   sinks, and builds none when it has no sinks;
-* :meth:`Recorder.snapshot` and :meth:`Recorder.merge` carry a pool
-  worker's share of the run home under a deterministic ``task<i>``
-  label.
+* :meth:`Recorder.snapshot` and :meth:`Recorder.merge` carry a forked
+  worker's share of the run home under a deterministic ``task<i>`` or
+  ``chunk<i>`` label.
 
 When no recorder is installed (the default), :func:`active_recorder`
 and :func:`span` cost one global read each, and no record or event is
@@ -217,7 +217,7 @@ class _OpenSpan:
 class Outbox(list):
     """Sink that keeps its events for :meth:`Recorder.snapshot` to ship.
 
-    A pool worker records each task under
+    A sweep worker records each task under
     ``Recorder("worker", sinks=[Outbox()])``, so the task's heartbeats
     and span events travel home inside the snapshot.
     """
@@ -310,7 +310,7 @@ class Recorder:
     # -- cross-process merge -------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """What a pool worker ships home: pid, counters, spans, outbox events."""
+        """What a worker sends home: pid, counters, spans, outbox events."""
         return {
             "pid": os.getpid(),
             "counters": dict(self.counters),

@@ -29,7 +29,7 @@ from repro.cache import (
 from repro.cache import store as store_module
 from repro.cli import main
 from repro.core import synthesis
-from repro.core.explore import ExplorationEngine, alpha_exploration
+from repro.core.explore import ExplorationEngine
 from repro.core.objective import (
     Objective,
     ObjectiveResult,
@@ -550,6 +550,29 @@ class TestVerifyOnHit:
         assert warm_store.stats.counters["hits.disk.space"] == 1
         assert warm_store.stats.counters["verify_mismatches"] == 1
 
+    def test_swapped_topology_raises(self, tmp_path):
+        """A record whose metrics are right but whose first point hands
+        on the last point's topology and floorplan."""
+        spec = logical_partitioning(load_benchmark("d26_media"), 4)
+        cfg = SynthesisConfig()
+        with caching(CacheStore.open(tmp_path)):
+            synthesize(spec, config=cfg)
+        store = CacheStore.open(tmp_path)
+        key = design_space_key(spec, DEFAULT_LIBRARY, cfg)
+        record = store.get_object(key, "space")
+        at = [i for i, o in enumerate(record) if not isinstance(o, tuple)]
+        first, last = record[at[0]], record[at[-1]]
+        assert len(first.topology.switches) < len(last.topology.switches)
+        record[at[0]] = dataclasses.replace(
+            first, topology=last.topology, floorplan=last.floorplan
+        )
+        store.put_object(key, record, "space")
+
+        warm_store = CacheStore.open(tmp_path, verify_every=1)
+        with caching(warm_store), pytest.raises(CacheCorruptionError):
+            synthesize(spec, config=cfg)
+        assert warm_store.stats.counters["verify_mismatches"] == 1
+
     def test_sampled_verification_is_a_clean_recompute(self, tmp_path):
         """The recompute behind a sampled hit makes no store call."""
         spec = make_tiny_spec()
@@ -799,14 +822,15 @@ class TestWarmPool:
     def test_worker_hits_merge_into_parent(self, tmp_path):
         spec = make_tiny_spec()
         cfg = SynthesisConfig(max_intermediate=1)
+        engine = ExplorationEngine(workers=2, config=cfg)
         cold_store = CacheStore.open(tmp_path)
         with caching(cold_store):
-            cold = alpha_exploration(spec, [0.4, 0.6], config=cfg, workers=2)
+            cold = engine.alpha_exploration(spec, [0.4, 0.6])
         assert cold_store.stats.counters.get("misses.space") == 2
 
         warm_store = CacheStore.open(tmp_path)
         with caching(warm_store):
-            warm = alpha_exploration(spec, [0.4, 0.6], config=cfg, workers=2)
+            warm = engine.alpha_exploration(spec, [0.4, 0.6])
         assert warm_store.stats.counters.get("hits.disk.space") == 2
         cold_rows = [r.row() for r in cold]
         warm_rows = [r.row() for r in warm]

@@ -487,6 +487,13 @@ class TestImportFootprint:
         assert "repro.core.synthesis" in loaded
         assert _under(loaded, ["multiprocessing", "concurrent"]) == []
 
+    def test_serial_sweep_loads_no_process_machinery(self):
+        """``--workers 1`` never forks: neither ``multiprocessing`` nor
+        ``concurrent`` is imported."""
+        loaded = _cli_modules(["sweep", "d26_media", "--counts", "1,2", "--workers", "1"])
+        assert "repro.core.explore" in loaded
+        assert _under(loaded, ["multiprocessing", "concurrent"]) == []
+
     def test_synth_loads_no_other_subsystem(self):
         loaded = _cli_modules(["synth", "d12_auto", "--islands", "2"])
         assert "repro.core.synthesis" in loaded

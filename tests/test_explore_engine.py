@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import multiprocessing
+import os
+import threading
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SynthesisConfig
+from repro.cache.signatures import design_space_signature
 from repro.core.explore import (
     INFEASIBLE,
     ExplorationEngine,
     SweepRecord,
-    alpha_exploration,
-    grid_exploration,
     pareto_merge,
 )
 from repro.exceptions import SpecError
 from repro.io.report import format_table
+from repro.obs import MemorySink, event_lines
+from repro.perf import Recorder, recording
 from repro.soc import partitioning
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
@@ -24,6 +32,47 @@ def strip_timing(record):
     row = record.row()
     row.pop("seconds")
     return row
+
+
+def sweep_identity(records):
+    """Every output of a sweep but its timings: knobs, counts, failures,
+    columns, and each chosen point's metrics, topology and switch
+    positions."""
+    return [
+        (
+            r.knobs,
+            r.design_points,
+            r.failure,
+            dict(r.extras),
+            r.point and design_space_signature([r.point]),
+        )
+        for r in records
+    ]
+
+
+class TaskFailure(Exception):
+    """Raised by a sweep task on a worker (module level, so it pickles)."""
+
+
+class PidSelector:
+    """The cheapest point, with the pid of the process that selected it
+    as a sweep column."""
+
+    def __call__(self, space):
+        return space.best_by_power()
+
+    def columns(self, point):
+        return {"pid": os.getpid()}
+
+    def column_names(self):
+        return ("pid",)
+
+
+@pytest.fixture
+def one_thread(monkeypatch):
+    """No other thread in this process, so the engine may fork (a stray
+    thread left by another test would otherwise keep sweeps serial)."""
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
 
 
 class TestSweepRecordRow:
@@ -74,8 +123,8 @@ class TestEngine:
 
     def test_parallel_matches_serial(self, tiny_spec):
         alphas = [0.2, 0.8]
-        serial = alpha_exploration(tiny_spec, alphas, workers=1)
-        parallel = alpha_exploration(tiny_spec, alphas, workers=2)
+        serial = ExplorationEngine(workers=1).alpha_exploration(tiny_spec, alphas)
+        parallel = ExplorationEngine(workers=2).alpha_exploration(tiny_spec, alphas)
         assert [strip_timing(r) for r in serial] == [
             strip_timing(r) for r in parallel
         ]
@@ -92,8 +141,8 @@ class TestEngine:
 
     @pytest.mark.runtime
     def test_objective_sweep_parallel_matches_serial(self, tiny_spec):
-        """Objectives are picklable: pool and serial sweeps agree, and
-        the objective's trace_mj column survives the round-trip."""
+        """Forked and serial sweeps agree under an objective, and the
+        objective's trace_mj column survives the trip home."""
         from repro import SynthesisConfig, TraceEnergyObjective, make_use_case
         from repro.runtime import scripted_trace
 
@@ -105,24 +154,127 @@ class TestEngine:
         objective = TraceEnergyObjective(trace=trace)
         config = SynthesisConfig(max_intermediate=1)
         serial = ExplorationEngine(workers=1, config=config, objective=objective)
-        pooled = ExplorationEngine(workers=2, config=config, objective=objective)
+        forked = ExplorationEngine(workers=2, config=config, objective=objective)
         s = serial.alpha_exploration(tiny_spec, [0.2, 0.8])
-        p = pooled.alpha_exploration(tiny_spec, [0.2, 0.8])
+        p = forked.alpha_exploration(tiny_spec, [0.2, 0.8])
         assert [strip_timing(r) for r in s] == [strip_timing(r) for r in p]
         assert all("trace_mj" in r.row() for r in s)
 
-    def test_engine_methods_match_wrappers(self, tiny_spec):
-        engine = ExplorationEngine(config=SynthesisConfig(max_intermediate=1))
-        via_engine = engine.alpha_exploration(tiny_spec, [0.5])
-        via_wrapper = alpha_exploration(tiny_spec, [0.5])
-        assert [strip_timing(r) for r in via_engine] == [
-            strip_timing(r) for r in via_wrapper
-        ]
+
+@pytest.mark.usefixtures("one_thread")
+class TestForkedSweep:
+    """``workers > 1`` deals a sweep's tasks over forked workers, which
+    the caller waits on: it runs no task itself."""
+
+    ALPHAS = [0.2, 0.4, 0.6, 0.8, 1.0]
+
+    def test_tasks_are_dealt_round_robin_off_the_caller(self, tiny_spec):
+        engine = ExplorationEngine(workers=2, select=PidSelector())
+        pids = [r.extras["pid"] for r in engine.alpha_exploration(tiny_spec, self.ALPHAS)]
+        assert os.getpid() not in pids
+        assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2
+        assert pids[0] != pids[1]
+
+    def test_workers_above_the_task_count_fork_one_per_task(self, tiny_spec):
+        engine = ExplorationEngine(workers=4, select=PidSelector())
+        pids = [r.extras["pid"] for r in engine.alpha_exploration(tiny_spec, [0.2, 0.8])]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+
+    def test_lambda_selector(self, tiny_spec):
+        """Workers inherit the tasks: nothing pickles the selector."""
+        last = lambda space: space.points[-1]  # noqa: E731
+        serial = ExplorationEngine(select=last).alpha_exploration(tiny_spec, self.ALPHAS)
+        forked = ExplorationEngine(workers=2, select=last).alpha_exploration(
+            tiny_spec, self.ALPHAS
+        )
+        assert sweep_identity(forked) == sweep_identity(serial)
+
+    def test_task_exception_reaches_the_caller(self, tiny_spec):
+        def failing(space):
+            raise TaskFailure("task 3")
+
+        engine = ExplorationEngine(workers=2)
+        tasks = [engine.task(tiny_spec, {"i": i}) for i in range(4)]
+        tasks[3] = dataclasses.replace(tasks[3], select=failing)
+        with pytest.raises(TaskFailure, match="task 3"):
+            engine.run(tasks)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_mid_sweep_is_an_error(self, tiny_spec):
+        def dying(space):
+            os._exit(3)
+
+        engine = ExplorationEngine(workers=2)
+        tasks = [engine.task(tiny_spec, {"i": i}) for i in range(4)]
+        tasks[3] = dataclasses.replace(tasks[3], select=dying)
+        with pytest.raises(RuntimeError, match="sweep worker 1: worker exited without a result"):
+            engine.run(tasks)
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_platform_runs_serially(self, tiny_spec, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_start_method", lambda allow_none=False: "spawn"
+        )
+        serial = ExplorationEngine(select=PidSelector()).alpha_exploration(
+            tiny_spec, self.ALPHAS
+        )
+        forked = ExplorationEngine(workers=2, select=PidSelector()).alpha_exploration(
+            tiny_spec, self.ALPHAS
+        )
+        assert {r.extras["pid"] for r in forked} == {os.getpid()}
+        assert sweep_identity(forked) == sweep_identity(serial)
+
+
+@st.composite
+def generated_socs(draw):
+    n_cores = draw(st.integers(min_value=8, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=999))
+    return generate_soc(
+        GeneratorConfig(
+            name="sweep%d_%d" % (n_cores, seed),
+            num_cores=n_cores,
+            num_groups=draw(st.integers(min_value=2, max_value=4)),
+            seed=seed,
+        )
+    )
+
+
+@given(generated_socs())
+@settings(
+    max_examples=3,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_forked_sweeps_match_serial(one_thread, soc):
+    """Records are equal at 1, 2 and 3 workers, and the merged event
+    feeds at 2 and 3 differ only in ``sweep.start``'s ``workers``."""
+    records, feeds = {}, {}
+    for workers in (1, 2, 3):
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
+            records[workers] = ExplorationEngine(workers=workers).island_count_exploration(
+                soc, [2, 3]
+            )
+        feeds[workers] = event_lines(capture.events, timing=False)
+    assert sweep_identity(records[2]) == sweep_identity(records[1])
+    assert sweep_identity(records[3]) == sweep_identity(records[1])
+    for workers in (2, 3):
+        start = json.loads(feeds[workers][0])
+        assert start["name"] == "sweep.start"
+        assert start["attrs"] == {"tasks": 4, "workers": workers}
+    assert feeds[2][1:] == feeds[3][1:]
+    assert {json.loads(line)["process"] for line in feeds[2]} == {
+        "main", "task0", "task1", "task2", "task3"
+    }
 
 
 class TestGridExploration:
-    def test_cross_product_and_knob_labels(self, tiny_spec):
-        result = grid_exploration(tiny_spec, alphas=[0.2, 0.8], widths=[32, 64])
+    @pytest.fixture
+    def engine(self):
+        return ExplorationEngine()
+
+    def test_cross_product_and_knob_labels(self, engine, tiny_spec):
+        result = engine.grid_exploration(tiny_spec, alphas=[0.2, 0.8], widths=[32, 64])
         assert len(result.records) == 4
         assert [r.knobs for r in result.records] == [
             {"alpha": 0.2, "width_bits": 32},
@@ -136,25 +288,25 @@ class TestGridExploration:
             result.pareto
         )
 
-    def test_default_axes_run_spec_as_is(self, tiny_spec):
-        result = grid_exploration(tiny_spec)
+    def test_default_axes_run_spec_as_is(self, engine, tiny_spec):
+        result = engine.grid_exploration(tiny_spec)
         assert len(result.records) == 1
         assert result.records[0].knobs == {}
 
-    def test_island_axis(self, tiny_spec):
-        result = grid_exploration(
+    def test_island_axis(self, engine, tiny_spec):
+        result = engine.grid_exploration(
             tiny_spec.single_island(), islands=[1, 2], strategies=("logical",)
         )
         assert [r.knobs["islands"] for r in result.records] == [1, 2]
 
-    def test_rejects_bad_axes(self, tiny_spec):
+    def test_rejects_bad_axes(self, engine, tiny_spec):
         with pytest.raises(SpecError):
-            grid_exploration(tiny_spec, islands=[2], strategies=("psychic",))
+            engine.grid_exploration(tiny_spec, islands=[2], strategies=("psychic",))
         with pytest.raises(SpecError):
-            grid_exploration(tiny_spec, widths=[0])
+            engine.grid_exploration(tiny_spec, widths=[0])
 
-    def test_pareto_merge_drops_dominated(self, tiny_spec):
-        result = grid_exploration(tiny_spec, widths=[32, 64])
+    def test_pareto_merge_drops_dominated(self, engine, tiny_spec):
+        result = engine.grid_exploration(tiny_spec, widths=[32, 64])
         merged = pareto_merge(result.records)
         # The 64-bit design dominates on power at equal latency here.
         assert merged
@@ -339,14 +491,12 @@ class TestRuntimeObjective:
         assert energies[chosen.index] == pytest.approx(min(energies.values()))
 
     def test_runtime_exploration_records(self, tiny_spec, trace):
-        from repro.core.explore import runtime_exploration
-
-        records = runtime_exploration(
+        engine = ExplorationEngine(config=SynthesisConfig(max_intermediate=1))
+        records = engine.runtime_exploration(
             tiny_spec.single_island(),
             counts=[2],
             trace=trace,
             strategies=("logical",),
-            config=SynthesisConfig(max_intermediate=1),
         )
         assert len(records) == 1
         assert records[0].feasible

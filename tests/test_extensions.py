@@ -5,12 +5,7 @@ import math
 import pytest
 
 from repro import SpecError, analyze_shutdown, make_use_case
-from repro.core.explore import (
-    alpha_exploration,
-    data_width_exploration,
-    island_count_exploration,
-    pareto_records,
-)
+from repro.core.explore import ExplorationEngine
 from repro.power.gating import (
     GatingModel,
     break_even_time_ms,
@@ -161,40 +156,39 @@ class TestVoltage:
 
 
 class TestExplore:
-    def test_island_count_exploration(self, tiny_spec):
-        records = island_count_exploration(tiny_spec.single_island(), [1, 2])
+    @pytest.fixture
+    def engine(self):
+        return ExplorationEngine()
+
+    def test_island_count_exploration(self, engine, tiny_spec):
+        records = engine.island_count_exploration(tiny_spec.single_island(), [1, 2])
         assert len(records) == 4  # 2 counts x 2 strategies
         assert all(r.feasible for r in records)
         rows = [r.row() for r in records]
         assert all("noc_power_mw" in row for row in rows)
 
-    def test_unknown_strategy_rejected(self, tiny_spec):
+    def test_unknown_strategy_rejected(self, engine, tiny_spec):
         with pytest.raises(SpecError):
-            island_count_exploration(tiny_spec, [1], strategies=("psychic",))
+            engine.island_count_exploration(tiny_spec, [1], strategies=("psychic",))
 
-    def test_alpha_exploration(self, tiny_spec):
-        records = alpha_exploration(tiny_spec, [0.0, 0.5, 1.0])
+    def test_alpha_exploration(self, engine, tiny_spec):
+        records = engine.alpha_exploration(tiny_spec, [0.0, 0.5, 1.0])
         assert [r.knobs["alpha"] for r in records] == [0.0, 0.5, 1.0]
         assert all(r.feasible for r in records)
 
-    def test_width_exploration_monotone_frequency_effect(self, tiny_spec):
-        records = data_width_exploration(tiny_spec, [16, 32, 64])
+    def test_width_exploration_monotone_frequency_effect(self, engine, tiny_spec):
+        records = engine.data_width_exploration(tiny_spec, [16, 32, 64])
         assert all(r.feasible for r in records)
         with pytest.raises(SpecError):
-            data_width_exploration(tiny_spec, [0])
+            engine.data_width_exploration(tiny_spec, [0])
 
-    def test_infeasible_recorded_not_raised(self):
+    def test_infeasible_recorded_not_raised(self, engine):
         from repro.soc.generator import hub_soc
 
-        records = island_count_exploration(
+        records = engine.island_count_exploration(
             hub_soc(num_satellites=24).single_island(), [1]
         )
         # Single island hub is feasible (no crossings); check record shape.
         assert records[0].feasible
         row = records[0].row()
         assert row["islands"] == 1
-
-    def test_pareto_records(self, tiny_space):
-        rows = pareto_records(tiny_space)
-        assert rows
-        assert all("noc_power_mw" in r for r in rows)

@@ -140,7 +140,8 @@ class TestSelection:
     def test_sweep_pool_workers_never_fan_out(self, gen40, four_cpus, monkeypatch):
         """A ``workers=2`` sweep of an above-threshold spec: its workers
         inherit this process's selection, and would fan every task out
-        again if they did not know they are pool workers."""
+        again if they did not know they are workers.  The caller, which
+        would fan out, runs no task."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep worker fanned its task out")

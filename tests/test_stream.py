@@ -13,7 +13,6 @@ docs/observability.md.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 
@@ -357,7 +356,7 @@ class TestEmitHooks:
 
 
 # ----------------------------------------------------------------------
-# Sweep feed: progress, cross-process merge, close() flush
+# Sweep feed: progress, cross-process merge
 # ----------------------------------------------------------------------
 
 
@@ -429,34 +428,10 @@ class TestSweepStreaming:
             name for i in range(4) for name in per_task["task%d" % i]
         ]
 
-    def test_close_flushes_completed_unmerged_payloads(self, tiny_spec):
-        # First task fails fast; the concurrently running second task
-        # completes but the result loop never reaches it.  close()
-        # (invoked by run()'s error path) must still merge its events.
-        capture = MemorySink()
-        with recording(Recorder(sinks=[capture])):
-            with ExplorationEngine(workers=2, config=FAST) as engine:
-                tasks = [
-                    dataclasses.replace(
-                        engine.task(tiny_spec, {"i": 0}), select=_boom_select
-                    ),
-                    engine.task(tiny_spec, {"i": 1}),
-                ]
-                with pytest.raises(RuntimeError, match="boom"):
-                    engine.run(tasks)
-            flushed = {e.process for e in capture.events}
-        assert "task1" in flushed
-        assert engine._inflight == []  # flush state fully consumed
-
     def test_no_bus_means_no_worker_event_payloads(self, tiny_spec):
         with ExplorationEngine(workers=2, config=FAST) as engine:
             records = engine.alpha_exploration(tiny_spec, [0.2, 0.8])
         assert len(records) == 2  # no observers: nothing to ship or merge
-
-
-def _boom_select(space):
-    """Module-level (picklable) selector that always fails."""
-    raise RuntimeError("boom")
 
 
 # ----------------------------------------------------------------------
