@@ -288,10 +288,11 @@ class ExplorationEngine:
         forked worker ``i % width`` of ``width = min(workers,
         len(tasks))`` (:func:`_run_share`), where the process may fork
         (:func:`~repro.core.forked.may_fork`); otherwise every task runs
-        here.  The caller runs no task itself: it takes each record in
-        submission order, merges the worker's recorder snapshot under
-        ``task<i>`` (deterministic, though worker pids and scheduling
-        are not) and its cache-stats delta into the active store.
+        here.  With workers, the caller runs no task itself: it takes
+        each record in submission order, merges the worker's recorder
+        snapshot under ``task<i>`` (deterministic, though worker pids
+        and scheduling are not) and its cache-stats delta into the
+        active store.
         Serial and forked sweeps then observe the same counters, spans
         and events.  A recorder with sinks also gets a ``progress``
         feed: ``sweep.start``, one ``sweep.task`` per point and
@@ -330,15 +331,12 @@ class ExplorationEngine:
             with forked_workers(work, range(width), "sweep worker") as receive:
                 for i in range(len(tasks)):
                     record, payload = receive(i % width)
+                    records.append(record)
+                    if store is not None:
+                        # Cache accounting covers every worker's tasks.
+                        store.stats.merge(payload["cache"])
                     if rec is not None:
                         rec.merge(payload["obs"], process="task%d" % i)
-                    if store is not None:
-                        # Worker hit/miss deltas fold into this store's
-                        # stats, so sweep-level cache accounting covers
-                        # every task.
-                        store.stats.merge(payload["cache"])
-                    records.append(record)
-                    if rec is not None:
                         self._emit_task_progress(
                             rec, i, len(tasks), record, cache=payload.get("cache")
                         )
