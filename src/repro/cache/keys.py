@@ -61,6 +61,19 @@ def canonical(obj: Any) -> Any:
     Raises :class:`CacheKeyError` for values with no stable
     content-addressed representation.
     """
+    # Exact built-in types first: they are most of a key's nodes, and
+    # none has a canonical() method or is a dataclass, so the generic
+    # walk below gives each the same form, only after slower checks
+    # (the ``Mapping`` ABC test costs most).  Subclasses take the walk.
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool:
+        return obj
+    if cls is float:
+        return ["f", obj.hex()]
+    if cls is list or cls is tuple:
+        return ["l", [canonical(e) for e in obj]]
+    if cls is dict:
+        return _canonical_mapping(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -81,9 +94,7 @@ def canonical(obj: Any) -> Any:
             [[name, canonical(getattr(obj, name))] for name in fields],
         ]
     if isinstance(obj, Mapping):
-        items = [[canonical(k), canonical(v)] for k, v in obj.items()]
-        items.sort(key=lambda kv: _sort_token(kv[0]))
-        return ["m", items]
+        return _canonical_mapping(obj)
     if isinstance(obj, (set, frozenset)):
         elems = sorted((canonical(e) for e in obj), key=_sort_token)
         return ["s", elems]
@@ -100,6 +111,12 @@ def canonical(obj: Any) -> Any:
         "cannot canonicalize %r of type %s for cache keying"
         % (obj, type(obj).__qualname__)
     )
+
+
+def _canonical_mapping(obj: Mapping) -> Any:
+    items = [[canonical(k), canonical(v)] for k, v in obj.items()]
+    items.sort(key=lambda kv: _sort_token(kv[0]))
+    return ["m", items]
 
 
 def _sort_token(canon: Any) -> str:

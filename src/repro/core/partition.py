@@ -16,7 +16,7 @@ This module implements the classic EDA recipe the 2009-era tools used:
 * deterministic tie-breaking by node strength, then by node string, so
   synthesis results are reproducible run to run.
 
-The graph is undirected with non-negative edge weights; callers
+The graph is undirected with finite, non-negative edge weights; callers
 symmetrize directed communication graphs first (see
 :func:`repro.core.vcg.symmetric_weights`).
 
@@ -25,12 +25,22 @@ so :class:`IslandPartitioner` holds one graph and answers
 :meth:`~IslandPartitioner.parts` for each ``k``, reusing bisections
 across them: every even ``k`` opens with the same ``n/2`` split.  The
 reuse is exact.  Nothing in a bisection is random, so it is a pure
-function of its node order, its induced adjacency and its target
-size.  The induced adjacency of a node set is an order-preserving
-filter of the whole graph's adjacency, so it depends on the set alone;
-and the node order is the caller's at the top and ``str``-sorted below
-it.  ``(node tuple, target size)`` therefore determines a bisection.
+function of its node set, its induced adjacency and its target size;
+and the induced adjacency of a node set is an order-preserving filter
+of the whole graph's adjacency, so it depends on the set alone.
+``(node set, target size)`` therefore determines a bisection.
 :func:`partition_graph` is the one-shot form.
+
+The FM method runs on an int-indexed copy of the graph that the
+partitioner builds once.  Each node gets a *rank*: its place in the
+``str`` order of the nodes, with equal strings in the caller's order.
+The rank is every string tie-break, and a node set is the sorted tuple
+of its ranks.  Neighbour lists keep the adjacency's dict order, so
+every strength and gain accumulates its floats in one fixed order.
+The seed growth and each FM pass pick their next node from
+lazy-deletion heaps keyed ``(-gain, rank)``, which pop exactly the node
+a scan of all candidates would choose, so one bisection of ``V`` nodes
+and ``E`` edges costs O((V + E) log V) per pass instead of O(V^2).
 
 A greedy agglomerative variant (``method="greedy"``) is kept as the
 baseline of the partitioner ablation.
@@ -39,6 +49,7 @@ baseline of the partitioner ablation.
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import PartitionError
@@ -46,8 +57,10 @@ from ..exceptions import PartitionError
 Node = Hashable
 Weights = Mapping[Tuple[Node, Node], float]
 Adjacency = Dict[Node, Dict[Node, float]]
-#: The two sides of one bisection, each ``str``-sorted.
-Halves = Tuple[Tuple[Node, ...], Tuple[Node, ...]]
+#: Per-node ``(neighbour index, weight)`` lists, in adjacency dict order.
+Neighbours = List[List[Tuple[int, float]]]
+#: The two sides of one bisection, each a sorted tuple of node ranks.
+Halves = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def build_adjacency(nodes: Iterable[Node], weights: Weights) -> Adjacency:
@@ -55,7 +68,7 @@ def build_adjacency(nodes: Iterable[Node], weights: Weights) -> Adjacency:
 
     Both ``(u, v)`` and ``(v, u)`` entries are accepted; weights for the
     same unordered pair accumulate.  Self-loops are ignored (they never
-    affect a cut).
+    affect a cut).  Negative, NaN and infinite weights are rejected.
     """
     adj: Adjacency = {n: {} for n in nodes}
     for (u, v), w in weights.items():
@@ -65,6 +78,8 @@ def build_adjacency(nodes: Iterable[Node], weights: Weights) -> Adjacency:
             raise PartitionError("edge (%r, %r) references unknown node" % (u, v))
         if w < 0:
             raise PartitionError("edge (%r, %r) has negative weight %r" % (u, v, w))
+        if not math.isfinite(w):
+            raise PartitionError("edge (%r, %r) has non-finite weight %r" % (u, v, w))
         adj[u][v] = adj[u].get(v, 0.0) + w
         adj[v][u] = adj[v].get(u, 0.0) + w
     return adj
@@ -130,11 +145,12 @@ def partition_graph(
 class IslandPartitioner:
     """k-way min-cut partitions of one graph, for every ``k`` asked.
 
-    The constructor validates the graph and builds its adjacency once;
-    :meth:`parts` answers one part count, memoized per ``k``.  The FM
-    method also memoizes each bisection under ``(node tuple, target
-    size)``, which determines it exactly (see the module docstring), so
-    part counts that share a split compute it once.
+    The constructor validates the graph and builds its adjacency and
+    its int-indexed form once; :meth:`parts` answers one part count,
+    memoized per ``k``.  The FM method also memoizes each bisection
+    under ``(rank tuple, target size)``, which determines it exactly
+    (see the module docstring), so part counts that share a split
+    compute it once.
     """
 
     def __init__(
@@ -154,8 +170,14 @@ class IslandPartitioner:
         self.max_part_size = max_part_size
         self.method = method
         self.adj = build_adjacency(self.nodes, weights)
+        # The node of each rank, and each rank's neighbours by rank.
+        self._by_rank = sorted(self.nodes, key=str)
+        rank = {u: r for r, u in enumerate(self._by_rank)}
+        self._nbrs: Neighbours = [
+            [(rank[v], w) for v, w in self.adj[u].items()] for u in self._by_rank
+        ]
         self._parts: Dict[int, List[Set[Node]]] = {}
-        self._halves: Dict[Tuple[Tuple[Node, ...], int], Halves] = {}
+        self._halves: Dict[Tuple[Tuple[int, ...], int], Halves] = {}
 
     def memoized(self, k: int) -> bool:
         """Whether :meth:`parts` already holds the answer for ``k``."""
@@ -182,32 +204,31 @@ class IslandPartitioner:
         if k == 1:
             parts = [set(self.nodes)]
         elif k == n:
-            parts = sorted(({x} for x in self.nodes), key=_part_sort_key)
+            parts = [{x} for x in self._by_rank]
         else:
             if self.method == "fm":
-                raw = self._recursive_bisect(tuple(self.nodes), self.adj, k)
+                # Disjoint sorted rank tuples sort by their smallest
+                # rank, which is the order of their smallest strings.
+                by_rank = self._by_rank
+                raw = sorted(self._recursive_bisect(tuple(range(n)), k))
+                parts = [{by_rank[r] for r in p} for p in raw if p]
             else:
                 raw = _greedy_agglomerate(self.nodes, self.adj, k, bound)
-            parts = [set(p) for p in raw if p]
+                parts = [set(p) for p in raw if p]
+                parts.sort(key=_part_sort_key)
             if len(parts) != k:
                 raise PartitionError(
                     "internal error: produced %d parts, expected %d" % (len(parts), k)
                 )
-            parts.sort(key=_part_sort_key)
         self._parts[k] = parts
         return parts
 
-    def _recursive_bisect(
-        self, nodes: Tuple[Node, ...], adj: Adjacency, k: int
-    ) -> List[Set[Node]]:
-        """Split ``nodes`` into ``k`` parts by repeated balanced bisection.
-
-        ``adj`` is the adjacency of ``nodes`` or of a superset of them;
-        it is narrowed to ``nodes`` only when a bisection is computed.
-        """
+    def _recursive_bisect(self, members: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
+        """Split ``members``, a sorted rank tuple, into ``k`` parts by
+        repeated balanced bisection."""
         if k == 1:
-            return [set(nodes)]
-        n = len(nodes)
+            return [members]
+        n = len(members)
         k_left = k // 2
         k_right = k - k_left
         # Target sizes proportional to part counts, adjusted to remain
@@ -218,18 +239,13 @@ class IslandPartitioner:
             # Each side must be able to hold its nodes within its parts.
             target_left = min(target_left, k_left * self.max_part_size)
             target_left = max(target_left, n - k_right * self.max_part_size)
-        key = (nodes, target_left)
+        key = (members, target_left)
         halves = self._halves.get(key)
         if halves is None:
-            if len(adj) != n:
-                adj = _induced(adj, set(nodes))
-            left, right = _bisect(list(nodes), adj, target_left)
-            halves = (tuple(sorted(left, key=str)), tuple(sorted(right, key=str)))
+            halves = _bisect(self._nbrs, members, target_left)
             self._halves[key] = halves
-        left_nodes, right_nodes = halves
-        return self._recursive_bisect(left_nodes, adj, k_left) + self._recursive_bisect(
-            right_nodes, adj, k_right
-        )
+        left, right = halves
+        return self._recursive_bisect(left, k_left) + self._recursive_bisect(right, k_right)
 
 
 def _part_sort_key(part: Set[Node]) -> str:
@@ -241,148 +257,132 @@ def _part_sort_key(part: Set[Node]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _induced(adj: Adjacency, keep: Set[Node]) -> Adjacency:
-    """Adjacency restricted to ``keep`` nodes."""
-    return {
-        u: {v: w for v, w in nbrs.items() if v in keep}
-        for u, nbrs in adj.items()
-        if u in keep
-    }
+def _bisect(nbrs: Neighbours, members: Tuple[int, ...], target_left: int) -> Halves:
+    """Two-way partition of ``members`` with ``target_left`` on the left side.
 
-
-def _bisect(
-    nodes: List[Node],
-    adj: Adjacency,
-    target_left: int,
-) -> Tuple[Set[Node], Set[Node]]:
-    """Two-way partition with ``target_left`` nodes on the left side.
-
-    Seeding: grow the left side greedily from the highest-connectivity
-    node, always absorbing the frontier node with the strongest ties to
-    the current left side (a BFS flavoured by weight).  Refinement: FM
-    passes until no improving prefix exists.
+    ``nbrs`` is the whole graph's rank-indexed neighbour lists and
+    ``members`` a sorted tuple of ranks.  Seeding grows the left side
+    greedily (:func:`_grow`); FM passes then refine it until no
+    improving prefix exists, and :func:`_rebalance` restores the exact
+    target size.  Returns both sides as sorted rank tuples.
     """
-    n = len(nodes)
+    n = len(members)
     if target_left <= 0 or target_left >= n:
         raise PartitionError(
             "bisection target %d out of range for %d nodes" % (target_left, n)
         )
-    order = sorted(nodes, key=lambda u: (-_strength(adj, u), str(u)))
-    order_ix = {u: i for i, u in enumerate(order)}
-    seed_node = order[0]
-    left: Set[Node] = {seed_node}
-    # Greedy weighted growth.
-    gain: Dict[Node, float] = {}
-    for v, w in adj[seed_node].items():
-        gain[v] = gain.get(v, 0.0) + w
-    while len(left) < target_left:
-        candidates = [u for u in nodes if u not in left]
-        if not candidates:
-            break
-        best = max(candidates, key=lambda u: (gain.get(u, 0.0), -order_ix[u]))
-        left.add(best)
-        for v, w in adj[best].items():
-            if v not in left:
-                gain[v] = gain.get(v, 0.0) + w
-        gain.pop(best, None)
-    right = set(nodes) - left
-    left, right = _fm_refine(nodes, adj, left, right, target_left)
-    return left, right
+    if n == len(nbrs):
+        sub = nbrs  # the whole graph: ranks are already local indices
+    else:
+        local = {r: i for i, r in enumerate(members)}.get
+        sub = [[(i, w) for j, w in nbrs[r] if (i := local(j)) is not None] for r in members]
+    in_left = _grow(sub, target_left)
+    _fm_refine(sub, in_left, target_left)
+    _rebalance(sub, in_left, target_left)
+    return (
+        tuple(r for r, s in zip(members, in_left) if s),
+        tuple(r for r, s in zip(members, in_left) if not s),
+    )
 
 
-def _strength(adj: Adjacency, u: Node) -> float:
-    return sum(adj[u].values())
+def _grow(nbrs: Neighbours, target_left: int) -> List[bool]:
+    """Seed a bisection: grow the left side to ``target_left`` nodes.
+
+    Starts from the highest-connectivity node and keeps absorbing the
+    node with the strongest ties to the current left side (a BFS
+    flavoured by weight).  Ties go to the stronger node, then to the
+    lower index.  A heap keyed ``(-gain, place in that order)`` holds
+    every candidate; an entry whose node has joined the left side or
+    whose gain has grown since it was pushed is dropped when it surfaces.
+    """
+    n = len(nbrs)
+    strength = [sum(w for _, w in row) for row in nbrs]
+    # Descending strength; the sort is stable, so ties keep index order.
+    order = sorted(range(n), key=strength.__getitem__, reverse=True)
+    place = [0] * n
+    for p, i in enumerate(order):
+        place[i] = p
+    in_left = [False] * n
+    gain = [0.0] * n
+    heap = [(-0.0, p) for p in range(n)]  # sorted, hence a heap
+    for _ in range(target_left):
+        while True:
+            g, p = heappop(heap)
+            best = order[p]
+            if not in_left[best] and g == -gain[best]:
+                break
+        in_left[best] = True
+        for j, w in nbrs[best]:
+            if not in_left[j]:
+                gain[j] += w
+                heappush(heap, (-gain[j], place[j]))
+    return in_left
 
 
 def _fm_refine(
-    nodes: List[Node],
-    adj: Adjacency,
-    left: Set[Node],
-    right: Set[Node],
+    nbrs: Neighbours,
+    in_left: List[bool],
     target_left: int,
     max_passes: int = 8,
     balance_slack: int = 1,
-) -> Tuple[Set[Node], Set[Node]]:
-    """Fiduccia–Mattheyses refinement of a bisection.
+) -> None:
+    """Fiduccia–Mattheyses refinement of the bisection ``in_left``, in place.
 
     Repeats passes of tentative single-node moves (each node moved at
-    most once per pass, always the highest-gain feasible move) and
-    commits the best prefix, until a pass yields no improvement.
+    most once per pass, always the highest-gain feasible move, ties to
+    the lower index) and commits the best prefix, until a pass yields no
+    improvement.  A pass keeps one heap of ``(-gain, index)`` per side;
+    the balance rule says which sides may give a node, and the better
+    of their tops moves.
 
     ``balance_slack`` lets the left side deviate from ``target_left`` by
     at most that many nodes, which gives FM room to climb out of local
     minima without destroying the size targets the recursion needs.
     """
-    n = len(nodes)
+    n = len(nbrs)
     lo = max(1, target_left - balance_slack)
     hi = min(n - 1, target_left + balance_slack)
-    # Int-indexed mirrors of the graph: the pass below runs the gain /
-    # lock / best-prefix loop over flat lists instead of hashing nodes.
-    # Neighbour lists keep adjacency dict order, so every float
-    # accumulates in the historical order; the deterministic string
-    # tie-break becomes a precomputed rank (the stable sort leaves
-    # equal strings in scan order, which reproduces the strict ``<``
-    # comparison on string forms exactly).
-    ix = {u: i for i, u in enumerate(nodes)}
-    nbrs: List[List[Tuple[int, float]]] = [
-        [(ix[v], w) for v, w in adj[u].items()] for u in nodes
-    ]
-    srank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=lambda i: str(nodes[i]))):
-        srank[i] = r
-    in_left = [u in left for u in nodes]  # committed sides
-
     for _ in range(max_passes):
         side = in_left[:]  # tentative sides for this pass
         len_l = sum(side)
         locked = [False] * n
-        n_locked = 0
         # gain(u) = (external weight) - (internal weight)
         gains = [0.0] * n
-        for i in range(n):
+        heaps: Tuple[List[Tuple[float, int]], List[Tuple[float, int]]] = ([], [])
+        for i, row in enumerate(nbrs):
             internal = external = 0.0
             u_left = side[i]
-            for j, w in nbrs[i]:
+            for j, w in row:
                 if side[j] == u_left:
                     internal += w
                 else:
                     external += w
-            gains[i] = external - internal
+            g = gains[i] = external - internal
+            heaps[u_left].append((-g, i))
+        heapify(heaps[0])
+        heapify(heaps[1])
         moves: List[int] = []
         cum_gain: List[float] = []
         total = 0.0
-        while n_locked < n:
-            best_i = -1
-            best_gain = -math.inf
-            best_rank = -1
-            for i in range(n):
-                if locked[i]:
-                    continue
-                new_left_size = len_l + (-1 if side[i] else 1)
-                if new_left_size < lo or new_left_size > hi:
-                    continue
-                g = gains[i]
-                if g > best_gain or (g == best_gain and srank[i] < best_rank):
-                    best_gain = g
-                    best_i = i
-                    best_rank = srank[i]
-            if best_i < 0:
-                break
-            # Apply the tentative move and update neighbour gains.
-            i = best_i
-            if side[i]:
-                side[i] = False
-                len_l -= 1
+        while True:
+            # The best node of each side that may give one.
+            top_l = _live_top(heaps[1], locked, gains) if lo <= len_l - 1 <= hi else None
+            top_r = _live_top(heaps[0], locked, gains) if lo <= len_l + 1 <= hi else None
+            if top_r is None or (top_l is not None and top_l < top_r):
+                if top_l is None:
+                    break
+                heappop(heaps[1])
+                i = top_l[1]
             else:
-                side[i] = True
-                len_l += 1
+                heappop(heaps[0])
+                i = top_r[1]
+            # Apply the tentative move and update neighbour gains.
+            u_left = side[i] = not side[i]
+            len_l += 1 if u_left else -1
             locked[i] = True
-            n_locked += 1
             total += gains[i]
             moves.append(i)
             cum_gain.append(total)
-            gains[i] = -gains[i]
-            u_left = side[i]
             for j, w in nbrs[i]:
                 if locked[j]:
                     continue
@@ -390,42 +390,61 @@ def _fm_refine(
                     gains[j] -= 2 * w
                 else:
                     gains[j] += 2 * w
+                heappush(heaps[side[j]], (-gains[j], j))
         if not moves:
             break
-        best_prefix = max(range(len(moves)), key=lambda i: (cum_gain[i], -i))
+        best_prefix = 0  # the first of the highest cumulative gains
+        for m in range(1, len(moves)):
+            if cum_gain[m] > cum_gain[best_prefix]:
+                best_prefix = m
         if cum_gain[best_prefix] <= 1e-12:
             break  # no improving prefix: converged
         # Commit moves[0..best_prefix] starting from the original sides.
         for m in moves[: best_prefix + 1]:
             in_left[m] = not in_left[m]
-    left = {nodes[i] for i in range(n) if in_left[i]}
-    right = {nodes[i] for i in range(n) if not in_left[i]}
-    # Restore the exact target size if slack left us off-target: move
-    # the cheapest boundary nodes.
-    left, right = _rebalance(adj, left, right, target_left)
-    return left, right
 
 
-def _rebalance(
-    adj: Adjacency, left: Set[Node], right: Set[Node], target_left: int
-) -> Tuple[Set[Node], Set[Node]]:
-    """Move lowest-cost nodes until ``len(left) == target_left``."""
-    left, right = set(left), set(right)
-    while len(left) != target_left:
-        if len(left) > target_left:
-            src, dst = left, right
-        else:
-            src, dst = right, left
+def _live_top(
+    heap: List[Tuple[float, int]], locked: List[bool], gains: List[float]
+) -> Optional[Tuple[float, int]]:
+    """The top entry of ``heap`` once stale ones are dropped, or ``None``.
 
-        def move_cost(u: Node) -> float:
-            internal = sum(w for v, w in adj[u].items() if v in src)
-            external = sum(w for v, w in adj[u].items() if v in dst)
-            return internal - external  # lower = cheaper to move
+    An entry is stale when its node is locked or its gain has changed
+    since it was pushed (the change pushed a newer entry).
+    """
+    while heap:
+        top = heap[0]
+        i = top[1]
+        if not locked[i] and top[0] == -gains[i]:
+            return top
+        heappop(heap)
+    return None
 
-        u = min(sorted(src, key=str), key=move_cost)
-        src.remove(u)
-        dst.add(u)
-    return left, right
+
+def _rebalance(nbrs: Neighbours, in_left: List[bool], target_left: int) -> None:
+    """Move lowest-cost nodes until the left side holds ``target_left``, in place.
+
+    A node's cost is its weight to its own side minus its weight to the
+    other; ties go to the lower index.
+    """
+    len_l = sum(in_left)
+    while len_l != target_left:
+        src = len_l > target_left  # the side that gives a node
+        best, best_cost = -1, 0.0
+        for i, row in enumerate(nbrs):
+            if in_left[i] != src:
+                continue
+            internal = external = 0.0
+            for j, w in row:
+                if in_left[j] == src:
+                    internal += w
+                else:
+                    external += w
+            cost = internal - external  # lower = cheaper to move
+            if best < 0 or cost < best_cost:
+                best, best_cost = i, cost
+        in_left[best] = not src
+        len_l += -1 if src else 1
 
 
 # ----------------------------------------------------------------------

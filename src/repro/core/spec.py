@@ -16,6 +16,7 @@ to derive a re-islanded variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -102,11 +103,11 @@ class TrafficFlow:
     src, dst:
         Core names; must exist in the owning :class:`SoCSpec`.
     bandwidth_mbps:
-        Sustained bandwidth requirement in MB/s.
+        Sustained bandwidth requirement in MB/s; positive and finite.
     latency_cycles:
         Zero-load latency budget in NoC cycles, measured like the paper
         does: from the output of the source NI to the input of the
-        destination NI.
+        destination NI.  Positive; ``inf`` means unconstrained.
     """
 
     src: str
@@ -119,9 +120,9 @@ class TrafficFlow:
             raise SpecError("flow endpoints must be non-empty strings")
         if self.src == self.dst:
             raise SpecError("flow %s->%s: self-loops are not allowed" % (self.src, self.dst))
-        if not self.bandwidth_mbps > 0:
+        if not (self.bandwidth_mbps > 0 and math.isfinite(self.bandwidth_mbps)):
             raise SpecError(
-                "flow %s->%s: bandwidth must be positive" % (self.src, self.dst)
+                "flow %s->%s: bandwidth must be positive and finite" % (self.src, self.dst)
             )
         if not self.latency_cycles > 0:
             raise SpecError(
@@ -254,6 +255,7 @@ class SoCSpec:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_lookup", None)
+        state.pop("_peaks", None)
         return state
 
     @property
@@ -328,12 +330,33 @@ class SoCSpec:
         in_bw = sum(f.bandwidth_mbps for f in self.flows if f.dst == core_name)
         return max(out_bw, in_bw)
 
+    def core_peak_bandwidths(self) -> Dict[str, float]:
+        """:meth:`core_peak_bandwidth_mbps` of every core, from one pass over the flows.
+
+        Each core's out and in sums accumulate in flow order, as the
+        per-core scans do, so every value is the same float, and the
+        same int 0 for a core without flows.  Built on first use and
+        kept, as :meth:`_index` is (and dropped by
+        :meth:`__getstate__`); callers must not mutate it.
+        """
+        peaks = self.__dict__.get("_peaks")
+        if peaks is None:
+            out_bw = {c.name: 0 for c in self.cores}
+            in_bw = dict(out_bw)
+            for f in self.flows:
+                out_bw[f.src] += f.bandwidth_mbps
+                in_bw[f.dst] += f.bandwidth_mbps
+            peaks = {c: max(out_bw[c], in_bw[c]) for c in out_bw}
+            object.__setattr__(self, "_peaks", peaks)
+        return peaks
+
     def island_peak_bandwidth_mbps(self, island: int) -> float:
         """Largest NI-link bandwidth over the island's cores (step 1)."""
         cores = self.cores_in_island(island)
         if not cores:
             return 0.0
-        return max(self.core_peak_bandwidth_mbps(c) for c in cores)
+        peaks = self.core_peak_bandwidths()
+        return max(peaks[c] for c in cores)
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import pickle
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from _helpers import make_tiny_spec
-from repro import DEFAULT_LIBRARY, OBJECTIVE_NAMES, CoreSpec, TrafficFlow, build_spec
+from repro import DEFAULT_LIBRARY, OBJECTIVE_NAMES, CoreSpec, TrafficFlow, build_spec, mobile_soc_26
 from repro.cache import (
     SCHEMA_VERSION,
     CacheStats,
@@ -26,6 +28,7 @@ from repro.cache import (
     design_space_signature,
     fingerprint,
 )
+from repro.cache import keys as keys_module
 from repro.cache import store as store_module
 from repro.cli import main
 from repro.core import synthesis
@@ -159,6 +162,46 @@ class TestCanonicalization:
 
     def test_fingerprint_sensitive_to_kind(self):
         assert fingerprint("a", 1) != fingerprint("b", 1)
+
+    def test_canonical_forms_are_pinned(self):
+        """The exact-type fast paths keep every canonical form's bytes.
+
+        Digests of ``json.dumps`` of the canonical form (what
+        :func:`fingerprint` hashes, minus its Python-version tag), as the
+        generic walk alone produced them.  Subclasses of the fast-path
+        types (``Label``, ``OrderedDict``, the named tuple) still take
+        the generic walk.
+        """
+
+        class Label(str):
+            pass
+
+        Pair = collections.namedtuple("Pair", "a b")
+        mixed = {
+            "leaves": [1, -2.5, True, None, "s", b"\x00\xff", 0.1 + 0.2],
+            "nested": (1, (2.0, [3, {"k": 4.0}])),
+            "ordered": collections.OrderedDict([("b", 1), ("a", 2.0)]),
+            "pair": Pair(1.0, [2]),
+            "sets": [frozenset({3, 1}), {2.0, 1.0}],
+            "label": Label("x"),
+            "fn": math.floor,
+        }
+        pinned = [
+            (mobile_soc_26(), "d9364996fe142c8b1c0e39044743473bae996c4141c607183d44f2cc4683217d"),
+            (
+                generate_soc(GeneratorConfig(name="g", num_cores=40, num_groups=2, seed=3)),
+                "c4b8c047f7526d884a30911a25fc2166ed9ee9eba51006a7c712640e92082ee3",
+            ),
+            (DEFAULT_LIBRARY, "80ae458c4f295376a45099ec34df8daa8f5446a4bac3be82ce2d4d71961a27ab"),
+            (
+                keys_module._config_canonical(SynthesisConfig()),
+                "6d7349568872457385331a0190902224d668e979f95e06b6586a0395763ad541",
+            ),
+            (mixed, "48fcb3690167f845c97c84b255c600eaf70c2efc09edc1de6bddc961c1eea499"),
+        ]
+        for obj, digest in pinned:
+            text = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, type(obj)
 
 
 class TestConfigKeys:

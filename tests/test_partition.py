@@ -1,5 +1,7 @@
 """Min-cut partitioner: correctness, constraints, determinism, quality."""
 
+import math
+import random
 from unittest import mock
 
 import pytest
@@ -10,13 +12,18 @@ from repro.core import partition as partition_module
 from repro.core import synthesis as synthesis_module
 from repro.core.frequency import plan_all_islands
 from repro.core.partition import IslandPartitioner, build_adjacency, cut_weight
-from repro.core.vcg import build_all_vcgs
+from repro.core.vcg import build_all_vcgs, build_global_vcg
 from repro.perf import recording
 from repro.power.library import DEFAULT_LIBRARY
 from repro.soc.generator import GeneratorConfig, generate_soc
-from repro.soc.partitioning import communication_partitioning, logical_partitioning
+from repro.soc.partitioning import (
+    communication_partitioning,
+    island_count_sweep,
+    logical_partitioning,
+)
 
 from _helpers import pin_fanout_width, space_signature
+from _partition_reference import reference_partition
 
 
 def two_clusters():
@@ -87,6 +94,12 @@ class TestConstraints:
     def test_rejects_negative_weights(self):
         with pytest.raises(PartitionError):
             partition_graph(["a", "b"], {("a", "b"): -1.0}, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        weights = {("a", "b"): bad, ("c", "d"): 1.0, ("b", "c"): 2.0}
+        with pytest.raises(PartitionError, match=r"^edge \('a', 'b'\) has non-finite weight"):
+            partition_graph(["a", "b", "c", "d"], weights, 2)
 
     def test_rejects_impossible_size_bound(self):
         with pytest.raises(PartitionError):
@@ -276,6 +289,98 @@ class TestIslandPartitioner:
             IslandPartitioner(["a", "a"], {})
         with pytest.raises(PartitionError, match="unknown partition method"):
             IslandPartitioner(["a", "b"], {}, method="magic")
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=60):
+    """A graph of up to ``max_nodes`` nodes, a size bound and part counts.
+
+    Node names come shuffled, as strings, ints (whose ``str`` order is
+    not their numeric order) or a mix.  Weights come as floats, a few
+    repeated values or mostly zeros, so gain ties are common; directed
+    duplicates and self-loops accumulate or drop as usual.  The edges
+    come from a seeded generator: drawing hundreds of edges one by one
+    is slow and shrinks no better.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    names = draw(st.sampled_from(["str", "int", "mixed"]))
+    style = draw(st.sampled_from(["float", "ties", "zeros"]))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    nodes = [
+        "v%d" % i if names == "str" or (names == "mixed" and i % 2) else i * 7
+        for i in range(n)
+    ]
+    rng.shuffle(nodes)
+    values = {"float": None, "ties": [0.5, 1.0, 2.0], "zeros": [0.0, 0.0, 1.0]}[style]
+    edges = {}
+    for _ in range(int(density * n * (n - 1) / 2)):
+        pair = (rng.choice(nodes), rng.choice(nodes))
+        edges[pair] = rng.uniform(0.0, 100.0) if values is None else rng.choice(values)
+    bound = draw(st.none() | st.integers(min_value=1, max_value=n))
+    ks = draw(st.lists(st.integers(min_value=0, max_value=n + 1), min_size=1, max_size=4))
+    return nodes, edges, bound, ks
+
+
+@st.composite
+def generated_socs(draw, min_cores, max_cores):
+    """A generated SoC and the island counts to split it into."""
+    n_cores = draw(st.integers(min_value=min_cores, max_value=max_cores))
+    spec = generate_soc(
+        GeneratorConfig(
+            name="oracle%d" % n_cores,
+            num_cores=n_cores,
+            num_groups=draw(st.integers(min_value=1, max_value=max(1, n_cores // 20))),
+            seed=draw(st.integers(min_value=0, max_value=999)),
+        )
+    )
+    counts = draw(
+        st.lists(st.integers(min_value=1, max_value=n_cores), min_size=1, max_size=3, unique=True)
+    )
+    return spec, counts + [max(1, n_cores // 20)]
+
+
+def assert_communication_specs_match_reference(spec, counts):
+    """``island_count_sweep`` and ``communication_partitioning`` == the scans."""
+    vcg = build_global_vcg(spec, 1.0)
+    nodes, edges = list(vcg.nodes), vcg.symmetric_weights()
+    swept = island_count_sweep(spec, counts, "communication")
+    for count, got in zip(counts, swept):
+        parts = sorted(reference_partition(nodes, edges, count), key=min)
+        expected = {core: isl for isl, part in enumerate(parts) for core in part}
+        assert got.vi_assignment == expected, count
+    assert communication_partitioning(spec, counts[-1]) == swept[-1]
+
+
+class TestHeapOracle:
+    """The heap-driven partitioner returns what the O(V^2) scan returns.
+
+    ``_partition_reference.reference_partition`` keeps the scan form:
+    the same partitions, or a ``PartitionError`` with the same text.
+    """
+
+    @given(weighted_graphs())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_weighted_graphs(self, case):
+        nodes, edges, bound, ks = case
+        partitioner = _answer(lambda: IslandPartitioner(nodes, edges, bound))
+        for k in ks:
+            if isinstance(partitioner, IslandPartitioner):
+                got = _answer(lambda: partitioner.parts(k))
+            else:
+                got = partitioner  # the graph itself was rejected
+            assert got == _answer(lambda: reference_partition(nodes, edges, k, bound)), k
+
+    @given(generated_socs(8, 60))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_communication_partitioning_of_generated_socs(self, case):
+        assert_communication_specs_match_reference(*case)
+
+    @pytest.mark.slow
+    @given(generated_socs(100, 480))
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_communication_partitioning_of_large_generated_socs(self, case):
+        assert_communication_specs_match_reference(*case)
 
 
 #: Bisections computed while synthesizing the generated 80-core spec

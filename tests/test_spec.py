@@ -1,12 +1,16 @@
 """SoC specification model: validation, accessors, derivation."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
 import pytest
 
-from repro import CoreSpec, SoCSpec, SpecError, TrafficFlow, build_spec
+from repro import CoreSpec, SoCSpec, SpecError, TrafficFlow, build_spec, synthesize
+from repro.soc.benchmarks import load_benchmark
+from repro.soc.generator import GeneratorConfig, generate_soc
+from repro.soc.partitioning import logical_partitioning
 
 from _helpers import make_tiny_spec
 
@@ -68,6 +72,20 @@ class TestTrafficFlow:
         values = {"bandwidth_mbps": 1.0, "latency_cycles": 20.0, field: math.nan}
         with pytest.raises(SpecError):
             TrafficFlow("a", "b", **values)
+
+    def test_rejects_infinite_bandwidth(self):
+        """An inf flow made VCG weights inf/inf (NaN): a silent partition, then a crash."""
+        flow = load_benchmark("d12_auto").flows[0]
+        with pytest.raises(
+            SpecError, match=r"^flow %s->%s: bandwidth must be positive and finite$" % flow.key
+        ):
+            dataclasses.replace(flow, bandwidth_mbps=math.inf)
+
+    def test_infinite_latency_means_unconstrained(self):
+        spec = load_benchmark("d12_auto")
+        flows = (dataclasses.replace(spec.flows[0], latency_cycles=math.inf),) + spec.flows[1:]
+        space = synthesize(logical_partitioning(dataclasses.replace(spec, flows=flows), 2))
+        assert len(space.points) == 6
 
 
 class TestSoCSpecValidation:
@@ -138,11 +156,12 @@ class TestAccessors:
             tiny_spec.flow("mem", "acc")
 
     def test_lookup_index_is_not_state(self):
-        """The lookup index changes no pickle, copy, equality or repr."""
+        """The lookup index and peak table change no pickle, copy, equality or repr."""
         spec = make_tiny_spec(2)
         blob = pickle.dumps(spec)
         text = repr(spec)
         assert spec.core("acc").kind == "accelerator"
+        assert spec.island_peak_bandwidth_mbps(0) == 600.0
         assert spec.flow("io0", "io1").bandwidth_mbps == 40.0
         assert pickle.dumps(spec) == blob
         assert repr(spec) == text
@@ -169,6 +188,24 @@ class TestAccessors:
         assert tiny_spec.island_peak_bandwidth_mbps(0) == 600.0
         # io island: io1 receives 40 + 2 = 42.
         assert tiny_spec.island_peak_bandwidth_mbps(1) == 42.0
+
+    @pytest.mark.parametrize("cores", [80, 160, 240])
+    @pytest.mark.parametrize("seed", [0, 3, 6, 7, 11])
+    def test_peak_table_matches_per_core_scans(self, cores, seed):
+        """Same values and types as one flow scan per core: int 0 without flows."""
+        spec = generate_soc(
+            GeneratorConfig(name="g%d" % cores, num_cores=cores, num_groups=cores // 20, seed=seed)
+        )
+        peaks = spec.core_peak_bandwidths()
+        assert list(peaks) == spec.core_names
+        for name, peak in peaks.items():
+            scanned = spec.core_peak_bandwidth_mbps(name)
+            assert (type(peak), peak) == (type(scanned), scanned), name
+
+    def test_peak_table_of_a_core_without_flows(self):
+        spec = build_spec("x", [core("a"), core("b"), core("c")], [TrafficFlow("a", "b", 5.0)])
+        assert spec.core_peak_bandwidths() == {"a": 5.0, "b": 5.0, "c": 0}
+        assert type(spec.core_peak_bandwidths()["c"]) is int
 
     def test_aggregates(self, tiny_spec):
         assert tiny_spec.total_core_area_mm2 == pytest.approx(6.9)
