@@ -71,10 +71,43 @@ def plan_island(
     trickle data still get a usable NoC clock rather than a pathological
     few-MHz domain.
     """
+    return _plan_island(
+        spec, island, spec.core_peak_bandwidths(), library, freq_step_mhz, min_freq_mhz
+    )
+
+
+def plan_all_islands(
+    spec: SoCSpec,
+    library: NocLibrary,
+    freq_step_mhz: float = 25.0,
+    min_freq_mhz: float = 100.0,
+) -> Dict[int, IslandPlan]:
+    """Island plans for every island in the spec (Algorithm 1 step 1).
+
+    Every island reads one table of core peak bandwidths, built in one
+    pass over the flows.
+    """
+    peaks = spec.core_peak_bandwidths()
+    return {
+        isl: _plan_island(spec, isl, peaks, library, freq_step_mhz, min_freq_mhz)
+        for isl in spec.islands
+    }
+
+
+def _plan_island(
+    spec: SoCSpec,
+    island: int,
+    peaks: Mapping[str, float],
+    library: NocLibrary,
+    freq_step_mhz: float,
+    min_freq_mhz: float,
+) -> IslandPlan:
+    """:func:`plan_island`, given :meth:`SoCSpec.core_peak_bandwidths`."""
     cores = spec.cores_in_island(island)
     if not cores:
         raise SpecError("island %r of spec %r has no cores" % (island, spec.name))
-    peak_bw = spec.island_peak_bandwidth_mbps(island)
+    # The island's step-1 peak, as SoCSpec.island_peak_bandwidth_mbps.
+    peak_bw = max(peaks[c] for c in cores)
     needed = library.required_freq_mhz(peak_bw)
     freq = units.quantize_frequency(max(needed, min_freq_mhz), freq_step_mhz)
     max_size = library.max_switch_size_for_freq(freq)
@@ -87,19 +120,6 @@ def plan_island(
         max_switch_size=max_size,
         min_switches=min_switches,
     )
-
-
-def plan_all_islands(
-    spec: SoCSpec,
-    library: NocLibrary,
-    freq_step_mhz: float = 25.0,
-    min_freq_mhz: float = 100.0,
-) -> Dict[int, IslandPlan]:
-    """Island plans for every island in the spec (Algorithm 1 step 1)."""
-    return {
-        isl: plan_island(spec, isl, library, freq_step_mhz, min_freq_mhz)
-        for isl in spec.islands
-    }
 
 
 def intermediate_island_freq_mhz(plans: Mapping[int, IslandPlan]) -> float:

@@ -224,8 +224,7 @@ class IslandPartitioner:
         return parts
 
     def _recursive_bisect(self, members: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
-        """Split ``members``, a sorted rank tuple, into ``k`` parts by
-        repeated balanced bisection."""
+        """Split the sorted rank tuple ``members`` into ``k`` parts by repeated bisection."""
         if k == 1:
             return [members]
         n = len(members)

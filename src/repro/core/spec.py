@@ -255,7 +255,6 @@ class SoCSpec:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_lookup", None)
-        state.pop("_peaks", None)
         return state
 
     @property
@@ -335,28 +334,21 @@ class SoCSpec:
 
         Each core's out and in sums accumulate in flow order, as the
         per-core scans do, so every value is the same float, and the
-        same int 0 for a core without flows.  Built on first use and
-        kept, as :meth:`_index` is (and dropped by
-        :meth:`__getstate__`); callers must not mutate it.
+        same int 0 for a core without flows.
         """
-        peaks = self.__dict__.get("_peaks")
-        if peaks is None:
-            out_bw = {c.name: 0 for c in self.cores}
-            in_bw = dict(out_bw)
-            for f in self.flows:
-                out_bw[f.src] += f.bandwidth_mbps
-                in_bw[f.dst] += f.bandwidth_mbps
-            peaks = {c: max(out_bw[c], in_bw[c]) for c in out_bw}
-            object.__setattr__(self, "_peaks", peaks)
-        return peaks
+        out_bw = {c.name: 0 for c in self.cores}
+        in_bw = dict(out_bw)
+        for f in self.flows:
+            out_bw[f.src] += f.bandwidth_mbps
+            in_bw[f.dst] += f.bandwidth_mbps
+        return {c: max(out_bw[c], in_bw[c]) for c in out_bw}
 
     def island_peak_bandwidth_mbps(self, island: int) -> float:
         """Largest NI-link bandwidth over the island's cores (step 1)."""
         cores = self.cores_in_island(island)
         if not cores:
             return 0.0
-        peaks = self.core_peak_bandwidths()
-        return max(peaks[c] for c in cores)
+        return max(self.core_peak_bandwidth_mbps(c) for c in cores)
 
     # ------------------------------------------------------------------
     # Aggregates
