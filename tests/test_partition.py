@@ -363,13 +363,11 @@ class TestHeapOracle:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_weighted_graphs(self, case):
         nodes, edges, bound, ks = case
-        partitioner = _answer(lambda: IslandPartitioner(nodes, edges, bound))
+        partitioner = IslandPartitioner(nodes, edges, bound)
         for k in ks:
-            if isinstance(partitioner, IslandPartitioner):
-                got = _answer(lambda: partitioner.parts(k))
-            else:
-                got = partitioner  # the graph itself was rejected
-            assert got == _answer(lambda: reference_partition(nodes, edges, k, bound)), k
+            assert _answer(lambda: partitioner.parts(k)) == _answer(
+                lambda: reference_partition(nodes, edges, k, bound)
+            ), k
 
     @given(generated_socs(8, 60))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
