@@ -61,23 +61,19 @@ def canonical(obj: Any) -> Any:
     Raises :class:`CacheKeyError` for values with no stable
     content-addressed representation.
     """
-    # Exact built-in types first: they are most of a key's nodes, and
-    # none has a canonical() method or is a dataclass, so the generic
-    # walk below gives each the same form, only after slower checks
-    # (the ``Mapping`` ABC test costs most).  Subclasses take the walk.
-    cls = type(obj)
-    if cls is str or cls is int or cls is bool:
-        return obj
-    if cls is float:
-        return ["f", obj.hex()]
-    if cls is list or cls is tuple:
-        return ["l", [canonical(e) for e in obj]]
-    if cls is dict:
-        return _canonical_mapping(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return ["f", obj.hex()]
+    # Exact lists, tuples and dicts skip the slower checks below (the
+    # ``Mapping`` ABC test costs most): none has a canonical() method or
+    # is a dataclass, so the walk would give each the same form.
+    # Subclasses take the walk.
+    cls = type(obj)
+    if cls is list or cls is tuple:
+        return ["l", [canonical(e) for e in obj]]
+    if cls is dict:
+        return _canonical_mapping(obj)
     if isinstance(obj, bytes):
         return ["b", obj.hex()]
     # Objects may opt in with an explicit canonical() method (SoCSpec

@@ -106,7 +106,7 @@ def _plan_island(
     cores = spec.cores_in_island(island)
     if not cores:
         raise SpecError("island %r of spec %r has no cores" % (island, spec.name))
-    # The island's step-1 peak, as SoCSpec.island_peak_bandwidth_mbps.
+    # Step 1: the island's NoC must carry its busiest core's NI link.
     peak_bw = max(peaks[c] for c in cores)
     needed = library.required_freq_mhz(peak_bw)
     freq = units.quantize_frequency(max(needed, min_freq_mhz), freq_step_mhz)

@@ -145,12 +145,12 @@ def partition_graph(
 class IslandPartitioner:
     """k-way min-cut partitions of one graph, for every ``k`` asked.
 
-    The constructor validates the graph and builds its adjacency and
-    its int-indexed form once; :meth:`parts` answers one part count,
-    memoized per ``k``.  The FM method also memoizes each bisection
-    under ``(rank tuple, target size)``, which determines it exactly
-    (see the module docstring), so part counts that share a split
-    compute it once.
+    The constructor validates the graph and builds its int-indexed form
+    once; the greedy method also keeps the dict adjacency it runs on.
+    :meth:`parts` answers one part count, memoized per ``k``.  The FM
+    method also memoizes each bisection under ``(rank tuple, target
+    size)``, which determines it exactly (see the module docstring), so
+    part counts that share a split compute it once.
     """
 
     def __init__(
@@ -169,13 +169,15 @@ class IslandPartitioner:
             raise PartitionError("unknown partition method %r" % method)
         self.max_part_size = max_part_size
         self.method = method
-        self.adj = build_adjacency(self.nodes, weights)
+        adj = build_adjacency(self.nodes, weights)
         # The node of each rank, and each rank's neighbours by rank.
         self._by_rank = sorted(self.nodes, key=str)
         rank = {u: r for r, u in enumerate(self._by_rank)}
         self._nbrs: Neighbours = [
-            [(rank[v], w) for v, w in self.adj[u].items()] for u in self._by_rank
+            [(rank[v], w) for v, w in adj[u].items()] for u in self._by_rank
         ]
+        # Only the greedy baseline reads the dict adjacency.
+        self._adj: Optional[Adjacency] = adj if method == "greedy" else None
         self._parts: Dict[int, List[Set[Node]]] = {}
         self._halves: Dict[Tuple[Tuple[int, ...], int], Halves] = {}
 
@@ -213,7 +215,7 @@ class IslandPartitioner:
                 raw = sorted(self._recursive_bisect(tuple(range(n)), k))
                 parts = [{by_rank[r] for r in p} for p in raw if p]
             else:
-                raw = _greedy_agglomerate(self.nodes, self.adj, k, bound)
+                raw = _greedy_agglomerate(self.nodes, self._adj, k, bound)
                 parts = [set(p) for p in raw if p]
                 parts.sort(key=_part_sort_key)
             if len(parts) != k:
@@ -433,12 +435,8 @@ def _rebalance(nbrs: Neighbours, in_left: List[bool], target_left: int) -> None:
         for i, row in enumerate(nbrs):
             if in_left[i] != src:
                 continue
-            internal = external = 0.0
-            for j, w in row:
-                if in_left[j] == src:
-                    internal += w
-                else:
-                    external += w
+            internal = sum(w for j, w in row if in_left[j] == src)
+            external = sum(w for j, w in row if in_left[j] != src)
             cost = internal - external  # lower = cheaper to move
             if best < 0 or cost < best_cost:
                 best, best_cost = i, cost

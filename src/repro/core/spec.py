@@ -332,23 +332,17 @@ class SoCSpec:
     def core_peak_bandwidths(self) -> Dict[str, float]:
         """:meth:`core_peak_bandwidth_mbps` of every core, from one pass over the flows.
 
-        Each core's out and in sums accumulate in flow order, as the
-        per-core scans do, so every value is the same float, and the
-        same int 0 for a core without flows.
+        Each core's out and in bandwidths are listed in flow order and
+        added up by ``sum``, as the per-core scans do, so every value is
+        the same float (``sum`` may compensate rounding, so ``+=`` would
+        not be), and the same int 0 for a core without flows.
         """
-        out_bw = {c.name: 0 for c in self.cores}
-        in_bw = dict(out_bw)
+        out_bw: Dict[str, List[float]] = {c.name: [] for c in self.cores}
+        in_bw: Dict[str, List[float]] = {c.name: [] for c in self.cores}
         for f in self.flows:
-            out_bw[f.src] += f.bandwidth_mbps
-            in_bw[f.dst] += f.bandwidth_mbps
-        return {c: max(out_bw[c], in_bw[c]) for c in out_bw}
-
-    def island_peak_bandwidth_mbps(self, island: int) -> float:
-        """Largest NI-link bandwidth over the island's cores (step 1)."""
-        cores = self.cores_in_island(island)
-        if not cores:
-            return 0.0
-        return max(self.core_peak_bandwidth_mbps(c) for c in cores)
+            out_bw[f.src].append(f.bandwidth_mbps)
+            in_bw[f.dst].append(f.bandwidth_mbps)
+        return {c: max(sum(out_bw[c]), sum(in_bw[c])) for c in out_bw}
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -7,7 +7,16 @@ import pickle
 
 import pytest
 
-from repro import CoreSpec, SoCSpec, SpecError, TrafficFlow, build_spec, synthesize
+from repro import (
+    DEFAULT_LIBRARY,
+    CoreSpec,
+    SoCSpec,
+    SpecError,
+    TrafficFlow,
+    build_spec,
+    synthesize,
+)
+from repro.core.frequency import plan_island
 from repro.soc.benchmarks import load_benchmark
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import logical_partitioning
@@ -184,9 +193,9 @@ class TestAccessors:
         assert tiny_spec.core_peak_bandwidth_mbps("mem") == 600.0
 
     def test_island_peak_bandwidth(self, tiny_spec):
-        assert tiny_spec.island_peak_bandwidth_mbps(0) == 600.0
+        assert plan_island(tiny_spec, 0, DEFAULT_LIBRARY).peak_ni_bandwidth_mbps == 600.0
         # io island: io1 receives 40 + 2 = 42.
-        assert tiny_spec.island_peak_bandwidth_mbps(1) == 42.0
+        assert plan_island(tiny_spec, 1, DEFAULT_LIBRARY).peak_ni_bandwidth_mbps == 42.0
 
     @pytest.mark.parametrize("cores", [80, 160, 240])
     @pytest.mark.parametrize("seed", [0, 3, 6, 7, 11])
