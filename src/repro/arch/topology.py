@@ -22,9 +22,10 @@ simulation and export.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count
-from operator import attrgetter, itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import reduce
+from itertools import count, repeat
+from operator import add, attrgetter, itemgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.spec import SoCSpec, TrafficFlow
 from ..exceptions import ValidationError
@@ -130,7 +131,7 @@ class Link:
         # residual capacity in its innermost loop; summing the flow list
         # on every probe dominated the old profile).  Mutate the flow
         # list only through add_flow/remove_flow so the cache stays true.
-        self._used_mbps = sum(bw for _, bw in self.flows)
+        self._used_mbps = _added(self.flows)
 
     def add_flow(self, charge: FlowCharge) -> None:
         """Charge a flow's ``(key, bandwidth_mbps)`` to this link.
@@ -146,7 +147,7 @@ class Link:
         kept = [charge for charge in self.flows if charge[0] != key]
         if len(kept) != len(self.flows):
             self.flows = kept
-            self._used_mbps = sum(bw for _, bw in kept)
+            self._used_mbps = _added(kept)
 
     @property
     def crosses_islands(self) -> bool:
@@ -196,6 +197,78 @@ class Route:
         return len(self.components) - 2
 
 
+_BANDWIDTH = itemgetter(1)
+
+
+def _added(charges: Iterable[FlowCharge]):
+    """Used bandwidth of a charge list: the charges added left to right
+    from int 0, as :meth:`Link.add_flow` adds them one by one.
+
+    Never ``sum``: from Python 3.12 it compensates float rounding, so a
+    re-summed link would differ in the last bit from a routed one.
+    """
+    return reduce(add, map(_BANDWIDTH, charges), 0)
+
+
+# Row constructors: a component from its positional fields, set in
+# field order.  They skip the dataclass ``__init__`` (keyword parsing,
+# ``default_factory``, ``Link.__post_init__``, one
+# ``object.__setattr__`` per frozen ``Route`` field) on every path that
+# builds topologies in bulk.  Attributes go in one by one, never through
+# a whole ``__dict__``, so each instance keeps its class's key-sharing
+# dict, as a constructed one does.
+_new = object.__new__
+
+
+def _switch(sid: str, island: int, freq_mhz: float, n_in: int, n_out: int) -> Switch:
+    sw = _new(Switch)
+    sw.id = sid
+    sw.island = island
+    sw.freq_mhz = freq_mhz
+    sw.n_in = n_in
+    sw.n_out = n_out
+    return sw
+
+
+def _link(
+    lid: int,
+    src: str,
+    dst: str,
+    src_island: int,
+    dst_island: int,
+    freq_mhz: float,
+    capacity_mbps: float,
+    kind: str,
+    length_mm: float,
+    flows: List[FlowCharge],
+    has_converter: Optional[bool],
+    used_mbps,
+) -> Link:
+    link = _new(Link)
+    link.id = lid
+    link.src = src
+    link.dst = dst
+    link.src_island = src_island
+    link.dst_island = dst_island
+    link.freq_mhz = freq_mhz
+    link.capacity_mbps = capacity_mbps
+    link.kind = kind
+    link.length_mm = length_mm
+    link.flows = flows
+    link.has_converter = has_converter
+    link._used_mbps = used_mbps
+    return link
+
+
+def _route(flow: FlowKey, components: Tuple[str, ...], links: Tuple[int, ...]) -> Route:
+    route = _new(Route)
+    fields = route.__dict__  # frozen: its setattr raises
+    fields["flow"] = flow
+    fields["components"] = components
+    fields["links"] = links
+    return route
+
+
 class Topology:
     """A synthesized NoC: components, links and flow routes.
 
@@ -240,8 +313,7 @@ class Topology:
             raise ValidationError("duplicate switch id %r" % sid)
         if island not in self.island_freqs:
             raise ValidationError("no frequency planned for island %r" % island)
-        sw = Switch(id=sid, island=island, freq_mhz=self.island_freqs[island])
-        self.switches[sid] = sw
+        sw = self.switches[sid] = _switch(sid, island, self.island_freqs[island], 0, 0)
         return sw
 
     def attach_core(
@@ -266,7 +338,7 @@ class Topology:
                 "core %r (island %d) may not attach to switch %s (island %d)"
                 % (core_name, island, sw.id, sw.island)
             )
-        if ni_id(core_name) in self.nis:
+        if core_name in self.core_switch:
             raise ValidationError("core %r already attached" % core_name)
         ni = None if nis is None else nis.get(core_name)
         if ni is None or ni.island != island or ni.freq_mhz != sw.freq_mhz:
@@ -292,18 +364,12 @@ class Topology:
 
     def _add_link(self, src: str, dst: str, src_island: int, dst_island: int, kind: str) -> Link:
         freq = min(self.island_freqs[src_island], self.island_freqs[dst_island])
-        link = Link(
-            id=self._next_link_id,
-            src=src,
-            dst=dst,
-            src_island=src_island,
-            dst_island=dst_island,
-            freq_mhz=freq,
-            capacity_mbps=self.library.link_capacity_mbps(freq),
-            kind=kind,
+        lid = self._next_link_id
+        link = self.links[lid] = _link(
+            lid, src, dst, src_island, dst_island, freq,
+            self.library.link_capacity_mbps(freq), kind, 0.0, [], None, 0,
         )
-        self.links[link.id] = link
-        self._next_link_id += 1
+        self._next_link_id = lid + 1
         self._links_by_pair = None
         # NI-side ports are implicit (an NI always has exactly 1 in and
         # 1 out); only switch port counts are tracked for the size bound.
@@ -363,8 +429,7 @@ class Topology:
         for lid in links:
             all_links[lid].add_flow(charge)
         key = charge[0]
-        route = Route(flow=key, components=tuple(comps), links=tuple(links))
-        self.routes[key] = route
+        route = self.routes[key] = _route(key, tuple(comps), tuple(links))
         return route
 
     def clone_scaffold(self) -> "Topology":
@@ -379,35 +444,25 @@ class Topology:
         counter — preserving insertion order everywhere, so routing on
         the clone is byte-identical to routing on the original.
         ``spec``, ``library``, NIs and flow charges are immutable and
-        shared; everything mutable is copied.  The pair index is left
-        for the clone's first query to build.
+        shared; everything mutable (switch port counts, link charge
+        lists) is copied through the row constructors.  The pair index
+        is left for the clone's first query to build.
         """
         clone = Topology.__new__(Topology)
         clone.spec = self.spec
         clone.library = self.library
         clone.island_freqs = dict(self.island_freqs)
-        # Components are copied via __new__ + __dict__ snapshot instead
-        # of their dataclass constructors: field-by-field __init__ (plus
-        # Link.__post_init__ re-summing the flow list) was the dominant
-        # cost of cloning at benchmark scale.  Mutable per-instance
-        # state (Switch port counts, Link flow charges) is what the
-        # copy isolates; ids, islands and frequencies are write-once.
-        sw_new = Switch.__new__
-        clone.switches = {}
-        for sid, sw in self.switches.items():
-            c = sw_new(Switch)
-            c.__dict__.update(sw.__dict__)
-            clone.switches[sid] = c
-        # NIs are write-once (no field changes after attach_core), so
-        # clones share the objects and copy only the dict.
+        clone.switches = {
+            sid: _switch(sid, sw.island, sw.freq_mhz, sw.n_in, sw.n_out)
+            for sid, sw in self.switches.items()
+        }
         clone.nis = dict(self.nis)
-        link_new = Link.__new__
-        clone.links = {}
-        for lid, l in self.links.items():
-            c = link_new(Link)
-            c.__dict__.update(l.__dict__)
-            c.flows = list(l.flows)
-            clone.links[lid] = c
+        clone.links = {
+            lid: _link(lid, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
+                       l.capacity_mbps, l.kind, l.length_mm, list(l.flows),
+                       l.has_converter, l._used_mbps)
+            for lid, l in self.links.items()
+        }
         clone.routes = dict(self.routes)  # Route is frozen; entries shareable
         clone.core_switch = dict(self.core_switch)
         clone._next_link_id = self._next_link_id
@@ -415,71 +470,31 @@ class Topology:
         return clone
 
     def __getstate__(self) -> tuple:
-        """Pickle state with one row of live field values per component.
+        """Pickle state in the row layout the cache store shares.
 
-        Rows pickle smaller and decode faster than instance dicts.  NIs
-        and flow charges go in as the objects themselves, which other
-        topologies share: pickle's memo writes each once per payload,
-        and the topologies decoded from it share them again.  Only the
-        switches, links and routes are rebuilt on load.
+        Switches go in as rows, NIs as the objects themselves, and links
+        and routes in the lean layout where it gives this topology back
+        exactly (:func:`_lean_rows`), else as full rows.  NIs and flow
+        charges are objects other topologies share: pickle's memo
+        writes each once per payload, and the topologies decoded from
+        it share them again.
         """
+        lean = _lean_rows(self)
         return (
             self.spec,
             self.library,
             self.island_freqs,
-            [(s.id, s.island, s.freq_mhz, s.n_in, s.n_out) for s in self.switches.values()],
+            list(map(_SWITCH_ROW, self.switches.values())),
             list(self.nis.values()),
-            [
-                (l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
-                 l.capacity_mbps, l.kind, l.length_mm, l.flows, l.has_converter,
-                 l._used_mbps)
-                for l in self.links.values()
-            ],
-            [(r.flow, r.components, r.links) for r in self.routes.values()],
             self.core_switch,
             self._next_link_id,
-        )
+        ) + (_full_rows(self) if lean is None else lean)
 
-    def __setstate__(self, state: tuple, flows: Optional[List[FlowCharge]] = None) -> None:
-        """Rebuild from :meth:`__getstate__` rows.
-
-        ``flows`` is the packed form's (see :class:`TopologyPacker`):
-        every link's charges in link order, one list, while each link
-        row holds the number of its charges in place of the list.
-        """
-        (self.spec, self.library, self.island_freqs, switches, nis, links, routes,
-         core_switch, next_link_id) = state
-        # Attributes are assigned in field order (never through
-        # ``__dict__``) so every object keeps its class's key-sharing
-        # instance dict, as a constructed one does.
-        new = object.__new__
-        self.switches = {}
-        for row in switches:
-            sw = new(Switch)
-            sw.id, sw.island, sw.freq_mhz, sw.n_in, sw.n_out = row
-            self.switches[sw.id] = sw
-        self.nis = {ni.id: ni for ni in nis}
-        self.links = {}
-        end = 0
-        for row in links:
-            l = new(Link)
-            (l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
-             l.capacity_mbps, l.kind, l.length_mm, l.flows, l.has_converter,
-             l._used_mbps) = row
-            if flows is not None:
-                start, end = end, end + l.flows
-                l.flows = flows[start:end]
-            self.links[l.id] = l
-        self.routes = {}
-        set_field = object.__setattr__
-        for flow, components, link_ids in routes:
-            self.routes[flow] = route = new(Route)
-            set_field(route, "flow", flow)
-            set_field(route, "components", components)
-            set_field(route, "links", link_ids)
-        self.core_switch = core_switch
-        self._next_link_id = next_link_id
-        self._links_by_pair = None
+    def __setstate__(self, state: tuple) -> None:
+        """Rebuild from :meth:`__getstate__`'s state."""
+        (self.spec, self.library, island_freqs, switches, nis, core_switch,
+         next_link_id, links, routes) = state
+        _decode(self, island_freqs, switches, nis, core_switch, next_link_id, links, routes)
 
     # ------------------------------------------------------------------
     # Queries
@@ -581,14 +596,194 @@ class Topology:
         )
 
 
-_FLOWS = attrgetter("flows")
-_COMPONENTS = attrgetter("components")
-_LINK_IDS = attrgetter("links")
-_KEY = itemgetter(0)
+# ----------------------------------------------------------------------
+# Row layout
+# ----------------------------------------------------------------------
+#
+# One layout serves the fan-out pipe and ``copy.deepcopy`` (through
+# ``Topology.__getstate__``) and the cache store (``TopologyPacker``).
+# Switches are ``(id, island, freq_mhz, n_in, n_out)`` rows.  Links and
+# routes take the lean layout where it gives the topology back exactly:
+#
+# * link ids run 0, 1, ... in link order, and links ``2i`` and ``2i+1``
+#   are NI ``i``'s links into and out of its switch, with the islands
+#   and clock of the NI and the switch and no converter override.  Those
+#   rows keep only their wire lengths, plus one capacity per NI clock;
+#   the other links are switch-to-switch rows without id and kind;
+# * each link's charges are its routes' charges in route order, so
+#   routes go in as ``(charge, link ids)`` and the decoder replays the
+#   charges and used bandwidths (:func:`_added`) in route order;
+# * every route's components are its links' endpoints, which the
+#   decoder derives.
+#
+# Anything else, such as a control-plane reroute that re-charged a link
+# out of route order, keeps full rows: every link field, and
+# ``(flow, components, links)`` per route.
 
-#: One flow-charge table: the charges, then ``id(charge)`` -> position
-#: and ``id(flow key)`` -> position of the charge that holds the key.
-_ChargeTable = Tuple[Tuple[FlowCharge, ...], Dict[int, int], Dict[int, int]]
+_SWITCH_ROW = attrgetter("id", "island", "freq_mhz", "n_in", "n_out")
+_LINK_ROW = attrgetter(
+    "id", "src", "dst", "src_island", "dst_island", "freq_mhz", "capacity_mbps",
+    "kind", "length_mm", "flows", "has_converter", "_used_mbps",
+)
+_SW_LINK_ROW = attrgetter(
+    "src", "dst", "src_island", "dst_island", "freq_mhz", "capacity_mbps",
+    "length_mm", "has_converter",
+)
+_NI_LINK_SHAPE = attrgetter(
+    "src", "dst", "src_island", "dst_island", "freq_mhz", "capacity_mbps", "kind",
+    "has_converter",
+)
+_ROUTE_ROW = attrgetter("flow", "components", "links")
+_ID = attrgetter("id")
+_CORE = attrgetter("core")
+_ISLAND = attrgetter("island")
+_FREQ = attrgetter("freq_mhz")
+_CAPACITY = attrgetter("capacity_mbps")
+_KIND = attrgetter("kind")
+_LENGTH = attrgetter("length_mm")
+_DST = attrgetter("dst")
+_FLOWS = attrgetter("flows")
+
+
+def _full_rows(topology: Topology) -> tuple:
+    """``(links, routes)`` as full rows: every link field, and
+    ``(flow, components, links)`` per route."""
+    return (
+        list(map(_LINK_ROW, topology.links.values())),
+        list(map(_ROUTE_ROW, topology.routes.values())),
+    )
+
+
+def _lean_rows(topology: Topology) -> Optional[tuple]:
+    """``(links, routes)`` in the lean layout, or None where it would not
+    give ``topology`` back exactly.
+
+    ``links`` is ``(capacity by NI clock, NI link lengths, switch link
+    rows)`` and ``routes`` is ``(charges, link id tuples)`` in route
+    order.  Components are not compared: a route's components are its
+    links' endpoints by construction, which ``validate_topology``
+    audits.
+    """
+    links = topology.links
+    link_list = list(links.values())
+    n_links = len(link_list)
+    nis = list(topology.nis.values())
+    pairs = 2 * len(nis)
+    if pairs > n_links or list(links) != list(range(n_links)):
+        return None
+
+    # NI links: determined by the NI and its switch, but for the length.
+    into, out = link_list[0:pairs:2], link_list[1:pairs:2]
+    sids = list(map(topology.core_switch.get, map(_CORE, nis)))
+    try:
+        sw_islands = list(map(_ISLAND, map(topology.switches.get, sids)))
+    except AttributeError:  # a core without a switch
+        return None
+    ni_ids = list(map(_ID, nis))
+    ni_islands = list(map(_ISLAND, nis))
+    freqs = list(map(_FREQ, nis))
+    capacities = dict(zip(freqs, map(_CAPACITY, into)))
+    caps = list(map(capacities.__getitem__, freqs))
+    if list(map(_NI_LINK_SHAPE, into)) != list(
+        zip(ni_ids, sids, ni_islands, sw_islands, freqs, caps, repeat("ni2sw"), repeat(None))
+    ) or list(map(_NI_LINK_SHAPE, out)) != list(
+        zip(sids, ni_ids, sw_islands, ni_islands, freqs, caps, repeat("sw2ni"), repeat(None))
+    ):
+        return None
+    rest = link_list[pairs:]
+    if list(map(_KIND, rest)).count("sw2sw") != len(rest):
+        return None
+
+    # Routes: each is keyed by its charge's key, and each link holds its
+    # routes' charges in route order, which a replay checks.
+    flows = list(map(_FLOWS, link_list))
+    replayed = [0] * n_links
+    charges: List[FlowCharge] = []
+    link_ids: List[Tuple[int, ...]] = []
+    try:
+        for key, route in topology.routes.items():
+            ids = route.links
+            first = ids[0]
+            charge = flows[first][replayed[first]]
+            if charge[0] is not key or route.flow is not key:
+                return None
+            for lid in ids:
+                at = replayed[lid]
+                if flows[lid][at] is not charge:
+                    return None
+                replayed[lid] = at + 1
+            charges.append(charge)
+            link_ids.append(ids)
+    except IndexError:  # an empty route, or more charges replayed than held
+        return None
+    if replayed != list(map(len, flows)):
+        return None
+    return (
+        (capacities, list(map(_LENGTH, link_list[:pairs])), list(map(_SW_LINK_ROW, rest))),
+        (charges, link_ids),
+    )
+
+
+def _decode(
+    topology: Topology,
+    island_freqs: Dict[int, float],
+    switches: Sequence[tuple],
+    nis: Sequence[NetworkInterface],
+    core_switch: Dict[str, str],
+    next_link_id: int,
+    links,
+    routes,
+) -> None:
+    """Fill ``topology`` (spec and library set) from its rows: lean rows
+    come as tuples of columns, full rows as lists (see the layout notes
+    above)."""
+    topology.island_freqs = island_freqs
+    topology.switches = by_id = {row[0]: _switch(*row) for row in switches}
+    topology.nis = {ni.id: ni for ni in nis}
+    if type(links) is list:
+        topology.links = {row[0]: _link(*row) for row in links}
+        topology.routes = {row[0]: _route(*row) for row in routes}
+    else:
+        capacities, lengths, sw_rows = links
+        charges, link_ids = routes
+        # Replay the charges in route order.
+        n_links = len(lengths) + len(sw_rows)
+        flows: List[List[FlowCharge]] = [[] for _ in range(n_links)]
+        used = [0] * n_links
+        for charge, ids in zip(charges, link_ids):
+            bw = charge[1]
+            for lid in ids:
+                flows[lid].append(charge)
+                used[lid] += bw
+        made: List[Link] = []
+        lid = 0
+        ends = iter(lengths)
+        for ni in nis:
+            nid = ni.id
+            sw = by_id[core_switch[ni.core]]
+            sid, sw_island, freq, island = sw.id, sw.island, ni.freq_mhz, ni.island
+            cap = capacities[freq]
+            made.append(_link(lid, nid, sid, island, sw_island, freq, cap, "ni2sw",
+                              next(ends), flows[lid], None, used[lid]))
+            lid += 1
+            made.append(_link(lid, sid, nid, sw_island, island, freq, cap, "sw2ni",
+                              next(ends), flows[lid], None, used[lid]))
+            lid += 1
+        for src, dst, src_island, dst_island, freq, cap, length, converter in sw_rows:
+            made.append(_link(lid, src, dst, src_island, dst_island, freq, cap, "sw2sw",
+                              length, flows[lid], converter, used[lid]))
+            lid += 1
+        topology.links = dict(enumerate(made))
+        # Derive the components: the first link's source, then every
+        # link's target.
+        dst_of = list(map(_DST, made)).__getitem__
+        topology.routes = built = {}
+        for charge, ids in zip(charges, link_ids):
+            key = charge[0]
+            built[key] = _route(key, (made[ids[0]].src, *map(dst_of, ids)), ids)
+    topology.core_switch = core_switch
+    topology._next_link_id = next_link_id
+    topology._links_by_pair = None
 
 
 class TopologyPacker:
@@ -597,90 +792,59 @@ class TopologyPacker:
     :meth:`reduce` gives pickle a topology's shell constructor and its
     arguments ``(spec, library, nis, charges, blob)``:
 
-    * ``nis`` holds the topology's NIs and ``charges`` its distinct flow
-      charges, in the order its links first use them.  Topologies that
-      hold the same objects get the same tuple, so the record's pickle
-      memo writes each NI and charge once and the decoded points share
-      them again;
-    * ``blob`` is a nested pickle of the :meth:`Topology.__getstate__`
-      rows without spec, library and NIs.  Each link row holds the
-      number of its charges, and the charges themselves and every
-      route's key are stored as indices into ``charges``.
+    * ``nis`` holds the topology's NIs and ``charges`` its routes' flow
+      charges.  Topologies that hold the same objects get the same
+      tuple, so the record's pickle memo writes each NI and charge once
+      and the decoded points share them again;
+    * ``blob`` is a nested pickle of the lean rows (see the layout notes
+      above) without spec, library and NIs, each route's charge stored
+      as an index into ``charges``.
 
     A packer serves one record: it builds a charge table from the first
     topology whose charges no earlier table covers, so a record of one
     candidate pass builds one table (a fanned-out pass, one per chunk).
-    A topology whose route keys are not its link charges' keys stays
-    eager (:meth:`reduce` returns ``NotImplemented``).
+    A topology without lean rows stays eager (:meth:`reduce` returns
+    ``NotImplemented``), and pickles with full rows.
     """
 
     def __init__(self, protocol: int) -> None:
         self.protocol = protocol
         self._nis: Dict[Tuple[int, ...], Tuple[NetworkInterface, ...]] = {}
-        self._tables: List[_ChargeTable] = []
+        self._tables: List[Tuple[Tuple[FlowCharge, ...], Dict[int, int]]] = []
 
     def reduce(self, topology: Topology):
         import pickle
 
-        links = topology.links.values()
-        charged = list(chain.from_iterable(map(_FLOWS, links)))
-        refs = self._refs(topology, charged)
-        if refs is None:
+        lean = _lean_rows(topology)
+        if lean is None:
             return NotImplemented
-        charges, flow_refs, key_refs = refs
+        links, (charges, link_ids) = lean
+        table, refs = self._refs(charges)
         nis = tuple(topology.nis.values())
         nis = self._nis.setdefault(tuple(map(id, nis)), nis)
-        routes = topology.routes.values()
         rows = (
             topology.island_freqs,
-            [(s.id, s.island, s.freq_mhz, s.n_in, s.n_out)
-             for s in topology.switches.values()],
-            [(l.id, l.src, l.dst, l.src_island, l.dst_island, l.freq_mhz,
-              l.capacity_mbps, l.kind, l.length_mm, len(l.flows), l.has_converter,
-              l._used_mbps)
-             for l in links],
-            flow_refs,
-            key_refs,
-            list(map(_COMPONENTS, routes)),
-            list(map(_LINK_IDS, routes)),
+            list(map(_SWITCH_ROW, topology.switches.values())),
             topology.core_switch,
             topology._next_link_id,
+            links,
+            refs,
+            link_ids,
         )
         blob = pickle.dumps(rows, self.protocol)
-        return _packed_topology, (topology.spec, topology.library, nis, charges, blob)
+        return _packed_topology, (topology.spec, topology.library, nis, table, blob)
 
-    def _refs(self, topology: Topology, charged: List[FlowCharge]):
-        """The first charge table that covers ``topology``, with its
-        link charge and route key indices, or None."""
-        for table in self._tables:
-            refs = _indices(table, topology, charged)
-            if refs is not None:
-                return refs
-        distinct = dict(zip(map(id, charged), charged))
-        charges = tuple(distinct.values())
-        table = (
-            charges,
-            dict(zip(distinct, count())),
-            dict(zip(map(id, map(_KEY, charges)), count())),
-        )
-        refs = _indices(table, topology, charged)
-        if refs is not None:
-            self._tables.append(table)
-        return refs
-
-
-def _indices(table: _ChargeTable, topology: Topology, charged: List[FlowCharge]):
-    """``(charges, link charge indices, route key indices)`` under one
-    charge table, or None when it lacks one of them."""
-    charges, index, key_index = table
-    try:
-        return (
-            charges,
-            list(map(index.__getitem__, map(id, charged))),
-            list(map(key_index.__getitem__, map(id, topology.routes))),
-        )
-    except KeyError:
-        return None
+    def _refs(self, charges: List[FlowCharge]):
+        """The first charge table that holds every charge, and the
+        charges' indices into it."""
+        for table, index in self._tables:
+            try:
+                return table, list(map(index.__getitem__, map(id, charges)))
+            except KeyError:
+                pass
+        table = tuple(charges)
+        self._tables.append((table, dict(zip(map(id, table), count()))))
+        return table, list(range(len(table)))
 
 
 def _packed_topology(spec, library, nis, charges, blob) -> "Topology":
@@ -698,7 +862,7 @@ class _PackedTopology(PackedShell, Topology):
     It holds ``spec`` and ``library``, which a hit rebinds without
     unpacking, and ``_packed``: the rest of what :class:`TopologyPacker`
     wrote.  The first read of anything else unpacks it through
-    :meth:`Topology.__setstate__` (:class:`~repro.packed.PackedShell`).
+    :func:`_decode` (:class:`~repro.packed.PackedShell`).
     """
 
     def __reduce__(self) -> tuple:
@@ -708,13 +872,11 @@ class _PackedTopology(PackedShell, Topology):
         import pickle
 
         nis, charges, blob = self._packed
-        (island_freqs, switches, links, flow_refs, key_refs, components, link_ids,
-         core_switch, next_link_id) = pickle.loads(blob)
-        routes = zip(map(_KEY, map(charges.__getitem__, key_refs)), components, link_ids)
+        (island_freqs, switches, core_switch, next_link_id, links, refs,
+         link_ids) = pickle.loads(blob)
         topology = Topology.__new__(Topology)
-        topology.__setstate__(
-            (self.spec, self.library, island_freqs, switches, nis, links, routes,
-             core_switch, next_link_id),
-            list(map(charges.__getitem__, flow_refs)),
-        )
+        topology.spec = self.spec
+        topology.library = self.library
+        _decode(topology, island_freqs, switches, nis, core_switch, next_link_id, links,
+                (list(map(charges.__getitem__, refs)), link_ids))
         return topology

@@ -11,6 +11,7 @@ island shutdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional
 
 from ..exceptions import ValidationError
@@ -34,6 +35,9 @@ class ShutdownViolation:
         )
 
 
+_FLOW = attrgetter("flow")
+
+
 def audit_shutdown_safety(topology: Topology) -> List[ShutdownViolation]:
     """Find every route that would block an island's shutdown.
 
@@ -43,18 +47,18 @@ def audit_shutdown_safety(topology: Topology) -> List[ShutdownViolation]:
     live — the exact failure mode Section 1 describes for conventional
     NoC synthesis.
     """
-    spec = topology.spec
+    island_of = topology.spec.island_of
+    switches = topology.switches
     violations: List[ShutdownViolation] = []
-    for key, route in sorted(topology.routes.items()):
-        isl_a = spec.island_of(key[0])
-        isl_b = spec.island_of(key[1])
-        allowed = {isl_a, isl_b, INTERMEDIATE_ISLAND}
+    for key, route in topology.routes.items():
+        isl_a = island_of(key[0])
+        isl_b = island_of(key[1])
         for comp in route.components[1:-1]:
-            sw = topology.switches[comp]
-            if sw.island not in allowed:
-                violations.append(
-                    ShutdownViolation(flow=key, switch=comp, island=sw.island)
-                )
+            island = switches[comp].island
+            if island != isl_a and island != isl_b and island != INTERMEDIATE_ISLAND:
+                violations.append(ShutdownViolation(flow=key, switch=comp, island=island))
+    # By flow, and along each route: a stable sort keeps the route order.
+    violations.sort(key=_FLOW)
     return violations
 
 

@@ -44,7 +44,7 @@ from ..exceptions import CacheKeyError
 
 #: Version tag mixed into every digest.  Bump on any change to the
 #: canonical form or to the serialized layout of cached values.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Config fields excluded from cache keys.  ``enable_caches`` toggles
 #: the in-run fast path (memo dicts, routing shortcuts), which is

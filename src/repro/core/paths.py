@@ -744,12 +744,15 @@ class PathAllocator:
         unit_cross = self.cfg.latency_cost_mw_per_cycle * (
             lib.fifo_crossing_cycles + lib.switch_traversal_cycles
         )
+        # The pass's NI table names each core's NI, whose id the pass
+        # formatted once.
+        nis = self._nis
         plan = []
         for flow in self._ordered_flows:
             sw_src = topo.switch_of_core(flow.src)
             sw_dst = topo.switch_of_core(flow.dst)
-            ni_src_lid = to_switch[ni_id(flow.src)]
-            ni_dst_lid = from_switch[ni_id(flow.dst)]
+            ni_src_lid = to_switch[nis[flow.src].id]
+            ni_dst_lid = from_switch[nis[flow.dst].id]
             pressure = (
                 min_lat / flow.latency_cycles if flow.latency_cycles > 0 else 1.0
             )

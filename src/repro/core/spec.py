@@ -178,10 +178,15 @@ class SoCSpec:
         if not self.cores:
             raise SpecError("spec %r: needs at least one core" % self.name)
         names = [c.name for c in self.cores]
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise SpecError("spec %r: duplicate core names %s" % (self.name, sorted(dupes)))
         known = set(names)
+        if len(known) != len(names):
+            seen: Set[str] = set()
+            dupes: Set[str] = set()
+            for n in names:
+                if n in seen:
+                    dupes.add(n)
+                seen.add(n)
+            raise SpecError("spec %r: duplicate core names %s" % (self.name, sorted(dupes)))
         seen_flows: Set[Tuple[str, str]] = set()
         for f in self.flows:
             if f.src not in known:

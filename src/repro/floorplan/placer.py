@@ -134,9 +134,9 @@ def place(
 ) -> Floorplan:
     """Produce a floorplan for a synthesized topology.
 
-    ``skeleton_cache`` memoizes the floorplan *skeleton* — chip
-    outline, island regions, core rectangles and NI positions — across
-    calls for the same spec.  The skeleton is a pure function of the
+    ``skeleton_cache`` memoizes the islands' core areas and the
+    floorplan *skeleton* — chip outline, island regions, core
+    rectangles and NI positions — across calls for the same spec.  The skeleton is a pure function of the
     island region areas (plus the config knobs), and candidates of one
     synthesis sweep mostly repeat the same areas (only intermediate
     switches change them), so the slicing tiler runs once per distinct
@@ -149,11 +149,15 @@ def place(
     spec = topology.spec
     lib = topology.library
 
-    island_core_area: Dict[int, float] = {}
-    for isl in spec.islands:
-        area = sum(spec.core(c).area_mm2 for c in spec.cores_in_island(isl))
-        island_core_area[isl] = area * (1.0 + cfg.island_noc_margin)
-    region_areas: List[Tuple[object, float]] = sorted(island_core_area.items())
+    # The islands' core areas are the spec's, so the cache holds them
+    # for the whole sweep, beside the skeletons.
+    areas_key = ("island core areas", cfg.island_noc_margin)
+    island_areas = None if skeleton_cache is None else skeleton_cache.get(areas_key)
+    if island_areas is None:
+        island_areas = _island_core_areas(spec, cfg.island_noc_margin)
+        if skeleton_cache is not None:
+            skeleton_cache[areas_key] = island_areas
+    region_areas: List[Tuple[object, float]] = list(island_areas)
     if topology.has_intermediate_island:
         mid_area = sum(
             lib.switch_area_mm2(max(s.n_in, 1), max(s.n_out, 1))
@@ -207,6 +211,19 @@ def place(
         switch_pos=switch_pos,
         ni_pos=dict(ni_pos),
     )
+
+
+def _island_core_areas(spec, margin: float) -> Tuple[Tuple[int, float], ...]:
+    """``(island, core area with its NoC margin)`` per island, by island id.
+
+    One pass over the cores lists each island's areas in declaration
+    order, and ``sum`` adds them as a per-island scan would.
+    """
+    areas: Dict[int, List[float]] = {isl: [] for isl in spec.islands}
+    vi = spec.vi_assignment
+    for core in spec.cores:
+        areas[vi[core.name]].append(core.area_mm2)
+    return tuple((isl, sum(a) * (1.0 + margin)) for isl, a in sorted(areas.items()))
 
 
 def _place_switches(

@@ -336,16 +336,17 @@ class TestDiskTier:
         assert report["removed"] == 2
         assert store.disk.entry_count() == 1
 
-    def test_schema_5_blob_is_stale(self, tmp_path):
-        """Schema 6 writes each topology as a packed shell: a schema-5
-        record's eager topologies are another layout, so its blob must
-        read as stale."""
+    def test_schema_6_blob_is_stale(self, tmp_path):
+        """Schema 7 writes topologies in the lean row layout: a schema-6
+        record's packed shells hold full rows, another layout, so its
+        blob must read as stale, not corrupt."""
         store = CacheStore.open(tmp_path)
         store.put_object("a" * 64, 1, kind="space")
         store.put_object("b" * 64, 2, kind="space")
-        _rewrite_header(store.disk.path_for("b" * 64), schema=5)
-        assert SCHEMA_VERSION == 6
-        assert store.disk.verify()["stale"] == ["b" * 64]
+        _rewrite_header(store.disk.path_for("b" * 64), schema=6)
+        assert SCHEMA_VERSION == 7
+        report = store.disk.verify()
+        assert report["stale"] == ["b" * 64] and report["corrupt"] == []
         assert CacheStore.open(tmp_path).get_object("b" * 64, kind="space") is None
 
     def test_put_under_a_file_raises_cache_error(self, tmp_path):
