@@ -4,13 +4,18 @@ Kept out of ``conftest.py`` so test modules can import them explicitly:
 ``benchmarks/`` has its own conftest, and two same-named ``conftest``
 modules on ``sys.path`` shadow each other under pytest's rootdir-based
 imports (the module that loads first wins).  Helpers live here, fixtures
-live in ``conftest.py``.
+live in ``conftest.py``, except :func:`python312_sum`, which a test
+module imports by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import pytest
+
+import _partition_reference
 from repro import (
     CoreSpec,
     SoCSpec,
@@ -20,7 +25,10 @@ from repro import (
     build_spec,
     plan_all_islands,
 )
+from repro.arch import topology as topology_module
 from repro.arch.routing import find_cdg_cycle
+from repro.core import partition as partition_module
+from repro.core import spec as spec_module
 from repro.core import synthesis as synthesis_module
 from repro.core.partition import partition_graph
 from repro.core.vcg import build_all_vcgs
@@ -163,3 +171,71 @@ def pin_fanout_width(monkeypatch, width: int) -> None:
         "_fanout_width",
         lambda spec, cfg, steps: min(width, steps) if cfg.enable_caches else 1,
     )
+
+
+def neumaier_sum(iterable, start=0):
+    """``sum`` as Python 3.12 and later add numbers: floats Neumaier-compensated.
+
+    Up to 3.11 the builtin adds left to right, as a ``+=`` loop does.
+    From 3.12, once the running total is a float, float terms carry a
+    compensation term that is added back at the end, so the result can
+    differ in the last bit.  This follows CPython's ``builtin_sum_impl``:
+    an int phase, a float phase (ints are added there uncompensated),
+    and plain ``+`` from the first term of any other type.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for x in items:
+            total = total + x
+            if type(x) is not int and type(x) is not bool:
+                break
+        else:
+            return total
+    if type(total) is float:
+        compensation = 0.0
+        for x in items:
+            if type(x) is float:
+                t = total + x
+                if abs(total) >= abs(x):
+                    compensation += (total - t) + x
+                else:
+                    compensation += (x - t) + total
+                total = t
+            elif isinstance(x, int):
+                total += float(x)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                total = total + x
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for x in items:
+        total = total + x
+    return total
+
+
+#: The modules whose floats must equal a reference's bit for bit because
+#: both add them with the builtin ``sum`` (or must not use it at all):
+#: the topology and its row decoder, the spec's peak table, the
+#: partitioner and its O(V^2) oracle.
+SUM_PARITY_MODULES = (
+    topology_module,
+    spec_module,
+    partition_module,
+    _partition_reference,
+)
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """Run the test with Python 3.12's compensated ``sum`` in every
+    module of :data:`SUM_PARITY_MODULES`, on any interpreter, so a host
+    without 3.12 still checks that each float is added up as its
+    reference adds it."""
+    for module in SUM_PARITY_MODULES:
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+    return neumaier_sum

@@ -22,7 +22,7 @@ from repro.soc.partitioning import (
     logical_partitioning,
 )
 
-from _helpers import pin_fanout_width, space_signature
+from _helpers import pin_fanout_width, python312_sum, space_signature
 from _partition_reference import reference_partition
 
 
@@ -378,6 +378,28 @@ class TestHeapOracle:
     @given(generated_socs(100, 480))
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_communication_partitioning_of_large_generated_socs(self, case):
+        assert_communication_specs_match_reference(*case)
+
+
+@pytest.mark.usefixtures(python312_sum.__name__)
+class TestHeapOracleUnderPython312Sum:
+    """The oracle comparison again where ``sum`` compensates, as on
+    Python 3.12 and later: gains and costs must be added up as the scan
+    form adds them."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_weighted_graphs(self, case):
+        nodes, edges, bound, ks = case
+        partitioner = IslandPartitioner(nodes, edges, bound)
+        for k in ks:
+            assert _answer(lambda: partitioner.parts(k)) == _answer(
+                lambda: reference_partition(nodes, edges, k, bound)
+            ), k
+
+    @given(generated_socs(8, 60))
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_communication_partitioning_of_generated_socs(self, case):
         assert_communication_specs_match_reference(*case)
 
 

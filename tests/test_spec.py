@@ -21,7 +21,7 @@ from repro.soc.benchmarks import load_benchmark
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import logical_partitioning
 
-from _helpers import make_tiny_spec
+from _helpers import make_tiny_spec, python312_sum
 
 
 def core(name, **kw):
@@ -101,6 +101,20 @@ class TestSoCSpecValidation:
     def test_duplicate_core_names_rejected(self):
         with pytest.raises(SpecError, match="duplicate core"):
             build_spec("x", [core("a"), core("a")], [])
+
+    def test_one_duplicate_among_480_generated_cores(self):
+        spec = generate_soc(GeneratorConfig(name="g480", num_cores=480, num_groups=24, seed=5))
+        cores = list(spec.cores)
+        twin = cores[17].name
+        cores[400] = dataclasses.replace(cores[400], name=twin)
+        with pytest.raises(SpecError) as info:
+            SoCSpec(name="g480", cores=tuple(cores), flows=spec.flows)
+        assert str(info.value) == "spec 'g480': duplicate core names [%r]" % twin
+
+    def test_duplicates_are_named_once_and_sorted(self):
+        with pytest.raises(SpecError) as info:
+            build_spec("x", [core(n) for n in "cbacbb"], [])
+        assert str(info.value) == "spec 'x': duplicate core names ['b', 'c']"
 
     def test_flow_to_unknown_core_rejected(self):
         with pytest.raises(SpecError, match="unknown"):
@@ -201,14 +215,7 @@ class TestAccessors:
     @pytest.mark.parametrize("seed", [0, 3, 6, 7, 11])
     def test_peak_table_matches_per_core_scans(self, cores, seed):
         """Same values and types as one flow scan per core: int 0 without flows."""
-        spec = generate_soc(
-            GeneratorConfig(name="g%d" % cores, num_cores=cores, num_groups=cores // 20, seed=seed)
-        )
-        peaks = spec.core_peak_bandwidths()
-        assert list(peaks) == spec.core_names
-        for name, peak in peaks.items():
-            scanned = spec.core_peak_bandwidth_mbps(name)
-            assert (type(peak), peak) == (type(scanned), scanned), name
+        assert_peak_table_matches_scans(cores, seed)
 
     def test_peak_table_of_a_core_without_flows(self):
         spec = build_spec("x", [core("a"), core("b"), core("c")], [TrafficFlow("a", "b", 5.0)])
@@ -220,6 +227,27 @@ class TestAccessors:
         assert tiny_spec.total_core_dynamic_power_mw == pytest.approx(255.0)
         assert tiny_spec.total_core_leakage_power_mw == pytest.approx(98.0)
         assert tiny_spec.total_flow_bandwidth_mbps == pytest.approx(1134.0)
+
+
+def assert_peak_table_matches_scans(cores, seed):
+    spec = generate_soc(
+        GeneratorConfig(name="g%d" % cores, num_cores=cores, num_groups=cores // 20, seed=seed)
+    )
+    peaks = spec.core_peak_bandwidths()
+    assert list(peaks) == spec.core_names
+    for name, peak in peaks.items():
+        scanned = spec.core_peak_bandwidth_mbps(name)
+        assert (type(peak), peak) == (type(scanned), scanned), name
+
+
+@pytest.mark.usefixtures(python312_sum.__name__)
+class TestAccessorsUnderPython312Sum:
+    """The peak table matches the scans also where ``sum`` compensates."""
+
+    @pytest.mark.parametrize("cores", [80, 160, 240])
+    @pytest.mark.parametrize("seed", [0, 3, 6, 7, 11])
+    def test_peak_table_matches_per_core_scans(self, cores, seed):
+        assert_peak_table_matches_scans(cores, seed)
 
 
 class TestDerivation:
