@@ -11,7 +11,7 @@ island shutdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Mapping, Optional
 
 from ..exceptions import ValidationError
@@ -36,6 +36,7 @@ class ShutdownViolation:
 
 
 _FLOW = attrgetter("flow")
+_BANDWIDTH = itemgetter(1)
 
 
 def audit_shutdown_safety(topology: Topology) -> List[ShutdownViolation]:
@@ -83,14 +84,15 @@ def validate_topology(
     spec = topology.spec
 
     # 1. core attachment
+    island_of = spec.vi_assignment
     for core in spec.core_names:
         if core not in topology.core_switch:
             raise ValidationError("core %r is not attached to any switch" % core)
         sw = topology.switch_of_core(core)
-        if sw.island != spec.island_of(core):
+        if sw.island != island_of[core]:
             raise ValidationError(
                 "core %r attached across islands (%d vs %d)"
-                % (core, sw.island, spec.island_of(core))
+                % (core, sw.island, island_of[core])
             )
 
     # 2. all flows routed
@@ -113,7 +115,7 @@ def validate_topology(
     # incrementally maintained used_mbps cache, so the check also
     # catches callers that mutated ``flows`` behind the cache's back.
     for link in topology.links.values():
-        used = sum(bw for _, bw in link.flows)
+        used = sum(map(_BANDWIDTH, link.flows))
         if used > link.capacity_mbps + 1e-6:
             raise ValidationError(
                 "link %d (%s->%s) overloaded: %.1f of %.1f MB/s"
