@@ -136,11 +136,12 @@ def place(
 
     ``skeleton_cache`` memoizes the islands' core areas and the
     floorplan *skeleton* — chip outline, island regions, core
-    rectangles and NI positions — across calls for the same spec.  The skeleton is a pure function of the
-    island region areas (plus the config knobs), and candidates of one
-    synthesis sweep mostly repeat the same areas (only intermediate
-    switches change them), so the slicing tiler runs once per distinct
-    area vector instead of once per design point.  Only switch
+    rectangles and NI positions — across calls for the same spec.  The
+    skeleton is a pure function of the island region areas (plus the
+    config knobs), and candidates of one synthesis sweep mostly repeat
+    the same areas (only intermediate switches change them), so the
+    slicing tiler runs once per distinct area vector instead of once
+    per design point.  Only switch
     placement depends on the routed links and is recomputed per call;
     cached geometry objects are immutable and shared, the dicts are
     copied.

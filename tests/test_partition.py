@@ -352,6 +352,14 @@ def assert_communication_specs_match_reference(spec, counts):
     assert communication_partitioning(spec, counts[-1]) == swept[-1]
 
 
+def assert_graph_partitions_match_reference(nodes, edges, bound, ks):
+    partitioner = IslandPartitioner(nodes, edges, bound)
+    for k in ks:
+        assert _answer(lambda: partitioner.parts(k)) == _answer(
+            lambda: reference_partition(nodes, edges, k, bound)
+        ), k
+
+
 class TestHeapOracle:
     """The heap-driven partitioner returns what the O(V^2) scan returns.
 
@@ -362,12 +370,7 @@ class TestHeapOracle:
     @given(weighted_graphs())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_weighted_graphs(self, case):
-        nodes, edges, bound, ks = case
-        partitioner = IslandPartitioner(nodes, edges, bound)
-        for k in ks:
-            assert _answer(lambda: partitioner.parts(k)) == _answer(
-                lambda: reference_partition(nodes, edges, k, bound)
-            ), k
+        assert_graph_partitions_match_reference(*case)
 
     @given(generated_socs(8, 60))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -390,12 +393,7 @@ class TestHeapOracleUnderPython312Sum:
     @given(weighted_graphs())
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_random_weighted_graphs(self, case):
-        nodes, edges, bound, ks = case
-        partitioner = IslandPartitioner(nodes, edges, bound)
-        for k in ks:
-            assert _answer(lambda: partitioner.parts(k)) == _answer(
-                lambda: reference_partition(nodes, edges, k, bound)
-            ), k
+        assert_graph_partitions_match_reference(*case)
 
     @given(generated_socs(8, 60))
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
