@@ -481,7 +481,12 @@ class Topology:
         writes each once per payload, and the topologies decoded from
         it share them again.
         """
-        lean = _lean_rows(self)
+        rows = _lean_rows(self)
+        if rows is None:
+            rows = (
+                list(map(_LINK_ROW, self.links.values())),
+                list(map(_ROUTE_ROW, self.routes.values())),
+            )
         return (
             self.spec,
             self.library,
@@ -490,7 +495,7 @@ class Topology:
             list(self.nis.values()),
             self.core_switch,
             self._next_link_id,
-        ) + (_full_rows(self) if lean is None else lean)
+        ) + rows
 
     def __setstate__(self, state: tuple) -> None:
         """Rebuild from :meth:`__getstate__`'s state."""
@@ -647,15 +652,6 @@ _DST = attrgetter("dst")
 _FLOWS = attrgetter("flows")
 
 
-def _full_rows(topology: Topology) -> tuple:
-    """``(links, routes)`` as full rows: every link field, and
-    ``(flow, components, links)`` per route."""
-    return (
-        list(map(_LINK_ROW, topology.links.values())),
-        list(map(_ROUTE_ROW, topology.routes.values())),
-    )
-
-
 def _lean_rows(topology: Topology) -> Optional[tuple]:
     """``(links, routes)`` in the lean layout, or None where it would not
     give ``topology`` back exactly.
@@ -748,7 +744,6 @@ def _decode(
     else:
         capacities, lengths, sw_rows = links
         charges, link_ids = routes
-        # Replay the charges in route order.
         n_links = len(lengths) + len(sw_rows)
         flows: List[List[FlowCharge]] = [[] for _ in range(n_links)]
         used = [0] * n_links
