@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 import sys
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..exceptions import CacheKeyError
 
@@ -92,7 +92,7 @@ def canonical(obj: Any) -> Any:
     if isinstance(obj, Mapping):
         return _canonical_mapping(obj)
     if isinstance(obj, (set, frozenset)):
-        elems = sorted((canonical(e) for e in obj), key=_sort_token)
+        elems = sorted((canonical(e) for e in obj), key=form_text)
         return ["s", elems]
     if isinstance(obj, (list, tuple)):
         return ["l", [canonical(e) for e in obj]]
@@ -111,29 +111,44 @@ def canonical(obj: Any) -> Any:
 
 def _canonical_mapping(obj: Mapping) -> Any:
     items = [[canonical(k), canonical(v)] for k, v in obj.items()]
-    items.sort(key=lambda kv: _sort_token(kv[0]))
+    items.sort(key=lambda kv: form_text(kv[0]))
     return ["m", items]
 
 
-def _sort_token(canon: Any) -> str:
-    """Deterministic total order over canonical forms of mixed types."""
+def form_text(canon: Any) -> str:
+    """The JSON text of a canonical form: what a key hashes, and the
+    deterministic total order over forms of mixed types."""
     return json.dumps(canon, sort_keys=True, separators=(",", ":"))
 
 
 def fingerprint(kind: str, *parts: Any) -> str:
     """sha256 hex digest of canonicalized ``parts`` under a ``kind`` tag."""
-    payload = json.dumps(
-        [
-            "repro-noc-cache",
-            SCHEMA_VERSION,
-            "py%d.%d" % sys.version_info[:2],
-            kind,
-            [canonical(p) for p in parts],
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
+    return hashlib.sha256(_payload(kind, parts).encode("utf-8")).hexdigest()
+
+
+def _payload(kind: str, parts: Sequence[Any]) -> str:
+    """The text :func:`fingerprint` hashes.
+
+    It is the :func:`form_text` of ``["repro-noc-cache", SCHEMA_VERSION,
+    "py<major>.<minor>", kind, [canonical(p) for p in parts]]``, put
+    together from each part's own text: a canonical form holds lists
+    and scalars only, never a dict, so ``sort_keys`` changes nothing and
+    the texts join as ``json.dumps`` writes a list.  An object with a
+    ``key_text()`` method supplies its part's text itself
+    (:meth:`~repro.core.spec.SoCSpec.key_text` keeps it), so a spec
+    is canonicalized once however many keys name it.
+    """
+    head = form_text(
+        ["repro-noc-cache", SCHEMA_VERSION, "py%d.%d" % sys.version_info[:2], kind]
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    texts = []
+    for part in parts:
+        key_text = getattr(part, "key_text", None)
+        if callable(key_text) and not isinstance(part, type):
+            texts.append(key_text())
+        else:
+            texts.append(form_text(canonical(part)))
+    return "%s,[%s]]" % (head[:-1], ",".join(texts))
 
 
 def _config_canonical(config: Any) -> Any:

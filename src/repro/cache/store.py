@@ -2,10 +2,11 @@
 
 Two tiers behind one :class:`CacheStore` facade:
 
-* an in-memory LRU over *serialized payload bytes* — deliberately not
-  over live objects, so every hit deserializes a fresh copy and callers
-  mutating their result (synthesis assigns wire lengths onto cached
-  topologies) can never poison later hits;
+* an in-memory LRU over the *serialized payload bytes* this process
+  wrote — deliberately not over live objects, so every hit
+  deserializes a fresh copy and callers mutating their result
+  (synthesis assigns wire lengths onto cached topologies) can never
+  poison later hits;
 * an on-disk tier of self-describing blobs under ``--cache-dir`` /
   ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-noc``.  Writes go through a
   temp file + ``os.replace`` so readers never observe a partial entry;
@@ -140,6 +141,9 @@ class MemoryTier:
     def total_bytes(self) -> int:
         return self._bytes
 
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
     def get(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
         entry = self._entries.get(key)
         if entry is not None:
@@ -186,31 +190,36 @@ class DiskTier:
     def path_for(self, key: str) -> Path:
         return self._objects_dir() / key[:2] / (key + ".blob")
 
+    def __contains__(self, key: str) -> bool:
+        """Whether a blob is filed under ``key`` (unread, so unchecked)."""
+        return self.path_for(key).is_file()
+
     def get(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
         """Return ``(payload, header)`` or ``None``.
 
-        Any malformed entry — unreadable, bad header, checksum or key
-        mismatch, wrong schema — is deleted and reported as ``None``
-        with :attr:`last_corrupt` set, so callers recompute.
+        Any unusable entry is deleted and reported as ``None``, so
+        callers recompute, with :attr:`last_fault` saying why:
+        ``"stale"`` for a well-formed blob of another schema or key,
+        ``"corrupt"`` for anything else (unreadable, bad header, size
+        or checksum mismatch), as :meth:`verify` classifies them.
         """
-        self.last_corrupt = False
+        self.last_fault = ""
         path = self.path_for(key)
         try:
             raw = path.read_bytes()
         except OSError:
             return None
-        entry = self._parse(key, raw)
+        entry, self.last_fault = self._parse(key, raw)
         if entry is None:
-            self.last_corrupt = True
             try:
                 path.unlink()
             except OSError:
                 pass
-            return None
         return entry
 
-    #: Set by :meth:`get`: the last miss was a corrupt entry, not absence.
-    last_corrupt = False
+    #: Set by :meth:`get`: why the last read found no usable entry
+    #: (``"stale"`` or ``"corrupt"``); empty after a hit or an absence.
+    last_fault = ""
 
     @staticmethod
     def is_current(key: str, header: Dict[str, Any]) -> bool:
@@ -218,26 +227,30 @@ class DiskTier:
         return header.get("schema") == SCHEMA_VERSION and header.get("key") == key
 
     @staticmethod
-    def _parse(key: str, raw: bytes) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+    def _parse(
+        key: str, raw: bytes
+    ) -> Tuple[Optional[Tuple[bytes, Dict[str, Any]]], str]:
+        """``((payload, header), "")`` for a usable blob, else ``(None,
+        "stale")`` or ``(None, "corrupt")``."""
         newline = raw.find(b"\n")
         if newline < 0:
-            return None
+            return None, "corrupt"
         try:
             header = json.loads(raw[:newline].decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            return None
+            return None, "corrupt"
         if not isinstance(header, dict) or header.get("magic") != _MAGIC:
-            return None
+            return None, "corrupt"
         if not DiskTier.is_current(key, header):
-            return None
+            return None, "stale"
         payload = raw[newline + 1:]
         if len(payload) != header.get("size"):
-            return None
+            return None, "corrupt"
         import hashlib
 
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            return None
-        return payload, header
+            return None, "corrupt"
+        return (payload, header), ""
 
     def put(self, key: str, payload: bytes, header: Dict[str, Any]) -> int:
         """Atomically write one entry; returns bytes written."""
@@ -299,39 +312,26 @@ class DiskTier:
         unusable by the current code, harmless on disk.
         """
         checked = 0
-        corrupt = []
-        stale = []
+        faults: Dict[str, list] = {"corrupt": [], "stale": []}
         kinds: Dict[str, int] = {}
         for key in list(self.iter_keys()):
             checked += 1
             path = self.path_for(key)
-            entry = None
-            header: Optional[Dict[str, Any]] = None
             try:
-                raw = path.read_bytes()
+                entry, fault = self._parse(key, path.read_bytes())
             except OSError:
-                raw = None
-            if raw is not None:
-                newline = raw.find(b"\n")
-                if newline >= 0:
-                    try:
-                        parsed = json.loads(raw[:newline].decode("utf-8"))
-                        if isinstance(parsed, dict) and parsed.get("magic") == _MAGIC:
-                            header = parsed
-                    except (UnicodeDecodeError, ValueError):
-                        header = None
-                entry = self._parse(key, raw) if raw is not None else None
+                entry, fault = None, "corrupt"
             if entry is not None:
                 kind = str(entry[1].get("kind", "?"))
                 kinds[kind] = kinds.get(kind, 0) + 1
                 continue
-            is_stale = header is not None and not self.is_current(key, header)
-            (stale if is_stale else corrupt).append(key)
+            faults[fault].append(key)
             if remove:
                 try:
                     path.unlink()
                 except OSError:
                     pass
+        corrupt, stale = faults["corrupt"], faults["stale"]
         return {
             "checked": checked,
             "ok": checked - len(corrupt) - len(stale),
@@ -443,22 +443,27 @@ class CacheStore:
 
     # -- object interface ---------------------------------------------------
 
+    def __contains__(self, key: str) -> bool:
+        """Whether either tier holds ``key``, without reading or counting
+        it: the memory tier, or a blob file, which :meth:`get_object`
+        may still find stale or corrupt."""
+        return key in self.memory or (self.disk is not None and key in self.disk)
+
     def get_object(self, key: str, kind: str) -> Optional[Any]:
         """Decode a fresh copy of the cached value, or ``None`` on miss.
 
         A hit counts once its payload decodes; a payload that fails to
-        decode is dropped and counts as one miss.
+        decode is dropped and counts as one miss.  A disk hit is not
+        copied into the memory tier, which keeps only what this process
+        wrote, so a warm run holds no second copy of what it read.
         """
         tier, entry = "memory", self.memory.get(key)
         if entry is None and self.disk is not None:
             tier, entry = "disk", self.disk.get(key)
-            if self.disk.last_corrupt:
-                self.stats.incr("corrupt.disk")
+            if self.disk.last_fault:
+                self.stats.incr("%s.disk" % self.disk.last_fault)
             if entry is not None:
                 self.stats.incr("bytes_read.disk", len(entry[0]))
-                evicted = self.memory.put(key, *entry)
-                if evicted:
-                    self.stats.incr("evictions.memory", evicted)
         rec = active_recorder()
         if entry is not None:
             try:

@@ -10,10 +10,11 @@ re-rolling loops.
 Sweep points are independent synthesis runs, so :class:`ExplorationEngine`
 can deal them over forked workers (``workers > 1``,
 :mod:`repro.core.forked`): each worker inherits the task list, runs
-every ``width``-th task and sends each record home as it finishes.
-The caller takes the records in submission order, so parallel and
-serial sweeps produce identical record lists; ``workers=1`` never
-forks.
+the tasks dealt to it and sends each record home as it finishes.  With
+a cache store active, the caller serves the tasks whose records the
+store holds, and only the others are dealt.  The caller takes the
+records in submission order, so parallel and serial sweeps produce
+identical record lists; ``workers=1`` never forks.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .design_point import DesignPoint, DesignSpace
 from .forked import forked_workers, may_fork
 from .objective import Objective, TraceEnergyObjective
 from .spec import SoCSpec
-from .synthesis import SynthesisConfig, gc_paused, synthesize
+from .synthesis import SynthesisConfig, gc_paused, store_key, synthesize
 
 if TYPE_CHECKING:  # pragma: no cover - a sweep without a trace loads no runtime
+    from ..cache.store import CacheStore
     from ..power.gating import GatingModel
     from ..runtime.trace import UseCaseTrace
 
@@ -164,24 +166,26 @@ def _run_one(task: SweepTask) -> SweepRecord:
 
 def _run_share(
     tasks: Sequence[SweepTask],
-    width: int,
+    owners: Sequence[Optional[int]],
     collect_obs: bool,
-    worker: int,
+    worker: Optional[int],
     send: Callable[[object], None],
 ) -> None:
-    """A forked worker's share of a sweep: tasks ``worker``,
-    ``worker + width``, ... in order.
+    """One share of a sweep: the tasks ``owners`` deals to ``worker``
+    (``None``: the caller), in submission order.
 
+    Forked workers and the caller run their tasks through it alike.
     Sends ``(record, payload)`` as each task finishes.  The payload
     holds the task's recorder snapshot (``obs``, with a start and an end
     heartbeat) when the caller records, and the task's cache hit/miss
-    counter delta (``cache``) when a store is active, for the caller to
-    merge.
+    counter delta (``cache``) when a store is active.
     """
     from ..cache.context import active_store
 
     store = active_store()
-    for task in tasks[worker::width]:
+    for task, owner in zip(tasks, owners):
+        if owner != worker:
+            continue
         payload: Dict[str, object] = {}
         before = store.stats.snapshot() if store is not None else None
         if collect_obs:
@@ -238,9 +242,10 @@ class ExplorationEngine:
     """Executes sweep tasks serially or over forked workers.
 
     ``workers=1`` (the default) runs every task inline, identical to the
-    historical serial loops.  ``workers>1`` deals a run's tasks over
-    forked workers (:meth:`run`), which inherit them: a custom
-    ``select`` need not pickle (a lambda works), only the records do.
+    historical serial loops.  ``workers>1`` deals the tasks the active
+    cache store cannot answer over forked workers (:meth:`run`), which
+    inherit them: a custom ``select`` need not pickle (a lambda works),
+    only the records do.
     Results are collected in submission order, so the returned records
     match the serial run element for element.  The engine holds no
     process between runs; it is still a context manager, for the call
@@ -284,38 +289,42 @@ class ExplorationEngine:
     def run(self, tasks: Sequence[SweepTask]) -> List[SweepRecord]:
         """Execute tasks, preserving input order in the output.
 
-        With ``workers > 1`` and more than one task, task ``i`` runs on
-        forked worker ``i % width`` of ``width = min(workers,
-        len(tasks))`` (:func:`_run_share`), where the process may fork
-        (:func:`~repro.core.forked.may_fork`); otherwise every task runs
-        here.  With workers, the caller runs no task itself: it takes
-        each record in submission order, merges the worker's recorder
-        snapshot under ``task<i>`` (deterministic, though worker pids
-        and scheduling are not) and its cache-stats delta into the
-        active store.
-        Serial and forked sweeps then observe the same counters, spans
-        and events.  A recorder with sinks also gets a ``progress``
-        feed: ``sweep.start``, one ``sweep.task`` per point and
+        A run may fork when ``workers > 1``, it has more than one task
+        and the process may fork (:func:`~repro.core.forked.may_fork`);
+        otherwise every task runs here, in order.  A run that may fork
+        deals its tasks first (:meth:`_deal`): with a store active, the
+        caller keeps each task whose candidate record the store holds,
+        and only the others go to forked workers.  Workers and caller
+        run their shares through :func:`_run_share`, the caller while
+        the workers run.  The caller then takes the records in
+        submission order, merging each task's recorder snapshot under
+        ``task<i>`` (deterministic, though worker pids and scheduling
+        are not) and a worker's cache-stats delta into the active store.
+        Serial and forked sweeps then observe the same records,
+        counters, spans and events.  A recorder with sinks also gets a
+        ``progress`` feed: ``sweep.start`` (its ``workers`` is the
+        number forked, 1 when none), one ``sweep.task`` per point and
         ``sweep.done``.
         """
         tasks = list(tasks)
         rec = active_recorder()
-        width = min(self.workers, len(tasks))
-        if width > 1 and not may_fork():
-            width = 1
-        if width == 1 and (rec is None or not rec.sinks):
+        may_deal = min(self.workers, len(tasks)) > 1 and may_fork()
+        if not may_deal and (rec is None or not rec.sinks):
             return [_run_one(t) for t in tasks]
         from ..cache.context import active_store
 
         store = active_store()
+        owners, width = self._deal(tasks, store) if may_deal else ([], 0)
         if rec is not None:
             # The same progress feed serially and forked, so live
             # observers need not care about ``workers``.
             rec.emit(
-                "progress", "sweep.start", attrs={"tasks": len(tasks), "workers": width}
+                "progress",
+                "sweep.start",
+                attrs={"tasks": len(tasks), "workers": max(width, 1)},
             )
         records: List[SweepRecord] = []
-        if width == 1:
+        if not may_deal:
             for i, t in enumerate(tasks):
                 before = store.stats.snapshot() if store is not None else None
                 records.append(_run_one(t))
@@ -327,14 +336,26 @@ class ExplorationEngine:
                     cache=store.stats.diff(before) if store is not None else None,
                 )
         else:
-            work = partial(_run_share, tasks, width, rec is not None)
+            work = partial(_run_share, tasks, owners, rec is not None)
             with forked_workers(work, range(width), "sweep worker") as receive:
-                for i in range(len(tasks)):
-                    record, payload = receive(i % width)
+                served: List[object] = []
+                try:
+                    work(None, served.append)
+                except Exception as exc:  # raised when the merge reaches its task
+                    served.append(exc)
+                here = iter(served)
+                for i, owner in enumerate(owners):
+                    if owner is None:
+                        message = next(here)
+                        if isinstance(message, BaseException):
+                            raise message
+                        record, payload = message
+                    else:
+                        record, payload = receive(owner)
+                        if store is not None:
+                            # Cache accounting covers every worker's tasks.
+                            store.stats.merge(payload["cache"])
                     records.append(record)
-                    if store is not None:
-                        # Cache accounting covers every worker's tasks.
-                        store.stats.merge(payload["cache"])
                     if rec is not None:
                         rec.merge(payload["obs"], process="task%d" % i)
                         self._emit_task_progress(
@@ -350,6 +371,36 @@ class ExplorationEngine:
                 },
             )
         return records
+
+    def _deal(
+        self, tasks: Sequence[SweepTask], store: Optional[CacheStore]
+    ) -> Tuple[List[Optional[int]], int]:
+        """Who runs each task of a run that may fork: ``(owners, width)``.
+
+        ``owners[i]`` is the worker of task ``i``, or ``None`` for the
+        caller, and ``width`` is how many workers to fork.  With a store
+        active, the caller keeps every task whose candidate record the
+        store holds: one membership test on the task's
+        :func:`~repro.core.synthesis.store_key`, the key its own lookup
+        will use.  The other tasks, the misses, are dealt round-robin in
+        submission order, except that a miss whose key an earlier miss
+        has goes to that miss's worker, where it is a memory hit.  So
+        ``width`` is min(``workers``, misses with distinct keys); below
+        two it forks none, and the caller runs every task.  Without a
+        store, every task is a miss with a key of its own.
+        """
+        groups: Dict[object, int] = {}
+        dealt: List[Optional[int]] = []
+        for i, task in enumerate(tasks):
+            key = None if store is None else store_key(task.spec, task.library, task.config)
+            if key is not None and key in store:
+                dealt.append(None)
+            else:
+                dealt.append(groups.setdefault(i if key is None else key, len(groups)))
+        width = min(self.workers, len(groups))
+        if width < 2:
+            return [None] * len(tasks), 0
+        return [None if group is None else group % width for group in dealt], width
 
     @staticmethod
     def _emit_task_progress(

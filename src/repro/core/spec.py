@@ -260,6 +260,7 @@ class SoCSpec:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_lookup", None)
+        state.pop("_key_text", None)
         return state
 
     @property
@@ -428,6 +429,25 @@ class SoCSpec:
             ],
             "vi_assignment": sorted(self.vi_assignment.items()),
         }
+
+    def key_text(self) -> str:
+        """The JSON text of the spec's canonical form, built on first use.
+
+        :func:`repro.cache.keys.fingerprint` splices it into every key
+        that names the spec, so each spec object is canonicalized once:
+        a sweep caller's hit probe and the task's own lookup share it,
+        and forked workers inherit it.  Kept beside the dataclass fields
+        as the lookup index is, so equality and ``repr`` never see it,
+        and dropped by :meth:`__getstate__`, so no pickle, copy or
+        cached blob carries it.
+        """
+        text = self.__dict__.get("_key_text")
+        if text is None:
+            from ..cache.keys import canonical, form_text
+
+            text = form_text(canonical(self))
+            object.__setattr__(self, "_key_text", text)
+        return text
 
     def fingerprint(self) -> str:
         """Stable content hash of the spec (hex digest).

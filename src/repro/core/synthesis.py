@@ -223,14 +223,12 @@ def _outcomes(
     all failures; :func:`synthesize` re-raises after scoring).
     """
     store = active_store()
-    if store is None or not cfg.enable_caches:
-        return _cold_pass(spec, library, cfg)
-    try:
-        key = design_space_key(spec, library, cfg)
-    except CacheKeyError:
-        # Something in the config has no stable content address; run
-        # cold, don't fail the run.
-        store.record_key_error()
+    key = store_key(spec, library, cfg) if store is not None else None
+    if key is None:
+        if store is not None and cfg.enable_caches:
+            # Something in the config has no stable content address;
+            # run cold, don't fail the run.
+            store.record_key_error()
         return _cold_pass(spec, library, cfg)
     record = store.get_object(key, "space")
     if record is None:
@@ -252,6 +250,29 @@ def _outcomes(
             "candidate record for %s" % spec.name,
         )
     return record
+
+
+def store_key(
+    spec: SoCSpec, library: NocLibrary, cfg: SynthesisConfig
+) -> Optional[str]:
+    """The key of the candidate record a call with these inputs looks up
+    in the active store, or ``None`` when it runs without the store.
+
+    A call consults the store only when the config's fast path is on
+    and the inputs have a stable content address
+    (:func:`~repro.cache.keys.design_space_key` raises
+    :class:`CacheKeyError` otherwise).  :func:`_outcomes` and a sweep
+    caller's hit probe (:meth:`ExplorationEngine.run
+    <repro.core.explore.ExplorationEngine.run>`) both ask here, so the
+    probe never disagrees with the call about whether the store is
+    consulted, or under which key.
+    """
+    if not cfg.enable_caches:
+        return None
+    try:
+        return design_space_key(spec, library, cfg)
+    except CacheKeyError:
+        return None
 
 
 def _rebind(

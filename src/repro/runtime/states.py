@@ -19,7 +19,7 @@ are no-ops.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -68,6 +68,12 @@ class IslandStateMachine:
         self.wake_events = 0
         self._t = 0.0
         self._intervals: List[StateInterval] = []
+        #: Interval starts, kept once the machine is finalized.
+        self._starts: List[float] = []
+        #: Whether each interval ends by the next one's start, so a
+        #: window query may bisect the starts: true unless a transition
+        #: stepped back within the 1e-9 ms that ``_advance`` tolerates.
+        self._disjoint = False
         self._state_since = 0.0
         self._finalized = False
 
@@ -135,30 +141,36 @@ class IslandStateMachine:
                 kept.append(StateInterval(self.state, self._state_since, t_end_ms))
             self._intervals = kept
         self._finalized = True
+        intervals = self._intervals
+        self._starts = [iv.start_ms for iv in intervals]
+        self._disjoint = all(
+            a.end_ms <= b.start_ms for a, b in zip(intervals, intervals[1:])
+        )
 
     # -- queries --------------------------------------------------------
+
+    def _finalized_intervals(self) -> List[StateInterval]:
+        if not self._finalized:
+            raise SpecError("island %d: timeline not finalized" % self.island)
+        return self._intervals
 
     @property
     def timeline(self) -> List[StateInterval]:
         """The full state timeline (finalized machines only)."""
-        if not self._finalized:
-            raise SpecError("island %d: timeline not finalized" % self.island)
-        return list(self._intervals)
+        return list(self._finalized_intervals())
 
     def state_at(self, t_ms: float) -> IslandState:
         """State at time ``t_ms`` (intervals are [start, end))."""
-        if not self._finalized:
-            raise SpecError("island %d: timeline not finalized" % self.island)
-        starts = [iv.start_ms for iv in self._intervals]
-        i = bisect_right(starts, t_ms) - 1
+        intervals = self._finalized_intervals()
+        i = bisect_right(self._starts, t_ms) - 1
         if i < 0:
-            return self._intervals[0].state
-        return self._intervals[min(i, len(self._intervals) - 1)].state
+            return intervals[0].state
+        return intervals[min(i, len(intervals) - 1)].state
 
     def time_in(self) -> Dict[IslandState, float]:
         """Milliseconds spent in each state over the whole timeline."""
         out = {s: 0.0 for s in IslandState}
-        for iv in self.timeline:
+        for iv in self._finalized_intervals():
             out[iv.state] += iv.duration_ms
         return out
 
@@ -173,8 +185,22 @@ class IslandStateMachine:
     def _overlap_ms(
         self, start_ms: float, end_ms: float, state: IslandState
     ) -> float:
+        """Time in ``state`` overlapping ``[start_ms, end_ms)``.
+
+        The overlaps add up in timeline order.  On disjoint intervals
+        only those from the one holding ``start_ms`` to the last that
+        starts before ``end_ms`` can overlap, so only those are visited:
+        the same terms in the same order as a scan of the whole
+        timeline, hence the same float.
+        """
+        intervals = self._finalized_intervals()
+        first, stop = 0, len(intervals)
+        if self._disjoint:
+            first = max(bisect_right(self._starts, start_ms) - 1, 0)
+            stop = bisect_left(self._starts, end_ms)
         total = 0.0
-        for iv in self.timeline:
+        for i in range(first, stop):
+            iv = intervals[i]
             if iv.state is not state:
                 continue
             lo = max(iv.start_ms, start_ms)

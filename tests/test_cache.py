@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import gc
 import hashlib
 import json
 import math
 import pickle
+import sys
 import tempfile
 from unittest import mock
 
@@ -204,6 +206,105 @@ class TestCanonicalization:
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, type(obj)
 
 
+def _reference_payload(kind, *parts):
+    """What :func:`fingerprint` hashes, as one ``json.dumps`` of the whole
+    structure: the form before each part's text was spliced in."""
+    return json.dumps(
+        [
+            "repro-noc-cache",
+            SCHEMA_VERSION,
+            "py%d.%d" % sys.version_info[:2],
+            kind,
+            [canonical(p) for p in parts],
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+@st.composite
+def key_inputs(draw):
+    """A generated, partitioned spec with a library of some data width
+    and a config, as a key names them."""
+    n_cores = draw(st.integers(min_value=8, max_value=40))
+    soc = generate_soc(
+        GeneratorConfig(
+            name="keyed%d" % n_cores,
+            num_cores=n_cores,
+            num_groups=draw(st.integers(min_value=1, max_value=4)),
+            seed=draw(st.integers(min_value=0, max_value=999)),
+        )
+    )
+    islands = draw(st.integers(min_value=1, max_value=4))
+    spec = draw(st.sampled_from((logical_partitioning, communication_partitioning)))(
+        soc, islands
+    )
+    library = dataclasses.replace(
+        DEFAULT_LIBRARY, data_width_bits=draw(st.sampled_from((16, 32, 64, 128, 256)))
+    )
+    config = SynthesisConfig(
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+        allow_intermediate=draw(st.booleans()),
+        max_intermediate=draw(st.none() | st.integers(min_value=0, max_value=4)),
+        partition_method=draw(st.sampled_from(("fm", "greedy"))),
+    )
+    return spec, library, config
+
+
+_plain_data = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestKeyText:
+    """Keys splice each part's canonical text into the payload, and a
+    spec keeps its own text, with every key byte-identical to the one
+    ``json.dumps`` of the whole structure gave."""
+
+    @given(inputs=key_inputs())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_space_payload_is_the_single_dumps_form(self, inputs):
+        spec, library, config = inputs
+        parts = (spec, library, keys_module._config_canonical(config))
+        expected = _reference_payload("space", *parts)
+        assert "_key_text" not in vars(spec)
+        assert keys_module._payload("space", parts) == expected
+        # Again from the text the first call left on the spec.
+        assert "_key_text" in vars(spec)
+        assert keys_module._payload("space", parts) == expected
+        digest = hashlib.sha256(expected.encode("utf-8")).hexdigest()
+        assert design_space_key(spec, library, config) == digest
+        renamed = spec.with_vi_assignment(spec.vi_assignment, name="renamed")
+        assert design_space_key(renamed, library, config) == digest
+
+    @given(kind=st.text(max_size=8), parts=st.lists(_plain_data, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_any_payload_is_the_single_dumps_form(self, kind, parts):
+        assert keys_module._payload(kind, parts) == _reference_payload(kind, *parts)
+        assert fingerprint(kind, *parts) == hashlib.sha256(
+            _reference_payload(kind, *parts).encode("utf-8")
+        ).hexdigest()
+
+    def test_keyed_spec_is_an_unkeyed_one_to_every_reader(self):
+        """The text stays off pickles, copies, equality and printing."""
+        keyed, plain = mobile_soc_26(), mobile_soc_26()
+        key = design_space_key(keyed, DEFAULT_LIBRARY, SynthesisConfig())
+        assert "_key_text" in vars(keyed) and "_key_text" not in vars(plain)
+        assert pickle.dumps(keyed, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            plain, pickle.HIGHEST_PROTOCOL
+        )
+        for clone in (copy.deepcopy(keyed), copy.copy(keyed), pickle.loads(pickle.dumps(keyed))):
+            assert "_key_text" not in vars(clone)
+            assert clone == plain
+            assert design_space_key(clone, DEFAULT_LIBRARY, SynthesisConfig()) == key
+        assert keyed == plain
+        assert repr(keyed) == repr(plain) and str(keyed) == str(plain)
+
+
 class TestConfigKeys:
     def test_enable_caches_excluded(self):
         spec = make_tiny_spec()
@@ -347,7 +448,11 @@ class TestDiskTier:
         assert SCHEMA_VERSION == 7
         report = store.disk.verify()
         assert report["stale"] == ["b" * 64] and report["corrupt"] == []
-        assert CacheStore.open(tmp_path).get_object("b" * 64, kind="space") is None
+        reader = CacheStore.open(tmp_path)
+        assert reader.get_object("b" * 64, kind="space") is None
+        # Counted as the verifier classifies it: stale, not corrupt.
+        assert reader.stats.counters == {"stale.disk": 1, "misses.space": 1}
+        assert not reader.disk.path_for("b" * 64).exists()
 
     def test_put_under_a_file_raises_cache_error(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -730,8 +835,9 @@ class TestWarmSynthesis:
             # A new objective is served by the same record.
             rerun_hit = synthesize(beta, config=rerun)
         counters = store.stats.counters
-        assert counters["hits.disk.space"] == 1
-        assert counters["hits.memory.space"] == 1
+        # A disk hit stays out of the memory tier, so both runs read disk.
+        assert counters["hits.disk.space"] == 2
+        assert "hits.memory.space" not in counters
         assert counters["verify_runs"] > 0
         assert "verify_mismatches" not in counters
         for space in (space_hit, rerun_hit):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SynthesisConfig
+from repro.cache import CacheStore, caching
 from repro.cache.signatures import design_space_signature
 from repro.core.explore import (
     INFEASIBLE,
@@ -223,6 +224,119 @@ class TestForkedSweep:
         )
         assert {r.extras["pid"] for r in forked} == {os.getpid()}
         assert sweep_identity(forked) == sweep_identity(serial)
+
+
+def without_pids(records):
+    """:func:`sweep_identity` minus :class:`PidSelector`'s column."""
+    identity = sweep_identity(records)
+    for _, _, _, extras, _ in identity:
+        extras.pop("pid", None)
+    return identity
+
+
+@pytest.mark.usefixtures("one_thread")
+class TestCallerServedHits:
+    """With a store active, a sweep that may fork forks only for the
+    tasks the store cannot answer: the caller serves the hits."""
+
+    ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+
+    def sweep(self, directory, workers, alphas=ALPHAS, select=None, **store_options):
+        store = CacheStore.open(directory, **store_options)
+        with caching(store):
+            engine = ExplorationEngine(workers=workers, select=select or PidSelector())
+            records = engine.alpha_exploration(self.spec, alphas)
+        return records, store.stats.counters
+
+    @pytest.fixture(autouse=True)
+    def _spec(self, tiny_spec):
+        self.spec = tiny_spec
+
+    def test_warm_sweep_forks_no_process(self, tmp_path, monkeypatch):
+        self.sweep(tmp_path, 1)
+        serial, serial_counters = self.sweep(tmp_path, 1)
+
+        def no_fork():
+            raise AssertionError("a warm sweep forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        capture = MemorySink()
+        with recording(Recorder(sinks=[capture])):
+            forked, forked_counters = self.sweep(tmp_path, 2)
+        # Every record comes from the caller, the pid column included.
+        assert sweep_identity(forked) == sweep_identity(serial)
+        assert forked_counters == serial_counters
+        assert forked_counters["hits.disk.space"] == len(self.ALPHAS)
+        start = json.loads(event_lines(capture.events, timing=False)[0])
+        assert start["attrs"] == {"tasks": len(self.ALPHAS), "workers": 1}
+
+    def test_half_warm_sweep_forks_for_its_misses_only(self, tmp_path):
+        cold, _ = self.sweep(tmp_path / "cold", 1)
+        self.sweep(tmp_path / "half", 1, self.ALPHAS[:3])
+        half, counters = self.sweep(tmp_path / "half", 2)
+        assert without_pids(half) == without_pids(cold)
+        pids = [r.extras["pid"] for r in half]
+        assert pids[:3] == [os.getpid()] * 3
+        # The five misses are dealt round-robin over two workers.
+        assert os.getpid() not in pids[3:]
+        assert pids[3::2] == [pids[3]] * 3 and pids[4::2] == [pids[4]] * 2
+        assert pids[3] != pids[4]
+        assert (counters["hits.disk.space"], counters["misses.space"]) == (3, 5)
+
+    def test_cold_distinct_keys_are_dealt_round_robin(self, tmp_path):
+        records, counters = self.sweep(tmp_path, 2)
+        pids = [r.extras["pid"] for r in records]
+        assert os.getpid() not in pids
+        assert pids[0::2] == [pids[0]] * 4 and pids[1::2] == [pids[1]] * 4
+        assert pids[0] != pids[1]
+        assert counters["misses.space"] == len(self.ALPHAS)
+
+    def test_one_miss_runs_in_the_caller(self, tmp_path):
+        self.sweep(tmp_path, 1, self.ALPHAS[:-1])
+        records, counters = self.sweep(tmp_path, 2)
+        assert {r.extras["pid"] for r in records} == {os.getpid()}
+        assert counters["misses.space"] == 1
+
+    @pytest.mark.parametrize("every, runs", [(1, 8), (5, 1)])
+    def test_hit_sampling_counts_as_in_a_serial_run(self, tmp_path, every, runs):
+        self.sweep(tmp_path, 1)
+        _, serial = self.sweep(tmp_path, 1, verify_every=every)
+        _, forked = self.sweep(tmp_path, 2, verify_every=every)
+        assert forked["verify_runs"] == serial["verify_runs"] == runs
+        assert "verify_mismatches" not in forked
+
+    def test_equal_keys_share_one_worker(self, tmp_path):
+        """Both strategies split the spec alike into 1 and into 2
+        islands, so tasks 0 and 3, and 1 and 4, share a key.  Dealt
+        round-robin, each pair would split over the two workers; each
+        later task goes to its earlier twin's worker instead, where it is
+        a memory hit, as in a serial sweep."""
+        counters = {}
+        for workers in (1, 2):
+            store = CacheStore.open(tmp_path / str(workers))
+            with caching(store):
+                ExplorationEngine(workers=workers).island_count_exploration(
+                    self.spec, [1, 2, 3]
+                )
+            counters[workers] = store.stats.counters
+        assert counters[2] == counters[1]
+        assert (counters[2]["misses.space"], counters[2]["hits.memory.space"]) == (4, 2)
+
+    def test_caller_task_exception_reaches_the_caller_at_its_task(self, tmp_path):
+        def failing(space):
+            raise TaskFailure("hit 1")
+
+        self.sweep(tmp_path, 1, self.ALPHAS[:2])
+        engine = ExplorationEngine(workers=2)
+        tasks = [
+            engine.task(self.spec, {"alpha": a}, config=SynthesisConfig(max_intermediate=1, alpha=a))
+            for a in self.ALPHAS
+        ]
+        tasks[1] = dataclasses.replace(tasks[1], select=failing)
+        with caching(CacheStore.open(tmp_path)):
+            with pytest.raises(TaskFailure, match="hit 1"):
+                engine.run(tasks)
+        assert multiprocessing.active_children() == []
 
 
 @st.composite

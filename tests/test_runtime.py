@@ -8,8 +8,10 @@ trace-driven suite can be deselected like the slow paper benches:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SpecError, make_use_case, synthesize
 from repro.runtime import (
@@ -189,6 +191,89 @@ class TestStateMachine:
         assert m.off_overlap_ms(0.0, 15.0) == pytest.approx(5.0)
         assert m.off_overlap_ms(25.0, 40.0) == 0.0
         assert m.waking_overlap_ms(19.0, 23.0) == pytest.approx(3.0)
+
+
+def _scanned_overlap_ms(timeline, start_ms, end_ms, state):
+    """The overlap as a scan of the whole timeline adds it up."""
+    total = 0.0
+    for iv in timeline:
+        if iv.state is not state:
+            continue
+        lo = max(iv.start_ms, start_ms)
+        hi = min(iv.end_ms, end_ms)
+        if hi > lo:
+            total += hi - lo
+    return total
+
+
+def _window_queries(machine):
+    return {
+        IslandState.OFF: machine.off_overlap_ms,
+        IslandState.WAKING: machine.waking_overlap_ms,
+    }
+
+
+def _scanned_state_at(timeline, t_ms):
+    """``state_at`` from a start list built afresh for the query."""
+    i = bisect_right([iv.start_ms for iv in timeline], t_ms) - 1
+    return timeline[0].state if i < 0 else timeline[min(i, len(timeline) - 1)].state
+
+
+@st.composite
+def finalized_machines(draw):
+    """A machine driven through random gates and wakes, some of them a
+    step back within the 1e-9 ms that transitions tolerate (which makes
+    intervals overlap), finalized before or after its last transition."""
+    machine = IslandStateMachine(
+        0, wakeup_latency_ms=draw(st.sampled_from([0.0, 1e-10, 0.5, 2.0]))
+    )
+    now = 0.0
+    steps = st.tuples(st.floats(min_value=0.0, max_value=10.0), st.booleans())
+    for gap, step_back in draw(st.lists(steps, max_size=24)):
+        t = now - 5e-10 if step_back else now + gap
+        if machine.state is IslandState.ON:
+            machine.gate_off(t)
+        else:
+            now = max(now, machine.request_wake(t))
+        now = max(now, t)
+    machine.finalize(draw(st.floats(min_value=1e-6, max_value=now + 10.0)))
+    return machine
+
+
+class TestTimelineQueries:
+    """Window queries bisect the finalized timeline and give the scan's
+    floats exactly."""
+
+    @given(machine=finalized_machines(), data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_queries_equal_the_scan(self, machine, data):
+        timeline = machine.timeline
+        bounds = [iv.start_ms for iv in timeline] + [iv.end_ms for iv in timeline]
+        end = timeline[-1].end_ms
+        points = st.sampled_from(bounds) | st.floats(min_value=-1.0, max_value=end + 1.0)
+        for start_ms, end_ms in data.draw(st.lists(st.tuples(points, points), max_size=12)):
+            for state, query in _window_queries(machine).items():
+                assert query(start_ms, end_ms) == _scanned_overlap_ms(
+                    timeline, start_ms, end_ms, state
+                )
+            assert machine.state_at(start_ms) is _scanned_state_at(timeline, start_ms)
+
+    def test_overlapping_intervals_are_scanned(self):
+        """A gate a step before the wake's ready time leaves the WAKING
+        interval ending past the OFF one's start."""
+        machine = IslandStateMachine(0, wakeup_latency_ms=2.0)
+        machine.gate_off(1.0)
+        ready = machine.request_wake(3.0)
+        machine.gate_off(ready - 5e-10)
+        machine.finalize(9.0)
+        timeline = machine.timeline
+        assert timeline[-2].end_ms > timeline[-1].start_ms
+        for start_ms, end_ms in [(4.9999999, 6.0), (ready - 4e-10, 9.0), (0.0, 9.0)]:
+            for state, query in _window_queries(machine).items():
+                assert query(start_ms, end_ms) == _scanned_overlap_ms(
+                    timeline, start_ms, end_ms, state
+                )
+        assert machine.waking_overlap_ms(ready - 4e-10, 9.0) > 0.0
 
 
 # ----------------------------------------------------------------------
