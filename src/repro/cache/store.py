@@ -194,8 +194,9 @@ class DiskTier:
         """Whether a blob is filed under ``key`` (unread, so unchecked)."""
         return self.path_for(key).is_file()
 
-    def get(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
-        """Return ``(payload, header)`` or ``None``.
+    def get(self, key: str) -> Optional[Tuple[memoryview, Dict[str, Any]]]:
+        """Return ``(payload, header)`` or ``None``; the payload is a view
+        of the blob read.
 
         Any unusable entry is deleted and reported as ``None``, so
         callers recompute, with :attr:`last_fault` saying why:
@@ -229,7 +230,7 @@ class DiskTier:
     @staticmethod
     def _parse(
         key: str, raw: bytes
-    ) -> Tuple[Optional[Tuple[bytes, Dict[str, Any]]], str]:
+    ) -> Tuple[Optional[Tuple[memoryview, Dict[str, Any]]], str]:
         """``((payload, header), "")`` for a usable blob, else ``(None,
         "stale")`` or ``(None, "corrupt")``."""
         newline = raw.find(b"\n")
@@ -243,7 +244,10 @@ class DiskTier:
             return None, "corrupt"
         if not DiskTier.is_current(key, header):
             return None, "stale"
-        payload = raw[newline + 1:]
+        # A view, not a copy: a sweep caller decodes every hit it
+        # serves, and a second payload-sized buffer per read grew its
+        # heap (docs/performance.md, "Parallel design-space exploration").
+        payload = memoryview(raw)[newline + 1:]
         if len(payload) != header.get("size"):
             return None, "corrupt"
         import hashlib

@@ -393,6 +393,9 @@ def record_cache_metrics(registry: MetricsRegistry, stats) -> None:
     corrupt = registry.counter(
         "cache.corrupt_entries", "entries dropped as corrupt"
     )
+    stale = registry.counter(
+        "cache.stale_entries", "entries dropped as stale (another schema or key)"
+    )
     verify = registry.counter(
         "cache.verify", "verify_on_hit recomputes by outcome"
     )
@@ -415,6 +418,8 @@ def record_cache_metrics(registry: MetricsRegistry, stats) -> None:
             bytes_read.inc(value, tier=parts[1] if len(parts) > 1 else "disk")
         elif event == "corrupt":
             corrupt.inc(value, where=parts[1] if len(parts) > 1 else "disk")
+        elif event == "stale":
+            stale.inc(value)
         elif event == "verify_runs":
             verify.inc(value, outcome="run")
         elif event == "verify_mismatches":

@@ -1007,6 +1007,12 @@ class TestObsIntegration:
         text = "\n".join(counter_lines(registry))
         assert "cache.hits" in text
 
+    def test_stale_and_corrupt_blobs_count_apart(self):
+        registry = MetricsRegistry()
+        record_cache_metrics(registry, {"stale.disk": 2, "corrupt.disk": 1})
+        assert registry.get("cache.stale_entries").value() == 2
+        assert registry.get("cache.corrupt_entries").value(where="disk") == 1
+
 
 class TestCacheCli:
     def test_synth_warm_run_and_stats(self, capsys, tmp_path):
