@@ -246,7 +246,7 @@ class DiskTier:
             return None, "stale"
         # A view, not a copy: a sweep caller decodes every hit it
         # serves, and a second payload-sized buffer per read grew its
-        # heap (docs/performance.md, "Parallel design-space exploration").
+        # heap (docs/performance.md, "Caller-served hits").
         payload = memoryview(raw)[newline + 1:]
         if len(payload) != header.get("size"):
             return None, "corrupt"
