@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..exceptions import CacheKeyError
 
@@ -134,9 +134,9 @@ def _payload(kind: str, parts: Sequence[Any]) -> str:
     together from each part's own text: a canonical form holds lists
     and scalars only, never a dict, so ``sort_keys`` changes nothing and
     the texts join as ``json.dumps`` writes a list.  An object with a
-    ``key_text()`` method supplies its part's text itself
-    (:meth:`~repro.core.spec.SoCSpec.key_text` keeps it), so a spec
-    is canonicalized once however many keys name it.
+    ``key_text()`` method supplies its part's text itself (specs,
+    libraries and synthesis configs keep theirs), so each is
+    canonicalized once however many keys name it.
     """
     head = form_text(
         ["repro-noc-cache", SCHEMA_VERSION, "py%d.%d" % sys.version_info[:2], kind]
@@ -147,8 +147,35 @@ def _payload(kind: str, parts: Sequence[Any]) -> str:
         if callable(key_text) and not isinstance(part, type):
             texts.append(key_text())
         else:
-            texts.append(form_text(canonical(part)))
+            texts.append(canonical_text(part))
     return "%s,[%s]]" % (head[:-1], ",".join(texts))
+
+
+def canonical_text(obj: Any) -> str:
+    """The :func:`form_text` of ``obj``'s canonical form: its part of a key."""
+    return form_text(canonical(obj))
+
+
+def kept_text(owner: Any, build: Callable[[Any], str]) -> str:
+    """``build(owner)``, built on the first call and kept on ``owner``.
+
+    The text sits in the owner's ``__dict__`` as ``_key_text``, beside
+    its dataclass fields, so equality, hashing and ``repr`` never see
+    it, and the owner's ``__getstate__`` drops it, so no pickle, copy or
+    cached blob carries it.  Owners are frozen dataclasses, so the text
+    cannot go stale; ``dataclasses.replace`` builds an owner without it.
+    """
+    text = owner.__dict__.get("_key_text")
+    if text is None:
+        text = build(owner)
+        object.__setattr__(owner, "_key_text", text)
+    return text
+
+
+def config_text(config: Any) -> str:
+    """A ``SynthesisConfig``'s part of a candidate record's key: the text
+    of :func:`_config_canonical`'s form, canonicalized as a part."""
+    return canonical_text(_config_canonical(config))
 
 
 def _config_canonical(config: Any) -> Any:
@@ -168,6 +195,12 @@ def _config_canonical(config: Any) -> Any:
 
 
 def design_space_key(spec: Any, library: Any, config: Any) -> str:
-    """Key for the candidate record of one synthesis run."""
-    return fingerprint("space", spec, library, _config_canonical(config))
+    """Key for the candidate record of one synthesis run.
+
+    A ``SynthesisConfig`` supplies its :func:`config_text` through its
+    own ``key_text()``; any other config is canonicalized here.
+    """
+    if not callable(getattr(config, "key_text", None)):
+        config = _config_canonical(config)
+    return fingerprint("space", spec, library, config)
 

@@ -162,17 +162,23 @@ def _feed(sinks: list):
 
 def _partitioned(name: str, islands: int, strategy: str):
     from .soc.benchmarks import load_benchmark
-    from .soc.partitioning import communication_partitioning, logical_partitioning
 
-    spec = load_benchmark(name)
-    if strategy == "logical":
-        out = logical_partitioning(spec, islands)
-    elif strategy == "communication":
-        out = communication_partitioning(spec, islands)
-    else:
-        raise ReproError("unknown strategy %r" % strategy)
-    # Keep the original name so curated use cases still apply.
-    return out.with_vi_assignment(out.vi_assignment, name=spec.name)
+    return _island_specs(load_benchmark(name), [islands], strategy)[0]
+
+
+def _island_specs(base, counts: List[int], strategy: str) -> list:
+    """``base`` re-islanded for every count, each strategy's from one
+    partitioner (:func:`~repro.soc.partitioning.island_count_sweep`).
+
+    Each keeps the benchmark's name, so curated use cases still apply,
+    and ``base``'s cores and flows, so keys share their texts.
+    """
+    from .soc.partitioning import island_count_sweep
+
+    return [
+        out.with_vi_assignment(out.vi_assignment, name=base.name)
+        for out in island_count_sweep(base, counts, strategy)
+    ]
 
 
 def _objective_trace(args: argparse.Namespace, spec, seed: int):
@@ -434,12 +440,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     feed = _feed(sinks) if sinks else contextlib.nullcontext()
     with scope, feed, engine:
         tasks = [
-            engine.task(
-                _partitioned(args.benchmark, n, strategy),
-                {"islands": n, "strategy": strategy},
-            )
+            engine.task(spec, {"islands": n, "strategy": strategy})
             for strategy in ("logical", "communication")
-            for n in counts
+            for n, spec in zip(counts, _island_specs(base, counts, strategy))
         ]
         rows = [r.row() for r in engine.run(tasks)]
     if events_sink is not None:

@@ -574,9 +574,20 @@ class ExplorationEngine:
                 specs = island_count_sweep(spec, islands, s)
                 partitioned.update(((s, n), p) for n, p in zip(islands, specs))
 
+        # One config per alpha and one library per width, which every
+        # task naming it shares, so each is keyed once.
+        config_axis = [
+            (alpha, self.config if alpha is None else dataclasses.replace(self.config, alpha=alpha))
+            for alpha in alpha_axis
+        ]
+        library_axis = [
+            (width, self.library if width is None
+             else dataclasses.replace(self.library, data_width_bits=width))
+            for width in width_axis
+        ]
         tasks = []
-        for (strategy, n), alpha, width in itertools.product(
-            isl_axis, alpha_axis, width_axis
+        for (strategy, n), (alpha, config), (width, library) in itertools.product(
+            isl_axis, config_axis, library_axis
         ):
             knobs: Dict[str, object] = {}
             task_spec = spec
@@ -584,14 +595,10 @@ class ExplorationEngine:
                 task_spec = partitioned[strategy, n]
                 knobs["islands"] = n
                 knobs["strategy"] = strategy
-            config = self.config
             if alpha is not None:
                 knobs["alpha"] = alpha
-                config = dataclasses.replace(config, alpha=alpha)
-            library = self.library
             if width is not None:
                 knobs["width_bits"] = width
-                library = dataclasses.replace(library, data_width_bits=width)
             tasks.append(self.task(task_spec, knobs, library=library, config=config))
         records = self.run(tasks)
         return GridResult(records=records, pareto=pareto_merge(records))

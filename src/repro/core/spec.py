@@ -259,8 +259,8 @@ class SoCSpec:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        state.pop("_lookup", None)
-        state.pop("_key_text", None)
+        for transient in ("_lookup", "_texts", "_key_text"):
+            state.pop(transient, None)
         return state
 
     @property
@@ -383,12 +383,16 @@ class SoCSpec:
 
         Used by the partitioning strategies (logical / communication
         based) to generate the island-count sweep of Figures 2 and 3.
+        The copy holds this spec's own ``cores`` and ``flows`` tuples, so
+        it shares their key texts too (:meth:`key_text`).
         """
-        return replace(
+        derived = replace(
             self,
             name=name if name is not None else self.name,
             vi_assignment=dict(assignment),
         )
+        object.__setattr__(derived, "_texts", self._shared_texts())
+        return derived
 
     def single_island(self) -> "SoCSpec":
         """The paper's reference point: every core in one island."""
@@ -418,36 +422,61 @@ class SoCSpec:
         different names share results.
         """
         return {
-            "cores": [
-                [c.name, c.area_mm2, c.dynamic_power_mw, c.leakage_power_mw,
-                 c.kind, c.group, c.freq_mhz]
-                for c in self.cores
-            ],
-            "flows": [
-                [f.src, f.dst, f.bandwidth_mbps, f.latency_cycles]
-                for f in self.flows
-            ],
-            "vi_assignment": sorted(self.vi_assignment.items()),
+            "cores": self._core_rows(),
+            "flows": self._flow_rows(),
+            "vi_assignment": self._island_rows(),
         }
 
+    def _core_rows(self) -> List[list]:
+        return [
+            [c.name, c.area_mm2, c.dynamic_power_mw, c.leakage_power_mw,
+             c.kind, c.group, c.freq_mhz]
+            for c in self.cores
+        ]
+
+    def _flow_rows(self) -> List[list]:
+        return [[f.src, f.dst, f.bandwidth_mbps, f.latency_cycles] for f in self.flows]
+
+    def _island_rows(self) -> List[Tuple[str, int]]:
+        return sorted(self.vi_assignment.items())
+
+    def _shared_texts(self) -> "_SharedTexts":
+        """The key texts of this spec's cores and flows, shared with every
+        spec :meth:`with_vi_assignment` derives from it or it from."""
+        texts = self.__dict__.get("_texts")
+        if texts is None:
+            texts = _SharedTexts()
+            object.__setattr__(self, "_texts", texts)
+        return texts
+
     def key_text(self) -> str:
-        """The JSON text of the spec's canonical form, built on first use.
+        """The JSON text of the spec's canonical form.
 
         :func:`repro.cache.keys.fingerprint` splices it into every key
-        that names the spec, so each spec object is canonicalized once:
-        a sweep caller's hit probe and the task's own lookup share it,
-        and forked workers inherit it.  Kept beside the dataclass fields
-        as the lookup index is, so equality and ``repr`` never see it,
-        and dropped by :meth:`__getstate__`, so no pickle, copy or
-        cached blob carries it.
+        that names the spec.  It is spliced in turn from three texts,
+        each built once: the cores' and the flows', which every spec
+        derived by :meth:`with_vi_assignment` shares with its parent
+        (whichever is keyed first builds them), and the spec's own
+        island assignment's, kept on the spec
+        (:func:`~repro.cache.keys.kept_text`).  So the re-islanded specs
+        of a sweep canonicalize their cores and flows once between them,
+        a sweep caller's hit probe and the task's own lookup share every
+        text, and forked workers inherit them.  All of them sit beside
+        the dataclass fields as the lookup index does, so equality and
+        ``repr`` never see them, and :meth:`__getstate__` drops them, so
+        no pickle, copy or cached blob carries them.
         """
-        text = self.__dict__.get("_key_text")
-        if text is None:
-            from ..cache.keys import canonical, form_text
+        from ..cache.keys import canonical_text, form_text, kept_text
 
-            text = form_text(canonical(self))
-            object.__setattr__(self, "_key_text", text)
-        return text
+        shared = self._shared_texts()
+        if shared.flows is None:
+            shared.cores = canonical_text(self._core_rows())
+            shared.flows = canonical_text(self._flow_rows())
+        own = kept_text(self, lambda spec: canonical_text(spec._island_rows()))
+        # canonical() is a mapping, which keys sort: cores, flows, vi_assignment.
+        return '["o",%s,["m",[["cores",%s],["flows",%s],["vi_assignment",%s]]]]' % (
+            form_text(type(self).__qualname__), shared.cores, shared.flows, own
+        )
 
     def fingerprint(self) -> str:
         """Stable content hash of the spec (hex digest).
@@ -467,6 +496,21 @@ class SoCSpec:
             len(self.flows),
             self.num_islands,
         )
+
+
+class _SharedTexts:
+    """The key texts of one ``cores`` tuple and one ``flows`` tuple.
+
+    :meth:`SoCSpec.with_vi_assignment` hands a spec's tuples on to the
+    spec it derives, and this holder with them.  Specs are frozen, so
+    the texts hold for every spec that shares the holder.
+    """
+
+    __slots__ = ("cores", "flows")
+
+    def __init__(self) -> None:
+        self.cores: Optional[str] = None
+        self.flows: Optional[str] = None
 
 
 def build_spec(

@@ -56,7 +56,7 @@ from typing import (
 from ..arch.topology import INTERMEDIATE_ISLAND, NetworkInterface
 from ..arch.validate import validate_topology
 from ..cache.context import active_store
-from ..cache.keys import design_space_key
+from ..cache.keys import config_text, design_space_key, kept_text
 from ..cache.signatures import design_space_signature
 from ..exceptions import CacheKeyError, PartitionError
 from ..floorplan.placer import FloorplanConfig, place
@@ -137,6 +137,19 @@ class SynthesisConfig:
     #: Not part of the cache key: the candidate record it prunes is the
     #: same either way.
     prune_sweep: bool = False
+
+    def key_text(self) -> str:
+        """The config's part of a candidate record's key
+        (:func:`~repro.cache.keys.config_text`: every field but
+        :data:`~repro.cache.keys.CONFIG_KEY_EXCLUDE`), built on first use
+        and kept on the config (:func:`~repro.cache.keys.kept_text`), so
+        a sweep caller's hit probe and the task's lookup share it."""
+        return kept_text(self, config_text)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_key_text", None)
+        return state
 
 
 #: One candidate's outcome in the objective-free pass: a metrics-only

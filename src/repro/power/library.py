@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 from .. import units
 
@@ -113,6 +114,20 @@ class NocLibrary:
                 "switch_fmax_slope_mhz_per_port must be positive and finite, got %r"
                 % (slope,)
             )
+
+    def key_text(self) -> str:
+        """The library's part of a cache key: the JSON text of its
+        canonical form, built on first use and kept on the library
+        (:func:`~repro.cache.keys.kept_text`), so every key naming it
+        shares one text."""
+        from ..cache.keys import canonical_text, kept_text
+
+        return kept_text(self, canonical_text)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_key_text", None)
+        return state
 
     # ------------------------------------------------------------------
     # Timing

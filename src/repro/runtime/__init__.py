@@ -51,7 +51,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "policy_comparison_rows",
         ),
         ".simulate": (
-            "always_on_static_mw",
             "canonical_fault_events",
             "certified_policy_comparison",
             "compare_policies",

@@ -109,12 +109,6 @@ def _economics_from_idle(
     return out
 
 
-def always_on_static_mw(topology: Topology) -> float:
-    """Static power of the never-gated parts (intermediate NoC island)."""
-    idle = compute_noc_power(topology, active_flows=[], use_lengths=True)
-    return _always_on_from_idle(idle)
-
-
 def _always_on_from_idle(idle) -> float:
     return idle.dynamic_by_island.get(
         INTERMEDIATE_ISLAND, 0.0

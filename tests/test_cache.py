@@ -12,6 +12,7 @@ import math
 import pickle
 import sys
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -35,6 +36,7 @@ from repro.cache import store as store_module
 from repro.cli import main
 from repro.core import synthesis
 from repro.core.explore import ExplorationEngine
+from repro.core.spec import SoCSpec
 from repro.core.objective import (
     Objective,
     ObjectiveResult,
@@ -49,10 +51,15 @@ from repro.exceptions import (
     InfeasibleError,
 )
 from repro.io.json_io import design_point_summary, topology_to_dict
+from repro.power.library import NocLibrary
 from repro.runtime import markov_trace
 from repro.soc.benchmarks import load_benchmark
 from repro.soc.generator import GeneratorConfig, generate_soc
-from repro.soc.partitioning import communication_partitioning, logical_partitioning
+from repro.soc.partitioning import (
+    communication_partitioning,
+    island_count_sweep,
+    logical_partitioning,
+)
 from repro.soc.usecases import use_cases_for
 from repro.obs import MetricsRegistry, counter_lines, record_cache_metrics
 from repro.perf import recording
@@ -260,10 +267,105 @@ _plain_data = st.recursive(
 )
 
 
+@st.composite
+def spec_chains(draw):
+    """A generated spec, specs derived from it and from one another by
+    ``with_vi_assignment`` (re-islanded, renamed, partitioned) and
+    ``single_island``, and an order to key them in."""
+    n_cores = draw(st.integers(min_value=8, max_value=30))
+    root = generate_soc(
+        GeneratorConfig(
+            name="chain",
+            num_cores=n_cores,
+            num_groups=draw(st.integers(min_value=1, max_value=3)),
+            seed=draw(st.integers(min_value=0, max_value=999)),
+        )
+    )
+    specs = [root]
+    for step in range(draw(st.integers(min_value=1, max_value=5))):
+        parent = specs[draw(st.integers(min_value=0, max_value=len(specs) - 1))]
+        how = draw(st.sampled_from(("islands", "rename", "partition", "single")))
+        if how == "islands":
+            labels = draw(
+                st.lists(st.integers(0, 3), min_size=n_cores, max_size=n_cores)
+            )
+            dense = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+            child = parent.with_vi_assignment(
+                {c.name: dense[label] for c, label in zip(parent.cores, labels)}
+            )
+        elif how == "rename":
+            child = parent.with_vi_assignment(parent.vi_assignment, name="r%d" % step)
+        elif how == "partition":
+            strategy = draw(st.sampled_from((logical_partitioning, communication_partitioning)))
+            child = strategy(parent, draw(st.integers(min_value=1, max_value=4)))
+        else:
+            child = parent.single_island()
+        specs.append(child)
+    order = draw(st.permutations(range(len(specs))))
+    return specs, order
+
+
+#: ``design_space_key`` of ``d26_media`` re-islanded by each strategy,
+#: under Python 3.11's tag, as keys were before specs, libraries and
+#: configs kept their part texts: (islands, ``max_intermediate``) ->
+#: digest.  One island is one assignment under either strategy.
+_PINNED_D26_KEYS = {
+    "logical": {
+        (1, 3): "2634c71b46ea291099b954642932d7dcec0f6c220fe570e3b5e45d5ffbf8f7d0",
+        (1, 1): "b951bab73c2048d8383adf6f1468ed847621578b0d4f26329421ec60419574e2",
+        (4, 3): "c34e62528d4d3d5a745f8b62b574fe3e93f33428cd8cce29583f88dfe905055f",
+        (4, 1): "4d41cf802d39c0c5ca3a791b95eeedbb83127382159a703d04140153f63ebbaf",
+    },
+    "communication": {
+        (1, 3): "2634c71b46ea291099b954642932d7dcec0f6c220fe570e3b5e45d5ffbf8f7d0",
+        (1, 1): "b951bab73c2048d8383adf6f1468ed847621578b0d4f26329421ec60419574e2",
+        (4, 3): "39c9b5c686859793448135f9a2f52ce416c03f8abf1b4fafcf6b046eeb8534cd",
+        (4, 1): "a04d55e3834b35e972cce19146b37cab036d1fcee5cdcb0fb363c043a0f18f25",
+    },
+}
+
+
 class TestKeyText:
     """Keys splice each part's canonical text into the payload, and a
     spec keeps its own text, with every key byte-identical to the one
     ``json.dumps`` of the whole structure gave."""
+
+    @given(chain=spec_chains())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_derived_specs_splice_their_parents_texts(self, chain):
+        """Derived specs share their root's cores and flows texts, which
+        the first of them to be keyed builds, in any keying order."""
+        specs, order = chain
+        config = SynthesisConfig()
+
+        def parts(spec):
+            return (spec, DEFAULT_LIBRARY, keys_module._config_canonical(config))
+
+        with mock.patch.object(
+            SoCSpec, "_core_rows", autospec=True, side_effect=SoCSpec._core_rows
+        ) as core_rows:
+            payloads = [(i, keys_module._payload("space", parts(specs[i]))) for i in order]
+            again = [keys_module._payload("space", parts(specs[i])) for i in order]
+        assert core_rows.call_count == 1
+        assert again == [payload for _, payload in payloads]
+        for i, payload in payloads:
+            expected = _reference_payload("space", *parts(specs[i]))
+            assert payload == expected
+            assert design_space_key(specs[i], DEFAULT_LIBRARY, config) == hashlib.sha256(
+                expected.encode("utf-8")
+            ).hexdigest()
+
+    def test_d26_keys_are_pinned(self):
+        """A key that moves without a ``SCHEMA_VERSION`` bump fails here."""
+        d26 = mobile_soc_26()
+        py311 = SimpleNamespace(version_info=(3, 11, 7))
+        with mock.patch.object(keys_module, "sys", py311):
+            for strategy, pinned in _PINNED_D26_KEYS.items():
+                for n, spec in zip((1, 4), island_count_sweep(d26, [1, 4], strategy)):
+                    for cap in (3, 1):
+                        config = SynthesisConfig(max_intermediate=cap)
+                        key = design_space_key(spec, DEFAULT_LIBRARY, config)
+                        assert key == pinned[n, cap], (strategy, n, cap)
 
     @given(inputs=key_inputs())
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -303,6 +405,84 @@ class TestKeyText:
             assert design_space_key(clone, DEFAULT_LIBRARY, SynthesisConfig()) == key
         assert keyed == plain
         assert repr(keyed) == repr(plain) and str(keyed) == str(plain)
+
+
+class TestKeptTexts:
+    """Libraries and configs keep their key texts, and derived specs
+    share theirs, only where the key builder reads them: pickles,
+    copies, ``dataclasses.replace``, equality, hashing and printing
+    never see them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            NocLibrary,
+            lambda: dataclasses.replace(DEFAULT_LIBRARY, data_width_bits=64),
+            SynthesisConfig,
+            lambda: SynthesisConfig(alpha=0.4, max_intermediate=1),
+        ],
+        ids=["library", "wide-library", "config", "config-variant"],
+    )
+    def test_keyed_part_is_an_unkeyed_one_to_every_reader(self, make):
+        keyed, plain = make(), make()
+        text = keyed.key_text()
+        assert vars(keyed)["_key_text"] == text and "_key_text" not in vars(plain)
+        assert pickle.dumps(keyed, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            plain, pickle.HIGHEST_PROTOCOL
+        )
+        clones = (
+            copy.copy(keyed),
+            copy.deepcopy(keyed),
+            pickle.loads(pickle.dumps(keyed)),
+            dataclasses.replace(keyed),
+        )
+        for clone in clones:
+            assert "_key_text" not in vars(clone)
+            assert clone == plain and hash(clone) == hash(plain)
+            assert clone.key_text() == text
+        assert keyed == plain and hash(keyed) == hash(plain)
+        assert repr(keyed) == repr(plain)
+
+    def test_config_text_is_the_one_the_key_hashed(self):
+        config = SynthesisConfig(max_intermediate=None, objective=StaticLatencyObjective())
+        assert config.key_text() == keys_module.form_text(
+            canonical(keys_module._config_canonical(config))
+        )
+        assert config.key_text() == SynthesisConfig(max_intermediate=None).key_text()
+
+    def test_keyed_derived_spec_is_an_unkeyed_one_to_every_reader(self):
+        base = mobile_soc_26()
+        keyed = communication_partitioning(base, 4)
+        plain = communication_partitioning(mobile_soc_26(), 4)
+        key = design_space_key(keyed, DEFAULT_LIBRARY, SynthesisConfig())
+        shared = vars(keyed)["_texts"]
+        assert shared is vars(base)["_texts"] and shared.flows is not None
+        assert vars(plain)["_texts"].flows is None
+        assert pickle.dumps(keyed, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            plain, pickle.HIGHEST_PROTOCOL
+        )
+        clones = (
+            copy.copy(keyed),
+            copy.deepcopy(keyed),
+            pickle.loads(pickle.dumps(keyed)),
+            dataclasses.replace(keyed),
+        )
+        for clone in clones:
+            assert "_texts" not in vars(clone) and "_key_text" not in vars(clone)
+            assert clone == plain
+            assert design_space_key(clone, DEFAULT_LIBRARY, SynthesisConfig()) == key
+        assert keyed == plain and repr(keyed) == repr(plain)
+
+    def test_record_payload_ignores_whether_the_library_was_keyed(self):
+        """Records pickle every topology's spec and library."""
+        spec = logical_partitioning(mobile_soc_26(), 4)
+        config = SynthesisConfig()
+        record = list(synthesis._cold_pass(spec, DEFAULT_LIBRARY, config))
+        vars(DEFAULT_LIBRARY).pop("_key_text", None)
+        unkeyed = CacheStore.in_memory().put_object("k", record, "space")
+        design_space_key(spec, DEFAULT_LIBRARY, config)
+        assert "_key_text" in vars(DEFAULT_LIBRARY) and "_key_text" in vars(spec)
+        assert CacheStore.in_memory().put_object("k", record, "space") == unkeyed
 
 
 class TestConfigKeys:
@@ -1045,6 +1225,18 @@ class TestCacheCli:
         assert "removed" in clear_out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+    def test_sweep_canonicalizes_the_benchmark_once(self, capsys, tmp_path):
+        """Every task spec of a sweep derives from one loaded benchmark,
+        so its keys share one text of the cores and the flows."""
+        argv = ["sweep", "d12_auto", "--counts", "1,2", "--cache-dir", str(tmp_path)]
+        for run in ("cold", "warm"):
+            with mock.patch.object(
+                SoCSpec, "_core_rows", autospec=True, side_effect=SoCSpec._core_rows
+            ) as core_rows:
+                assert main(argv) == 0
+            assert core_rows.call_count == 1, run
+        assert capsys.readouterr().out.count("cache: 4 hits, 0 misses") == 1
 
     def test_seed_rerun_hits_the_same_record(self, capsys, tmp_path):
         """``--seed`` seeds only the objective's traces: not part of the key."""
