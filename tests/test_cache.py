@@ -36,13 +36,13 @@ from repro.cache import store as store_module
 from repro.cli import main
 from repro.core import synthesis
 from repro.core.explore import ExplorationEngine
-from repro.core.spec import SoCSpec
 from repro.core.objective import (
     Objective,
     ObjectiveResult,
     StaticLatencyObjective,
     make_objective,
 )
+from repro.core.spec import SoCSpec
 from repro.core.synthesis import SynthesisConfig, synthesize
 from repro.exceptions import (
     CacheCorruptionError,
