@@ -123,37 +123,60 @@ def form_text(canon: Any) -> str:
 
 def fingerprint(kind: str, *parts: Any) -> str:
     """sha256 hex digest of canonicalized ``parts`` under a ``kind`` tag."""
-    return hashlib.sha256(_payload(kind, parts).encode("utf-8")).hexdigest()
+    return _digest(_payload(kind, [_part_text(p) for p in parts]))
 
 
-def _payload(kind: str, parts: Sequence[Any]) -> str:
-    """The text :func:`fingerprint` hashes.
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _part_text(part: Any) -> str:
+    """``part``'s text in a key: the :func:`form_text` of its canonical form.
+
+    An object with a ``key_text()`` method supplies that text itself
+    (specs and libraries keep theirs), so each is canonicalized once
+    however many keys name it.
+    """
+    key_text = getattr(part, "key_text", None)
+    if callable(key_text) and not isinstance(part, type):
+        return key_text()
+    return canonical_text(part)
+
+
+def _payload(kind: str, texts: Sequence[str]) -> str:
+    """The text a key hashes: the parts' ``texts`` under a ``kind`` tag.
 
     It is the :func:`form_text` of ``["repro-noc-cache", SCHEMA_VERSION,
-    "py<major>.<minor>", kind, [canonical(p) for p in parts]]``, put
-    together from each part's own text: a canonical form holds lists
-    and scalars only, never a dict, so ``sort_keys`` changes nothing and
-    the texts join as ``json.dumps`` writes a list.  An object with a
-    ``key_text()`` method supplies its part's text itself (specs,
-    libraries and synthesis configs keep theirs), so each is
-    canonicalized once however many keys name it.
+    "py<major>.<minor>", kind, [<part forms>]]``, put together from each
+    part's own text: a canonical form holds lists and scalars only,
+    never a dict, so ``sort_keys`` changes nothing and the texts join as
+    ``json.dumps`` writes a list.
     """
     head = form_text(
         ["repro-noc-cache", SCHEMA_VERSION, "py%d.%d" % sys.version_info[:2], kind]
     )
-    texts = []
-    for part in parts:
-        key_text = getattr(part, "key_text", None)
-        if callable(key_text) and not isinstance(part, type):
-            texts.append(key_text())
-        else:
-            texts.append(canonical_text(part))
     return "%s,[%s]]" % (head[:-1], ",".join(texts))
 
 
 def canonical_text(obj: Any) -> str:
-    """The :func:`form_text` of ``obj``'s canonical form: its part of a key."""
+    """The :func:`form_text` of ``obj``'s canonical form."""
     return form_text(canonical(obj))
+
+
+def object_text(obj: Any, texts: Mapping[str, str]) -> str:
+    """:func:`canonical_text` of ``obj``, spliced from parts built elsewhere.
+
+    ``obj.canonical()`` is a mapping with string keys; ``texts`` maps
+    each key to the :func:`canonical_text` of its value.  The entries go
+    in the order :func:`_canonical_mapping` sorts them.  A string's text
+    takes none of :func:`form_text`'s options, so the default encoder
+    writes it, without an encoder built per call.
+    """
+    entries = sorted((json.dumps(name), text) for name, text in texts.items())
+    return '["o",%s,["m",[%s]]]' % (
+        json.dumps(type(obj).__qualname__),
+        ",".join("[%s,%s]" % entry for entry in entries),
+    )
 
 
 def kept_text(owner: Any, build: Callable[[Any], str]) -> str:
@@ -164,6 +187,8 @@ def kept_text(owner: Any, build: Callable[[Any], str]) -> str:
     it, and the owner's ``__getstate__`` drops it, so no pickle, copy or
     cached blob carries it.  Owners are frozen dataclasses, so the text
     cannot go stale; ``dataclasses.replace`` builds an owner without it.
+    Each owner class keeps one kind of text, so one class always passes
+    the same ``build``.
     """
     text = owner.__dict__.get("_key_text")
     if text is None:
@@ -172,7 +197,7 @@ def kept_text(owner: Any, build: Callable[[Any], str]) -> str:
     return text
 
 
-def config_text(config: Any) -> str:
+def _config_text(config: Any) -> str:
     """A ``SynthesisConfig``'s part of a candidate record's key: the text
     of :func:`_config_canonical`'s form, canonicalized as a part."""
     return canonical_text(_config_canonical(config))
@@ -195,12 +220,19 @@ def _config_canonical(config: Any) -> Any:
 
 
 def design_space_key(spec: Any, library: Any, config: Any) -> str:
-    """Key for the candidate record of one synthesis run.
+    """Key for the candidate record of one synthesis run."""
+    return _digest(_space_payload(spec, library, config))
 
-    A ``SynthesisConfig`` supplies its :func:`config_text` through its
-    own ``key_text()``; any other config is canonicalized here.
+
+def _space_payload(spec: Any, library: Any, config: Any) -> str:
+    """The text :func:`design_space_key` hashes.
+
+    The config's part is :func:`_config_text`, kept on the config
+    (:func:`kept_text`), so a sweep caller's hit probe and the task's
+    lookup share it.  Only this function builds that text: a config has
+    no ``key_text()``, so :func:`fingerprint` and :func:`canonical` give
+    it every field wherever it sits.
     """
-    if not callable(getattr(config, "key_text", None)):
-        config = _config_canonical(config)
-    return fingerprint("space", spec, library, config)
-
+    return _payload(
+        "space", [_part_text(spec), _part_text(library), kept_text(config, _config_text)]
+    )

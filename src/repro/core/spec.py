@@ -453,8 +453,9 @@ class SoCSpec:
         """The JSON text of the spec's canonical form.
 
         :func:`repro.cache.keys.fingerprint` splices it into every key
-        that names the spec.  It is spliced in turn from three texts,
-        each built once: the cores' and the flows', which every spec
+        that names the spec.  It is spliced in turn
+        (:func:`~repro.cache.keys.object_text`) from three texts, each
+        built once: the cores' and the flows', which every spec
         derived by :meth:`with_vi_assignment` shares with its parent
         (whichever is keyed first builds them), and the spec's own
         island assignment's, kept on the spec
@@ -466,16 +467,15 @@ class SoCSpec:
         ``repr`` never see them, and :meth:`__getstate__` drops them, so
         no pickle, copy or cached blob carries them.
         """
-        from ..cache.keys import canonical_text, form_text, kept_text
+        from ..cache.keys import canonical_text, kept_text, object_text
 
         shared = self._shared_texts()
         if shared.flows is None:
             shared.cores = canonical_text(self._core_rows())
             shared.flows = canonical_text(self._flow_rows())
         own = kept_text(self, lambda spec: canonical_text(spec._island_rows()))
-        # canonical() is a mapping, which keys sort: cores, flows, vi_assignment.
-        return '["o",%s,["m",[["cores",%s],["flows",%s],["vi_assignment",%s]]]]' % (
-            form_text(type(self).__qualname__), shared.cores, shared.flows, own
+        return object_text(
+            self, {"cores": shared.cores, "flows": shared.flows, "vi_assignment": own}
         )
 
     def fingerprint(self) -> str:

@@ -56,7 +56,7 @@ from typing import (
 from ..arch.topology import INTERMEDIATE_ISLAND, NetworkInterface
 from ..arch.validate import validate_topology
 from ..cache.context import active_store
-from ..cache.keys import config_text, design_space_key, kept_text
+from ..cache.keys import design_space_key
 from ..cache.signatures import design_space_signature
 from ..exceptions import CacheKeyError, PartitionError
 from ..floorplan.placer import FloorplanConfig, place
@@ -138,15 +138,9 @@ class SynthesisConfig:
     #: same either way.
     prune_sweep: bool = False
 
-    def key_text(self) -> str:
-        """The config's part of a candidate record's key
-        (:func:`~repro.cache.keys.config_text`: every field but
-        :data:`~repro.cache.keys.CONFIG_KEY_EXCLUDE`), built on first use
-        and kept on the config (:func:`~repro.cache.keys.kept_text`), so
-        a sweep caller's hit probe and the task's lookup share it."""
-        return kept_text(self, config_text)
-
     def __getstate__(self) -> Dict[str, object]:
+        # Drop the key text design_space_key keeps on the config
+        # (repro.cache.keys.kept_text).
         state = dict(self.__dict__)
         state.pop("_key_text", None)
         return state

@@ -338,19 +338,21 @@ class TestKeyText:
         specs, order = chain
         config = SynthesisConfig()
 
-        def parts(spec):
-            return (spec, DEFAULT_LIBRARY, keys_module._config_canonical(config))
+        def payload(spec):
+            return keys_module._space_payload(spec, DEFAULT_LIBRARY, config)
 
         with mock.patch.object(
             SoCSpec, "_core_rows", autospec=True, side_effect=SoCSpec._core_rows
         ) as core_rows:
-            payloads = [(i, keys_module._payload("space", parts(specs[i]))) for i in order]
-            again = [keys_module._payload("space", parts(specs[i])) for i in order]
+            payloads = [(i, payload(specs[i])) for i in order]
+            again = [payload(specs[i]) for i in order]
         assert core_rows.call_count == 1
-        assert again == [payload for _, payload in payloads]
-        for i, payload in payloads:
-            expected = _reference_payload("space", *parts(specs[i]))
-            assert payload == expected
+        assert again == [text for _, text in payloads]
+        for i, text in payloads:
+            expected = _reference_payload(
+                "space", specs[i], DEFAULT_LIBRARY, keys_module._config_canonical(config)
+            )
+            assert text == expected
             assert design_space_key(specs[i], DEFAULT_LIBRARY, config) == hashlib.sha256(
                 expected.encode("utf-8")
             ).hexdigest()
@@ -371,13 +373,14 @@ class TestKeyText:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_space_payload_is_the_single_dumps_form(self, inputs):
         spec, library, config = inputs
-        parts = (spec, library, keys_module._config_canonical(config))
-        expected = _reference_payload("space", *parts)
+        expected = _reference_payload(
+            "space", spec, library, keys_module._config_canonical(config)
+        )
         assert "_key_text" not in vars(spec)
-        assert keys_module._payload("space", parts) == expected
-        # Again from the text the first call left on the spec.
-        assert "_key_text" in vars(spec)
-        assert keys_module._payload("space", parts) == expected
+        assert keys_module._space_payload(spec, library, config) == expected
+        # Again from the texts the first call left on the parts.
+        assert all("_key_text" in vars(part) for part in inputs)
+        assert keys_module._space_payload(spec, library, config) == expected
         digest = hashlib.sha256(expected.encode("utf-8")).hexdigest()
         assert design_space_key(spec, library, config) == digest
         renamed = spec.with_vi_assignment(spec.vi_assignment, name="renamed")
@@ -386,10 +389,52 @@ class TestKeyText:
     @given(kind=st.text(max_size=8), parts=st.lists(_plain_data, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_any_payload_is_the_single_dumps_form(self, kind, parts):
-        assert keys_module._payload(kind, parts) == _reference_payload(kind, *parts)
+        texts = [keys_module._part_text(part) for part in parts]
+        assert keys_module._payload(kind, texts) == _reference_payload(kind, *parts)
         assert fingerprint(kind, *parts) == hashlib.sha256(
             _reference_payload(kind, *parts).encode("utf-8")
         ).hexdigest()
+
+    @given(inputs=key_inputs(), kind=st.text(max_size=8))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_fingerprint_gives_a_keyed_config_every_field(self, inputs, kind):
+        """The config text a key keeps leaves out ``CONFIG_KEY_EXCLUDE``;
+        ``fingerprint`` of the config, alone or nested, never reads it."""
+        spec, library, config = inputs
+        scored = dataclasses.replace(config, objective=StaticLatencyObjective())
+
+        def expected(*parts):
+            return hashlib.sha256(_reference_payload(kind, *parts).encode("utf-8")).hexdigest()
+
+        for keyed in (False, True):
+            if keyed:
+                design_space_key(spec, library, config)
+                design_space_key(spec, library, scored)
+                assert "_key_text" in vars(config) and "_key_text" in vars(scored)
+            assert fingerprint(kind, config) == expected(config)
+            assert fingerprint(kind, [config]) == expected([config])
+            assert fingerprint(kind, spec, library, config) == expected(spec, library, config)
+            assert fingerprint(kind, scored) != fingerprint(kind, config)
+        assert design_space_key(spec, library, scored) == design_space_key(spec, library, config)
+
+    @given(
+        entries=st.dictionaries(st.text(max_size=4), _plain_data, min_size=1, max_size=5)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_object_text_is_the_canonical_text(self, entries):
+        """Spliced part texts give what ``canonical()`` of the object
+        writes, whatever the mapping's keys and their order."""
+
+        class Holder:
+            def canonical(self):
+                return entries
+
+        holder = Holder()
+        texts = {name: keys_module.canonical_text(value) for name, value in entries.items()}
+        expected = keys_module.form_text(canonical(holder))
+        assert keys_module.object_text(holder, texts) == expected
+        backwards = dict(reversed(list(texts.items())))
+        assert keys_module.object_text(holder, backwards) == expected
 
     def test_keyed_spec_is_an_unkeyed_one_to_every_reader(self):
         """The text stays off pickles, copies, equality and printing."""
@@ -407,6 +452,14 @@ class TestKeyText:
         assert repr(keyed) == repr(plain) and str(keyed) == str(plain)
 
 
+def _key_library(library):
+    return design_space_key(make_tiny_spec(), library, SynthesisConfig())
+
+
+def _key_config(config):
+    return design_space_key(make_tiny_spec(), DEFAULT_LIBRARY, config)
+
+
 class TestKeptTexts:
     """Libraries and configs keep their key texts, and derived specs
     share theirs, only where the key builder reads them: pickles,
@@ -414,19 +467,20 @@ class TestKeptTexts:
     never see them."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, key",
         [
-            NocLibrary,
-            lambda: dataclasses.replace(DEFAULT_LIBRARY, data_width_bits=64),
-            SynthesisConfig,
-            lambda: SynthesisConfig(alpha=0.4, max_intermediate=1),
+            (NocLibrary, _key_library),
+            (lambda: dataclasses.replace(DEFAULT_LIBRARY, data_width_bits=64), _key_library),
+            (SynthesisConfig, _key_config),
+            (lambda: SynthesisConfig(alpha=0.4, max_intermediate=1), _key_config),
         ],
         ids=["library", "wide-library", "config", "config-variant"],
     )
-    def test_keyed_part_is_an_unkeyed_one_to_every_reader(self, make):
+    def test_keyed_part_is_an_unkeyed_one_to_every_reader(self, make, key):
         keyed, plain = make(), make()
-        text = keyed.key_text()
-        assert vars(keyed)["_key_text"] == text and "_key_text" not in vars(plain)
+        digest = key(keyed)
+        text = vars(keyed)["_key_text"]
+        assert "_key_text" not in vars(plain)
         assert pickle.dumps(keyed, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
             plain, pickle.HIGHEST_PROTOCOL
         )
@@ -439,16 +493,19 @@ class TestKeptTexts:
         for clone in clones:
             assert "_key_text" not in vars(clone)
             assert clone == plain and hash(clone) == hash(plain)
-            assert clone.key_text() == text
+            assert key(clone) == digest and vars(clone)["_key_text"] == text
         assert keyed == plain and hash(keyed) == hash(plain)
         assert repr(keyed) == repr(plain)
 
     def test_config_text_is_the_one_the_key_hashed(self):
         config = SynthesisConfig(max_intermediate=None, objective=StaticLatencyObjective())
-        assert config.key_text() == keys_module.form_text(
+        plain = SynthesisConfig(max_intermediate=None)
+        for each in (config, plain):
+            _key_config(each)
+        assert vars(config)["_key_text"] == keys_module.form_text(
             canonical(keys_module._config_canonical(config))
         )
-        assert config.key_text() == SynthesisConfig(max_intermediate=None).key_text()
+        assert vars(config)["_key_text"] == vars(plain)["_key_text"]
 
     def test_keyed_derived_spec_is_an_unkeyed_one_to_every_reader(self):
         base = mobile_soc_26()
