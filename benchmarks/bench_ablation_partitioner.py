@@ -1,8 +1,8 @@
 """Ablation — FM min-cut partitioner vs greedy agglomeration.
 
-DESIGN.md decision 6.1: core-to-switch clustering uses recursive
-bisection with Fiduccia–Mattheyses refinement (the 2009-era standard);
-a greedy agglomerative variant ships as the comparison point.  This
+Core-to-switch clustering uses recursive bisection with
+Fiduccia–Mattheyses refinement (the 2009-era standard); a greedy
+agglomerative variant ships as the comparison point.  This
 bench quantifies the choice twice: on raw cut weight over random
 graphs, and end-to-end on synthesized NoC power.
 """

@@ -19,8 +19,10 @@ Public names load on first use: ``import repro`` imports no subpackage,
 and ``from repro import synthesize`` loads only what synthesis needs
 (see "Start-up cost" in docs/performance.md).
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
+``docs/`` describes each layer above Algorithm 1 (caching,
+objectives, runtime, resilience, control plane, observability,
+performance); ``benchmarks/`` regenerates the paper's figures and
+tables into ``benchmarks/results/``.
 """
 
 import importlib
@@ -63,17 +65,13 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     {
         ".arch.topology": ("INTERMEDIATE_ISLAND", "Topology"),
         ".arch.validate": ("audit_shutdown_safety", "validate_topology"),
-        ".control.controller": (
-            "ReconfigurationController",
-            "controlled_simulation_check",
-        ),
+        ".control.controller": ("ReconfigurationController",),
         ".control.latency": ("ControlLatencyModel",),
         ".control.objective": ("RecoveryObjective",),
         ".core.design_point": ("DesignPoint", "DesignSpace"),
         ".core.explore": (
             "ExplorationEngine",
             "ObjectiveSelector",
-            "RuntimeEnergySelector",
             "SweepRecord",
         ),
         ".core.frequency": ("IslandPlan", "plan_all_islands"),

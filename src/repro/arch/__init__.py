@@ -1,7 +1,6 @@
 """NoC architecture model and structural analyses.
 
-Modules: the topology container (`topology`), route tables and channel
-dependency graphs (`routing`), structural validation with the
-shutdown-safety audit (`validate`) and CDG cycle remediation
-(`deadlock`).
+Modules: the topology container (`topology`), channel dependency
+graphs and the deadlock-freedom check (`routing`), and structural
+validation with the shutdown-safety audit (`validate`).
 """

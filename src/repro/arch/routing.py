@@ -1,42 +1,20 @@
-"""Routing views: per-switch route tables and deadlock analysis.
+"""Routing views: channel dependency graphs and deadlock analysis.
 
 Synthesized NoCs use static source routing along the paths chosen by
-the allocator.  This module derives the artifacts an implementation
-flow needs from the stored routes:
-
-* **route tables** — for each switch, which output the packet of a
-  given flow takes (what would be programmed into the routing logic);
-* the **channel dependency graph (CDG)** — a directed graph over links
-  where an edge ``l1 -> l2`` means some flow holds ``l1`` while
-  requesting ``l2``.  Wormhole switching is deadlock-free iff the CDG
-  is acyclic (Dally & Seitz); the paper's flow inherits this check from
-  the [15] backend, so we expose it as a diagnostic.
+the allocator.  This module derives from the stored routes the
+**channel dependency graph (CDG)**: a directed graph over links where
+an edge ``l1 -> l2`` means some flow holds ``l1`` while requesting
+``l2``.  Wormhole switching is deadlock-free iff the CDG is acyclic
+(Dally & Seitz); the paper's flow inherits this check from the [15]
+backend, so we expose it as a diagnostic, which the control plane and
+the resilience audit run on every routing they install or derive.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..exceptions import ValidationError
 from .topology import FlowKey, Route, Topology
-
-
-def route_table(topology: Topology, switch_id: str) -> Dict[FlowKey, str]:
-    """Output component per flow for one switch.
-
-    Maps every flow whose route traverses ``switch_id`` to the next
-    component (switch or NI) on its path.
-    """
-    if switch_id not in topology.switches:
-        raise ValidationError("unknown switch %r" % switch_id)
-    table: Dict[FlowKey, str] = {}
-    for key, route in topology.routes.items():
-        comps = route.components
-        for i, comp in enumerate(comps[:-1]):
-            if comp == switch_id:
-                table[key] = comps[i + 1]
-                break
-    return table
 
 
 def channel_dependency_graph(
@@ -107,17 +85,6 @@ def is_deadlock_free(
     post-failure degraded route set) over the same links.
     """
     return find_cdg_cycle(topology, routes) is None
-
-
-def flows_through_switch(topology: Topology, switch_id: str) -> List[FlowKey]:
-    """Flows whose route traverses the given switch."""
-    if switch_id not in topology.switches:
-        raise ValidationError("unknown switch %r" % switch_id)
-    out = []
-    for key, route in topology.routes.items():
-        if switch_id in route.components[1:-1]:
-            out.append(key)
-    return sorted(out)
 
 
 def hop_histogram(topology: Topology) -> Dict[int, int]:

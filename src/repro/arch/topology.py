@@ -565,11 +565,6 @@ class Topology:
         """Count of bi-synchronous FIFOs (one per island-crossing link)."""
         return sum(1 for l in self.links.values() if l.converter)
 
-    def route_crossings(self, flow_key: FlowKey) -> int:
-        """Island crossings (converter traversals) on a flow's route."""
-        route = self.routes[flow_key]
-        return sum(1 for lid in route.links if self.links[lid].crosses_islands)
-
     def route_switches(self, flow_key: FlowKey) -> List[Switch]:
         """Switch objects along a flow's route, in order."""
         route = self.routes[flow_key]

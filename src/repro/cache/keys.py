@@ -50,9 +50,9 @@ SCHEMA_VERSION = 7
 #: the in-run fast path (memo dicts, routing shortcuts), which is
 #: pinned byte-identical to the reference path by
 #: ``tests/test_perf.py::TestSynthesisDeterminism``, so cached and
-#: reference runs share results.  ``objective`` and ``prune_sweep``
-#: only steer the scoring pass, which runs on every call, hit or miss.
-CONFIG_KEY_EXCLUDE = ("enable_caches", "objective", "prune_sweep")
+#: reference runs share results.  ``objective`` only steers the
+#: scoring pass, which runs on every call, hit or miss.
+CONFIG_KEY_EXCLUDE = ("enable_caches", "objective")
 
 
 def canonical(obj: Any) -> Any:

@@ -40,7 +40,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "ControlOutcome",
             "FlowDecision",
             "ReconfigurationController",
-            "controlled_simulation_check",
         ),
         ".latency": ("ControlLatencyModel",),
         ".objective": ("RecoveryObjective",),

@@ -51,7 +51,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..arch.routing import find_cdg_cycle, is_deadlock_free
 from ..arch.topology import FlowKey, Route, Topology
 from ..core.paths import PathAllocator
-from ..exceptions import SpecError
 from ..perf.instrument import span
 from ..power.noc_power import route_traffic_power_mw
 from ..resilience.faults import (
@@ -516,19 +515,3 @@ class ReconfigurationController:
             stall_ms=stall_total,
             flow_stall_ms=flow_stall,
         )
-
-
-def controlled_simulation_check(
-    topology: Topology,
-    controller: ReconfigurationController,
-    scenarios: Sequence[FaultScenario],
-) -> bool:
-    """True when every scenario's installed routing is deadlock-free.
-
-    A pre-flight audit over a whole scenario set: decisions are
-    memoized on the controller, so a subsequent trace replay reuses
-    them for free.
-    """
-    if controller.topology is not topology:
-        raise SpecError("controller was built for a different topology")
-    return all(controller.decide(sc).deadlock_free for sc in scenarios)

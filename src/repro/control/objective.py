@@ -113,10 +113,6 @@ class RecoveryObjective(Objective):
         cost = base_result.cost + (worst_recovery, prot.power_overhead_mw)
         return ObjectiveResult(cost=cost, metrics=metrics)
 
-    def partial_cost(self, point: "DesignPoint") -> Optional[Tuple[float, ...]]:
-        """The base's exact cost prefix — recovery only appends cost."""
-        return self._base().partial_cost(point)
-
     def column_names(self) -> Tuple[str, ...]:
         return self._base().column_names() + ("coverage", "recovery_ms")
 

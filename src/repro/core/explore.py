@@ -3,9 +3,10 @@
 One level above :func:`repro.core.synthesis.synthesize`: structured
 sweeps over the knobs a system architect actually turns — island count
 and assignment strategy (the paper's Figures 2/3 axis), the VCG weight
-``alpha``, and the link data width.  Each sweep returns plain records
-so benches, examples and notebooks share one implementation instead of
-re-rolling loops.
+``alpha``, and the link data width.  One grid path
+(:meth:`ExplorationEngine.grid_exploration`) crosses whichever of these
+axes a caller names and returns plain records, so benches, examples
+and notebooks share one implementation instead of re-rolling loops.
 
 Sweep points are independent synthesis runs, so :class:`ExplorationEngine`
 can deal them over forked workers (``workers > 1``,
@@ -32,14 +33,12 @@ from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..soc.partitioning import island_count_sweep
 from .design_point import DesignPoint, DesignSpace
 from .forked import forked_workers, may_fork
-from .objective import Objective, TraceEnergyObjective
+from .objective import Objective
 from .spec import SoCSpec
 from .synthesis import SynthesisConfig, gc_paused, store_key, synthesize
 
-if TYPE_CHECKING:  # pragma: no cover - a sweep without a trace loads no runtime
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.store import CacheStore
-    from ..power.gating import GatingModel
-    from ..runtime.trace import UseCaseTrace
 
 #: Placeholder emitted for metric columns of infeasible sweep rows so
 #: feasible and infeasible rows keep identical key sets (column
@@ -276,7 +275,6 @@ class ExplorationEngine:
                 )
             select = ObjectiveSelector(objective)
         self.select = select
-        self.objective = objective
 
     def __enter__(self) -> "ExplorationEngine":
         return self
@@ -455,91 +453,14 @@ class ExplorationEngine:
             select=self.select,
         )
 
-    # -- single-axis sweeps --------------------------------------------
-
-    def island_count_tasks(
-        self,
-        spec: SoCSpec,
-        counts: Sequence[int],
-        strategies: Sequence[str] = ("logical", "communication"),
-    ) -> List[SweepTask]:
-        """Tasks of the Figures 2/3 sweep: island count x strategy."""
-        tasks = []
-        for strategy in strategies:
-            specs = island_count_sweep(spec, counts, strategy)
-            for n, partitioned in zip(counts, specs):
-                tasks.append(self.task(partitioned, {"islands": n, "strategy": strategy}))
-        return tasks
-
-    def island_count_exploration(
-        self,
-        spec: SoCSpec,
-        counts: Sequence[int],
-        strategies: Sequence[str] = ("logical", "communication"),
-    ) -> List[SweepRecord]:
-        return self.run(self.island_count_tasks(spec, counts, strategies))
+    # -- sweeps --------------------------------------------------------
 
     def alpha_exploration(
         self, spec: SoCSpec, alphas: Sequence[float]
     ) -> List[SweepRecord]:
-        """Sweep the Definition-1 weight between bandwidth and latency."""
-        return self.run(
-            [
-                self.task(
-                    spec,
-                    {"alpha": alpha},
-                    config=dataclasses.replace(self.config, alpha=alpha),
-                )
-                for alpha in alphas
-            ]
-        )
-
-    def data_width_exploration(
-        self, spec: SoCSpec, widths: Sequence[int]
-    ) -> List[SweepRecord]:
-        """Sweep the NoC link data width ("could be varied in a range")."""
-        tasks = []
-        for width in widths:
-            if width <= 0:
-                raise SpecError("link width must be positive, got %r" % width)
-            tasks.append(
-                self.task(
-                    spec,
-                    {"width_bits": width},
-                    library=dataclasses.replace(self.library, data_width_bits=width),
-                )
-            )
-        return self.run(tasks)
-
-    # -- runtime-energy objective --------------------------------------
-
-    def runtime_exploration(
-        self,
-        spec: SoCSpec,
-        counts: Sequence[int],
-        trace: UseCaseTrace,
-        strategies: Sequence[str] = ("logical",),
-        policy: str = "break_even",
-        model: Optional[GatingModel] = None,
-    ) -> List[SweepRecord]:
-        """Island-count sweep selecting by *trace energy*, not mW snapshot.
-
-        Each sweep point synthesizes as usual but the chosen design
-        point is the one with the lowest simulated energy over
-        ``trace`` under ``policy`` (:class:`RuntimeEnergySelector`) —
-        the dynamic analogue of ``best_by_power``.  The trace's use
-        cases must validate against every partitioned spec, so traces
-        built from curated scenario sets require partitionings that
-        keep the benchmark name (see ``cli._partitioned``).
-        """
-        select = RuntimeEnergySelector(trace=trace, policy=policy, model=model)
-        tasks = [
-            dataclasses.replace(t, select=select)
-            for t in self.island_count_tasks(spec, counts, strategies)
-        ]
-        return self.run(tasks)
-
-    # -- cross-product sweep -------------------------------------------
+        """Sweep the Definition-1 weight between bandwidth and latency:
+        the records of :meth:`grid_exploration` along its ``alphas`` axis."""
+        return self.grid_exploration(spec, alphas=alphas).records
 
     def grid_exploration(
         self,
@@ -643,33 +564,3 @@ class ObjectiveSelector:
     def column_names(self) -> Tuple[str, ...]:
         return self.objective.column_names()
 
-
-@dataclass(frozen=True)
-class RuntimeEnergySelector:
-    """Pick the design point with the lowest trace energy.
-
-    Historical name for the trace-energy sweep objective, kept as a
-    thin shim over
-    :class:`~repro.core.objective.TraceEnergyObjective` (identical
-    selection, including the static-power-then-index tie-break); new
-    code should pass ``objective=TraceEnergyObjective(...)`` to the
-    engine instead (see ``docs/objectives.md``).
-    """
-
-    trace: UseCaseTrace
-    policy: str = "break_even"
-    model: Optional[GatingModel] = None
-
-    def _objective(self) -> TraceEnergyObjective:
-        return TraceEnergyObjective(
-            trace=self.trace, policy=self.policy, model=self.model
-        )
-
-    def __call__(self, space: DesignSpace) -> DesignPoint:
-        return self._objective().select(space)
-
-    def columns(self, point: DesignPoint) -> Dict[str, object]:
-        return self._objective().columns(point)
-
-    def column_names(self) -> Tuple[str, ...]:
-        return self._objective().column_names()

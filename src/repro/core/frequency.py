@@ -127,7 +127,7 @@ def intermediate_island_freq_mhz(plans: Mapping[int, IslandPlan]) -> float:
 
     The intermediate island aggregates cross-island traffic from every
     other island, so it must keep up with the fastest of them; we run it
-    at the maximum island frequency (DESIGN.md decision 6.2).
+    at the maximum island frequency.
     """
     if not plans:
         raise SpecError("no island plans given")

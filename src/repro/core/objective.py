@@ -1,13 +1,14 @@
 """Unified objective layer: pluggable cost models for synthesis and DSE.
 
-Every layer of the flow used to score design points its own way:
-``DesignSpace.best_by_power`` hard-coded the Figure-2 power snapshot,
-``RuntimeEnergySelector`` re-rolled a trace-energy key, and the runtime
-policies compared island economics inline.  This module extracts the
-one abstraction they all share — *given a design point, produce a
-deterministic cost vector and a feasibility verdict* — so new objective
-families (trace energy, wake-latency QoS, weighted composites) plug
-into Algorithm 1, the sweep engine and the CLI without touching them.
+One abstraction serves every layer that ranks design points: *given a
+design point, produce a deterministic cost vector and a feasibility
+verdict*.  ``DesignSpace.best_by_power`` and ``best_by_latency``,
+co-synthesis (``SynthesisConfig(objective=...)``), the sweep engine
+(``ExplorationEngine(objective=...)`` selects through an
+:class:`~repro.core.explore.ObjectiveSelector`) and the CLI's
+``--objective`` all go through it, so new objective families (trace
+energy, wake-latency QoS, weighted composites) plug in without
+touching them.
 
 Contract
 --------
@@ -125,27 +126,6 @@ class Objective:
         """
         raise NotImplementedError
 
-    def key(self, point: "DesignPoint") -> Tuple[float, ...]:
-        """Deterministic comparison key: cost vector plus point index."""
-        return self.evaluate(point).cost + (float(point.index),)
-
-    def partial_cost(self, point: "DesignPoint") -> Optional[Tuple[float, ...]]:
-        """A cheap *exact prefix* of :meth:`evaluate`'s cost vector.
-
-        The objective-aware sweep pruning hook
-        (``SynthesisConfig(prune_sweep=True)``): when the returned
-        prefix already compares strictly greater than the incumbent's
-        cost over its length, the candidate can never win selection
-        and the expensive remainder of the evaluation (trace replay,
-        spare-path protection) is skipped.  Contract: the returned
-        tuple must equal ``evaluate(point).cost[:len(prefix)]`` for
-        every feasible point — a *bound* is not enough, only an exact
-        prefix preserves lexicographic comparability.  Return ``None``
-        (the default) when no cheap prefix exists; such objectives are
-        never pruned.
-        """
-        return None
-
     def select(self, space: "DesignSpace") -> "DesignPoint":
         """The best feasible point of a design space under this objective.
 
@@ -207,9 +187,6 @@ class StaticPowerObjective(Objective):
     def evaluate(self, point: "DesignPoint") -> ObjectiveResult:
         return ObjectiveResult(cost=(point.power_mw, point.avg_latency_cycles))
 
-    def partial_cost(self, point: "DesignPoint") -> Tuple[float, ...]:
-        return (point.power_mw, point.avg_latency_cycles)
-
 
 @dataclass(frozen=True)
 class StaticLatencyObjective(Objective):
@@ -219,9 +196,6 @@ class StaticLatencyObjective(Objective):
 
     def evaluate(self, point: "DesignPoint") -> ObjectiveResult:
         return ObjectiveResult(cost=(point.avg_latency_cycles, point.power_mw))
-
-    def partial_cost(self, point: "DesignPoint") -> Tuple[float, ...]:
-        return (point.avg_latency_cycles, point.power_mw)
 
 
 @dataclass(frozen=True)
@@ -245,13 +219,6 @@ class StaticAreaObjective(Objective):
                 point.avg_latency_cycles,
             ),
             metrics={"noc_area_mm2": point.soc_power.noc_area_mm2},
-        )
-
-    def partial_cost(self, point: "DesignPoint") -> Tuple[float, ...]:
-        return (
-            point.soc_power.noc_area_mm2,
-            point.power_mw,
-            point.avg_latency_cycles,
         )
 
     def column_names(self) -> Tuple[str, ...]:
@@ -283,13 +250,6 @@ class WireLengthObjective(Objective):
             metrics={"wire_mm": point.wires.total_length_mm},
         )
 
-    def partial_cost(self, point: "DesignPoint") -> Tuple[float, ...]:
-        return (
-            point.wires.total_length_mm,
-            point.power_mw,
-            point.avg_latency_cycles,
-        )
-
     def column_names(self) -> Tuple[str, ...]:
         return ("wire_mm",)
 
@@ -304,9 +264,9 @@ class TraceEnergyObjective(Objective):
     The co-synthesis objective: static power only enters as tie-break,
     so a topology that looks worse in mW can win by letting more
     islands gate more often on the actual mode sequence.  Simulation
-    runs without the routability audit by default (selection-speed
-    parity with the historical ``RuntimeEnergySelector``); QoS-style
-    rejection belongs to :class:`WakeLatencyQoSObjective`.
+    runs without the routability audit by default, for selection
+    speed; QoS-style rejection belongs to
+    :class:`WakeLatencyQoSObjective`.
     """
 
     name = "trace_energy"

@@ -212,7 +212,9 @@ class SoCSpec:
                 "vi_assignment misses cores %s" % sorted(missing)
             )
         for core, isl in assignment.items():
-            if not isinstance(isl, int) or isl < 0:
+            # ``bool`` is an ``int`` subclass, but its canonical text
+            # differs, so an equal spec would key differently.
+            if not isinstance(isl, int) or isinstance(isl, bool) or isl < 0:
                 raise SpecError(
                     "core %r: island id must be a non-negative int, got %r" % (core, isl)
                 )

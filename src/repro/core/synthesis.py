@@ -122,21 +122,6 @@ class SynthesisConfig:
     #: re-runs ``evaluate`` on every point (a trace replay or spare-path
     #: protection for the costly objectives; docs/performance.md).
     objective: Optional[Objective] = None
-    #: Objective-aware pruning in the scoring pass: once an incumbent
-    #: best point exists, a candidate whose cheap *exact cost prefix*
-    #: (:meth:`~repro.core.objective.Objective.partial_cost`) compares
-    #: strictly greater than the incumbent's cost is dropped without
-    #: the expensive remainder of its scoring (trace replays,
-    #: spare-path protection).  Pruned candidates are recorded in
-    #: ``DesignSpace.failures`` and never enter ``points`` — the space
-    #: is smaller, but selection under the objective is provably
-    #: identical to the unpruned sweep (a strictly greater prefix
-    #: implies a strictly greater full cost vector).  With no
-    #: objective configured, the static-power default drives the prune
-    #: decision only (points still carry no ``objective_result``).
-    #: Not part of the cache key: the candidate record it prunes is the
-    #: same either way.
-    prune_sweep: bool = False
 
     def __getstate__(self) -> Dict[str, object]:
         # Drop the key text design_space_key keeps on the config
@@ -185,8 +170,8 @@ def synthesize(
 
     Two passes: the objective-free candidate pass (partitioning,
     routing, evaluation), served from the active cache store when it
-    can be, and the scoring pass, which applies the objective, its veto
-    and sweep pruning to its outcomes.
+    can be, and the scoring pass, which applies the objective and its
+    veto to its outcomes.
 
     The whole call, cache decode and encode included, runs under
     :func:`gc_paused`.  That rests on synthesis creating no reference
@@ -220,10 +205,9 @@ def _outcomes(
     """The candidate pass's outcomes, through the active cache store.
 
     The store holds one entry per pass: the complete outcome list,
-    keyed without the objective and the scoring options, so a run under
-    any objective or prune setting is served by it.  On a miss the list
-    is built and stored before it is scored.  Active only when a
-    :class:`~repro.cache.store.CacheStore` is installed
+    keyed without the objective, so a run under any objective is served
+    by it.  On a miss the list is built and stored before it is scored.
+    Active only when a :class:`~repro.cache.store.CacheStore` is installed
     (``repro.cache.caching``) *and* the config's fast paths are on —
     ``enable_caches=False`` is the reference mode and must exercise the
     real computation.  Infeasible sweeps are cached too (the record is
@@ -519,7 +503,7 @@ def _candidate_pass(
 def _score(
     spec_name: str, cfg: SynthesisConfig, outcomes: Iterable[Outcome]
 ) -> DesignSpace:
-    """The scoring pass: objective, veto, prune and indices.
+    """The scoring pass: objective, veto and indices.
 
     A point whose index or objective result changes is a new one
     (``dataclasses.replace``), but it shares the record point's
@@ -528,15 +512,6 @@ def _score(
     contract), or a cold run and a hit would disagree.
     """
     space = DesignSpace(spec_name=spec_name, objective=cfg.objective)
-    # Pruning needs a full-cost incumbent to compare prefixes against;
-    # with no objective configured the static-power default drives the
-    # prune decision alone (accepted points stay objective-free).
-    prune_obj: Optional[Objective] = None
-    if cfg.prune_sweep:
-        from .objective import StaticPowerObjective
-
-        prune_obj = cfg.objective or StaticPowerObjective()
-    incumbent: Optional[Tuple[float, ...]] = None
     for outcome in outcomes:
         if not isinstance(outcome, DesignPoint):
             space.failures.append(outcome)
@@ -544,20 +519,6 @@ def _score(
         point = outcome
         if point.index != len(space.points):
             point = replace(point, index=len(space.points))
-        if prune_obj is not None and incumbent is not None:
-            prefix = prune_obj.partial_cost(point)
-            if prefix is not None and prefix > incumbent[: len(prefix)]:
-                # The prefix is an exact prefix of the full cost
-                # vector and already compares strictly greater, so
-                # the candidate can never beat the incumbent —
-                # skip the expensive remainder of its scoring.
-                recorder = active_recorder()
-                if recorder is not None:
-                    recorder.count("sweep_pruned")
-                space.failures.append(
-                    _failure(point, "pruned: partial cost above incumbent")
-                )
-                continue
         if cfg.objective is not None:
             point = replace(point, objective_result=cfg.objective.evaluate(point))
         if point.objective_result is not None and not point.objective_result.feasible:
@@ -571,14 +532,6 @@ def _score(
             )
             continue
         space.points.append(point)
-        if prune_obj is not None:
-            cost = (
-                point.objective_result.cost
-                if point.objective_result is not None
-                else prune_obj.evaluate(point).cost
-            )
-            if incumbent is None or cost < incumbent:
-                incumbent = cost
     return space
 
 

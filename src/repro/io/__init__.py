@@ -1,6 +1,6 @@
 """Serialization and rendering.
 
-Modules: JSON round-trip (`json_io`), Graphviz DOT topologies (`dot`),
+Modules: JSON export (`json_io`), Graphviz DOT topologies (`dot`),
 floorplan ASCII/SVG (`floorplan_art`), structural Verilog netlists
 (`netlist`) and text/CSV tables (`report`).
 """

@@ -1,23 +1,23 @@
-"""JSON serialization of specs, topologies and design-point summaries.
+"""JSON export of specs, topologies and design-point summaries.
 
-Specs round-trip losslessly (they are plain data).  Topologies export
-to a complete structural description — components, links, routes,
-island clocks — suitable for driving a downstream implementation flow
-or re-loading for analysis; reconstruction returns a fully functional
-:class:`~repro.arch.topology.Topology` bound to the spec embedded in
-the same file.
+A topology exports to a complete structural description (its spec,
+components, links with their flow charges, routes and island clocks)
+for a downstream implementation flow: the CLI's ``synth --json``
+writes it, and :mod:`repro.cache.signatures` hashes it to compare a
+cached record with a recompute.  The summaries are flat,
+deterministically ordered records of design points, spare-path plans
+and control-plane replays.  Nothing reads these files back; the cache
+store keeps its own records.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from ..arch.topology import FlowCharge, Link, NetworkInterface, Switch, Topology
+from ..arch.topology import Topology
 from ..core.design_point import DesignPoint
-from ..core.spec import CoreSpec, SoCSpec, TrafficFlow
-from ..exceptions import SpecError, ValidationError
-from ..power.library import NocLibrary
+from ..core.spec import SoCSpec
 
 
 # ----------------------------------------------------------------------
@@ -52,52 +52,6 @@ def spec_to_dict(spec: SoCSpec) -> Dict[str, Any]:
         ],
         "vi_assignment": dict(spec.vi_assignment),
     }
-
-
-def spec_from_dict(data: Dict[str, Any]) -> SoCSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output."""
-    try:
-        cores = tuple(
-            CoreSpec(
-                name=c["name"],
-                area_mm2=c["area_mm2"],
-                dynamic_power_mw=c["dynamic_power_mw"],
-                leakage_power_mw=c["leakage_power_mw"],
-                kind=c.get("kind", "peripheral"),
-                group=c.get("group", ""),
-                freq_mhz=c.get("freq_mhz", 200.0),
-            )
-            for c in data["cores"]
-        )
-        flows = tuple(
-            TrafficFlow(
-                src=f["src"],
-                dst=f["dst"],
-                bandwidth_mbps=f["bandwidth_mbps"],
-                latency_cycles=f.get("latency_cycles", 20.0),
-            )
-            for f in data["flows"]
-        )
-        return SoCSpec(
-            name=data["name"],
-            cores=cores,
-            flows=flows,
-            vi_assignment={k: int(v) for k, v in data.get("vi_assignment", {}).items()},
-        )
-    except KeyError as exc:
-        raise SpecError("spec dict missing field %s" % exc)
-
-
-def save_spec(spec: SoCSpec, path: str) -> None:
-    """Write a spec to a JSON file."""
-    with open(path, "w") as f:
-        json.dump(spec_to_dict(spec), f, indent=2, sort_keys=True)
-
-
-def load_spec(path: str) -> SoCSpec:
-    """Read a spec from a JSON file."""
-    with open(path) as f:
-        return spec_from_dict(json.load(f))
 
 
 # ----------------------------------------------------------------------
@@ -148,77 +102,10 @@ def topology_to_dict(topology: Topology) -> Dict[str, Any]:
     }
 
 
-def topology_from_dict(data: Dict[str, Any], library: Optional[NocLibrary] = None) -> Topology:
-    """Rebuild a topology (bypassing construction-time invariants —
-    the data is trusted to come from :func:`topology_to_dict`)."""
-    from ..arch.topology import Route  # local: avoid cycle at import time
-
-    spec = spec_from_dict(data["spec"])
-    lib = library or NocLibrary()
-
-    def charge(src: str, dst: str, bandwidth_mbps: float) -> FlowCharge:
-        """The loaded flow's own charge tuple, as a synthesized link holds."""
-        own = spec.flow(src, dst).charge
-        if own[1] != bandwidth_mbps:
-            raise ValidationError(
-                "link charge %s->%s of %r Mb/s differs from its flow's %r Mb/s"
-                % (src, dst, bandwidth_mbps, own[1])
-            )
-        return own
-
-    freqs = {int(k): float(v) for k, v in data["island_freqs"].items()}
-    topo = Topology(spec, lib, freqs)
-    for s in data["switches"]:
-        topo.switches[s["id"]] = Switch(
-            id=s["id"],
-            island=s["island"],
-            freq_mhz=s["freq_mhz"],
-            n_in=s["n_in"],
-            n_out=s["n_out"],
-        )
-    for n in data["nis"]:
-        topo.nis[n["id"]] = NetworkInterface(
-            id=n["id"], core=n["core"], island=n["island"], freq_mhz=n["freq_mhz"]
-        )
-    topo.core_switch = dict(data["core_switch"])
-    max_id = -1
-    for l in data["links"]:
-        link = Link(
-            id=l["id"],
-            src=l["src"],
-            dst=l["dst"],
-            src_island=l["src_island"],
-            dst_island=l["dst_island"],
-            freq_mhz=l["freq_mhz"],
-            capacity_mbps=l["capacity_mbps"],
-            kind=l["kind"],
-            length_mm=l["length_mm"],
-            flows=[charge(k[0], k[1], bw) for k, bw in l["flows"]],
-            has_converter=l.get("has_converter"),
-        )
-        topo.links[link.id] = link
-        max_id = max(max_id, link.id)
-    topo._next_link_id = max_id + 1
-    for key_str, link_ids in data["routes"].items():
-        # Keyed by the flow's own key tuple, which its charges share.
-        key = spec.flow(*key_str.split("->")).key
-        comps: List[str] = [topo.links[link_ids[0]].src]
-        for lid in link_ids:
-            comps.append(topo.links[lid].dst)
-        topo.routes[key] = Route(flow=key, components=tuple(comps), links=tuple(link_ids))
-    return topo
-
-
 def save_topology(topology: Topology, path: str) -> None:
     """Write a topology (plus its spec) to a JSON file."""
     with open(path, "w") as f:
         json.dump(topology_to_dict(topology), f, indent=2, sort_keys=True)
-
-
-def load_topology(path: str, library: Optional[NocLibrary] = None) -> Topology:
-    """Read a topology from a JSON file."""
-    with open(path) as f:
-        return topology_from_dict(json.load(f), library)
 
 
 # ----------------------------------------------------------------------
@@ -286,24 +173,6 @@ def spare_plan_summary(plan) -> Dict[str, Any]:
             for key, cycles in sorted(plan.backup_cycles.items())
         },
     }
-
-
-def coverage_summary(report) -> Dict[str, Any]:
-    """JSON summary of a :class:`CoverageReport` (rollup + per-scenario)."""
-    out = dict(report.summary())
-    out["per_scenario"] = [
-        {
-            "scenario": s.scenario.name,
-            "kind": s.scenario.kind,
-            "eligible": s.eligible,
-            "covered": s.covered,
-            "rerouted": s.rerouted,
-            "lost": ["%s->%s" % f for f in s.lost_flows],
-            "max_added_cycles": s.max_added_cycles,
-        }
-        for s in report.scenarios
-    ]
-    return out
 
 
 # ----------------------------------------------------------------------

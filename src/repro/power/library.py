@@ -268,14 +268,6 @@ class NocLibrary:
             + self.switch_area_mm2_per_crosspoint * n_in * n_out
         )
 
-    def ni_area_mm2_(self) -> float:
-        """Area of one network interface."""
-        return self.ni_area_mm2
-
-    def fifo_area_mm2_(self) -> float:
-        """Area of one bi-synchronous FIFO."""
-        return self.fifo_area_mm2
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------

@@ -431,15 +431,6 @@ class ResilienceObjective(Objective):
         )
         return ObjectiveResult(cost=cost, metrics=metrics)
 
-    def partial_cost(self, point: "DesignPoint") -> Optional[Tuple[float, ...]]:
-        """The base's exact cost prefix — protection only appends cost.
-
-        Lets the pruned sweep skip the expensive protect-and-cover work
-        for candidates the base objective already rules out (the
-        resilience cost vector starts with the base's components).
-        """
-        return self._base().partial_cost(point)
-
     def column_names(self) -> Tuple[str, ...]:
         return self._base().column_names() + ("coverage", "spare_links")
 

@@ -116,15 +116,6 @@ class SparePlan:
     def protected_flows(self) -> int:
         return len(self.backups)
 
-    @property
-    def fully_protected(self) -> bool:
-        """True when every multi-switch flow got all ``k`` backups."""
-        return not self.unprotected
-
-    @property
-    def total_reserved_mbps(self) -> float:
-        return sum(self.reserved_mbps.values())
-
     def backups_for(self, flow: FlowKey) -> Tuple[Route, ...]:
         """The backup routes of one flow (empty for trivially safe)."""
         return self.backups.get(flow, ())

@@ -235,11 +235,6 @@ class RuntimeReport:
         """True when no active flow ever crossed a gated island."""
         return not self.violations
 
-    @property
-    def worst_flow_stall_ms(self) -> float:
-        """Largest per-flow wake stall over the whole trace."""
-        return max(self.flow_stall_ms.values(), default=0.0)
-
     def savings_vs(self, other: "RuntimeReport") -> float:
         """Fractional energy saved relative to another report."""
         if other.total_mj <= 0:

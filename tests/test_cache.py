@@ -555,12 +555,10 @@ class TestConfigKeys:
         """The record is objective-free: what only scoring reads is keyless."""
         spec = make_tiny_spec()
         base = SynthesisConfig()
-        key = design_space_key(spec, DEFAULT_LIBRARY, base)
-        for variant in (
-            dataclasses.replace(base, objective=StaticLatencyObjective()),
-            dataclasses.replace(base, prune_sweep=True),
-        ):
-            assert design_space_key(spec, DEFAULT_LIBRARY, variant) == key
+        variant = dataclasses.replace(base, objective=StaticLatencyObjective())
+        assert design_space_key(spec, DEFAULT_LIBRARY, variant) == design_space_key(
+            spec, DEFAULT_LIBRARY, base
+        )
 
     def test_alpha_included(self):
         spec = make_tiny_spec()
@@ -1106,7 +1104,7 @@ class _EvenCountVeto(Objective):
 
 class TestAnyObjectiveOneRecord:
     """The record is objective-free: whichever objective populated it,
-    it serves every objective, cap and prune setting exactly."""
+    it serves every objective exactly."""
 
     STATIC = ("static_power", "static_latency", "static_area", "wire_length")
     CFG = SynthesisConfig(max_intermediate=1)
@@ -1154,26 +1152,20 @@ class TestAnyObjectiveOneRecord:
                 objective.evaluate(point)
             assert [pickle.dumps(p) for p in points] == before, name
 
-    def test_veto_and_prune_served_from_one_record(self, tmp_path):
-        """Scoring renumbers what a veto or a prune drops, identically on
-        a hit and a cold run."""
+    def test_veto_served_from_one_record(self, tmp_path):
+        """Scoring renumbers what a veto drops, identically on a hit and a
+        cold run."""
         spec = logical_partitioning(load_benchmark("d26_media"), 4)
         with caching(CacheStore.open(tmp_path)):
             _answer(spec, self.CFG)
-        for cfg, dropped in (
-            (dataclasses.replace(self.CFG, objective=_EvenCountVeto()), "objective: "),
-            (
-                dataclasses.replace(self.CFG, objective=StaticLatencyObjective(), prune_sweep=True),
-                "pruned: ",
-            ),
-        ):
-            cold = _answer(spec, cfg)
-            assert cold[1] and any(reason.startswith(dropped) for _, _, reason in cold[2])
-            # Indices number the accepted points, in acceptance order.
-            indices = [p.index for p in synthesize(spec, config=cfg).points]
-            assert indices == list(range(len(cold[1])))
-            assert _answer(spec, dataclasses.replace(cfg, enable_caches=False)) == cold
-            assert _served(tmp_path, spec, cfg) == (cold, {"hits.disk.space": 1}, 0)
+        cfg = dataclasses.replace(self.CFG, objective=_EvenCountVeto())
+        cold = _answer(spec, cfg)
+        assert cold[1] and any(reason.startswith("objective: ") for _, _, reason in cold[2])
+        # Indices number the accepted points, in acceptance order.
+        indices = [p.index for p in synthesize(spec, config=cfg).points]
+        assert indices == list(range(len(cold[1])))
+        assert _answer(spec, dataclasses.replace(cfg, enable_caches=False)) == cold
+        assert _served(tmp_path, spec, cfg) == (cold, {"hits.disk.space": 1}, 0)
 
     @given(
         n_cores=st.integers(min_value=8, max_value=40),

@@ -31,7 +31,6 @@ from repro.control import (
     ReconfigurationController,
     RecoveryObjective,
     TELEMETRY_KINDS,
-    controlled_simulation_check,
     recovery_rows,
     recovery_summary,
     sort_telemetry,
@@ -225,9 +224,6 @@ class TestControllerDecisions:
         ctrl = ReconfigurationController(
             topo, spare_plan=d26_protected.plan
         )
-        assert controlled_simulation_check(
-            topo, ctrl, enumerate_scenarios(topo, "single_link")
-        )
         for sc in enumerate_scenarios(topo, "single_link"):
             decision = ctrl.decide(sc)
             assert decision.deadlock_free
@@ -289,17 +285,6 @@ class TestControllerDecisions:
         assert decision.deadlock_free
         assert is_deadlock_free(topo, routes=decision.installed_routes)
         assert ("u", "v") not in decision.installed_routes
-
-    def test_check_rejects_foreign_topology(self, tiny_protected, d26_best):
-        ctrl = ReconfigurationController(
-            tiny_protected.topology, spare_plan=tiny_protected.plan
-        )
-        with pytest.raises(SpecError):
-            controlled_simulation_check(
-                d26_best.topology,
-                ctrl,
-                enumerate_scenarios(tiny_protected.topology, "single_link"),
-            )
 
     def test_simulate_rejects_foreign_controller(
         self, tiny_protected, d26_best, tiny_trace

@@ -51,6 +51,13 @@ def sweep_identity(records):
     ]
 
 
+def handed_tasks(engine, monkeypatch):
+    """The tasks ``engine`` is handed, which it then does not run."""
+    handed = []
+    monkeypatch.setattr(engine, "run", lambda tasks: handed.extend(tasks) or [])
+    return handed
+
+
 class TaskFailure(Exception):
     """Raised by a sweep task on a worker (module level, so it pickles)."""
 
@@ -130,14 +137,19 @@ class TestEngine:
             strip_timing(r) for r in parallel
         ]
 
-    def test_island_count_tasks_label_knobs(self, tiny_spec):
+    def test_island_count_tasks_label_knobs(self, tiny_spec, monkeypatch):
+        """The island axis labels each task with its count and strategy,
+        counts inside strategies (the CLI sweep's order)."""
         engine = ExplorationEngine()
-        tasks = engine.island_count_tasks(
-            tiny_spec.single_island(), [1, 2], strategies=("logical",)
+        tasks = handed_tasks(engine, monkeypatch)
+        engine.grid_exploration(
+            tiny_spec.single_island(), [1, 2], strategies=("logical", "communication")
         )
         assert [t.knobs for t in tasks] == [
             {"islands": 1, "strategy": "logical"},
             {"islands": 2, "strategy": "logical"},
+            {"islands": 1, "strategy": "communication"},
+            {"islands": 2, "strategy": "communication"},
         ]
 
     @pytest.mark.runtime
@@ -315,8 +327,8 @@ class TestCallerServedHits:
         for workers in (1, 2):
             store = CacheStore.open(tmp_path / str(workers))
             with caching(store):
-                ExplorationEngine(workers=workers).island_count_exploration(
-                    self.spec, [1, 2, 3]
+                ExplorationEngine(workers=workers).grid_exploration(
+                    self.spec, [1, 2, 3], strategies=("logical", "communication")
                 )
             counters[workers] = store.stats.counters
         assert counters[2] == counters[1]
@@ -366,9 +378,9 @@ def test_forked_sweeps_match_serial(one_thread, soc):
     for workers in (1, 2, 3):
         capture = MemorySink()
         with recording(Recorder(sinks=[capture])):
-            records[workers] = ExplorationEngine(workers=workers).island_count_exploration(
-                soc, [2, 3]
-            )
+            records[workers] = ExplorationEngine(workers=workers).grid_exploration(
+                soc, [2, 3], strategies=("logical", "communication")
+            ).records
         feeds[workers] = event_lines(capture.events, timing=False)
     assert sweep_identity(records[2]) == sweep_identity(records[1])
     assert sweep_identity(records[3]) == sweep_identity(records[1])
@@ -460,17 +472,10 @@ class TestOnePartitionerPerSweep:
         monkeypatch.setattr(partitioning, "IslandPartitioner", counting)
         return sizes
 
-    @staticmethod
-    def tasks_of(engine, monkeypatch):
-        """The tasks ``engine`` is handed, which it then does not run."""
-        handed = []
-        monkeypatch.setattr(engine, "run", lambda tasks: handed.extend(tasks) or [])
-        return handed
-
     def test_grid_sweep(self, built, monkeypatch):
         spec = generate_soc(GeneratorConfig(name="gen40", num_cores=40, num_groups=2, seed=4))
         engine = ExplorationEngine(workers=1)
-        tasks = self.tasks_of(engine, monkeypatch)
+        tasks = handed_tasks(engine, monkeypatch)
         engine.grid_exploration(
             spec, islands=self.COUNTS, strategies=("communication", "logical"),
             alphas=[0.4, 0.8],
@@ -482,10 +487,10 @@ class TestOnePartitionerPerSweep:
         logical = [t.spec for t in tasks if t.knobs["strategy"] == "logical"]
         assert logical == [logical_partitioning(spec, n) for n in self.COUNTS for _ in (0.4, 0.8)]
 
-    def test_island_count_tasks(self, built, d26):
-        tasks = ExplorationEngine(workers=1).island_count_tasks(
-            d26, self.COUNTS, ("communication",)
-        )
+    def test_island_count_tasks(self, built, d26, monkeypatch):
+        engine = ExplorationEngine(workers=1)
+        tasks = handed_tasks(engine, monkeypatch)
+        engine.grid_exploration(d26, self.COUNTS, strategies=("communication",))
         assert built == [len(d26.cores)]
         assert [t.spec for t in tasks] == [
             communication_partitioning(d26, n) for n in self.COUNTS
@@ -546,8 +551,9 @@ class TestTieBreaking:
         sorted (static power, index) key — never dict/arrival order."""
         import types
 
+        from repro import TraceEnergyObjective
         from repro.core.design_point import DesignSpace
-        from repro.core.explore import RuntimeEnergySelector
+        from repro.core.explore import ObjectiveSelector
         from repro.runtime import simulate as simulate_mod
 
         # The trace objectives look the simulator up at call time.
@@ -558,7 +564,7 @@ class TestTieBreaking:
                 total_mj=42.0, average_power_mw=1.0
             ),
         )
-        selector = RuntimeEnergySelector(trace=object())  # simulator stubbed
+        selector = ObjectiveSelector(TraceEnergyObjective(trace=object()))  # simulator stubbed
         points = [
             _StubPoint(0, 9.0, 1.0),
             _StubPoint(1, 5.0, 1.0),  # lowest power wins the energy tie
@@ -590,10 +596,11 @@ class TestRuntimeObjective:
         )
 
     def test_selector_picks_lowest_trace_energy(self, tiny_space, trace):
-        from repro.core.explore import RuntimeEnergySelector
+        from repro import TraceEnergyObjective
+        from repro.core.explore import ObjectiveSelector
         from repro.runtime import make_policy, simulate_trace
 
-        selector = RuntimeEnergySelector(trace=trace)
+        selector = ObjectiveSelector(TraceEnergyObjective(trace=trace))
         chosen = selector(tiny_space)
         policy = make_policy("break_even")
         energies = {
@@ -605,13 +612,14 @@ class TestRuntimeObjective:
         assert energies[chosen.index] == pytest.approx(min(energies.values()))
 
     def test_runtime_exploration_records(self, tiny_spec, trace):
-        engine = ExplorationEngine(config=SynthesisConfig(max_intermediate=1))
-        records = engine.runtime_exploration(
-            tiny_spec.single_island(),
-            counts=[2],
-            trace=trace,
-            strategies=("logical",),
+        from repro import TraceEnergyObjective
+
+        engine = ExplorationEngine(
+            config=SynthesisConfig(max_intermediate=1),
+            objective=TraceEnergyObjective(trace=trace),
         )
+        records = engine.grid_exploration(tiny_spec.single_island(), [2]).records
         assert len(records) == 1
         assert records[0].feasible
         assert records[0].knobs == {"islands": 2, "strategy": "logical"}
+        assert records[0].extras["trace_mj"] > 0

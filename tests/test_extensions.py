@@ -161,7 +161,9 @@ class TestExplore:
         return ExplorationEngine()
 
     def test_island_count_exploration(self, engine, tiny_spec):
-        records = engine.island_count_exploration(tiny_spec.single_island(), [1, 2])
+        records = engine.grid_exploration(
+            tiny_spec.single_island(), [1, 2], strategies=("logical", "communication")
+        ).records
         assert len(records) == 4  # 2 counts x 2 strategies
         assert all(r.feasible for r in records)
         rows = [r.row() for r in records]
@@ -169,7 +171,7 @@ class TestExplore:
 
     def test_unknown_strategy_rejected(self, engine, tiny_spec):
         with pytest.raises(SpecError):
-            engine.island_count_exploration(tiny_spec, [1], strategies=("psychic",))
+            engine.grid_exploration(tiny_spec, [1], strategies=("psychic",))
 
     def test_alpha_exploration(self, engine, tiny_spec):
         records = engine.alpha_exploration(tiny_spec, [0.0, 0.5, 1.0])
@@ -177,17 +179,18 @@ class TestExplore:
         assert all(r.feasible for r in records)
 
     def test_width_exploration_monotone_frequency_effect(self, engine, tiny_spec):
-        records = engine.data_width_exploration(tiny_spec, [16, 32, 64])
+        records = engine.grid_exploration(tiny_spec, widths=[16, 32, 64]).records
+        assert [r.knobs for r in records] == [{"width_bits": w} for w in (16, 32, 64)]
         assert all(r.feasible for r in records)
         with pytest.raises(SpecError):
-            engine.data_width_exploration(tiny_spec, [0])
+            engine.grid_exploration(tiny_spec, widths=[0])
 
     def test_infeasible_recorded_not_raised(self, engine):
         from repro.soc.generator import hub_soc
 
-        records = engine.island_count_exploration(
+        records = engine.grid_exploration(
             hub_soc(num_satellites=24).single_island(), [1]
-        )
+        ).records
         # Single island hub is feasible (no crossings); check record shape.
         assert records[0].feasible
         row = records[0].row()

@@ -1,12 +1,8 @@
-"""Second extension batch: netlist export, energy profiles, deadlock repair."""
-
-import copy
+"""Second extension batch: netlist export and energy profiles."""
 
 import pytest
 
-from repro import make_use_case, validate_topology
-from repro.arch.deadlock import break_deadlock_cycles, flows_on_cycle
-from repro.arch.routing import find_cdg_cycle, is_deadlock_free
+from repro import make_use_case
 from repro.io.netlist import (
     save_verilog,
     topology_to_netlist_dict,
@@ -14,8 +10,6 @@ from repro.io.netlist import (
 )
 from repro.sim.profile import TimelineSegment, daily_mobile_timeline, profile_timeline
 from repro.soc.usecases import mobile_use_cases
-
-from _helpers import make_cyclic_topology
 
 
 class TestNetlistDict:
@@ -134,31 +128,3 @@ class TestEnergyProfile:
         assert profile.savings_fraction > 0.10
         assert profile.battery_life_extension > 1.10
 
-
-class TestDeadlockRepair:
-    def test_repair_restores_acyclicity(self):
-        topo = make_cyclic_topology()
-        assert not is_deadlock_free(topo)
-        rerouted = break_deadlock_cycles(topo)
-        assert rerouted >= 1
-        assert is_deadlock_free(topo)
-        validate_topology(topo)
-
-    def test_repair_shortens_detours(self):
-        topo = make_cyclic_topology()
-        break_deadlock_cycles(topo)
-        # At least one of the two detoured flows now takes the direct
-        # single-switch route.
-        lengths = sorted(len(r.links) for r in topo.routes.values())
-        assert lengths[0] == 2
-
-    def test_flows_on_cycle_reports_contributors(self):
-        topo = make_cyclic_topology()
-        cycle = find_cdg_cycle(topo)
-        contributors = flows_on_cycle(topo, cycle)
-        assert contributors
-        assert all(count >= 1 for _, count in contributors)
-
-    def test_noop_on_clean_topology(self, tiny_best):
-        topo = copy.deepcopy(tiny_best.topology)
-        assert break_deadlock_cycles(topo) == 0

@@ -1,9 +1,8 @@
 """End-to-end integration: the paper's qualitative results must hold.
 
-These tests are the executable record of EXPERIMENTS.md: each asserts
-a *shape* from the paper (who wins, in which direction, roughly by how
-much) rather than absolute mW values, which depend on the substituted
-65 nm library.
+Each test asserts a *shape* from the paper (who wins, in which
+direction, roughly by how much) rather than absolute mW values, which
+depend on the substituted 65 nm library.
 """
 
 import pytest

@@ -1,22 +1,31 @@
-"""Source hygiene: no module imports a name it never reads.
+"""Source hygiene: no module imports a name it never reads, and no
+public name of the program is reached only from the tests.
 
-A stdlib ``ast`` scan over every program, test, bench, script and
-example module.  A name counts as read when it appears as a name
-anywhere in its module, inside a string annotation, or in the module's
-``__all__``.  Package ``__init__.py`` files are skipped: their imports
-are the package's exports.
+Both are stdlib ``ast`` scans.  The import scan covers every program,
+test, bench, script and example module.  A name counts as read when it
+appears as a name anywhere in its module, inside a string annotation,
+or in the module's ``__all__``.  The reach scan checks each public
+top-level function and class of ``src/``: something other than a test
+must name it, in code or in a docstring.  Package ``__init__.py``
+files are skipped by both: their imports and export tables are the
+package's exports.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
+import re
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 ROOTS = ("src", "tests", "benchmarks", "scripts", "examples")
+#: Trees whose modules keep a public ``src/`` name alive by naming it.
+CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench", "scripts")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _annotation_names(node: ast.AST) -> Set[str]:
@@ -93,3 +102,86 @@ def test_no_unused_imports(root):
         for line, name in unread_imports(path.read_text(encoding="utf-8")):
             found.append("%s:%d: %s" % (path.relative_to(REPO), line, name))
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def public_definitions(source: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every public top-level function and class."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def names_mentioned(source: str) -> Set[str]:
+    """Every name a module mentions: names, attributes, imported names
+    and the words of its strings (docstrings and doctests included).
+    A definition's own name is not a mention."""
+    names: Set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(_WORD.findall(node.value))
+    return names
+
+
+def unreached_definitions(
+    modules: Mapping[str, str], callers: Iterable[str] = ()
+) -> List[str]:
+    """``path:line: name`` of each public definition in ``modules``
+    (path -> source) that neither ``modules`` nor ``callers`` (sources)
+    mention."""
+    mentioned: Set[str] = set()
+    for source in itertools.chain(modules.values(), callers):
+        mentioned |= names_mentioned(source)
+    return [
+        "%s:%d: %s" % (path, line, name)
+        for path, source in sorted(modules.items())
+        for line, name in public_definitions(source)
+        if name not in mentioned
+    ]
+
+
+def _sources(root: str) -> Dict[str, str]:
+    return {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for path in sorted((REPO / root).rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+class TestReachScanner:
+    def test_finds_a_name_only_tests_reach(self):
+        modules = {
+            "src/a.py": "def used(): ...\ndef unused(): ...\nclass _Private: ...\n",
+            "src/b.py": "from .a import used\nused()\n",
+        }
+        assert unreached_definitions(modules) == ["src/a.py:2: unused"]
+
+    def test_own_module_callers_and_docstrings_count(self):
+        modules = {
+            "src/a.py": (
+                "def helper(): ...\n"
+                "def main():\n    return helper()\n"
+                "class Report:\n    '''What :func:`build` returns.'''\n"
+                "def build():\n    '''Return a :class:`Report`.'''\n"
+                "def twice(n):\n    '''>>> twice(2)\n    4'''\n"
+            ),
+        }
+        assert unreached_definitions(modules, ["import a\na.main()\n"]) == []
+
+    def test_the_definition_alone_is_no_mention(self):
+        modules = {"src/a.py": "class Lonely:\n    def method(self): ...\n# Lonely\n"}
+        assert unreached_definitions(modules) == ["src/a.py:1: Lonely"]
+
+
+def test_no_public_name_only_tests_reach():
+    callers = [source for root in CALLER_ROOTS[1:] for source in _sources(root).values()]
+    found = unreached_definitions(_sources("src"), callers)
+    assert not found, "public names that only tests reach:\n" + "\n".join(found)

@@ -7,8 +7,8 @@ Covers the ISSUE-4 tentpole contracts:
   byte-identical design points to the objective-free path (the
   determinism acceptance criterion, pinned on tiny and d26; the d38
   variant lives with the slow benches);
-* :class:`TraceEnergyObjective` matches the historical
-  ``RuntimeEnergySelector``;
+* :class:`TraceEnergyObjective` picks the lowest trace energy, alone
+  and as the sweep engine's selector;
 * :class:`WakeLatencyQoSObjective` rejects points and policies that
   violate per-flow wake-latency deadlines even when energy alone would
   accept them;
@@ -82,11 +82,6 @@ class TestStaticObjectives:
         assert chosen is legacy
         assert chosen is tiny_space.best_by_latency()
 
-    def test_key_appends_point_index(self, tiny_space):
-        p = tiny_space.points[0]
-        obj = StaticPowerObjective()
-        assert obj.key(p) == (p.power_mw, p.avg_latency_cycles, float(p.index))
-
     def test_space_best_defaults_to_static_power(self, tiny_space):
         assert tiny_space.best() is tiny_space.best_by_power()
         assert tiny_space.best(StaticLatencyObjective()) is tiny_space.best_by_latency()
@@ -135,10 +130,12 @@ class TestTraceEnergy:
         assert energies[chosen.index] == pytest.approx(min(energies.values()))
 
     def test_matches_runtime_energy_selector(self, tiny_space, idle_trace):
-        from repro.core.explore import RuntimeEnergySelector
+        """The sweep engine's selector under the trace-energy objective
+        picks what the objective does."""
+        from repro.core.explore import ObjectiveSelector
 
         obj = TraceEnergyObjective(trace=idle_trace)
-        selector = RuntimeEnergySelector(trace=idle_trace)
+        selector = ObjectiveSelector(TraceEnergyObjective(trace=idle_trace))
         assert obj.select(tiny_space) is selector(tiny_space)
 
     def test_columns(self, tiny_space, idle_trace):
@@ -406,13 +403,11 @@ class TestAreaAndWireObjectives:
             tiny_best.power_mw,
             tiny_best.avg_latency_cycles,
         )
-        assert area.partial_cost(tiny_best) == result.cost
         assert area.columns(tiny_best)["noc_area_mm2"] == round(
             tiny_best.soc_power.noc_area_mm2, 4
         )
         wire = make_objective("wire_length")
         assert wire.evaluate(tiny_best).cost[0] == tiny_best.wires.total_length_mm
-        assert wire.partial_cost(tiny_best) == wire.evaluate(tiny_best).cost
 
 
 @pytest.mark.runtime
@@ -478,60 +473,3 @@ class TestMultiTrace:
         chosen_worst = multi.evaluate(chosen).cost[0]
         for point in d26_space.points:
             assert chosen_worst <= multi.evaluate(point).cost[0] + 1e-9
-
-
-class TestSweepPruning:
-    """prune_sweep=True: smaller space, provably identical selection."""
-
-    def test_static_prune_identical_selection_tiny(self, tiny_spec, tiny_space):
-        pruned = synthesize(
-            tiny_spec, config=SynthesisConfig(prune_sweep=True)
-        )
-        assert pruned.best_by_power().label() == tiny_space.best_by_power().label()
-        assert len(pruned) <= len(tiny_space)
-
-    def test_static_prune_identical_selection_d26(self, d26_log6, d26_space):
-        cfg = SynthesisConfig(max_intermediate=2, prune_sweep=True)
-        pruned = synthesize(d26_log6, config=cfg)
-        a, b = pruned.best_by_power(), d26_space.best_by_power()
-        assert a.label() == b.label()
-        assert (a.power_mw, a.avg_latency_cycles) == (
-            b.power_mw,
-            b.avg_latency_cycles,
-        )
-        # The sweep actually pruned something on d26.
-        assert any("pruned" in reason for _, _, reason in pruned.failures)
-
-    def test_prune_with_objective_identical_selection(self, d26_log6):
-        from repro import ResilienceObjective
-
-        cfg = SynthesisConfig(
-            max_intermediate=1, objective=ResilienceObjective()
-        )
-        plain = synthesize(d26_log6, config=cfg)
-        pruned = synthesize(
-            d26_log6, config=dataclasses.replace(cfg, prune_sweep=True)
-        )
-        assert plain.best().label() == pruned.best().label()
-        assert plain.best().objective_result.cost == (
-            pruned.best().objective_result.cost
-        )
-        assert any("pruned" in reason for _, _, reason in pruned.failures)
-
-    @pytest.mark.runtime
-    def test_prune_never_fires_without_partial_cost(self, tiny_spec, idle_trace):
-        """Objectives with no cheap prefix are never pruned."""
-        obj = TraceEnergyObjective(trace=idle_trace)
-        cfg = SynthesisConfig(objective=obj)
-        plain = synthesize(tiny_spec, config=cfg)
-        pruned = synthesize(
-            tiny_spec, config=dataclasses.replace(cfg, prune_sweep=True)
-        )
-        assert point_signature(plain) == point_signature(pruned)
-        assert not any("pruned" in reason for _, _, reason in pruned.failures)
-
-    def test_pruned_points_carry_no_objective_result(self, tiny_spec):
-        """With no objective configured, pruning stays metrics-only."""
-        space = synthesize(tiny_spec, config=SynthesisConfig(prune_sweep=True))
-        for p in space.points:
-            assert p.objective_result is None

@@ -42,7 +42,7 @@ from repro.arch.routing import is_deadlock_free
 from repro.arch.topology import INTERMEDIATE_ISLAND
 from repro.arch.validate import validate_topology
 from repro.exceptions import SpecError
-from repro.io.json_io import coverage_summary, spare_plan_summary
+from repro.io.json_io import spare_plan_summary
 from repro.resilience import (
     FAULT_MODEL_NAMES,
     FaultEvent,
@@ -302,15 +302,6 @@ class TestCoverage:
         for sc in enumerate_scenarios(prot.topology, "single_link"):
             routes = degraded_routes(prot.topology, prot.plan, sc)
             assert is_deadlock_free(prot.topology, routes=routes)
-
-    def test_coverage_summary_serializes(self, tiny_protected):
-        report = analyze_model(
-            tiny_protected.topology, "single_link", plan=tiny_protected.plan
-        )
-        data = coverage_summary(report)
-        json.dumps(data)  # must be JSON-clean
-        assert data["coverage"] == 1.0
-        assert len(data["per_scenario"]) == report.num_scenarios
 
 
 # ----------------------------------------------------------------------
@@ -708,12 +699,6 @@ class TestDegradedDeadlock:
         for sc in enumerate_scenarios(prot.topology, "double_link"):
             routes = degraded_routes(prot.topology, prot.plan, sc)
             assert is_deadlock_free(prot.topology, routes=routes), sc.name
-
-    def test_repair_pass_is_noop_on_protected_topology(self, d26_protected):
-        from repro.arch.deadlock import break_deadlock_cycles
-
-        topo = d26_protected.topology.clone_scaffold()
-        assert break_deadlock_cycles(topo) == 0
 
     def test_cdg_detects_cycle_in_alternative_route_set(self):
         """A hand-built failover routing with a wormhole cycle is caught

@@ -145,6 +145,16 @@ class TestSoCSpecValidation:
         with pytest.raises(SpecError, match="non-negative"):
             build_spec("x", [core("a"), core("b")], [], {"a": 0, "b": -1})
 
+    def test_bool_island_id_rejected(self):
+        """``True == 1``, but a bool island id would give an equal spec
+        another cache key."""
+        spec = logical_partitioning(load_benchmark("d26_media"), 2)
+        as_bools = {c: bool(i) for c, i in spec.vi_assignment.items()}
+        with pytest.raises(SpecError, match="non-negative int, got (True|False)"):
+            spec.with_vi_assignment(as_bools)
+        with pytest.raises(SpecError, match="non-negative int, got True"):
+            build_spec("x", [core("a"), core("b")], [], {"a": 0, "b": True})
+
     def test_assignment_of_unknown_core_rejected(self):
         with pytest.raises(SpecError, match="unknown"):
             build_spec("x", [core("a")], [], {"a": 0, "ghost": 0})
