@@ -130,7 +130,7 @@ class Link:
         # Used bandwidth is kept incrementally (the path allocator reads
         # residual capacity in its innermost loop; summing the flow list
         # on every probe dominated the old profile).  Mutate the flow
-        # list only through add_flow/remove_flow so the cache stays true.
+        # list only through add_flow so the cache stays true.
         self._used_mbps = _added(self.flows)
 
     def add_flow(self, charge: FlowCharge) -> None:
@@ -141,13 +141,6 @@ class Link:
         """
         self.flows.append(charge)
         self._used_mbps += charge[1]
-
-    def remove_flow(self, key: FlowKey) -> None:
-        """Release every charge of flow ``key`` from this link."""
-        kept = [charge for charge in self.flows if charge[0] != key]
-        if len(kept) != len(self.flows):
-            self.flows = kept
-            self._used_mbps = _added(kept)
 
     @property
     def crosses_islands(self) -> bool:
@@ -573,14 +566,6 @@ class Topology:
     def islands_touched(self, flow_key: FlowKey) -> Set[int]:
         """Islands whose switches appear on a flow's route."""
         return {s.island for s in self.route_switches(flow_key)}
-
-    def component_island(self, comp_id: str) -> int:
-        """Island of any component id (switch or NI)."""
-        if comp_id in self.switches:
-            return self.switches[comp_id].island
-        if comp_id in self.nis:
-            return self.nis[comp_id].island
-        raise ValidationError("unknown component %r" % comp_id)
 
     def summary(self) -> str:
         """One-line human description of the topology."""

@@ -66,14 +66,13 @@ def audit_shutdown_safety(topology: Topology) -> List[ShutdownViolation]:
 def validate_topology(
     topology: Topology,
     max_switch_sizes: Optional[Mapping[int, int]] = None,
-    require_all_flows_routed: bool = True,
 ) -> None:
     """Raise :class:`ValidationError` on any broken invariant.
 
     Checks, in order:
 
     1. every core is attached to exactly one switch, in its own island;
-    2. every spec flow has a route (unless disabled);
+    2. every spec flow has a route;
     3. routes are continuous NI-to-NI paths (re-verified here even
        though construction enforces it);
     4. no link carries more bandwidth than its capacity;
@@ -96,10 +95,9 @@ def validate_topology(
             )
 
     # 2. all flows routed
-    if require_all_flows_routed:
-        for flow in spec.flows:
-            if flow.key not in topology.routes:
-                raise ValidationError("flow %s->%s has no route" % flow.key)
+    for flow in spec.flows:
+        if flow.key not in topology.routes:
+            raise ValidationError("flow %s->%s has no route" % flow.key)
 
     # 3. route continuity
     for key, route in topology.routes.items():

@@ -48,13 +48,10 @@ def check_shutdown_feasibility(
     topology: Topology,
     use_cases: Sequence[UseCase],
     label: str = "",
-    use_lengths: bool = True,
-    policy: str = "static",
 ) -> FeasibilityReport:
     """Audit a topology and analyze shutdown over every use case.
 
-    ``policy`` selects the gateability rule ("static" design-time
-    guarantee, the default, or optimistic "dynamic"); see
+    The gateability rule is the design-time guarantee of
     :func:`repro.power.leakage.blocked_idle_islands`.
     """
     violations = tuple(audit_shutdown_safety(topology))
@@ -62,11 +59,9 @@ def check_shutdown_feasibility(
     reports: Dict[str, ShutdownReport] = {}
     for case in use_cases:
         case.validate_against(topology.spec)
-        gateable, blocked = blocked_idle_islands(topology, case, policy)
+        gateable, blocked = blocked_idle_islands(topology, case)
         per_case[case.name] = (tuple(gateable), tuple(blocked))
-        reports[case.name] = analyze_shutdown(
-            topology, case, use_lengths=use_lengths, policy=policy
-        )
+        reports[case.name] = analyze_shutdown(topology, case)
     return FeasibilityReport(
         topology_label=label or topology.spec.name,
         violations=violations,

@@ -16,7 +16,7 @@ Two tiers behind one :class:`CacheStore` facade:
 
 Blob layout (one file per entry, ``objects/<kk>/<key>.blob``)::
 
-    {"magic": "repro-noc", "schema": 6, "key": ..., "kind": ...,
+    {"magic": "repro-noc", "schema": 7, "key": ..., "kind": ...,
      "codec": "pickle", "sha256": ..., "size": ...}\\n
     <payload bytes>
 

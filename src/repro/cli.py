@@ -136,7 +136,7 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ReproError("--follow: %s is a directory" % follow)
     coverage = getattr(args, "min_coverage", 0.0)
     if not 0.0 <= coverage <= 1.0:
-        raise ReproError("min_coverage must be in [0, 1], got %r" % coverage)
+        raise ReproError("--min-coverage: must be in [0, 1], got %r" % coverage)
 
 
 @contextlib.contextmanager

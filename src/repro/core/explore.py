@@ -538,10 +538,6 @@ class GridResult:
         """All records as table rows (aligned keys, see ``row``)."""
         return [r.row() for r in self.records]
 
-    def pareto_rows(self) -> List[Dict[str, object]]:
-        """The Pareto-merged records as table rows."""
-        return [r.row() for r in self.pareto]
-
 
 @dataclass(frozen=True)
 class ObjectiveSelector:

@@ -52,11 +52,6 @@ class IslandPlan:
     max_switch_size: int
     min_switches: int
 
-    @property
-    def max_switches(self) -> int:
-        """One switch per core is the upper end of the sweep."""
-        return max(1, self.num_cores)
-
 
 def plan_island(
     spec: SoCSpec,

@@ -605,7 +605,7 @@ def _evaluate_point(
             topo.island_freqs[INTERMEDIATE_ISLAND]
         )
     validate_topology(topo, max_switch_sizes=max_sizes)
-    noc_power = compute_noc_power(topo, use_lengths=True)
+    noc_power = compute_noc_power(topo)
     soc_power = compute_soc_power(topo, noc_power)
     latency = evaluate_latency(topo)
     # Objective scoring happens in the sweep loop (after the pruning

@@ -20,7 +20,7 @@ baseline VI-oblivious synthesis; :func:`build_global_vcg` provides it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Set, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..exceptions import SpecError
 from .spec import SoCSpec, TrafficFlow
@@ -71,20 +71,6 @@ class VCG:
             key = (u, v) if u <= v else (v, u)
             out[key] = out.get(key, 0.0) + w
         return out
-
-    def neighbors(self, core: str) -> Set[str]:
-        """Cores with a flow to or from ``core`` inside this graph."""
-        out: Set[str] = set()
-        for (u, v) in self.edges:
-            if u == core:
-                out.add(v)
-            elif v == core:
-                out.add(u)
-        return out
-
-    def total_weight(self) -> float:
-        """Sum of all directed edge weights."""
-        return sum(self.edges.values())
 
 
 def edge_weight(

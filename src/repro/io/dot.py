@@ -33,11 +33,10 @@ def _island_label(island: int) -> str:
     return "VI %d" % island
 
 
-def topology_to_dot(topology: Topology, include_nis: bool = False) -> str:
+def topology_to_dot(topology: Topology) -> str:
     """Render the topology as a DOT digraph string.
 
-    ``include_nis`` draws explicit NI nodes between cores and switches;
-    by default cores connect straight to their switch, which matches
+    Cores connect straight to their switch, NIs implied, which matches
     the paper's figure style.
     """
     spec = topology.spec
@@ -67,24 +66,13 @@ def topology_to_dot(topology: Topology, include_nis: bool = False) -> str:
                     '    %s [shape=box, style=filled, fillcolor=white, label="%s"];'
                     % (_dot_id("core_" + core), core)
                 )
-                if include_nis:
-                    ni = "ni.%s" % core
-                    lines.append(
-                        '    %s [shape=box, style="filled,rounded", '
-                        'fillcolor="#f7f7f7", label="NI"];' % _dot_id(ni)
-                    )
         lines.append("  }")
 
     # Core attachments.
     for core, sw_id in sorted(topology.core_switch.items()):
-        if include_nis:
-            ni = _dot_id("ni.%s" % core)
-            lines.append("  %s -> %s [dir=both, arrowsize=0.6];" % (_dot_id("core_" + core), ni))
-            lines.append("  %s -> %s [dir=both, arrowsize=0.6];" % (ni, _dot_id(sw_id)))
-        else:
-            lines.append(
-                "  %s -> %s [dir=both, arrowsize=0.6];" % (_dot_id("core_" + core), _dot_id(sw_id))
-            )
+        lines.append(
+            "  %s -> %s [dir=both, arrowsize=0.6];" % (_dot_id("core_" + core), _dot_id(sw_id))
+        )
 
     # Switch-to-switch links (merge antiparallel pairs into dir=both).
     drawn = set()
@@ -112,10 +100,10 @@ def topology_to_dot(topology: Topology, include_nis: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_dot(topology: Topology, path: str, include_nis: bool = False) -> None:
+def save_dot(topology: Topology, path: str) -> None:
     """Write the DOT rendering to a file."""
     with open(path, "w") as f:
-        f.write(topology_to_dot(topology, include_nis))
+        f.write(topology_to_dot(topology))
 
 
 def _dot_id(name: str) -> str:

@@ -6,15 +6,15 @@ did the time go inside this run*, metrics answer *how much / how often
 kinds, deliberately Prometheus-shaped so the text exporter is a
 straight serialization:
 
-* **counter** — monotone accumulation (``inc``); merging sums;
-* **gauge** — last-written value (``set``); merging overwrites;
+* **counter** — monotone accumulation (``inc``);
+* **gauge** — last-written value (``set``);
 * **histogram** — observations bucketed into *fixed* edges chosen at
-  registration (``observe``); merging sums buckets, and two
-  registries can only merge a histogram when their edges agree.
+  registration (``observe``); re-registering a histogram under other
+  edges raises.
 
 Every metric takes optional labels (``registry.counter("x").inc(1,
 island=3, state="on")``); samples are keyed by the sorted label set so
-snapshot order — and therefore every exported byte — is deterministic.
+export order — and therefore every exported byte — is deterministic.
 
 A finished :class:`~repro.perf.Recorder` is projected into the
 registry at export (:func:`record_perf_metrics`): its counters become
@@ -89,8 +89,7 @@ class Histogram:
 
     ``buckets`` are the finite upper edges, strictly increasing; the
     +Inf bucket is implicit.  Internally counts are stored
-    *per-bucket* (not cumulative) so merging is a plain elementwise
-    sum; the exporters cumulate.
+    *per-bucket* (not cumulative); the exporters cumulate.
     """
 
     kind = "histogram"
@@ -196,75 +195,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
-
-    # -- snapshot / merge ----------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready dump, deterministically ordered."""
-        out: Dict[str, object] = {}
-        for metric in self:
-            entry: Dict[str, object] = {"kind": metric.kind, "help": metric.help}
-            if metric.kind == "histogram":
-                entry["buckets"] = list(metric.buckets)  # type: ignore[union-attr]
-                entry["samples"] = [
-                    {
-                        "labels": dict(key),
-                        "bucket_counts": list(counts),
-                        "sum": total,
-                        "count": n,
-                    }
-                    for key, (counts, total, n) in sorted(metric.samples.items())
-                ]
-            else:
-                entry["samples"] = [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(metric.samples.items())
-                ]
-            out[metric.name] = entry
-        return out
-
-    def merge(self, snapshot: Mapping[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram buckets sum; gauges take the incoming
-        value (last write wins — the snapshot is the fresher reading).
-        """
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            kind = entry["kind"]  # type: ignore[index]
-            if kind == "counter":
-                metric = self.counter(name, str(entry.get("help", "")))  # type: ignore[union-attr]
-                for s in entry["samples"]:  # type: ignore[index]
-                    metric.inc(float(s["value"]), **s.get("labels", {}))
-            elif kind == "gauge":
-                metric = self.gauge(name, str(entry.get("help", "")))  # type: ignore[union-attr]
-                for s in entry["samples"]:  # type: ignore[index]
-                    metric.set(float(s["value"]), **s.get("labels", {}))
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name,
-                    entry["buckets"],  # type: ignore[index]
-                    str(entry.get("help", "")),  # type: ignore[union-attr]
-                )
-                for s in entry["samples"]:  # type: ignore[index]
-                    key = _label_key(s.get("labels", {}))
-                    incoming = (
-                        list(s["bucket_counts"]),
-                        float(s["sum"]),
-                        int(s["count"]),
-                    )
-                    existing = metric.samples.get(key)
-                    if existing is None:
-                        metric.samples[key] = incoming
-                    else:
-                        counts, total, n = existing
-                        metric.samples[key] = (
-                            [a + b for a, b in zip(counts, incoming[0])],
-                            total + incoming[1],
-                            n + incoming[2],
-                        )
-            else:
-                raise SpecError("unknown metric kind %r for %r" % (kind, name))
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +365,8 @@ def record_cache_hit_rates(registry: MetricsRegistry) -> Dict[str, float]:
     ``hits / (hits + misses)`` per storage tier (a miss means the
     lookup fell through *every* tier, so each tier's rate shares the
     total-lookup denominator) plus the ``overall`` rate the dashboard
-    headline shows.  Recomputed from the counters' current state, so
-    repeated calls — one per merged worker delta — stay correct.
+    headline shows.  Recomputed from the counters' current state, so a
+    repeated call after more lookups stays correct.
     Returns the rates that were set (empty when no lookups recorded).
     """
     hits = registry.get("cache.hits")

@@ -11,7 +11,8 @@ more reduction in overall system power" (Section 5).
 An island is gateable in a use case when
 
 1. none of its cores is active, and
-2. no active flow routes through any of its switches.
+2. no flow of the application routes through any of its switches
+   (the paper's design-time rule: the island is not statically pinned).
 
 Condition 2 holds *by construction* for topologies from
 :mod:`repro.core.synthesis`; for arbitrary topologies (e.g. the
@@ -37,9 +38,9 @@ class ShutdownReport:
     use_case: str
     #: Islands actually gated (idle and not blocked by routed traffic).
     gated_islands: Tuple[int, ...]
-    #: Idle islands that could NOT be gated because active traffic
-    #: routes through their switches (always empty for synthesized
-    #: VI-aware topologies).
+    #: Idle islands that could NOT be gated because some flow of the
+    #: application routes through their switches (always empty for
+    #: synthesized VI-aware topologies).
     blocked_islands: Tuple[int, ...]
     #: Total power without any gating (all islands on, active traffic).
     power_no_gating_mw: float
@@ -72,62 +73,38 @@ def statically_pinned_islands(topology: Topology) -> Set[int]:
 
 
 def blocked_idle_islands(
-    topology: Topology, use_case: UseCase, policy: str = "static"
+    topology: Topology, use_case: UseCase
 ) -> Tuple[List[int], List[int]]:
     """Split a use case's idle islands into (gateable, blocked).
 
-    ``policy="static"`` (default, the paper's design-time guarantee):
-    an idle island is blocked when it is statically pinned — some flow
-    in the application routes through its switches, so the island can
-    never be certified safe to gate.
-
-    ``policy="dynamic"`` (optimistic upper bound): an idle island is
-    blocked only when a *currently active* flow routes through it.
+    The paper's design-time guarantee: an idle island is blocked when it
+    is statically pinned — some flow in the application routes through
+    its switches, so the island can never be certified safe to gate.
     """
-    spec = topology.spec
-    idle = set(use_case.idle_islands(spec))
-    if policy == "static":
-        pinned = statically_pinned_islands(topology)
-        blocked = idle & pinned
-    elif policy == "dynamic":
-        blocked = set()
-        active_keys = {f.key for f in use_case.active_flows(spec)}
-        for key in active_keys:
-            if key not in topology.routes:
-                continue
-            for isl in topology.islands_touched(key):
-                if isl in idle:
-                    blocked.add(isl)
-    else:
-        raise ValueError("policy must be 'static' or 'dynamic', got %r" % policy)
-    gateable = sorted(idle - blocked)
-    return gateable, sorted(blocked)
+    idle = set(use_case.idle_islands(topology.spec))
+    blocked = idle & statically_pinned_islands(topology)
+    return sorted(idle - blocked), sorted(blocked)
 
 
 def analyze_shutdown(
     topology: Topology,
     use_case: UseCase,
-    use_lengths: bool = True,
     gating_overhead_fraction: float = 0.01,
-    policy: str = "static",
 ) -> ShutdownReport:
     """Compute the power saved by gating idle islands in a use case.
 
     ``gating_overhead_fraction`` models the sleep-transistor and
     isolation-cell overhead on the *remaining* powered logic (power
     gating is not free [6]); it inflates the gated-mode power slightly.
-    ``policy`` selects the gateability rule (see
-    :func:`blocked_idle_islands`).
+    :func:`blocked_idle_islands` decides which idle islands gate.
     """
     use_case.validate_against(topology.spec)
     spec = topology.spec
     active_flow_keys = [f.key for f in use_case.active_flows(spec)]
-    gateable, blocked = blocked_idle_islands(topology, use_case, policy)
+    gateable, blocked = blocked_idle_islands(topology, use_case)
 
     # --- no gating: every island powered, active cores run ------------
-    noc_all_on = compute_noc_power(
-        topology, active_flows=active_flow_keys, use_lengths=use_lengths
-    )
+    noc_all_on = compute_noc_power(topology, active_flows=active_flow_keys)
     core_dyn = sum(
         spec.core(c).dynamic_power_mw for c in use_case.active_cores
     )
@@ -137,10 +114,7 @@ def analyze_shutdown(
     # --- gated: idle unblocked islands powered off ---------------------
     powered = set(topology.island_freqs.keys()) - set(gateable)
     noc_gated = compute_noc_power(
-        topology,
-        active_flows=active_flow_keys,
-        powered_islands=powered,
-        use_lengths=use_lengths,
+        topology, active_flows=active_flow_keys, powered_islands=powered
     )
     core_leak_gated = sum(
         spec.core(c).leakage_power_mw

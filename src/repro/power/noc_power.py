@@ -76,15 +76,14 @@ def compute_noc_power(
     topology: Topology,
     active_flows: Optional[Iterable[FlowKey]] = None,
     powered_islands: Optional[Set[int]] = None,
-    use_lengths: bool = True,
 ) -> NocPower:
     """Aggregate the power of a topology.
 
     Parameters
     ----------
     topology:
-        The synthesized NoC; if the floorplanner ran, link lengths feed
-        the wire energy model (``use_lengths=True``).
+        The synthesized NoC; its placed link lengths feed the wire
+        energy model (an unplaced link has length 0 and no wire energy).
     active_flows:
         Restrict traffic power to these flows (used by the shutdown
         analysis); ``None`` means all routed flows.
@@ -92,9 +91,6 @@ def compute_noc_power(
         Islands whose components are powered; gated islands contribute
         neither idle nor leakage power.  ``None`` means all islands
         (including the intermediate island) are on.
-    use_lengths:
-        Use placed wire lengths for link energy; otherwise wire energy
-        is skipped (pre-floorplan estimate).
     """
     lib = topology.library
     spec = topology.spec
@@ -172,7 +168,7 @@ def compute_noc_power(
             leakage += fifo_leak
             leak_by_island[dst_isl] += fifo_leak
         if src_on and dst_on and link.kind == "sw2sw":
-            length = link.length_mm if use_lengths else 0.0
+            length = link.length_mm
             leak = link_leak_memo.get(length)
             if leak is None:
                 leak = lib.link_leakage_mw(length)
@@ -218,7 +214,7 @@ def compute_noc_power(
             if info is None:
                 link = links[lid]
                 info = (
-                    lib.link_ebit_pj(link.length_mm if use_lengths else 0.0),
+                    lib.link_ebit_pj(link.length_mm),
                     link.converter,
                     link.src_island,
                     link.dst_island,
@@ -250,7 +246,6 @@ def route_traffic_power_mw(
     topology: Topology,
     bandwidth_mbps: float,
     links: Iterable[int],
-    use_lengths: bool = True,
     include_ni: bool = False,
 ) -> float:
     """Traffic power of one flow over an explicit link path.
@@ -267,7 +262,7 @@ def route_traffic_power_mw(
     power = 0.0
     for lid in links:
         link = topology.links[lid]
-        ebit = lib.link_ebit_pj(link.length_mm if use_lengths else 0.0)
+        ebit = lib.link_ebit_pj(link.length_mm)
         power += units.traffic_power_mw(bandwidth_mbps, ebit)
         if link.converter:
             power += units.traffic_power_mw(bandwidth_mbps, lib.fifo_ebit_pj)

@@ -61,13 +61,10 @@ class SocPower:
 def compute_soc_power(
     topology: Topology,
     noc_power: Optional[NocPower] = None,
-    use_lengths: bool = True,
 ) -> SocPower:
     """System power/area rollup for a topology and its spec."""
     spec = topology.spec
-    noc = noc_power if noc_power is not None else compute_noc_power(
-        topology, use_lengths=use_lengths
-    )
+    noc = noc_power if noc_power is not None else compute_noc_power(topology)
     return SocPower(
         core_dynamic_mw=spec.total_core_dynamic_power_mw,
         core_leakage_mw=spec.total_core_leakage_power_mw,

@@ -127,7 +127,6 @@ class VoltageAwarePower:
 def voltage_aware_noc_power(
     topology: Topology,
     table: Optional[VoltageTable] = None,
-    use_lengths: bool = True,
 ) -> VoltageAwarePower:
     """Re-scale the NoC power breakdown by island voltage corners.
 
@@ -137,7 +136,7 @@ def voltage_aware_noc_power(
     books them.
     """
     t = table or VoltageTable()
-    nominal = compute_noc_power(topology, use_lengths=use_lengths)
+    nominal = compute_noc_power(topology)
     corners = assign_island_voltages(topology, t)
     dyn_total = 0.0
     dyn_by_isl: Dict[int, float] = {}

@@ -68,13 +68,6 @@ class SparePathConfig:
     #: Also forbid the primary's intermediate *switches* (not just its
     #: links) so backups survive switch failures of transit switches.
     node_disjoint: bool = False
-    #: Reserve backup bandwidth exclusively across the whole plan
-    #: (guaranteed degraded-mode capacity); ``False`` shares headroom
-    #: optimistically between backups.
-    reserve_bandwidth: bool = True
-    #: Allow opening new links for backups; ``False`` restricts spares
-    #: to the hardware the primary allocation already built.
-    allow_new_links: bool = True
     #: Degraded-mode latency slack: a backup route must meet
     #: ``flow.latency_cycles * latency_stretch`` or the flow stays
     #: unprotected (the default enforces the same hard budget primary
@@ -82,8 +75,6 @@ class SparePathConfig:
     latency_stretch: float = 1.0
     #: Cost knobs for the backup searches (default: primary's).
     cost_config: Optional[PathCostConfig] = None
-    #: Raise instead of recording unprotected flows.
-    require_full_protection: bool = False
 
 
 @dataclass(frozen=True)
@@ -206,8 +197,7 @@ def allocate_spare_paths(
                 dst_i,
                 forbidden,
                 blocked_switches=blocked,
-                reserved=reserved if cfg.reserve_bandwidth else None,
-                allow_open=cfg.allow_new_links,
+                reserved=reserved,
             )
             if found is not None and found[1] > lat_budget + 1e-9:
                 # Cheapest disjoint detour misses the degraded-mode
@@ -222,8 +212,7 @@ def allocate_spare_paths(
                     dst_i,
                     forbidden,
                     blocked_switches=blocked,
-                    reserved=reserved if cfg.reserve_bandwidth else None,
-                    allow_open=cfg.allow_new_links,
+                    reserved=reserved,
                     latency_only=True,
                 )
                 if retry is not None and retry[1] < found[1]:
@@ -246,10 +235,7 @@ def allocate_spare_paths(
                         lst.append(link)
                 link_ids.append(link.id)
                 forbidden.add(link.id)
-                if cfg.reserve_bandwidth:
-                    reserved[link.id] = (
-                        reserved.get(link.id, 0.0) + flow.bandwidth_mbps
-                    )
+                reserved[link.id] = reserved.get(link.id, 0.0) + flow.bandwidth_mbps
             link_ids.append(ni_dst_lid)
             comps = [ni_id(flow.src)]
             for lid in link_ids:
@@ -264,11 +250,6 @@ def allocate_spare_paths(
             primary_cycles[key] = route_latency_cycles(topology, key)
         if len(flow_routes) < cfg.k:
             unprotected.append(key)
-            if cfg.require_full_protection:
-                raise SynthesisError(
-                    "flow %s->%s: only %d of %d disjoint backups found"
-                    % (key[0], key[1], len(flow_routes), cfg.k)
-                )
 
     recorder = active_recorder()
     if recorder is not None:
@@ -331,7 +312,7 @@ def _evaluate_protected(topo: Topology, floorplan_config: FloorplanConfig):
     """One placement/wires/power evaluation (shared with the baseline)."""
     floorplan = place(topo, floorplan_config)
     wires = assign_wire_lengths(topo, floorplan)
-    noc_power = compute_noc_power(topo, use_lengths=True)
+    noc_power = compute_noc_power(topo)
     soc_power = compute_soc_power(topo, noc_power)
     return floorplan, wires, noc_power, soc_power
 

@@ -80,7 +80,7 @@ def island_economics(
     clock tree is off).  The intermediate NoC island is excluded: it is
     never gated, by construction.
     """
-    idle = compute_noc_power(topology, active_flows=[], use_lengths=True)
+    idle = compute_noc_power(topology, active_flows=[])
     return _economics_from_idle(topology, idle, model)
 
 
@@ -133,7 +133,7 @@ def _profile_case(topology: Topology, case: UseCase) -> _CaseProfile:
     needed = frozenset(spec.island_of(c) for c in case.active_cores)
     core_dyn = sum(spec.core(c).dynamic_power_mw for c in case.active_cores)
     keys = [f.key for f in case.active_flows(spec)]
-    power = compute_noc_power(topology, active_flows=keys, use_lengths=True)
+    power = compute_noc_power(topology, active_flows=keys)
     traffic = (
         power.switch_traffic_mw
         + power.ni_traffic_mw
@@ -182,7 +182,7 @@ def _build_context(
     topology: Topology, trace: UseCaseTrace, model: Optional[GatingModel]
 ) -> _TraceContext:
     trace.validate_against(topology.spec)
-    idle = compute_noc_power(topology, active_flows=[], use_lengths=True)
+    idle = compute_noc_power(topology, active_flows=[])
     economics = _economics_from_idle(topology, idle, model)
     profiles = {u.name: _profile_case(topology, u) for u in trace.use_cases}
     for prof in profiles.values():
@@ -499,7 +499,7 @@ def _simulate_trace(
         # Deferred import: the resilience package sits above runtime in
         # the layering (its coverage module pulls in the objective
         # layer, which imports this module).
-        from ..resilience.faults import endpoint_failed, route_affected
+        from ..resilience.coverage import LOST, REROUTED, UNAFFECTED, _classify
 
         events = canonical_fault_events(fault_events)
 
@@ -516,34 +516,26 @@ def _simulate_trace(
             entries = []
             for key, _islands in profiles[use_case].flow_islands:
                 route = topology.routes[key]
-                affected = route_affected(scenario, topology, route)
-                dead_end = endpoint_failed(scenario, topology, key)
-                if not affected and not dead_end:
+                impact = _classify(scenario, topology, key, route, spare_plan)
+                if impact.fate == UNAFFECTED:
                     continue
                 bw = topology.spec.flow(*key).bandwidth_mbps
-                backup_idx = -1
-                if not dead_end and spare_plan is not None:
-                    for idx2, backup in enumerate(spare_plan.backups_for(key)):
-                        if not route_affected(scenario, topology, backup):
-                            backup_idx = idx2
-                            break
-                if backup_idx >= 0:
-                    backup = spare_plan.backups[key][backup_idx]
+                if impact.fate == REROUTED:
+                    backup = spare_plan.backups[key][impact.backup_index]
                     delta_mw = route_traffic_power_mw(
                         topology, bw, backup.links
                     ) - route_traffic_power_mw(topology, bw, route.links)
-                    added = (
-                        spare_plan.backup_cycles[key][backup_idx]
-                        - spare_plan.primary_cycles.get(key, 0)
+                    entries.append(
+                        (key, REROUTED, impact.backup_index, delta_mw, impact.added_cycles)
                     )
-                    entries.append((key, "rerouted", backup_idx, delta_mw, added))
                 else:
-                    # Service down: the flow's traffic energy stops
-                    # (NI endpoints included) for the fault window.
+                    # Service down (a lost flow or a failed endpoint): the
+                    # flow's traffic energy stops (NI endpoints included)
+                    # for the fault window.
                     delta_mw = -route_traffic_power_mw(
                         topology, bw, route.links, include_ni=True
                     )
-                    entries.append((key, "lost", -1, delta_mw, 0))
+                    entries.append((key, LOST, -1, delta_mw, 0))
             fate_memo[(ev_idx, use_case)] = entries
             return entries
 
@@ -560,9 +552,7 @@ def _simulate_trace(
                     if (ev_idx, key) in seen:
                         continue
                     seen.add((ev_idx, key))
-                    stall = (
-                        event.reroute_stall_ms if fate == "rerouted" else 0.0
-                    )
+                    stall = event.reroute_stall_ms if fate == REROUTED else 0.0
                     if stall > 0.0:
                         # The failover switchover runs concurrent with
                         # any wake ramp the flow is already waiting

@@ -69,8 +69,6 @@ def profile_timeline(
     topology: Topology,
     timeline: Sequence[TimelineSegment],
     gating_model: Optional[GatingModel] = None,
-    policy: str = "static",
-    use_lengths: bool = True,
 ) -> EnergyProfile:
     """Energy of a mode timeline with and without island shutdown.
 
@@ -85,9 +83,7 @@ def profile_timeline(
     for seg in timeline:
         if seg.use_case.name not in reports:
             seg.use_case.validate_against(topology.spec)
-            reports[seg.use_case.name] = analyze_shutdown(
-                topology, seg.use_case, use_lengths=use_lengths, policy=policy
-            )
+            reports[seg.use_case.name] = analyze_shutdown(topology, seg.use_case)
 
     total_s = sum(seg.duration_s for seg in timeline)
     energy_no_gating = 0.0

@@ -11,8 +11,9 @@ Accounting used here (and calibrated to reproduce Figure 3's shape):
 * NI-to-switch attachment links are port connections — 0 cycles;
 * each switch traversal costs ``library.switch_traversal_cycles`` (1);
 * each intra-island switch-to-switch link costs
-  ``library.link_traversal_cycles`` (1), or more after floorplanning if
-  the placed wire exceeds one clock of reach;
+  ``library.link_traversal_cycles`` (1) whatever its placed length; the
+  floorplanner's ``WireReport.timing_violations`` flags a wire longer
+  than one clock of reach;
 * each island-crossing link costs ``library.fifo_crossing_cycles`` (4),
   which covers the bi-synchronous FIFO plus the over-the-cell wire.
 
@@ -29,27 +30,20 @@ from ..arch.topology import FlowKey, Link, Topology
 from ..exceptions import ValidationError
 
 
-def link_latency_cycles(topology: Topology, link: Link, use_lengths: bool = False) -> int:
+def link_latency_cycles(topology: Topology, link: Link) -> int:
     """Latency contribution of one link on a route.
 
-    ``use_lengths`` switches to post-floorplan accounting where an
-    intra-island link longer than one cycle of wire reach costs extra
-    (pipelined) cycles.  Cross-island links always cost the fixed
-    converter crossing penalty.
+    Cross-island links cost the fixed converter crossing penalty.
     """
     lib = topology.library
     if link.kind in ("ni2sw", "sw2ni"):
         return 0
     if link.converter:
         return lib.fifo_crossing_cycles
-    if use_lengths and link.length_mm > 0.0:
-        return lib.link_cycles(link.length_mm, link.freq_mhz)
     return lib.link_traversal_cycles
 
 
-def route_latency_cycles(
-    topology: Topology, flow_key: FlowKey, use_lengths: bool = False
-) -> int:
+def route_latency_cycles(topology: Topology, flow_key: FlowKey) -> int:
     """Zero-load latency of one routed flow, in cycles."""
     if flow_key not in topology.routes:
         raise ValidationError("flow %s->%s has no route" % flow_key)
@@ -57,7 +51,7 @@ def route_latency_cycles(
     lib = topology.library
     cycles = route.num_switches * lib.switch_traversal_cycles
     for lid in route.links:
-        cycles += link_latency_cycles(topology, topology.links[lid], use_lengths)
+        cycles += link_latency_cycles(topology, topology.links[lid])
     return cycles
 
 
@@ -69,19 +63,11 @@ class LatencyReport:
     average_cycles: float
     bw_weighted_average_cycles: float
     max_cycles: int
+    #: Flows over their latency budget.
     violations: Tuple[FlowKey, ...]
 
-    @property
-    def num_flows(self) -> int:
-        return len(self.per_flow)
 
-    @property
-    def meets_constraints(self) -> bool:
-        """True when every flow meets its latency budget."""
-        return not self.violations
-
-
-def evaluate_latency(topology: Topology, use_lengths: bool = False) -> LatencyReport:
+def evaluate_latency(topology: Topology) -> LatencyReport:
     """Zero-load latency report for every routed flow of a topology.
 
     ``average_cycles`` is the plain mean over flows — the quantity
@@ -96,7 +82,7 @@ def evaluate_latency(topology: Topology, use_lengths: bool = False) -> LatencyRe
     for flow in spec.flows:
         # The flow's own key tuple, shared with its route and link charges.
         key = flow.key
-        cycles = route_latency_cycles(topology, key, use_lengths)
+        cycles = route_latency_cycles(topology, key)
         per_flow[key] = cycles
         if cycles > flow.latency_cycles + 1e-9:
             violations.append(key)

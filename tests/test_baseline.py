@@ -77,12 +77,3 @@ class TestFeasibilityReport:
         assert rep.per_use_case["full"] == ((), ())
         assert rep.total_gated() == 0 and rep.total_blocked() == 0
 
-    def test_dynamic_policy_allows_no_less(self, d26_baseline, d26_log6):
-        case = make_use_case("standby", ["bridge", "keypad", "timer", "sram1"])
-        static = check_shutdown_feasibility(
-            d26_baseline.topology, [case], policy="static"
-        )
-        dynamic = check_shutdown_feasibility(
-            d26_baseline.topology, [case], policy="dynamic"
-        )
-        assert dynamic.total_gated() >= static.total_gated()

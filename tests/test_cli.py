@@ -346,6 +346,28 @@ class TestErrorPaths:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv, value",
+        [
+            pytest.param(
+                ["resilience", "d12_auto", "--islands", "2", "--min-coverage", "5"],
+                "5.0",
+                id="resilience-min-coverage-above-1",
+            ),
+            pytest.param(
+                ["sweep", "d12_auto", "--counts", "1,2", "--min-coverage", "-5"],
+                "-5.0",
+                id="sweep-min-coverage-negative",
+            ),
+        ],
+    )
+    def test_min_coverage_error_names_its_flag(self, capsys, argv, value):
+        """The range error reads ``--flag: ...`` like every other flag error."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --min-coverage: must be in [0, 1], got %s\n" % value
+        )
+
+    @pytest.mark.parametrize(
         "command, flag",
         [
             pytest.param("control", "--min-coverage", id="control"),

@@ -410,9 +410,7 @@ class TestGridExploration:
         ]
         assert result.pareto
         assert all(any(p is r for r in result.records) for p in result.pareto)
-        assert len(result.rows()) == 4 and len(result.pareto_rows()) == len(
-            result.pareto
-        )
+        assert len(result.rows()) == 4
 
     def test_default_axes_run_spec_as_is(self, engine, tiny_spec):
         result = engine.grid_exploration(tiny_spec)

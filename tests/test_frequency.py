@@ -38,10 +38,6 @@ class TestPlanIsland:
         assert plan.min_switches == math.ceil(plan.num_cores / plan.max_switch_size)
         assert plan.min_switches >= 1
 
-    def test_max_switches_is_core_count(self, tiny_spec):
-        plan = plan_island(tiny_spec, 0, DEFAULT_LIBRARY)
-        assert plan.max_switches == 3
-
     def test_empty_island_rejected(self, tiny_spec):
         with pytest.raises(SpecError):
             plan_island(tiny_spec, 7, DEFAULT_LIBRARY)

@@ -106,10 +106,6 @@ class TestDot:
         dot = topology_to_dot(tiny_best.topology)
         assert "dashed" in dot  # tiny spec has cross-island links
 
-    def test_with_nis(self, tiny_best):
-        dot = topology_to_dot(tiny_best.topology, include_nis=True)
-        assert 'label="NI"' in dot
-
     def test_save(self, tiny_best, tmp_path):
         path = str(tmp_path / "t.dot")
         save_dot(tiny_best.topology, path)

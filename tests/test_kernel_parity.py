@@ -336,17 +336,9 @@ class TestBackupParity:
     opened hardware the two modes must do exactly the same search work.
     """
 
-    @pytest.mark.parametrize("reserve_bandwidth", [False, True])
-    @pytest.mark.parametrize("allow_new_links", [False, True])
     @pytest.mark.parametrize("node_disjoint", [False, True])
-    def test_spare_paths_match_reference(
-        self, backup_points, node_disjoint, allow_new_links, reserve_bandwidth
-    ):
-        config = SparePathConfig(
-            node_disjoint=node_disjoint,
-            allow_new_links=allow_new_links,
-            reserve_bandwidth=reserve_bandwidth,
-        )
+    def test_spare_paths_match_reference(self, backup_points, node_disjoint):
+        config = SparePathConfig(node_disjoint=node_disjoint)
         backups = 0
         for point in backup_points:
             fast = _spare_run(point, config, use_cache=True)
@@ -357,11 +349,15 @@ class TestBackupParity:
 
     def test_route_around_failed_switches(self, backup_points):
         """Online reroutes on the protected hardware (primaries plus
-        node-disjoint spare links), the control plane's setting."""
-        rerouted = 0
+        node-disjoint spare links), the control plane's setting: with no
+        reservation, with the plan's spare reservations held back (as
+        the controller reroutes), and with every spare link's capacity
+        held back, which moves some reroutes."""
+        rerouted = moved = 0
         for point in backup_points:
             topo = point.topology.clone_scaffold()
-            allocate_spare_paths(topo, config=SparePathConfig(node_disjoint=True))
+            plan = allocate_spare_paths(topo, config=SparePathConfig(node_disjoint=True))
+            full = {lid: topo.links[lid].capacity_mbps for lid in plan.reserved_mbps}
             fast = PathAllocator.for_topology(topo)
             reference = PathAllocator.for_topology(topo, use_cache=False)
             for key in _multi_hop_flows(topo):
@@ -371,16 +367,26 @@ class TestBackupParity:
                 # Fail each transit switch alone, then all of them with
                 # the primary's inter-switch links.
                 for failed, links in [([sw], ()) for sw in transit] + [(transit, sw_links)]:
-                    with recording() as rf:
-                        got = fast.route_around(topo, key, links, blocked_switches=failed)
-                    with recording() as rr:
-                        want = reference.route_around(topo, key, links, blocked_switches=failed)
-                    assert got == want, (key, failed)
-                    assert rf.counters["edge_evals"] == rr.counters["edge_evals"]
-                    if got is not None:
-                        rerouted += 1
-                        assert not set(failed) & set(got[0].components)
-        assert rerouted
+                    answers = []
+                    for reserved in (None, plan.reserved_mbps, full):
+                        with recording() as rf:
+                            got = fast.route_around(
+                                topo, key, links, blocked_switches=failed, reserved=reserved
+                            )
+                        with recording() as rr:
+                            want = reference.route_around(
+                                topo, key, links, blocked_switches=failed, reserved=reserved
+                            )
+                        assert got == want, (key, failed, reserved)
+                        assert rf.counters["edge_evals"] == rr.counters["edge_evals"]
+                        if got is not None:
+                            rerouted += 1
+                            assert not set(failed) & set(got[0].components)
+                            if reserved is full:
+                                assert not set(got[0].links) & set(full)
+                        answers.append(got)
+                    moved += answers[0] != answers[2]
+        assert rerouted and moved
 
     def test_blocked_source_and_destination(self, backup_points):
         """Blocking the source changes nothing; blocking the

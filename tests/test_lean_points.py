@@ -153,20 +153,6 @@ class TestSharedFlowTuples:
         decoded = pickle.loads(pickle.dumps(used))
         assert decoded == used and decoded.charge == used.charge
 
-    def test_remove_flow_keeps_the_surviving_charges(self, tiny_best):
-        topo = tiny_best.topology.clone_scaffold()
-        link = max(topo.links.values(), key=lambda l: len(l.flows))
-        assert len(link.flows) > 1
-        before = list(link.flows)
-        link.remove_flow(before[0][0])
-        assert all(a is b for a, b in zip(link.flows, before[1:]))
-        # Added left to right from int 0, as routing adds them (never ``sum``,
-        # which compensates from Python 3.12).
-        used = 0
-        for _, bw in before[1:]:
-            used += bw
-        assert (type(link.used_mbps), link.used_mbps) == (type(used), used)
-
 
 def _pairs(topo):
     pairs = dict.fromkeys((l.src, l.dst) for l in topo.links.values())

@@ -56,7 +56,7 @@ def test_synthesis_invariants_on_random_socs(spec):
         validate_topology(topo)
 
         # 3. Latency budgets honoured (synthesis rejects violators).
-        assert point.latency.meets_constraints
+        assert not point.latency.violations
 
         # 4. Floorplan containment: cores inside their islands.
         for core in spec.core_names:

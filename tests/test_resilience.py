@@ -647,11 +647,11 @@ class TestResilienceObjective:
         assert report.full_coverage
 
     def test_veto_on_unreachable_coverage(self, tiny_best):
-        # Forbid new links and demand full protection of a topology
-        # with no redundant hardware: coverage must fall short and the
+        # A zero degraded-mode latency budget admits no spare, so
+        # coverage falls short of the full coverage demanded and the
         # objective must veto rather than rank.
         obj = ResilienceObjective(
-            spare_config=SparePathConfig(k=1, allow_new_links=False)
+            spare_config=SparePathConfig(k=1, latency_stretch=0.0)
         )
         result = obj.evaluate(tiny_best)
         assert not result.feasible

@@ -4,8 +4,9 @@
 ``TopologyPacker`` (the cache store's packed shells) write one layout:
 NI links keep only their lengths, link charges and used bandwidths are
 replayed from the routes in route order, and route components come
-from the links.  A topology whose charges do not follow route order
-keeps full rows.  Every path must give the topology back field for
+from the links.  A topology the lean rows would not give back exactly
+(charges out of route order, an explicit converter flag) keeps full
+rows.  Every path must give the topology back field for
 field, with each link's used bandwidth its charges added left to right
 from int 0, as routing added them.
 """
@@ -19,11 +20,11 @@ import pickle
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from repro import SynthesisConfig, Topology, synthesize
+from repro import SynthesisConfig, Topology, mobile_soc_26, synthesize
 from repro.arch.topology import _lean_rows
+from repro.baseline.flat import synthesize_vi_oblivious
 from repro.cache import CacheStore
 from repro.core import synthesis as synthesis_module
-from repro.core.paths import PathAllocator
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import communication_partitioning, logical_partitioning
 
@@ -140,31 +141,6 @@ def generated_specs(draw):
     )
 
 
-def reroute(topology):
-    """Move one flow onto another path as a control plane would install
-    it: the route keeps its place, and its new links are charged after
-    every charge they already hold, so charges stop following route
-    order.  Returns the rerouted key."""
-    allocator = PathAllocator.for_topology(topology)
-    for key, route in topology.routes.items():
-        found = None
-        for lid in route.links[1:-1]:
-            found = allocator.route_around(topology, key, forbidden_links=[lid])
-            if found is not None:
-                break
-        if found is None:
-            continue
-        alt = found[0]
-        charge = topology.spec.flow(*key).charge
-        for lid in route.links:
-            topology.links[lid].remove_flow(key)
-        for lid in alt.links:
-            topology.links[lid].add_flow(charge)
-        topology.routes[key] = alt
-        return key
-    return None
-
-
 class TestRoundTrips:
     @given(generated_specs())
     @settings(
@@ -183,19 +159,23 @@ class TestRoundTrips:
         assert shared_objects([p.topology for p in d26_space.points]) == {1}
         assert_round_trips(d26_space.points)
 
-    def test_rerouted_topology_keeps_full_rows(self, d26_space):
-        topology = d26_space.points[1].topology.clone_scaffold()
-        assert reroute(topology) is not None
-        assert _lean_rows(topology) is None
-        expected = fields(topology)
-        assert fields(copy.deepcopy(topology)) == expected
-        assert fields(topology.clone_scaffold()) == expected
-        assert fields(pickle.loads(pickle.dumps(topology, pickle.HIGHEST_PROTOCOL))) == expected
-        store = CacheStore.in_memory()
-        store.put_object("f" * 64, [topology], "space")
-        (back,) = store.get_object("f" * 64, "space")
-        assert type(back) is Topology  # a topology without lean rows stays eager
-        assert fields(back) == expected
+    def test_remapped_topology_keeps_full_rows(self):
+        """The VI-oblivious remap marks every link converter-free
+        (``has_converter=False``), which the lean rows do not carry."""
+        for islands in (2, 4, 6):
+            topology = synthesize_vi_oblivious(
+                logical_partitioning(mobile_soc_26(), islands)
+            ).topology
+            assert _lean_rows(topology) is None
+            expected = fields(topology)
+            assert fields(copy.deepcopy(topology)) == expected
+            assert fields(topology.clone_scaffold()) == expected
+            assert fields(pickle.loads(pickle.dumps(topology, pickle.HIGHEST_PROTOCOL))) == expected
+            store = CacheStore.in_memory()
+            store.put_object("f" * 64, [topology], "space")
+            (back,) = store.get_object("f" * 64, "space")
+            assert type(back) is Topology  # a topology without lean rows stays eager
+            assert fields(back) == expected
 
 
 @pytest.fixture(scope="module")
@@ -207,32 +187,21 @@ def gen40_space():
     return synthesize(communication_partitioning(soc, 2))
 
 
-def rounding_links(space, drop_first=False):
+def rounding_links(space):
     """Links of ``space`` whose charges a compensated ``sum`` adds up to
-    another float than ``+=`` does (after dropping the first charge)."""
-    found = []
-    for point in space.points:
-        for link in point.topology.links.values():
-            charges = link.flows[1:] if drop_first else link.flows
-            if neumaier_sum(bw for _, bw in charges) != added(charges):
-                found.append((point, link))
-    return found
+    another float than ``+=`` does."""
+    return [
+        (point, link)
+        for point in space.points
+        for link in point.topology.links.values()
+        if neumaier_sum(bw for _, bw in link.flows) != added(link.flows)
+    ]
 
 
 @pytest.mark.usefixtures(python312_sum.__name__)
 class TestUsedBandwidthUnderPython312Sum:
     """Used bandwidths keep routing's left-to-right ``+=`` through every
     path that recomputes them, also where ``sum`` compensates."""
-
-    def test_remove_and_readd(self, gen40_space):
-        point, link = rounding_links(gen40_space, drop_first=True)[0]
-        topology = point.topology.clone_scaffold()
-        link = topology.links[link.id]
-        first = link.flows[0]
-        link.remove_flow(first[0])
-        assert exact(link._used_mbps) == exact(added(link.flows))
-        link.add_flow(first)
-        assert exact(link._used_mbps) == exact(added(link.flows))
 
     def test_codec_paths(self, gen40_space):
         assert rounding_links(gen40_space)

@@ -158,14 +158,6 @@ class TestQueries(object):
         with pytest.raises(ValidationError):
             tiny_best.topology.switch_of_core("ghost")
 
-    def test_component_island(self, tiny_best):
-        topo = tiny_best.topology
-        assert topo.component_island("ni.cpu") == 0
-        some_switch = next(iter(topo.switches))
-        assert topo.component_island(some_switch) == topo.switches[some_switch].island
-        with pytest.raises(ValidationError):
-            topo.component_island("nope")
-
     def test_summary_mentions_counts(self, tiny_best):
         s = tiny_best.topology.summary()
         assert "switches" in s and "flows routed" in s

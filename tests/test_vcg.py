@@ -75,13 +75,6 @@ class TestBuildVcg:
         expected = vcg.weight("cpu", "mem") + vcg.weight("mem", "cpu")
         assert sym[("cpu", "mem")] == pytest.approx(expected)
 
-    def test_neighbors(self, tiny_spec):
-        vcg = build_vcg(tiny_spec, 0)
-        assert vcg.neighbors("mem") == {"cpu", "acc"}
-
-    def test_total_weight_positive(self, tiny_spec):
-        assert build_vcg(tiny_spec, 0).total_weight() > 0
-
 
 class TestGlobalVcg:
     def test_contains_every_flow(self, tiny_spec):
