@@ -76,7 +76,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ),
         ".core.frequency": ("IslandPlan", "plan_all_islands"),
         ".core.objective": (
-            "CompositeObjective",
             "MultiTraceObjective",
             "Objective",
             "ObjectiveResult",
@@ -89,7 +88,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "make_objective",
         ),
         ".core.partition": ("partition_graph",),
-        ".core.paths": ("AllocationResult", "PathCostConfig", "allocate_paths"),
+        ".core.paths": ("AllocationResult", "PathCostConfig"),
         ".core.spec": ("CoreSpec", "SoCSpec", "TrafficFlow", "build_spec"),
         ".core.synthesis": ("SynthesisConfig", "synthesize"),
         ".core.vcg": ("VCG", "build_all_vcgs", "build_global_vcg", "build_vcg"),

@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from ..arch.topology import Topology
 from ..arch.validate import ShutdownViolation, audit_shutdown_safety
-from ..power.leakage import ShutdownReport, analyze_shutdown, blocked_idle_islands
+from ..power.leakage import GATING_OVERHEAD_FRACTION, ShutdownReport, _shutdown_report
 from ..sim.scenarios import UseCase
 
 
@@ -35,14 +35,6 @@ class FeasibilityReport:
         """True when the static audit found no violations."""
         return not self.violations
 
-    def total_blocked(self) -> int:
-        """Idle-island shutdown opportunities lost across all cases."""
-        return sum(len(blocked) for _, blocked in self.per_use_case.values())
-
-    def total_gated(self) -> int:
-        """Idle islands actually gateable across all cases."""
-        return sum(len(gated) for gated, _ in self.per_use_case.values())
-
 
 def check_shutdown_feasibility(
     topology: Topology,
@@ -52,16 +44,17 @@ def check_shutdown_feasibility(
     """Audit a topology and analyze shutdown over every use case.
 
     The gateability rule is the design-time guarantee of
-    :func:`repro.power.leakage.blocked_idle_islands`.
+    :func:`repro.power.leakage.analyze_shutdown`: the islands the one
+    audit pins stay powered in every case.
     """
     violations = tuple(audit_shutdown_safety(topology))
+    pinned = {v.island for v in violations}
     per_case: Dict[str, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
     reports: Dict[str, ShutdownReport] = {}
     for case in use_cases:
-        case.validate_against(topology.spec)
-        gateable, blocked = blocked_idle_islands(topology, case)
-        per_case[case.name] = (tuple(gateable), tuple(blocked))
-        reports[case.name] = analyze_shutdown(topology, case)
+        report = _shutdown_report(topology, case, pinned, GATING_OVERHEAD_FRACTION)
+        per_case[case.name] = (report.gated_islands, report.blocked_islands)
+        reports[case.name] = report
     return FeasibilityReport(
         topology_label=label or topology.spec.name,
         violations=violations,
@@ -78,8 +71,8 @@ def compare_shutdown_capability(
     """Side-by-side feasibility of the two design styles.
 
     Returns ``{"vi_aware": ..., "vi_oblivious": ...}``; the interesting
-    contrast is ``total_gated`` / ``total_blocked`` and the resulting
-    power savings in the shutdown reports.
+    contrast is the gated and blocked islands of each use case and the
+    resulting power savings in the shutdown reports.
     """
     return {
         "vi_aware": check_shutdown_feasibility(vi_aware, use_cases, "vi_aware"),

@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "SCHEMA_VERSION",
             "canonical",
             "design_space_key",
-            "fingerprint",
         ),
         ".signatures": ("design_space_signature",),
         ".store": (

@@ -121,11 +121,6 @@ def form_text(canon: Any) -> str:
     return json.dumps(canon, sort_keys=True, separators=(",", ":"))
 
 
-def fingerprint(kind: str, *parts: Any) -> str:
-    """sha256 hex digest of canonicalized ``parts`` under a ``kind`` tag."""
-    return _digest(_payload(kind, [_part_text(p) for p in parts]))
-
-
 def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -230,8 +225,8 @@ def _space_payload(spec: Any, library: Any, config: Any) -> str:
     The config's part is :func:`_config_text`, kept on the config
     (:func:`kept_text`), so a sweep caller's hit probe and the task's
     lookup share it.  Only this function builds that text: a config has
-    no ``key_text()``, so :func:`fingerprint` and :func:`canonical` give
-    it every field wherever it sits.
+    no ``key_text()``, so :func:`canonical` gives it every field
+    wherever it sits.
     """
     return _payload(
         "space", [_part_text(spec), _part_text(library), kept_text(config, _config_text)]

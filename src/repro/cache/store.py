@@ -400,13 +400,12 @@ class CacheStore:
         directory: Optional[Path] = None,
         *,
         max_memory_bytes: int = 64 * 1024 * 1024,
-        max_memory_entries: int = 1024,
         verify_every: int = 0,
     ) -> None:
         if verify_every < 0:
             raise CacheError("verify_every must be >= 0, got %d" % verify_every)
         self.directory = Path(directory) if directory is not None else None
-        self.memory = MemoryTier(max_memory_bytes, max_memory_entries)
+        self.memory = MemoryTier(max_memory_bytes)
         self.disk = DiskTier(self.directory) if self.directory is not None else None
         self.verify_every = verify_every
         self.stats = CacheStats()

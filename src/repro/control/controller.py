@@ -54,10 +54,12 @@ from ..core.paths import PathAllocator
 from ..perf.instrument import span
 from ..power.noc_power import route_traffic_power_mw
 from ..resilience.faults import (
+    LOST,
+    REROUTED,
+    UNAFFECTED,
     FaultEvent,
     FaultScenario,
-    endpoint_failed,
-    route_affected,
+    classify_flow,
 )
 from ..resilience.spare_paths import SparePlan
 from ..runtime.report import FaultImpact
@@ -183,23 +185,19 @@ class ReconfigurationController:
         plan = self.spare_plan
         actions: List[FlowDecision] = []
         for key, route in sorted(topo.routes.items()):
-            dead_end = endpoint_failed(scenario, topo, key)
-            if not dead_end and not route_affected(scenario, topo, route):
+            impact = classify_flow(scenario, topo, key, route, plan)
+            if impact.fate == UNAFFECTED:
                 continue
             decision = None
-            if not dead_end and plan is not None:
-                for idx, backup in enumerate(plan.backups_for(key)):
-                    if not route_affected(scenario, topo, backup):
-                        decision = FlowDecision(
-                            flow=key,
-                            action=ACTION_SPARE,
-                            backup_index=idx,
-                            route=backup,
-                            added_cycles=plan.backup_cycles[key][idx]
-                            - self._primary_cycles(key),
-                        )
-                        break
-            if decision is None and not dead_end:
+            if impact.fate == REROUTED:
+                decision = FlowDecision(
+                    flow=key,
+                    action=ACTION_SPARE,
+                    backup_index=impact.backup_index,
+                    route=plan.backups[key][impact.backup_index],
+                    added_cycles=impact.added_cycles,
+                )
+            elif impact.fate == LOST:
                 found = self._alloc().route_around(
                     topo,
                     key,

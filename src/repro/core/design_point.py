@@ -50,11 +50,6 @@ class DesignPoint:
     objective_result: Optional["ObjectiveResult"] = None
 
     @property
-    def objective_cost(self) -> Optional[Tuple[float, ...]]:
-        """Cost vector under the synthesis objective, if one was set."""
-        return None if self.objective_result is None else self.objective_result.cost
-
-    @property
     def total_switches(self) -> int:
         """Direct plus used intermediate switches."""
         return sum(self.switch_counts.values()) + self.num_intermediate_used

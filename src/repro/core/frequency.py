@@ -53,24 +53,6 @@ class IslandPlan:
     min_switches: int
 
 
-def plan_island(
-    spec: SoCSpec,
-    island: int,
-    library: NocLibrary,
-    freq_step_mhz: float = 25.0,
-    min_freq_mhz: float = 100.0,
-) -> IslandPlan:
-    """Compute the :class:`IslandPlan` for one island.
-
-    ``min_freq_mhz`` is a practical floor: islands whose cores only
-    trickle data still get a usable NoC clock rather than a pathological
-    few-MHz domain.
-    """
-    return _plan_island(
-        spec, island, spec.core_peak_bandwidths(), library, freq_step_mhz, min_freq_mhz
-    )
-
-
 def plan_all_islands(
     spec: SoCSpec,
     library: NocLibrary,
@@ -97,10 +79,14 @@ def _plan_island(
     freq_step_mhz: float,
     min_freq_mhz: float,
 ) -> IslandPlan:
-    """:func:`plan_island`, given :meth:`SoCSpec.core_peak_bandwidths`."""
+    """The :class:`IslandPlan` of one island, given
+    :meth:`SoCSpec.core_peak_bandwidths`.
+
+    ``min_freq_mhz`` is a practical floor: islands whose cores only
+    trickle data still get a usable NoC clock rather than a pathological
+    few-MHz domain.
+    """
     cores = spec.cores_in_island(island)
-    if not cores:
-        raise SpecError("island %r of spec %r has no cores" % (island, spec.name))
     # Step 1: the island's NoC must carry its busiest core's NI link.
     peak_bw = max(peaks[c] for c in cores)
     needed = library.required_freq_mhz(peak_bw)

@@ -7,8 +7,7 @@ co-synthesis (``SynthesisConfig(objective=...)``), the sweep engine
 (``ExplorationEngine(objective=...)`` selects through an
 :class:`~repro.core.explore.ObjectiveSelector`) and the CLI's
 ``--objective`` all go through it, so new objective families (trace
-energy, wake-latency QoS, weighted composites) plug in without
-touching them.
+energy, wake-latency QoS) plug in without touching them.
 
 Contract
 --------
@@ -62,9 +61,6 @@ Built-ins
 :class:`MultiTraceObjective`
     Worst-case (or mean) trace energy over a *set* of traces, so
     co-synthesis stops overfitting a single Markov walk.
-:class:`CompositeObjective`
-    Weighted sum over the primary cost components of several
-    objectives; feasibility is the conjunction.
 
 :class:`repro.resilience.coverage.ResilienceObjective` joins the
 registry from the resilience package: it vetoes points whose
@@ -567,77 +563,6 @@ class WakeLatencyQoSObjective(Objective):
             self.policy,
             self.budget_ms,
             self._base().describe(),
-        )
-
-
-@dataclass(frozen=True)
-class CompositeObjective(Objective):
-    """Weighted sum over the primary cost components of several parts.
-
-    ``cost[0]`` of each part is scaled by its weight and summed; the
-    parts' own tie-break components are appended in order so equal
-    sums still resolve deterministically.  A point is feasible only
-    when *every* part accepts it — constraint objectives keep their
-    veto inside a composite.
-    """
-
-    parts: Tuple[Objective, ...] = ()
-    weights: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise SpecError("composite objective needs at least one part")
-        if self.weights is not None and len(self.weights) != len(self.parts):
-            raise SpecError(
-                "composite objective: %d weights for %d parts"
-                % (len(self.weights), len(self.parts))
-            )
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "+".join(p.name for p in self.parts)
-
-    def _weights(self) -> Tuple[float, ...]:
-        return self.weights if self.weights is not None else (1.0,) * len(self.parts)
-
-    def evaluate(self, point: "DesignPoint") -> ObjectiveResult:
-        total = 0.0
-        tail: List[float] = []
-        metrics: Dict[str, float] = {}
-        for part, weight in zip(self.parts, self._weights()):
-            result = part.evaluate(point)
-            if not result.feasible:
-                return ObjectiveResult(
-                    cost=(math.inf,),
-                    feasible=False,
-                    reason="%s: %s" % (part.name, result.reason or "rejected"),
-                    metrics=dict(result.metrics),
-                )
-            total += weight * result.cost[0]
-            tail.extend(result.cost)
-            for k, v in result.metrics.items():
-                metrics["%s.%s" % (part.name, k)] = v
-        return ObjectiveResult(cost=(total,) + tuple(tail), metrics=metrics)
-
-    def column_names(self) -> Tuple[str, ...]:
-        names: List[str] = []
-        for part in self.parts:
-            for col in part.column_names():
-                if col not in names:
-                    names.append(col)
-        return tuple(names)
-
-    def columns(self, point: "DesignPoint") -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for part in self.parts:
-            for k, v in part.columns(point).items():
-                out.setdefault(k, v)
-        return out
-
-    def describe(self) -> str:
-        return "+".join(
-            "%.3g*%s" % (w, p.describe())
-            for p, w in zip(self.parts, self._weights())
         )
 
 

@@ -165,55 +165,6 @@ _REUSE = "reuse"
 _OPEN = "open"
 
 
-def allocate_paths(
-    spec: SoCSpec,
-    library: NocLibrary,
-    plans: Mapping[int, IslandPlan],
-    partitions: Mapping[int, Sequence[Set[str]]],
-    num_intermediate: int = 0,
-    cost_config: Optional[PathCostConfig] = None,
-    use_cache: bool = True,
-) -> AllocationResult:
-    """Build a topology for one design point and route every flow.
-
-    Greedy bandwidth-ordered allocation can exhaust a switch's ports on
-    direct inter-island links and then have no port left to reach the
-    intermediate island (the hub-and-spoke failure mode).  When that
-    happens and indirect switches are available, the allocation retries
-    with 1 then 2 ports per switch *reserved* for indirect
-    connectivity — direct cross-island link opening is constrained to
-    leave that headroom.
-
-    Thin wrapper over :class:`PathAllocator`; synthesis keeps one
-    allocator alive across the intermediate-count sweep instead.
-
-    Parameters
-    ----------
-    spec:
-        The SoC specification.
-    library:
-        Technology library.
-    plans:
-        Per-island frequency/size plans from
-        :func:`repro.core.frequency.plan_all_islands`.
-    partitions:
-        For every island, the list of core groups sharing a switch
-        (output of min-cut partitioning, step 11).
-    num_intermediate:
-        Number of indirect switches to instantiate in the intermediate
-        NoC island (step 14 sweeps this; 0 disables the island).
-    cost_config:
-        Cost-function knobs; defaults to :class:`PathCostConfig`.
-    use_cache:
-        Enable the fast path: edge-cost memoization, the routing
-        shortcuts and the open-class skip (identical results either way).
-    """
-    allocator = PathAllocator(
-        spec, library, plans, partitions, cost_config, use_cache=use_cache
-    )
-    return allocator.allocate(num_intermediate)
-
-
 # ----------------------------------------------------------------------
 # Cost model (shared by cached and uncached paths)
 # ----------------------------------------------------------------------
@@ -302,15 +253,6 @@ def _edge_traffic_ebit(
     if crossing:
         ebit += lib.fifo_ebit_pj
     return ebit
-
-
-def _edge_traffic_cost(
-    topo: Topology, flow: TrafficFlow, u: Switch, v: Switch, cfg: PathCostConfig
-) -> float:
-    """Dynamic power (mW) the flow adds on link u->v plus switch v."""
-    return units.traffic_power_mw(
-        flow.bandwidth_mbps, _edge_traffic_ebit(topo, u, v, cfg)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +392,8 @@ class PathAllocator:
         stored on it, and the per-island switch-size bound is a pure
         function of the frequency
         (:meth:`~repro.power.library.NocLibrary.max_switch_size_for_freq`
-        — exactly how :func:`repro.core.frequency.plan_island` derived
-        it).  The returned allocator shares the same int-indexed
+        — exactly how :func:`repro.core.frequency.plan_all_islands`
+        derived it).  The returned allocator shares the same int-indexed
         Dijkstra, adjacency store and cost memos as the synthesis fast
         path; it must not be used for primary allocation (it has no
         scaffold or partitions).
@@ -483,9 +425,13 @@ class PathAllocator:
     def allocate(self, num_intermediate: int = 0) -> AllocationResult:
         """Route all flows with ``num_intermediate`` indirect switches.
 
-        Retries with 1 then 2 reserved ports per switch when the greedy
-        allocation strands the intermediate island (see
-        :func:`allocate_paths`).
+        Greedy bandwidth-ordered allocation can exhaust a switch's ports
+        on direct inter-island links and then have no port left to reach
+        the intermediate island (the hub-and-spoke failure mode).  When
+        that happens and indirect switches are available, the allocation
+        retries with 1 then 2 ports per switch *reserved* for indirect
+        connectivity — direct cross-island link opening is constrained
+        to leave that headroom.
         """
         if (
             num_intermediate > 0

@@ -454,8 +454,8 @@ class SoCSpec:
     def key_text(self) -> str:
         """The JSON text of the spec's canonical form.
 
-        :func:`repro.cache.keys.fingerprint` splices it into every key
-        that names the spec.  It is spliced in turn
+        :func:`repro.cache.keys.design_space_key` splices it into the key
+        of every candidate record of the spec.  It is spliced in turn
         (:func:`~repro.cache.keys.object_text`) from three texts, each
         built once: the cores' and the flows', which every spec
         derived by :meth:`with_vi_assignment` shares with its parent
@@ -479,17 +479,6 @@ class SoCSpec:
         return object_text(
             self, {"cores": shared.cores, "flows": shared.flows, "vi_assignment": own}
         )
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the spec (hex digest).
-
-        Delegates to :func:`repro.cache.keys.fingerprint` so floats get
-        the exact (``float.hex``) representation and the versioned
-        schema tag; see ``docs/caching.md`` for the key schema.
-        """
-        from ..cache.keys import fingerprint
-
-        return fingerprint("spec", self.canonical())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return "SoCSpec(%s: %d cores, %d flows, %d islands)" % (

@@ -55,10 +55,6 @@ class VCG:
         """|VCG(V, E, j)| — the number of cores (Algorithm 1, step 2)."""
         return len(self.nodes)
 
-    def weight(self, src: str, dst: str) -> float:
-        """Directed edge weight ``h``; 0.0 if the cores don't talk."""
-        return self.edges.get((src, dst), 0.0)
-
     def symmetric_weights(self) -> Dict[Tuple[str, str], float]:
         """Undirected weights for min-cut partitioning.
 

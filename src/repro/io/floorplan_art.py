@@ -20,17 +20,14 @@ _SVG_COLORS = (
 )
 
 
-def floorplan_to_ascii(
-    floorplan: Floorplan,
-    topology: Optional[Topology] = None,
-    width: int = 72,
-) -> str:
-    """Render the floorplan as a character grid.
+def floorplan_to_ascii(floorplan: Floorplan, topology: Optional[Topology] = None) -> str:
+    """Render the floorplan as a character grid, 72 columns wide.
 
     Each core cell is drawn with the first letters of its name; island
     boundaries appear as changes in background character; switches are
     marked ``*``.  A legend follows the grid.
     """
+    width = 72
     chip = floorplan.chip
     height = max(10, int(width * chip.h / chip.w * 0.5))  # chars are ~2:1
     grid = [[" " for _ in range(width)] for _ in range(height)]
@@ -72,12 +69,10 @@ def floorplan_to_ascii(
     return "\n".join(out) + "\n"
 
 
-def floorplan_to_svg(
-    floorplan: Floorplan,
-    topology: Optional[Topology] = None,
-    scale_px_per_mm: float = 80.0,
-) -> str:
-    """Render the floorplan as a standalone SVG document string."""
+def floorplan_to_svg(floorplan: Floorplan, topology: Optional[Topology] = None) -> str:
+    """Render the floorplan as a standalone SVG document string, at
+    80 pixels per mm."""
+    scale_px_per_mm = 80.0
     chip = floorplan.chip
     W = chip.w * scale_px_per_mm
     H = chip.h * scale_px_per_mm

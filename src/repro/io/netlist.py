@@ -3,16 +3,12 @@
 The paper's synthesis "can be plugged in our design flow presented in
 [15] in order to generate fully implementable NoCs" — the hand-off
 artifact is a structural netlist instantiating the library components
-with the synthesized parameters.  This module emits that artifact in
-two forms:
-
-* :func:`topology_to_verilog` — a structural Verilog module: one
-  instance per switch / NI / bi-synchronous FIFO, wires for every link,
-  parameterized by port counts and data width.  The leaf modules
-  (``noc_switch``, ``noc_ni``, ``noc_bisync_fifo``) are assumed to come
-  from the RTL library, exactly as ×pipesLite components would;
-* :func:`topology_to_netlist_dict` — the same connectivity as plain
-  data for consumption by other flows.
+with the synthesized parameters.  This module emits that artifact:
+:func:`topology_to_verilog` writes a structural Verilog module, one
+instance per switch / NI / bi-synchronous FIFO and wires for every link,
+parameterized by port counts and data width.  The leaf modules
+(``noc_switch``, ``noc_ni``, ``noc_bisync_fifo``) are assumed to come
+from the RTL library, exactly as ×pipesLite components would.
 
 The output is deterministic (sorted instance order), so diffs between
 synthesis runs are meaningful.
@@ -20,7 +16,7 @@ synthesis runs are meaningful.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 
@@ -32,48 +28,6 @@ def _wire_name(link_id: int, src: str, dst: str) -> str:
 
 def _inst_name(comp_id: str) -> str:
     return "u_" + comp_id.replace(".", "_").replace("-", "m")
-
-
-def topology_to_netlist_dict(topology: Topology) -> Dict[str, Any]:
-    """Connectivity and parameters of the synthesized NoC as data."""
-    lib = topology.library
-    return {
-        "design": topology.spec.name,
-        "data_width_bits": lib.data_width_bits,
-        "islands": [
-            {"id": isl, "freq_mhz": freq, "gateable": isl != INTERMEDIATE_ISLAND}
-            for isl, freq in sorted(topology.island_freqs.items())
-        ],
-        "switches": [
-            {
-                "instance": _inst_name(s.id),
-                "island": s.island,
-                "inputs": s.n_in,
-                "outputs": s.n_out,
-                "freq_mhz": s.freq_mhz,
-            }
-            for s in sorted(topology.switches.values(), key=lambda s: s.id)
-        ],
-        "nis": [
-            {
-                "instance": _inst_name(n.id),
-                "core": n.core,
-                "island": n.island,
-                "freq_mhz": n.freq_mhz,
-            }
-            for n in sorted(topology.nis.values(), key=lambda n: n.id)
-        ],
-        "links": [
-            {
-                "wire": _wire_name(l.id, l.src, l.dst),
-                "src": _inst_name(l.src),
-                "dst": _inst_name(l.dst),
-                "converter": l.converter,
-                "length_mm": l.length_mm,
-            }
-            for l in sorted(topology.links.values(), key=lambda l: l.id)
-        ],
-    }
 
 
 def topology_to_verilog(topology: Topology) -> str:

@@ -17,13 +17,12 @@ def format_table(
     rows: Sequence[Mapping[str, Any]],
     columns: Optional[Sequence[str]] = None,
     title: str = "",
-    float_format: str = "%.2f",
 ) -> str:
     """Render dict-rows as an aligned fixed-width text table.
 
     ``columns`` fixes the column order (default: keys of the first row
-    in insertion order).  Floats go through ``float_format``; other
-    values through ``str``.
+    in insertion order).  Floats print with two decimals, booleans as
+    ``yes``/``no`` and other values through ``str``.
     """
     if not rows:
         return (title + "\n" if title else "") + "(no rows)\n"
@@ -33,7 +32,7 @@ def format_table(
         if isinstance(v, bool):
             return "yes" if v else "no"
         if isinstance(v, float):
-            return float_format % v
+            return "%.2f" % v
         return str(v)
 
     cells = [[fmt(r.get(c, "")) for c in cols] for r in rows]

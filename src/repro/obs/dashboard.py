@@ -41,15 +41,15 @@ def _bar(fraction: float, width: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def phase_breakdown_lines(
-    recorder: Recorder, width: int = 28, max_paths: int = 40
-) -> List[str]:
+def phase_breakdown_lines(recorder: Recorder) -> List[str]:
     """Span totals as an indented tree with proportional time bars.
 
     Paths are folded (one row per distinct path, counts aggregated)
     and ordered depth-first by path so children sit under parents.
-    Bars are scaled to the largest root total.
+    Bars are scaled to the largest root total.  The first 40 paths
+    are shown.
     """
+    width, max_paths = 28, 40
     totals = recorder.totals_by_path()
     if not totals:
         return ["  (no spans recorded)"]
@@ -87,7 +87,7 @@ def phase_breakdown_lines(
 # ----------------------------------------------------------------------
 
 
-def recovery_timeline_lines(report, width: int = 48) -> List[str]:
+def recovery_timeline_lines(report) -> List[str]:
     """Per-fault staged-repair timelines from ``report.recoveries``.
 
     Each row places the stage markers ``F`` (fault raised), ``D``
@@ -96,6 +96,7 @@ def recovery_timeline_lines(report, width: int = 48) -> List[str]:
     ``R`` — degraded service — is shaded ``=``.  An unrepaired fault
     runs degraded to the trace edge.
     """
+    width = 48
     recoveries = getattr(report, "recoveries", ())
     if not recoveries:
         return ["  (no recoveries: run with a controller and fault events)"]
@@ -146,12 +147,13 @@ def recovery_timeline_lines(report, width: int = 48) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-def island_gantt_lines(report, width: int = 60) -> List[str]:
+def island_gantt_lines(report) -> List[str]:
     """One Gantt row per island from each ``IslandRuntime.timeline``.
 
     Cells sample the dominant state of each time bucket; islands
     without a recorded timeline fall back to a residency summary.
     """
+    width = 60
     per_island = getattr(report, "per_island", {})
     if not per_island:
         return ["  (no islands simulated)"]
@@ -193,10 +195,9 @@ def island_gantt_lines(report, width: int = 60) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-def counter_lines(
-    registry: MetricsRegistry, top: int = 10, width: int = 24
-) -> List[str]:
+def counter_lines(registry: MetricsRegistry, top: int = 10) -> List[str]:
     """The ``top`` largest unlabelled counter series, bar-scaled."""
+    width = 24
     rows: List[Tuple[float, str]] = []
     for metric in registry:
         if metric.kind != "counter":
@@ -226,7 +227,7 @@ def counter_lines(
 # ----------------------------------------------------------------------
 
 
-def cache_lines(registry: MetricsRegistry, width: int = 24) -> List[str]:
+def cache_lines(registry: MetricsRegistry) -> List[str]:
     """Per-tier cache hit rates from the ``cache.hit_rate`` gauge.
 
     Empty when the registry carries no hit-rate samples (no cache
@@ -234,6 +235,7 @@ def cache_lines(registry: MetricsRegistry, width: int = 24) -> List[str]:
     zeros.  The ``overall`` row is hits over *all* lookups; tier rows
     share that denominator, so they sum to it.
     """
+    width = 24
     gauge = registry.get("cache.hit_rate")
     if gauge is None or not gauge.samples:
         return []

@@ -15,11 +15,7 @@ This module prices that decision:
   (approximated through its leakage and area) and the technology
   constants in :class:`GatingModel`;
 * :func:`break_even_time_ms` — the minimum idle duration for which
-  gating saves net energy ("don't gate for a 10 µs pause");
-* :func:`gating_schedule_savings` — given a use-case residency profile
-  and a mode-switch rate, the net savings including event overheads —
-  a refinement of :func:`repro.power.leakage.analyze_shutdown`, which
-  assumes long residencies.
+  gating saves net energy ("don't gate for a 10 µs pause").
 
 All constants are exposed for ablation, like the rest of the library.
 """
@@ -28,12 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..arch.topology import Topology
 from ..exceptions import SpecError
-from ..power.leakage import ShutdownReport
-from ..sim.scenarios import UseCase
 
 
 @dataclass(frozen=True)
@@ -141,59 +135,3 @@ def break_even_time_ms(cost: GatingCost) -> float:
         return math.inf
     # nJ / mW = microseconds; convert to ms.
     return cost.event_energy_nj / cost.leakage_saved_mw / 1000.0
-
-
-@dataclass(frozen=True)
-class ScheduleSavings:
-    """Net savings of a gating schedule over a scenario mix."""
-
-    #: mW saved ignoring event overheads (long-residency limit).
-    ideal_savings_mw: float
-    #: mW burned by gating events at the given mode-switch rate.
-    event_overhead_mw: float
-
-    @property
-    def net_savings_mw(self) -> float:
-        return max(0.0, self.ideal_savings_mw - self.event_overhead_mw)
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Share of ideal savings eaten by event costs."""
-        if self.ideal_savings_mw <= 0:
-            return 0.0
-        return min(1.0, self.event_overhead_mw / self.ideal_savings_mw)
-
-
-def gating_schedule_savings(
-    topology: Topology,
-    reports: Sequence[ShutdownReport],
-    use_cases: Sequence[UseCase],
-    mode_switches_per_second: float = 10.0,
-    model: Optional[GatingModel] = None,
-) -> ScheduleSavings:
-    """Net savings of island gating over a use-case mix.
-
-    ``reports`` are per-use-case :class:`ShutdownReport` s (from
-    :func:`repro.power.leakage.analyze_shutdown`); the event overhead
-    assumes each mode switch re-gates the islands whose state differs
-    between consecutive modes — approximated as every gated island
-    cycling once per mode switch, which upper-bounds the overhead.
-    """
-    if mode_switches_per_second < 0:
-        raise SpecError("mode switch rate must be >= 0")
-    m = model or GatingModel()
-    fractions = {u.name: u.time_fraction for u in use_cases}
-    total_w = sum(fractions.get(r.use_case, 0.0) for r in reports)
-    ideal = 0.0
-    event_nj_per_s = 0.0
-    for r in reports:
-        w = fractions.get(r.use_case, 0.0) / total_w if total_w > 0 else 1.0 / len(reports)
-        ideal += w * r.savings_mw
-        for isl in r.gated_islands:
-            cost = island_gating_cost(topology, isl, m)
-            event_nj_per_s += w * mode_switches_per_second * cost.event_energy_nj
-    # nJ/s = 1e-9 W = 1e-6 mW.
-    return ScheduleSavings(
-        ideal_savings_mw=ideal,
-        event_overhead_mw=event_nj_per_s * 1e-6,
-    )

@@ -23,12 +23,16 @@ motivation — see :mod:`repro.baseline.checker`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 from ..arch.topology import Topology
 from ..arch.validate import audit_shutdown_safety
 from ..sim.scenarios import UseCase
 from .noc_power import compute_noc_power
+
+#: Sleep-transistor and isolation-cell overhead of gating, as a
+#: fraction of the power of the logic that stays on.
+GATING_OVERHEAD_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -72,36 +76,43 @@ def statically_pinned_islands(topology: Topology) -> Set[int]:
     return {v.island for v in audit_shutdown_safety(topology)}
 
 
-def blocked_idle_islands(
-    topology: Topology, use_case: UseCase
-) -> Tuple[List[int], List[int]]:
-    """Split a use case's idle islands into (gateable, blocked).
-
-    The paper's design-time guarantee: an idle island is blocked when it
-    is statically pinned — some flow in the application routes through
-    its switches, so the island can never be certified safe to gate.
-    """
-    idle = set(use_case.idle_islands(topology.spec))
-    blocked = idle & statically_pinned_islands(topology)
-    return sorted(idle - blocked), sorted(blocked)
-
-
 def analyze_shutdown(
     topology: Topology,
     use_case: UseCase,
-    gating_overhead_fraction: float = 0.01,
+    gating_overhead_fraction: float = GATING_OVERHEAD_FRACTION,
 ) -> ShutdownReport:
     """Compute the power saved by gating idle islands in a use case.
 
     ``gating_overhead_fraction`` models the sleep-transistor and
     isolation-cell overhead on the *remaining* powered logic (power
     gating is not free [6]); it inflates the gated-mode power slightly.
-    :func:`blocked_idle_islands` decides which idle islands gate.
+    The islands :func:`statically_pinned_islands` finds stay powered.
+    """
+    return _shutdown_report(
+        topology, use_case, statically_pinned_islands(topology), gating_overhead_fraction
+    )
+
+
+def _shutdown_report(
+    topology: Topology,
+    use_case: UseCase,
+    pinned: Set[int],
+    gating_overhead_fraction: float,
+) -> ShutdownReport:
+    """:func:`analyze_shutdown`, given the topology's statically pinned
+    islands.
+
+    The paper's design-time guarantee: an idle island is blocked when it
+    is statically pinned — some flow in the application routes through
+    its switches, so the island can never be certified safe to gate.
+    Every other idle island gates.
     """
     use_case.validate_against(topology.spec)
     spec = topology.spec
     active_flow_keys = [f.key for f in use_case.active_flows(spec)]
-    gateable, blocked = blocked_idle_islands(topology, use_case)
+    idle = set(use_case.idle_islands(spec))
+    blocked = idle & pinned
+    gateable = sorted(idle - blocked)
 
     # --- no gating: every island powered, active cores run ------------
     noc_all_on = compute_noc_power(topology, active_flows=active_flow_keys)
@@ -127,7 +138,7 @@ def analyze_shutdown(
     return ShutdownReport(
         use_case=use_case.name,
         gated_islands=tuple(gateable),
-        blocked_islands=tuple(blocked),
+        blocked_islands=tuple(sorted(blocked)),
         power_no_gating_mw=no_gating,
         power_gated_mw=min(gated, no_gating),
     )

@@ -66,11 +66,6 @@ class NocPower:
             + self.fifo_traffic_mw
         )
 
-    @property
-    def total_mw(self) -> float:
-        """Dynamic plus leakage."""
-        return self.dynamic_mw + self.leakage_mw
-
 
 def compute_noc_power(
     topology: Topology,

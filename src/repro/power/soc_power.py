@@ -32,14 +32,6 @@ class SocPower:
         return self.core_dynamic_mw + self.noc_dynamic_mw
 
     @property
-    def total_leakage_mw(self) -> float:
-        return self.core_leakage_mw + self.noc_leakage_mw
-
-    @property
-    def total_mw(self) -> float:
-        return self.total_dynamic_mw + self.total_leakage_mw
-
-    @property
     def total_area_mm2(self) -> float:
         return self.core_area_mm2 + self.noc_area_mm2
 

@@ -30,12 +30,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     globals(),
     {
         ".coverage": (
-            "ENDPOINT_LOST",
-            "LOST",
-            "REROUTED",
-            "UNAFFECTED",
             "CoverageReport",
-            "FlowImpact",
             "ResilienceObjective",
             "ScenarioCoverage",
             "analyze_coverage",
@@ -43,16 +38,21 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "degraded_routes",
         ),
         ".faults": (
+            "ENDPOINT_LOST",
             "FAULT_MODEL_NAMES",
+            "LOST",
+            "REROUTED",
+            "UNAFFECTED",
             "FaultEvent",
             "FaultScenario",
             "FitRates",
+            "FlowImpact",
+            "classify_flow",
             "double_link_failures",
             "endpoint_failed",
             "enumerate_scenarios",
             "island_failures",
             "route_affected",
-            "route_survives",
             "single_link_failures",
             "switch_failures",
         ),

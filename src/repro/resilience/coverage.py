@@ -1,7 +1,8 @@
 """Per-scenario flow-coverage analysis and the resilience objective.
 
 Given a (possibly spare-protected) topology and a set of fault
-scenarios, classify every routed flow per scenario:
+scenarios, classify every routed flow per scenario
+(:func:`repro.resilience.faults.classify_flow`):
 
 ``unaffected``
     The primary route uses no failed component.
@@ -41,12 +42,16 @@ from ..arch.topology import FlowKey, Route, Topology
 from ..core.objective import Objective, ObjectiveResult, StaticPowerObjective
 from ..exceptions import SpecError
 from .faults import (
+    ENDPOINT_LOST,
     FAULT_MODEL_NAMES,
+    LOST,
+    REROUTED,
+    UNAFFECTED,
     FaultScenario,
     FitRates,
-    endpoint_failed,
+    FlowImpact,
+    classify_flow,
     enumerate_scenarios,
-    route_affected,
 )
 from .spare_paths import (
     SparePathConfig,
@@ -56,36 +61,6 @@ from .spare_paths import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.design_point import DesignPoint
-
-#: Flow fates, in severity order.
-UNAFFECTED = "unaffected"
-REROUTED = "rerouted"
-LOST = "lost"
-ENDPOINT_LOST = "endpoint_lost"
-
-
-@dataclass(frozen=True)
-class FlowImpact:
-    """One flow's fate under one fault scenario."""
-
-    flow: FlowKey
-    fate: str
-    #: Index into the flow's backup tuple when ``fate == REROUTED``.
-    backup_index: int = -1
-    primary_cycles: int = 0
-    degraded_cycles: int = 0
-
-    @property
-    def covered(self) -> bool:
-        return self.fate in (UNAFFECTED, REROUTED)
-
-    @property
-    def added_cycles(self) -> int:
-        """Extra zero-load latency the failover costs (0 if unaffected)."""
-        if self.fate != REROUTED:
-            return 0
-        return self.degraded_cycles - self.primary_cycles
-
 
 @dataclass(frozen=True)
 class ScenarioCoverage:
@@ -249,30 +224,6 @@ class CoverageReport:
         return out
 
 
-def _classify(
-    scenario: FaultScenario,
-    topology: Topology,
-    key: FlowKey,
-    route: Route,
-    plan: Optional[SparePlan],
-) -> FlowImpact:
-    if endpoint_failed(scenario, topology, key):
-        return FlowImpact(flow=key, fate=ENDPOINT_LOST)
-    if not route_affected(scenario, topology, route):
-        return FlowImpact(flow=key, fate=UNAFFECTED)
-    if plan is not None:
-        for idx, backup in enumerate(plan.backups_for(key)):
-            if not route_affected(scenario, topology, backup):
-                return FlowImpact(
-                    flow=key,
-                    fate=REROUTED,
-                    backup_index=idx,
-                    primary_cycles=plan.primary_cycles.get(key, 0),
-                    degraded_cycles=plan.backup_cycles[key][idx],
-                )
-    return FlowImpact(flow=key, fate=LOST)
-
-
 def analyze_coverage(
     topology: Topology,
     scenarios: Sequence[FaultScenario],
@@ -290,7 +241,7 @@ def analyze_coverage(
     routes = sorted(topology.routes.items())
     for scenario in scenarios:
         impacts = tuple(
-            _classify(scenario, topology, key, route, plan)
+            classify_flow(scenario, topology, key, route, plan)
             for key, route in routes
         )
         out.append(ScenarioCoverage(scenario=scenario, impacts=impacts))
@@ -330,7 +281,7 @@ def degraded_routes(
     """
     out: Dict[FlowKey, Route] = {}
     for key, route in sorted(topology.routes.items()):
-        impact = _classify(scenario, topology, key, route, plan)
+        impact = classify_flow(scenario, topology, key, route, plan)
         if impact.fate == UNAFFECTED:
             out[key] = route
         elif impact.fate == REROUTED:

@@ -19,12 +19,13 @@ Scenario enumeration is deterministic: scenarios come out sorted by
 their failed component ids, so two runs on the same topology produce
 byte-identical scenario lists (the resilience benches pin this).
 
-The classification helpers at the bottom (`route_affected`,
-`route_survives`, `endpoint_failed`) are the single shared definition
-of "does this routing live through that fault" used by both the
-static coverage analysis (:mod:`repro.resilience.coverage`) and the
+The classification at the bottom (`endpoint_failed`, `route_affected`
+and :func:`classify_flow`, which gives a flow its fate) is the single
+shared definition of "does this routing live through that fault", used
+by the static coverage analysis (:mod:`repro.resilience.coverage`), the
 runtime fault injection (:func:`repro.runtime.simulate.simulate_trace`
-with ``fault_events``).
+with ``fault_events``) and the reconfiguration controller
+(:mod:`repro.control.controller`).
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, FlowKey, Route, Topology
 from ..exceptions import SpecError
 from ..names import FAULT_MODEL_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; spare_paths loads the allocator
+    from .spare_paths import SparePlan
 
 
 @dataclass(frozen=True)
@@ -370,8 +374,62 @@ def route_affected(
     return False
 
 
-def route_survives(
-    scenario: FaultScenario, topology: Topology, route: Route
-) -> bool:
-    """True when the route uses no failed component."""
-    return not route_affected(scenario, topology, route)
+#: Flow fates under a fault, in severity order.
+UNAFFECTED = "unaffected"
+REROUTED = "rerouted"
+LOST = "lost"
+ENDPOINT_LOST = "endpoint_lost"
+
+
+@dataclass(frozen=True)
+class FlowImpact:
+    """One flow's fate under one fault scenario."""
+
+    flow: FlowKey
+    fate: str
+    #: Index into the flow's backup tuple when ``fate == REROUTED``.
+    backup_index: int = -1
+    primary_cycles: int = 0
+    degraded_cycles: int = 0
+
+    @property
+    def covered(self) -> bool:
+        return self.fate in (UNAFFECTED, REROUTED)
+
+    @property
+    def added_cycles(self) -> int:
+        """Extra zero-load latency the failover costs (0 if unaffected)."""
+        if self.fate != REROUTED:
+            return 0
+        return self.degraded_cycles - self.primary_cycles
+
+
+def classify_flow(
+    scenario: FaultScenario,
+    topology: Topology,
+    key: FlowKey,
+    route: Route,
+    plan: Optional[SparePlan],
+) -> FlowImpact:
+    """The fate of the flow ``key``, routed on ``route``, under ``scenario``.
+
+    A flow whose endpoint failed is lost whatever the routing
+    (``ENDPOINT_LOST``), one whose route uses no failed component is
+    ``UNAFFECTED``, and otherwise the first of its ``plan`` backups that
+    survives takes over (``REROUTED``).  With none, it is ``LOST``.
+    """
+    if endpoint_failed(scenario, topology, key):
+        return FlowImpact(flow=key, fate=ENDPOINT_LOST)
+    if not route_affected(scenario, topology, route):
+        return FlowImpact(flow=key, fate=UNAFFECTED)
+    if plan is not None:
+        for idx, backup in enumerate(plan.backups_for(key)):
+            if not route_affected(scenario, topology, backup):
+                return FlowImpact(
+                    flow=key,
+                    fate=REROUTED,
+                    backup_index=idx,
+                    primary_cycles=plan.primary_cycles.get(key, 0),
+                    degraded_cycles=plan.backup_cycles[key][idx],
+                )
+    return FlowImpact(flow=key, fate=LOST)

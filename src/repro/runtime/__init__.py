@@ -54,7 +54,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "canonical_fault_events",
             "certified_policy_comparison",
             "compare_policies",
-            "island_economics",
             "simulate_trace",
         ),
         ".states": ("IslandState", "IslandStateMachine", "StateInterval"),

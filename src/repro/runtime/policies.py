@@ -40,8 +40,9 @@ class IslandEconomics:
     """Per-island power economics the runtime simulator integrates.
 
     All figures describe the island as a whole — cores plus its share
-    of the NoC (switches, NIs, converters) — per the decomposition in
-    :func:`repro.runtime.simulate.island_economics`.
+    of the NoC (switches, NIs, converters) — as
+    :func:`repro.runtime.simulate.simulate_trace` splits one
+    zero-traffic power rollup.
     """
 
     island: int

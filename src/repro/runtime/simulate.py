@@ -67,8 +67,8 @@ UJ_TO_MJ = 1e-3
 NJ_TO_MJ = 1e-6
 
 
-def island_economics(
-    topology: Topology, model: Optional[GatingModel] = None
+def _economics_from_idle(
+    topology: Topology, idle, model: Optional[GatingModel]
 ) -> Dict[int, IslandEconomics]:
     """Per-island on/off power split and gating event cost.
 
@@ -78,16 +78,9 @@ def island_economics(
     split is consistent with the rest of the power stack.  Gated power
     retains the residual-leakage fraction of the leakage part only (the
     clock tree is off).  The intermediate NoC island is excluded: it is
-    never gated, by construction.
+    never gated, by construction.  ``idle`` is that zero-traffic
+    rollup.
     """
-    idle = compute_noc_power(topology, active_flows=[])
-    return _economics_from_idle(topology, idle, model)
-
-
-def _economics_from_idle(
-    topology: Topology, idle, model: Optional[GatingModel]
-) -> Dict[int, IslandEconomics]:
-    """:func:`island_economics` from a precomputed zero-traffic rollup."""
     m = model or GatingModel()
     spec = topology.spec
     out: Dict[int, IslandEconomics] = {}
@@ -497,9 +490,9 @@ def _simulate_trace(
         telemetry = outcome.telemetry
     elif fault_events:
         # Deferred import: the resilience package sits above runtime in
-        # the layering (its coverage module pulls in the objective
-        # layer, which imports this module).
-        from ..resilience.coverage import LOST, REROUTED, UNAFFECTED, _classify
+        # the layering, and a replay without fault events loads none of
+        # it.
+        from ..resilience.faults import LOST, REROUTED, UNAFFECTED, classify_flow
 
         events = canonical_fault_events(fault_events)
 
@@ -516,7 +509,7 @@ def _simulate_trace(
             entries = []
             for key, _islands in profiles[use_case].flow_islands:
                 route = topology.routes[key]
-                impact = _classify(scenario, topology, key, route, spare_plan)
+                impact = classify_flow(scenario, topology, key, route, spare_plan)
                 if impact.fate == UNAFFECTED:
                     continue
                 bw = topology.spec.flow(*key).bandwidth_mbps

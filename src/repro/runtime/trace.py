@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.spec import SoCSpec
 from ..exceptions import SpecError
@@ -117,13 +117,6 @@ class UseCaseTrace:
         for seg in self.segments:
             out.append((t, t + seg.dwell_ms, seg))
             t += seg.dwell_ms
-        return out
-
-    def residency_ms(self) -> Dict[str, float]:
-        """Total dwell per use case over the whole trace."""
-        out: Dict[str, float] = {u.name: 0.0 for u in self.use_cases}
-        for seg in self.segments:
-            out[seg.use_case] += seg.dwell_ms
         return out
 
 

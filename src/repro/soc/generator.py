@@ -76,15 +76,12 @@ def generate_soc(config: GeneratorConfig) -> SoCSpec:
     return build_spec(config.name, cores, flows)
 
 
-def hub_soc(
-    num_satellites: int = 24,
-    hub_flow_mbps: float = 100.0,
-    latency_cycles: float = 24.0,
-) -> SoCSpec:
+def hub_soc(num_satellites: int = 24) -> SoCSpec:
     """A hub-and-spoke SoC that stresses the switch-size bound.
 
-    One shared-memory hub exchanges traffic with ``num_satellites``
-    cores, and every core sits in its own voltage island.  The hub's NI
+    One shared-memory hub exchanges 100 MB/s each way, under a 24-cycle
+    latency bound, with each of ``num_satellites`` cores, and every core
+    sits in its own voltage island.  The hub's NI
     aggregates all flows, driving its island clock high and therefore
     its ``max_sw_size`` *low* — while direct inter-island links would
     need one hub port per satellite.  This is exactly the situation
@@ -104,8 +101,8 @@ def hub_soc(
     for i in range(num_satellites):
         name = "sat%02d" % i
         cores.append(CoreSpec(name, 1.2, 40.0, 12.0, "accelerator", "g%d" % i, 200.0))
-        flows.append(TrafficFlow(name, "hub", hub_flow_mbps, latency_cycles))
-        flows.append(TrafficFlow("hub", name, hub_flow_mbps, latency_cycles))
+        flows.append(TrafficFlow(name, "hub", 100.0, 24.0))
+        flows.append(TrafficFlow("hub", name, 100.0, 24.0))
     assignment = {c.name: i for i, c in enumerate(cores)}
     return build_spec("hub%d" % num_satellites, cores, flows, assignment)
 

@@ -85,28 +85,6 @@ def traffic_power_mw(bandwidth_mbps: float, energy_pj_per_bit: float) -> float:
     return bits_per_s * energy_pj_per_bit * PJ_PER_BIT_TIMES_BITS_PER_S_TO_MW
 
 
-def cycles_to_ns(cycles: float, freq_mhz: float) -> float:
-    """Convert a cycle count at ``freq_mhz`` to nanoseconds.
-
-    >>> cycles_to_ns(4, 500.0)
-    8.0
-    """
-    if freq_mhz <= 0:
-        raise ValueError("frequency must be positive, got %r" % freq_mhz)
-    return cycles * 1000.0 / freq_mhz
-
-
-def ns_to_cycles(time_ns: float, freq_mhz: float) -> float:
-    """Convert nanoseconds to (fractional) cycles at ``freq_mhz``.
-
-    >>> ns_to_cycles(8.0, 500.0)
-    4.0
-    """
-    if freq_mhz <= 0:
-        raise ValueError("frequency must be positive, got %r" % freq_mhz)
-    return time_ns * freq_mhz / 1000.0
-
-
 def quantize_frequency(freq_mhz: float, step_mhz: float = 25.0) -> float:
     """Round a frequency requirement up to the next grid step.
 

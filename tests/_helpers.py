@@ -21,7 +21,6 @@ from repro import (
     SoCSpec,
     Topology,
     TrafficFlow,
-    allocate_paths,
     build_spec,
     plan_all_islands,
 )
@@ -31,6 +30,7 @@ from repro.core import partition as partition_module
 from repro.core import spec as spec_module
 from repro.core import synthesis as synthesis_module
 from repro.core.partition import partition_graph
+from repro.core.paths import PathAllocator
 from repro.core.vcg import build_all_vcgs
 from repro.power.library import DEFAULT_LIBRARY
 
@@ -86,8 +86,8 @@ def make_allocation(spec, num_intermediate=0, switches_per_island=None, cost=Non
         partitions[isl] = partition_graph(
             list(vcg.nodes), vcg.symmetric_weights(), k, plan.max_switch_size
         )
-    return allocate_paths(
-        spec, DEFAULT_LIBRARY, plans, partitions, num_intermediate, cost
+    return PathAllocator(spec, DEFAULT_LIBRARY, plans, partitions, cost).allocate(
+        num_intermediate
     )
 
 
@@ -148,7 +148,7 @@ def space_signature(space):
                 p.noc_power.fig2_dynamic_mw,
                 p.noc_power.leakage_mw,
                 tuple(sorted(p.noc_power.dynamic_by_island.items())),
-                p.soc_power.total_mw,
+                p.soc_power,
                 p.avg_latency_cycles,
                 None
                 if p.objective_result is None

@@ -144,7 +144,7 @@ def assert_round_trips(topo):
     expected = _state(topo)
     for other in (pickle.loads(pickle.dumps(topo, 4)), copy.deepcopy(topo)):
         assert _state(other) == expected
-        assert other.spec.fingerprint() == topo.spec.fingerprint()
+        assert other.spec == topo.spec
         assert other.library == topo.library
 
 

@@ -4,12 +4,15 @@ import pytest
 
 from repro import SynthesisConfig, make_use_case
 from repro.arch.validate import audit_shutdown_safety
+from repro.baseline import checker as checker_module
 from repro.baseline.checker import (
     check_shutdown_feasibility,
     compare_shutdown_capability,
 )
 from repro.baseline.flat import remap_topology_islands, synthesize_vi_oblivious
-from repro.power.leakage import statically_pinned_islands
+from repro.power import leakage as leakage_module
+from repro.power.leakage import analyze_shutdown, statically_pinned_islands
+from repro.soc.usecases import use_cases_for
 
 
 @pytest.fixture(scope="module")
@@ -75,5 +78,26 @@ class TestFeasibilityReport:
         assert rep.topology_label == "x"
         assert rep.is_shutdown_safe
         assert rep.per_use_case["full"] == ((), ())
-        assert rep.total_gated() == 0 and rep.total_blocked() == 0
+
+    def test_one_audit_per_topology(self, d26_baseline, d26_log6, monkeypatch):
+        """Every use case's split and report come from the one audit
+        behind ``violations``, and equal :func:`analyze_shutdown`'s."""
+        topology = d26_baseline.topology
+        cases = use_cases_for(d26_log6)
+        expected = {case.name: analyze_shutdown(topology, case) for case in cases}
+        audited = []
+
+        def audit(topo):
+            audited.append(topo)
+            return audit_shutdown_safety(topo)
+
+        monkeypatch.setattr(checker_module, "audit_shutdown_safety", audit)
+        monkeypatch.setattr(leakage_module, "audit_shutdown_safety", audit)
+        rep = check_shutdown_feasibility(topology, cases)
+        assert audited == [topology]
+        assert len(cases) > 1 and rep.shutdown_reports == expected
+        assert rep.per_use_case == {
+            name: (r.gated_islands, r.blocked_islands) for name, r in expected.items()
+        }
+        assert any(r.blocked_islands for r in expected.values())
 

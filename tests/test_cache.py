@@ -29,7 +29,6 @@ from repro.cache import (
     canonical,
     design_space_key,
     design_space_signature,
-    fingerprint,
 )
 from repro.cache import keys as keys_module
 from repro.cache import store as store_module
@@ -121,6 +120,12 @@ def _put_repeatedly(directory, key, name, times):
         store.put_object(key, (name, _RACE_PAYLOADS[name]), kind="space")
 
 
+def _spec_key(spec):
+    """The key of ``spec``'s candidate record under the default library
+    and config."""
+    return design_space_key(spec, DEFAULT_LIBRARY, SynthesisConfig())
+
+
 class TestCanonicalization:
     def test_vi_assignment_order_insensitive(self):
         cores = [
@@ -130,7 +135,7 @@ class TestCanonicalization:
         flows = [TrafficFlow("a", "b", 10.0, 10.0)]
         s1 = build_spec("x", cores, flows, {"a": 0, "b": 1})
         s2 = build_spec("x", cores, flows, {"b": 1, "a": 0})
-        assert s1.fingerprint() == s2.fingerprint()
+        assert _spec_key(s1) == _spec_key(s2)
 
     def test_spec_name_excluded(self):
         cores = [
@@ -140,7 +145,7 @@ class TestCanonicalization:
         flows = [TrafficFlow("a", "b", 10.0, 10.0)]
         s1 = build_spec("first", cores, flows, {"a": 0, "b": 0})
         s2 = build_spec("second", cores, flows, {"a": 0, "b": 0})
-        assert s1.fingerprint() == s2.fingerprint()
+        assert _spec_key(s1) == _spec_key(s2)
 
     def test_core_order_matters(self):
         cores = [
@@ -150,7 +155,7 @@ class TestCanonicalization:
         flows = [TrafficFlow("a", "b", 10.0, 10.0)]
         s1 = build_spec("x", cores, flows, {"a": 0, "b": 0})
         s2 = build_spec("x", list(reversed(cores)), flows, {"a": 0, "b": 0})
-        assert s1.fingerprint() != s2.fingerprint()
+        assert _spec_key(s1) != _spec_key(s2)
 
     def test_float_exactness(self):
         assert canonical(0.1 + 0.2) != canonical(0.3)
@@ -169,14 +174,11 @@ class TestCanonicalization:
         with pytest.raises(CacheKeyError):
             canonical(object())
 
-    def test_fingerprint_sensitive_to_kind(self):
-        assert fingerprint("a", 1) != fingerprint("b", 1)
-
     def test_canonical_forms_are_pinned(self):
         """The exact-type fast paths keep every canonical form's bytes.
 
-        Digests of ``json.dumps`` of the canonical form (what
-        :func:`fingerprint` hashes, minus its Python-version tag), as the
+        Digests of ``json.dumps`` of the canonical form (a key's part,
+        without the key's schema and Python-version tags), as the
         generic walk alone produced them.  Subclasses of the fast-path
         types (``Label``, ``OrderedDict``, the named tuple) still take
         the generic walk.
@@ -214,8 +216,9 @@ class TestCanonicalization:
 
 
 def _reference_payload(kind, *parts):
-    """What :func:`fingerprint` hashes, as one ``json.dumps`` of the whole
-    structure: the form before each part's text was spliced in."""
+    """What a key of ``kind`` over ``parts`` hashes, as one ``json.dumps``
+    of the whole structure: the form before each part's text was
+    spliced in."""
     return json.dumps(
         [
             "repro-noc-cache",
@@ -391,31 +394,6 @@ class TestKeyText:
     def test_any_payload_is_the_single_dumps_form(self, kind, parts):
         texts = [keys_module._part_text(part) for part in parts]
         assert keys_module._payload(kind, texts) == _reference_payload(kind, *parts)
-        assert fingerprint(kind, *parts) == hashlib.sha256(
-            _reference_payload(kind, *parts).encode("utf-8")
-        ).hexdigest()
-
-    @given(inputs=key_inputs(), kind=st.text(max_size=8))
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_fingerprint_gives_a_keyed_config_every_field(self, inputs, kind):
-        """The config text a key keeps leaves out ``CONFIG_KEY_EXCLUDE``;
-        ``fingerprint`` of the config, alone or nested, never reads it."""
-        spec, library, config = inputs
-        scored = dataclasses.replace(config, objective=StaticLatencyObjective())
-
-        def expected(*parts):
-            return hashlib.sha256(_reference_payload(kind, *parts).encode("utf-8")).hexdigest()
-
-        for keyed in (False, True):
-            if keyed:
-                design_space_key(spec, library, config)
-                design_space_key(spec, library, scored)
-                assert "_key_text" in vars(config) and "_key_text" in vars(scored)
-            assert fingerprint(kind, config) == expected(config)
-            assert fingerprint(kind, [config]) == expected([config])
-            assert fingerprint(kind, spec, library, config) == expected(spec, library, config)
-            assert fingerprint(kind, scored) != fingerprint(kind, config)
-        assert design_space_key(spec, library, scored) == design_space_key(spec, library, config)
 
     @given(
         entries=st.dictionaries(st.text(max_size=4), _plain_data, min_size=1, max_size=5)

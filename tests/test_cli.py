@@ -531,6 +531,21 @@ class TestImportFootprint:
             ],
         ) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["control", "d26_media", "--islands", "6", "--spare-k", "1"],
+            ["obs", "d26_media", "--islands", "6"],
+        ],
+        ids=["control", "obs"],
+    )
+    def test_fault_replays_load_no_coverage_analysis(self, argv):
+        """The controller and the replay read each flow's fate from
+        ``resilience.faults``, which the coverage analysis shares."""
+        loaded = _cli_modules(argv)
+        assert "repro.resilience.faults" in loaded
+        assert "repro.resilience.coverage" not in loaded
+
     @pytest.mark.parametrize("package", LAZY_PACKAGES)
     def test_every_export_resolves(self, package):
         module = importlib.import_module(package)

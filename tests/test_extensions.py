@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from repro import SpecError, analyze_shutdown, make_use_case
+from repro import SpecError
 from repro.core.explore import ExplorationEngine
 from repro.power.gating import (
     GatingModel,
     break_even_time_ms,
-    gating_schedule_savings,
     island_gated_area_mm2,
     island_gating_cost,
     island_powered_leakage_mw,
@@ -78,35 +77,6 @@ class TestGatingCost:
     def test_bad_model_rejected(self):
         with pytest.raises(SpecError):
             GatingModel(residual_leakage_fraction=1.5)
-
-
-class TestScheduleSavings:
-    def test_event_overhead_grows_with_switch_rate(self, tiny_best, tiny_spec):
-        cases = [
-            make_use_case("compute", ["cpu", "mem", "acc"], time_fraction=0.6),
-            make_use_case("full", tiny_spec.core_names, time_fraction=0.4),
-        ]
-        reports = [analyze_shutdown(tiny_best.topology, c) for c in cases]
-        slow = gating_schedule_savings(
-            tiny_best.topology, reports, cases, mode_switches_per_second=1.0
-        )
-        fast = gating_schedule_savings(
-            tiny_best.topology, reports, cases, mode_switches_per_second=1000.0
-        )
-        assert fast.event_overhead_mw > slow.event_overhead_mw
-        assert slow.net_savings_mw >= fast.net_savings_mw
-
-    def test_overhead_negligible_at_realistic_rates(self, tiny_best, tiny_spec):
-        cases = [make_use_case("compute", ["cpu", "mem", "acc"])]
-        reports = [analyze_shutdown(tiny_best.topology, c) for c in cases]
-        s = gating_schedule_savings(
-            tiny_best.topology, reports, cases, mode_switches_per_second=10.0
-        )
-        assert s.overhead_fraction < 0.01
-
-    def test_negative_rate_rejected(self, tiny_best):
-        with pytest.raises(SpecError):
-            gating_schedule_savings(tiny_best.topology, [], [], -1.0)
 
 
 class TestVoltage:

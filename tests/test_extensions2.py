@@ -1,41 +1,13 @@
 """Second extension batch: netlist export and energy profiles."""
 
+import re
+
 import pytest
 
 from repro import make_use_case
-from repro.io.netlist import (
-    save_verilog,
-    topology_to_netlist_dict,
-    topology_to_verilog,
-)
+from repro.io.netlist import save_verilog, topology_to_verilog
 from repro.sim.profile import TimelineSegment, daily_mobile_timeline, profile_timeline
 from repro.soc.usecases import mobile_use_cases
-
-
-class TestNetlistDict:
-    def test_counts_match_topology(self, tiny_best):
-        data = topology_to_netlist_dict(tiny_best.topology)
-        topo = tiny_best.topology
-        assert len(data["switches"]) == len(topo.switches)
-        assert len(data["nis"]) == len(topo.nis)
-        assert len(data["links"]) == len(topo.links)
-
-    def test_converter_flags_preserved(self, tiny_best):
-        data = topology_to_netlist_dict(tiny_best.topology)
-        n_conv = sum(1 for l in data["links"] if l["converter"])
-        assert n_conv == tiny_best.topology.num_converters()
-
-    def test_instance_names_unique(self, tiny_best):
-        data = topology_to_netlist_dict(tiny_best.topology)
-        names = [s["instance"] for s in data["switches"]] + [
-            n["instance"] for n in data["nis"]
-        ]
-        assert len(names) == len(set(names))
-
-    def test_deterministic(self, tiny_best):
-        a = topology_to_netlist_dict(tiny_best.topology)
-        b = topology_to_netlist_dict(tiny_best.topology)
-        assert a == b
 
 
 class TestVerilog:
@@ -72,6 +44,16 @@ class TestVerilog:
     def test_balanced_parens_per_instance(self, d26_best):
         v = topology_to_verilog(d26_best.topology)
         assert v.count("(") == v.count(")")
+
+    def test_instance_names_unique(self, tiny_best):
+        v = topology_to_verilog(tiny_best.topology)
+        names = re.findall(r"^  noc_\w+ #\(.*\) (\w+) \($", v, re.M)
+        topo = tiny_best.topology
+        assert len(names) == len(topo.switches) + len(topo.nis) + topo.num_converters()
+        assert len(names) == len(set(names))
+
+    def test_deterministic(self, tiny_best):
+        assert topology_to_verilog(tiny_best.topology) == topology_to_verilog(tiny_best.topology)
 
 
 class TestEnergyProfile:

@@ -1,10 +1,5 @@
-"""Power-gating economics: break-even behaviour and schedule savings.
-
-Covers the ISSUE-3 satellite: break-even monotonicity in the island's
-size terms, and consistency between the event-aware
-:func:`gating_schedule_savings` and the static
-:func:`analyze_shutdown` in the long-residency limit.
-"""
+"""Power-gating economics: break-even monotonicity in the island's size
+terms, and the cost terms of one off/on cycle."""
 
 from __future__ import annotations
 
@@ -13,16 +8,13 @@ import math
 
 import pytest
 
-from repro import SpecError, break_even_time_ms, island_gating_cost
+from repro import break_even_time_ms, island_gating_cost
 from repro.power.gating import (
     GatingCost,
     GatingModel,
-    gating_schedule_savings,
     island_gated_area_mm2,
     island_powered_leakage_mw,
 )
-from repro.power.leakage import analyze_shutdown, weighted_savings_fraction
-from repro.soc.usecases import use_cases_for
 
 
 def _cost(area=1.0, saved=10.0, event=20.0, latency=5.0):
@@ -98,69 +90,3 @@ class TestBreakEven:
                 * (1 - model.residual_leakage_fraction)
             )
             assert cost.wakeup_latency_us > model.wakeup_fixed_us
-
-
-class TestScheduleSavings:
-    @pytest.fixture(scope="class")
-    def reports_and_cases(self, d26_best):
-        spec = d26_best.topology.spec
-        cases = use_cases_for(spec)
-        reports = [
-            analyze_shutdown(d26_best.topology, case) for case in cases
-        ]
-        return reports, cases
-
-    def test_long_residency_limit_matches_analyze_shutdown(
-        self, d26_best, reports_and_cases
-    ):
-        """At zero mode switches the event overhead vanishes and the
-        net savings equal the time-weighted static savings exactly."""
-        reports, cases = reports_and_cases
-        sched = gating_schedule_savings(
-            d26_best.topology, reports, cases, mode_switches_per_second=0.0
-        )
-        assert sched.event_overhead_mw == 0.0
-        fractions = {u.name: u.time_fraction for u in cases}
-        total_w = sum(fractions[r.use_case] for r in reports)
-        expected = sum(
-            r.savings_mw * fractions[r.use_case] for r in reports
-        ) / total_w
-        assert sched.net_savings_mw == pytest.approx(expected)
-        assert sched.ideal_savings_mw == pytest.approx(expected)
-
-    def test_weighted_fraction_consistency(self, d26_best, reports_and_cases):
-        """The schedule's ideal mW and the weighted fraction agree on sign
-        and ordering with weighted_savings_fraction."""
-        reports, cases = reports_and_cases
-        sched = gating_schedule_savings(
-            d26_best.topology, reports, cases, mode_switches_per_second=0.0
-        )
-        frac = weighted_savings_fraction(reports, cases)
-        assert (sched.ideal_savings_mw > 0) == (frac > 0)
-
-    def test_overhead_monotone_in_switch_rate(self, d26_best, reports_and_cases):
-        reports, cases = reports_and_cases
-        rates = [0.0, 10.0, 100.0, 1000.0]
-        overheads = [
-            gating_schedule_savings(
-                d26_best.topology, reports, cases, mode_switches_per_second=r
-            ).event_overhead_mw
-            for r in rates
-        ]
-        assert overheads == sorted(overheads)
-        assert overheads[0] == 0.0 and overheads[-1] > 0.0
-
-    def test_net_savings_never_negative(self, d26_best, reports_and_cases):
-        reports, cases = reports_and_cases
-        sched = gating_schedule_savings(
-            d26_best.topology, reports, cases, mode_switches_per_second=1e9
-        )
-        assert sched.net_savings_mw == 0.0
-        assert sched.overhead_fraction == 1.0
-
-    def test_negative_rate_rejected(self, d26_best, reports_and_cases):
-        reports, cases = reports_and_cases
-        with pytest.raises(SpecError):
-            gating_schedule_savings(
-                d26_best.topology, reports, cases, mode_switches_per_second=-1.0
-            )

@@ -1,36 +1,37 @@
 """Source hygiene: no module imports a name it never reads, and no
-public name, member or switch of the program is reached only from the
-tests.
+definition or switch of the program is reached only from the tests.
 
 All are stdlib ``ast`` scans.  The import scan covers every program,
 test, bench, script and example module.  A name counts as read when it
 appears as a name anywhere in its module, inside a string annotation,
-or in the module's ``__all__``.  The reach scans check ``src/``
-against the program's own trees (``CALLER_ROOTS``, no tests): each
-public top-level function and class, and each public method and
-property of a public class, must be named there, in code or in a
-docstring; each ``True``/``False`` default of a parameter or class
-field must be passed something else there.  All match by name, so a
-same-named caller hides an unused definition.  Package ``__init__.py``
-files are skipped: their imports and export tables are the package's
-exports.
+or in the module's ``__all__``.  The other two check ``src/`` against
+the program's own trees (``CALLER_ROOTS``, no tests).  The reach scan
+is a fixpoint from the program's entry points (the examples, benches,
+perfbench and scripts, and each ``src/`` module's top-level
+statements): each top-level function and class and each method and
+property, private ones included, must be mentioned in code that is
+itself reached.  Docstrings and other strings mention nothing.  The
+switch scan asks that each ``True``/``False`` default of a parameter
+or class field be passed something else there.  Both match by name, so
+a same-named caller hides an unused definition.  Package
+``__init__.py`` files are skipped: their imports and export tables
+are the package's exports.
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
-import re
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 ROOTS = ("src", "tests", "benchmarks", "scripts", "examples")
-#: Trees whose modules keep a public ``src/`` name alive by naming it.
+#: The program and the trees that run it: examples, paper benches, the
+#: repo benchmark and scripts.
 CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench", "scripts")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _annotation_names(node: ast.AST) -> Set[str]:
@@ -109,52 +110,6 @@ def test_no_unused_imports(root):
     assert not found, "imported but never read:\n" + "\n".join(found)
 
 
-def public_definitions(source: str) -> List[Tuple[int, str]]:
-    """``(line, name)`` of every public top-level function and class."""
-    return [
-        (node.lineno, node.name)
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
-
-
-def names_mentioned(source: str) -> Set[str]:
-    """Every name a module mentions: names, attributes, imported names
-    and the words of its strings (docstrings and doctests included).
-    A definition's own name is not a mention."""
-    names: Set[str] = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(_WORD.findall(node.value))
-    return names
-
-
-def unreached_definitions(
-    modules: Mapping[str, str],
-    callers: Iterable[str] = (),
-    definitions: Callable[[str], List[Tuple[int, str]]] = public_definitions,
-) -> List[str]:
-    """``path:line: label`` of each of the ``definitions`` in ``modules``
-    (path -> source) whose name, the label's last dotted part, neither
-    ``modules`` nor ``callers`` (sources) mention."""
-    mentioned: Set[str] = set()
-    for source in itertools.chain(modules.values(), callers):
-        mentioned |= names_mentioned(source)
-    return [
-        "%s:%d: %s" % (path, line, label)
-        for path, source in sorted(modules.items())
-        for line, label in definitions(source)
-        if label.rpartition(".")[2] not in mentioned
-    ]
-
-
 def _sources(root: str) -> Dict[str, str]:
     return {
         str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
@@ -163,52 +118,185 @@ def _sources(root: str) -> Dict[str, str]:
     }
 
 
+def _callers() -> List[str]:
+    """The sources of every caller tree but ``src/``."""
+    return [source for root in CALLER_ROOTS[1:] for source in _sources(root).values()]
+
+
+#: Calls whose constant string arguments name attributes, and which.
+_NAME_GETTERS = {"getattr": slice(1, 2), "hasattr": slice(1, 2), "attrgetter": slice(None)}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_mentions(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Every name ``nodes`` mention in code: names, attributes, imported
+    names and the constant names passed to ``getattr``, ``hasattr`` and
+    ``attrgetter``.  Strings, docstrings included, mention nothing, and
+    a definition's own name is not a mention."""
+    names: Set[str] = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name.rpartition(".")[2])
+            elif isinstance(sub, ast.Call):
+                func = sub.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                for arg in sub.args[_NAME_GETTERS.get(called, slice(0))]:
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                        names.update(arg.value.split("."))
+    return names
+
+
+class _Definition:
+    """A top-level function or class, or a method or property of one."""
+
+    def __init__(self, where: str, label: str, owner: Optional["_Definition"], code: List[ast.AST]):
+        self.where = where
+        self.label = label
+        self.name = label.rpartition(".")[2]
+        self.owner = owner
+        self.code = code
+        self.reached = False
+
+    def reachable(self, mentioned: Set[str]) -> bool:
+        if self.owner is None:
+            return self.name in mentioned
+        dunder = self.name.startswith("__") and self.name.endswith("__")
+        return self.owner.reached and (dunder or self.name in mentioned)
+
+
+def _definitions(path: str, source: str, mentioned: Set[str]) -> List[_Definition]:
+    """The definitions of one module; adds what its other top-level
+    statements mention to ``mentioned``."""
+    found: List[_Definition] = []
+    for node in ast.parse(source).body:
+        where = "%s:%d" % (path, node.lineno)
+        if isinstance(node, _FUNCTIONS):
+            found.append(_Definition(where, node.name, None, [node]))
+        elif isinstance(node, ast.ClassDef):
+            members = [item for item in node.body if isinstance(item, _FUNCTIONS)]
+            rest = [item for item in node.body if not isinstance(item, _FUNCTIONS)]
+            cls = _Definition(
+                where, node.name, None, node.bases + node.keywords + node.decorator_list + rest
+            )
+            found.append(cls)
+            for item in members:
+                label = "%s.%s" % (node.name, item.name)
+                found.append(_Definition("%s:%d" % (path, item.lineno), label, cls, [item]))
+        else:
+            mentioned |= code_mentions([node])
+    return found
+
+
+def unreached_definitions(modules: Mapping[str, str], roots: Iterable[str] = ()) -> List[str]:
+    """``path:line: label`` of each definition in ``modules`` (path ->
+    source) that the program cannot reach.
+
+    The ``roots`` (sources) are reached code, and so is every top-level
+    statement of ``modules`` that defines no function or class.  A
+    top-level function or class is reached once reached code mentions
+    its name, and a method or property once its class is reached and
+    reached code mentions its name; dunder methods come with their
+    class.  A reached definition's code is reached code.  A name matches
+    every definition of that name, whatever it belongs to.  Members of
+    an unreached class are not listed apart from it.
+    """
+    mentioned = code_mentions(ast.parse(source) for source in roots)
+    definitions = [
+        definition
+        for path, source in sorted(modules.items())
+        for definition in _definitions(path, source, mentioned)
+    ]
+    grew = True
+    while grew:
+        grew = False
+        for definition in definitions:
+            if not definition.reached and definition.reachable(mentioned):
+                definition.reached = grew = True
+                mentioned |= code_mentions(definition.code)
+    return [
+        "%s: %s" % (d.where, d.label)
+        for d in definitions
+        if not d.reached and (d.owner is None or d.owner.reached)
+    ]
+
+
 class TestReachScanner:
     def test_finds_a_name_only_tests_reach(self):
         modules = {
             "src/a.py": "def used(): ...\ndef unused(): ...\nclass _Private: ...\n",
             "src/b.py": "from .a import used\nused()\n",
         }
-        assert unreached_definitions(modules) == ["src/a.py:2: unused"]
-
-    def test_own_module_callers_and_docstrings_count(self):
-        modules = {
-            "src/a.py": (
-                "def helper(): ...\n"
-                "def main():\n    return helper()\n"
-                "class Report:\n    '''What :func:`build` returns.'''\n"
-                "def build():\n    '''Return a :class:`Report`.'''\n"
-                "def twice(n):\n    '''>>> twice(2)\n    4'''\n"
-            ),
-        }
-        assert unreached_definitions(modules, ["import a\na.main()\n"]) == []
+        assert unreached_definitions(modules) == [
+            "src/a.py:2: unused",
+            "src/a.py:3: _Private",
+        ]
 
     def test_the_definition_alone_is_no_mention(self):
         modules = {"src/a.py": "class Lonely:\n    def method(self): ...\n# Lonely\n"}
         assert unreached_definitions(modules) == ["src/a.py:1: Lonely"]
 
+    def test_a_docstring_mention_reaches_nothing(self):
+        modules = {
+            "src/a.py": (
+                "def helper(): ...\n"
+                "def main():\n    \'\'\'Calls :func:`helper`.\'\'\'\n"
+                "main()\n"
+            ),
+        }
+        assert unreached_definitions(modules) == ["src/a.py:1: helper"]
 
-def _callers() -> List[str]:
-    """The sources of every caller tree but ``src/``."""
-    return [source for root in CALLER_ROOTS[1:] for source in _sources(root).values()]
+    def test_a_chain_of_dead_functions_is_dead(self):
+        modules = {"src/a.py": "def first():\n    return second()\ndef second(): ...\n"}
+        assert unreached_definitions(modules) == [
+            "src/a.py:1: first",
+            "src/a.py:3: second",
+        ]
 
+    def test_a_private_function_only_dead_code_calls_is_dead(self):
+        modules = {
+            "src/a.py": (
+                "def _helper(): ...\n"
+                "def dead():\n    return _helper()\n"
+                "def live(): ...\n"
+            ),
+        }
+        assert unreached_definitions(modules, ["from a import live\nlive()\n"]) == [
+            "src/a.py:1: _helper",
+            "src/a.py:2: dead",
+        ]
 
-def test_no_public_name_only_tests_reach():
-    found = unreached_definitions(_sources("src"), _callers())
-    assert not found, "public names that only tests reach:\n" + "\n".join(found)
+    def test_a_getattr_string_names_a_member(self):
+        modules = {
+            "src/a.py": (
+                "class Box:\n"
+                "    def size(self): ...\n"
+                "    def weight(self): ...\n"
+                "getattr(Box(), 'size')()\n"
+            ),
+        }
+        assert unreached_definitions(modules) == ["src/a.py:3: Box.weight"]
 
-
-def public_members(source: str) -> List[Tuple[int, str]]:
-    """``(line, "Class.member")`` of every public method and property of
-    each public top-level class."""
-    return [
-        (item.lineno, "%s.%s" % (node.name, item.name))
-        for node in ast.parse(source).body
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-        for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not item.name.startswith("_")
-    ]
+    def test_dunder_methods_come_with_a_reached_class(self):
+        modules = {
+            "src/a.py": (
+                "class Point:\n"
+                "    def __init__(self): ...\n"
+                "    def __repr__(self): ...\n"
+                "    def unused(self): ...\n"
+                "class Lonely:\n"
+                "    def __init__(self): ...\n"
+                "POINT = Point()\n"
+            ),
+        }
+        assert unreached_definitions(modules) == [
+            "src/a.py:4: Point.unused",
+            "src/a.py:5: Lonely",
+        ]
 
 
 def _is_bool(node: Optional[ast.AST]) -> bool:
@@ -292,34 +380,6 @@ def unset_options(modules: Mapping[str, str], callers: Iterable[str] = ()) -> Li
     ]
 
 
-class TestMemberScanner:
-    def test_finds_a_member_only_tests_read(self):
-        modules = {
-            "src/a.py": (
-                "class Report:\n"
-                "    def used(self): ...\n"
-                "    @property\n    def unused(self): ...\n"
-                "    def _private(self): ...\n"
-                "class _Hidden:\n    def lonely(self): ...\n"
-            ),
-            "src/b.py": "def show(report):\n    return report.used()\n",
-        }
-        assert unreached_definitions(modules, definitions=public_members) == [
-            "src/a.py:4: Report.unused"
-        ]
-
-    def test_callers_and_docstrings_count(self):
-        modules = {
-            "src/a.py": (
-                "class Report:\n"
-                "    def rows(self): ...\n"
-                "    def total(self):\n        'Sum of :meth:`rows`.'\n"
-            ),
-        }
-        callers = ["print(report.total())\n"]
-        assert unreached_definitions(modules, callers, public_members) == []
-
-
 class TestOptionScanner:
     def test_finds_a_switch_only_tests_set(self):
         modules = {
@@ -346,17 +406,18 @@ class TestOptionScanner:
         assert unset_options(modules) == ["src/a.py:1: f(a)", "src/a.py:2: g(a)"]
 
 
-#: Public members the program does not read, kept because a test or a
-#: doc observes behaviour through them.
-KEPT_MEMBERS = {
+#: Definitions the program does not reach, kept on purpose.
+KEPT_UNREACHED = {
     "CacheStats.as_dict": "docs/caching.md prints it",
     "CacheStore.in_memory": "tests build their disk-less stores with it",
-    "IslandStateMachine.state_at": "tests read an island's state at a time through it",
     "DiskTier.entry_count": "tests count the stored blobs through it",
+    "IslandStateMachine.state_at": "tests read an island's state at a time through it",
     "SocPower.noc_dynamic_fraction": "test_integration.py's NoC < 10% check",
     "IslandEconomics.gate_net_gain_uj": "docs/runtime.md's break-even identity",
-    "ScheduleSavings.net_savings_mw": "the gating-schedule economics tests",
-    "ScheduleSavings.overhead_fraction": "the gating-schedule economics tests",
+    "SoCSpec.core_peak_bandwidth_mbps": (
+        "the exact reference test_spec.py compares core_peak_bandwidths against"
+    ),
+    "_RecordPickler.reducer_override": "pickle calls it by name",
 }
 
 #: Boolean defaults the program never sets, kept on purpose.
@@ -378,11 +439,11 @@ def _unkept(found: List[str], kept: Mapping[str, str]) -> Tuple[List[str], List[
     )
 
 
-def test_no_public_member_only_tests_read():
-    found = unreached_definitions(_sources("src"), _callers(), public_members)
-    unread, stale = _unkept(found, KEPT_MEMBERS)
-    assert not unread, "public members that only tests read:\n" + "\n".join(unread)
-    assert not stale, "kept members the program now reads: %s" % stale
+def test_no_definition_only_tests_reach():
+    found = unreached_definitions(_sources("src"), _callers())
+    unreached, stale = _unkept(found, KEPT_UNREACHED)
+    assert not unreached, "definitions the program cannot reach:\n" + "\n".join(unreached)
+    assert not stale, "kept definitions the program now reaches: %s" % stale
 
 
 def test_no_switch_only_tests_set():

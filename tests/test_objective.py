@@ -1,4 +1,4 @@
-"""Unified objective layer: cost models, composition, co-synthesis.
+"""Unified objective layer: cost models and co-synthesis.
 
 Covers the ISSUE-4 tentpole contracts:
 
@@ -11,9 +11,7 @@ Covers the ISSUE-4 tentpole contracts:
   and as the sweep engine's selector;
 * :class:`WakeLatencyQoSObjective` rejects points and policies that
   violate per-flow wake-latency deadlines even when energy alone would
-  accept them;
-* composition: constraint objectives veto inside composites, weighted
-  sums score deterministically.
+  accept them.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 import pytest
 
 from repro import (
-    CompositeObjective,
     InfeasibleError,
     OBJECTIVE_NAMES,
     ObjectiveResult,
@@ -236,48 +233,6 @@ class TestWakeLatencyQoS:
         assert WakeLatencyQoSObjective(trace=idle_trace, budget_ms=float("inf"))
 
 
-class TestComposite:
-    def test_weighted_sum(self, tiny_space):
-        p = tiny_space.points[0]
-        composite = CompositeObjective(
-            parts=(StaticPowerObjective(), StaticLatencyObjective()),
-            weights=(2.0, 1.0),
-        )
-        result = composite.evaluate(p)
-        assert result.cost[0] == pytest.approx(
-            2.0 * p.power_mw + p.avg_latency_cycles
-        )
-        assert result.feasible
-
-    def test_constraint_part_vetoes(self, tiny_space, idle_trace):
-        p = tiny_space.best_by_power()
-        composite = CompositeObjective(
-            parts=(
-                StaticPowerObjective(),
-                WakeLatencyQoSObjective(
-                    trace=idle_trace, policy="always_off", budget_ms=1e-6
-                ),
-            )
-        )
-        result = composite.evaluate(p)
-        assert not result.feasible
-        assert "wake_qos" in result.reason
-
-    def test_bad_construction_rejected(self):
-        with pytest.raises(SpecError):
-            CompositeObjective(parts=())
-        with pytest.raises(SpecError):
-            CompositeObjective(
-                parts=(StaticPowerObjective(),), weights=(1.0, 2.0)
-            )
-
-    def test_name_joins_parts(self):
-        composite = CompositeObjective(
-            parts=(StaticPowerObjective(), StaticLatencyObjective())
-        )
-        assert composite.name == "static_power+static_latency"
-
-
 class TestCoSynthesis:
     """SynthesisConfig(objective=...): scoring inside Algorithm 1."""
 
@@ -320,12 +275,11 @@ class TestCoSynthesis:
         )
         for p in space.points:
             assert p.objective_result is not None
-            assert p.objective_cost == (p.power_mw, p.avg_latency_cycles)
+            assert p.objective_result.cost == (p.power_mw, p.avg_latency_cycles)
 
     def test_no_objective_attaches_nothing(self, tiny_space):
         for p in tiny_space.points:
             assert p.objective_result is None
-            assert p.objective_cost is None
 
     @pytest.mark.runtime
     def test_qos_rejection_during_synthesis(self, tiny_spec, idle_trace):

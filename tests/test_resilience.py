@@ -16,7 +16,7 @@ The invariants this suite pins:
   folds failover stalls into the per-flow QoS numbers;
 * :class:`ResilienceObjective` vetoes under-covered points, orders
   overhead lexicographically after the base cost, and composes with
-  the trace/QoS objectives through :class:`CompositeObjective`.
+  the trace/QoS objectives as its ``base``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import pytest
 
 from repro import (
-    CompositeObjective,
     ResilienceObjective,
     SparePathConfig,
     StaticPowerObjective,
@@ -658,16 +657,11 @@ class TestResilienceObjective:
         assert "coverage" in (result.reason or "")
 
     def test_composes_with_trace_and_qos(self, d26_best, d26_trace):
-        composite = CompositeObjective(
-            parts=(
-                ResilienceObjective(),
-                TraceEnergyObjective(trace=d26_trace),
-            )
-        )
-        result = composite.evaluate(d26_best)
+        traced = ResilienceObjective(base=TraceEnergyObjective(trace=d26_trace))
+        result = traced.evaluate(d26_best)
         assert result.feasible
-        assert "resilience.coverage" in result.metrics
-        assert "trace_energy.trace_mj" in result.metrics
+        assert "coverage" in result.metrics
+        assert "trace_mj" in result.metrics
 
         qos_base = WakeLatencyQoSObjective(trace=d26_trace, budget_ms=1e9)
         guarded = ResilienceObjective(base=qos_base)

@@ -14,9 +14,9 @@ from repro import (
     SpecError,
     TrafficFlow,
     build_spec,
+    plan_all_islands,
     synthesize,
 )
-from repro.core.frequency import plan_island
 from repro.soc.benchmarks import load_benchmark
 from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.partitioning import logical_partitioning
@@ -217,9 +217,9 @@ class TestAccessors:
         assert tiny_spec.core_peak_bandwidth_mbps("mem") == 600.0
 
     def test_island_peak_bandwidth(self, tiny_spec):
-        assert plan_island(tiny_spec, 0, DEFAULT_LIBRARY).peak_ni_bandwidth_mbps == 600.0
+        assert plan_all_islands(tiny_spec, DEFAULT_LIBRARY)[0].peak_ni_bandwidth_mbps == 600.0
         # io island: io1 receives 40 + 2 = 42.
-        assert plan_island(tiny_spec, 1, DEFAULT_LIBRARY).peak_ni_bandwidth_mbps == 42.0
+        assert plan_all_islands(tiny_spec, DEFAULT_LIBRARY)[1].peak_ni_bandwidth_mbps == 42.0
 
     @pytest.mark.parametrize("cores", [80, 160, 240])
     @pytest.mark.parametrize("seed", [0, 3, 6, 7, 11])

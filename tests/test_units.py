@@ -60,28 +60,6 @@ class TestTrafficPower:
             units.traffic_power_mw(1.0, -1.0)
 
 
-class TestCycleConversions:
-    def test_cycles_to_ns(self):
-        assert units.cycles_to_ns(4, 500.0) == pytest.approx(8.0)
-
-    def test_ns_to_cycles(self):
-        assert units.ns_to_cycles(8.0, 500.0) == pytest.approx(4.0)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1e6),
-        st.floats(min_value=1.0, max_value=2000.0),
-    )
-    def test_roundtrip(self, cycles, freq):
-        ns = units.cycles_to_ns(cycles, freq)
-        assert units.ns_to_cycles(ns, freq) == pytest.approx(cycles, abs=1e-6)
-
-    def test_rejects_zero_frequency(self):
-        with pytest.raises(ValueError):
-            units.cycles_to_ns(1, 0.0)
-        with pytest.raises(ValueError):
-            units.ns_to_cycles(1.0, 0.0)
-
-
 class TestQuantizeFrequency:
     def test_rounds_up_to_grid(self):
         assert units.quantize_frequency(401.0, 25.0) == 425.0
