@@ -10,7 +10,9 @@ is a fixpoint from the program's entry points (the examples, benches,
 perfbench and scripts, and each ``src/`` module's top-level
 statements): each top-level function and class and each method and
 property, private ones included, must be mentioned in code that is
-itself reached.  Docstrings and other strings mention nothing.  The
+itself reached.  Docstrings and other strings mention nothing.  Its
+findings are reported in two parts, top-level definitions and
+members.  The
 switch scan asks that each ``True``/``False`` default of a parameter
 or class field be passed something else there.  Both match by name, so
 a same-named caller hides an unused definition.  Package
@@ -21,6 +23,7 @@ are the package's exports.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -439,11 +442,36 @@ def _unkept(found: List[str], kept: Mapping[str, str]) -> Tuple[List[str], List[
     )
 
 
-def test_no_definition_only_tests_reach():
-    found = unreached_definitions(_sources("src"), _callers())
-    unreached, stale = _unkept(found, KEPT_UNREACHED)
+@functools.lru_cache(maxsize=None)
+def _program_unreached() -> Tuple[str, ...]:
+    """The reach scan's findings on the program, run once per session."""
+    return tuple(unreached_definitions(_sources("src"), _callers()))
+
+
+def _assert_reached(members: bool) -> None:
+    """The reach scan finds no top-level definition (``members`` false)
+    or no method or property (``members`` true) outside the allowlist."""
+
+    def is_member(label: str) -> bool:
+        return "." in label
+
+    found = [
+        line for line in _program_unreached() if is_member(line.rpartition(": ")[2]) == members
+    ]
+    kept = {label: why for label, why in KEPT_UNREACHED.items() if is_member(label) == members}
+    unreached, stale = _unkept(found, kept)
     assert not unreached, "definitions the program cannot reach:\n" + "\n".join(unreached)
     assert not stale, "kept definitions the program now reaches: %s" % stale
+
+
+def test_no_public_name_only_tests_reach():
+    """Every top-level function and class, private ones too."""
+    _assert_reached(members=False)
+
+
+def test_no_public_member_only_tests_read():
+    """Every method and property of a top-level class, private ones too."""
+    _assert_reached(members=True)
 
 
 def test_no_switch_only_tests_set():
